@@ -16,12 +16,16 @@ import (
 	"bbcast/internal/wire"
 )
 
-// Behavior intercepts one node's traffic.
+// Behavior intercepts one node's traffic. Frames are shared, not copied: the
+// packet FilterSend sees is the one the protocol keeps referencing, and the
+// packet OnReceive sees is the one every other receiver gets. A behaviour may
+// keep either, but edits only its own Clone, and sends no packet twice.
 type Behavior interface {
 	// Name identifies the behaviour in reports.
 	Name() string
 	// FilterSend inspects an outgoing packet. It returns the packet to
-	// actually transmit (possibly modified) or nil to silently drop it.
+	// actually transmit (pkt itself, or an edited clone) or nil to silently
+	// drop it.
 	FilterSend(pkt *wire.Packet) *wire.Packet
 	// OnReceive observes every received packet (before the protocol does).
 	OnReceive(pkt *wire.Packet)
@@ -419,7 +423,7 @@ func (r *Replayer) OnReceive(pkt *wire.Packet) {
 	if pkt.Sender == r.Self || len(r.harvest) >= 128 {
 		return
 	}
-	r.harvest = append(r.harvest, pkt.Clone())
+	r.harvest = append(r.harvest, pkt) // retained as is; Tick clones before editing
 }
 
 // Tick implements Behavior: re-send harvested packets verbatim (except the

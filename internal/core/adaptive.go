@@ -16,7 +16,7 @@ package core
 // is bit-identical to the static configuration.
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"bbcast/internal/obsv"
@@ -77,7 +77,7 @@ func (p *Protocol) adaptTimers() {
 			expected = e
 		}
 	}
-	qs := make([]float64, 0, len(p.linkQual))
+	qs := p.linkQuals[:0]
 	for id, le := range p.linkQual { //bbvet:unordered per-entry EWMA updates commute and the collected set is sorted below; the loop emits nothing
 		if p.neighbors[id] == nil {
 			delete(p.linkQual, id)
@@ -91,6 +91,7 @@ func (p *Protocol) adaptTimers() {
 		le.seen = 0
 		qs = append(qs, le.q)
 	}
+	p.linkQuals = qs
 	if len(qs) == 0 {
 		return // no links under observation: leave the timers alone
 	}
@@ -99,7 +100,7 @@ func (p *Protocol) adaptTimers() {
 	// let them drag the aggregate down — inflating the MUTE timeout and
 	// delaying their own eviction. Genuine channel degradation hits every link
 	// at once, so the median still falls with it.
-	sort.Float64s(qs)
+	slices.Sort(qs)
 	quality := qs[len(qs)/2]
 
 	gMin, gMax := p.cfg.GossipBounds()
@@ -281,7 +282,7 @@ func (m *pendingMiss) retryTarget(limit int) wire.NodeID {
 	for id := range m.gossipers {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	best, bestAsked := wire.NoNode, -1
 	for _, id := range ids {
 		asked := m.gossipers[id]

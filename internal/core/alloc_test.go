@@ -1,0 +1,62 @@
+package core
+
+import (
+	"testing"
+
+	"bbcast/internal/alloctest"
+	"bbcast/internal/wire"
+)
+
+// steadyHarness is a node in the regime the periodic path repeats every tick:
+// 15 admitted neighbours with verified state records and 32 held messages,
+// each with a gossip proof. Sent frames are dropped, so a tick's count is the
+// protocol's own.
+func steadyHarness(t *testing.T) (*harness, *wire.OverlayState) {
+	t.Helper()
+	h := newHarness(t, 0, testConfig())
+	h.p.deps.Send = func(*wire.Packet) {}
+	var state *wire.OverlayState
+	for round := 0; round < 2; round++ { // two packets admit a neighbour
+		for n := wire.NodeID(1); n <= 15; n++ {
+			state = &wire.OverlayState{Active: n%3 == 0, Dominator: n%6 == 0, Neighbors: []wire.NodeID{0, n%15 + 1}}
+			h.p.HandlePacket(h.stateFrom(n, state))
+		}
+	}
+	for seq := wire.Seq(1); seq <= 32; seq++ {
+		from := wire.NodeID(1 + seq%15)
+		pkt := h.dataFrom(from, seq, []byte("steady-state payload"))
+		h.p.HandlePacket(pkt)
+		h.p.HandlePacket(h.gossipFrom(from, pkt.ID()))
+	}
+	if held, _ := h.p.StoreSize(); held != 32 || len(h.p.overlayNeighbors()) == 0 {
+		t.Fatalf("steady state not reached: %d held, OL=%v", held, h.p.overlayNeighbors())
+	}
+	return h, state
+}
+
+// The ceilings below are what a tick must allocate because it leaves the
+// protocol: the frame, its gossip entries and a fresh signature. Sorted id
+// lists, signed-byte strings, the maintainer's view and an unchanged state
+// record all come from scratch.
+
+func TestGossipTickAllocationCeiling(t *testing.T) {
+	h, _ := steadyHarness(t)
+	h.p.gossipTick() // size the scratch
+	alloctest.AtMost(t, 3, h.p.gossipTick)
+}
+
+func TestMaintenanceTickAllocationCeiling(t *testing.T) {
+	h, _ := steadyHarness(t)
+	h.p.maintenanceTick()
+	alloctest.AtMost(t, 0, h.p.maintenanceTick)
+}
+
+func TestHandleStateDoesNotAllocate(t *testing.T) {
+	h, state := steadyHarness(t)
+	tag := h.scheme.Sign(15, wire.StateSigBytes(15, state))
+	h.p.handleState(15, state, tag)
+	alloctest.AtMost(t, 0, func() { h.p.handleState(15, state, tag) })
+	if h.p.stats.BadSignatures != 0 {
+		t.Fatal("the record did not verify")
+	}
+}

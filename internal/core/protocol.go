@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bbcast/internal/env"
@@ -22,6 +23,13 @@ type Deps struct {
 	Clock env.Clock
 	// Send puts a packet on the air (one physical hop). The protocol sets
 	// pkt.Sender. Hosts route this through their MAC/transport.
+	//
+	// A frame is immutable from the moment it is handed to Send: the
+	// simulated medium passes this very *wire.Packet to every receiver, so
+	// neither the protocol nor the host may afterwards write to the packet,
+	// its byte slices, its Gossip entries or its State record, and no
+	// *wire.Packet is passed to Send twice. A host that edits a frame on the
+	// way out (an adversary behaviour) sends its own Clone.
 	Send func(pkt *wire.Packet)
 	// Scheme signs and verifies.
 	Scheme sig.Scheme
@@ -87,9 +95,10 @@ type msgState struct {
 	purged     bool          // payload dropped; id retained as duplicate-filter tombstone
 	purgedAt   time.Duration // when the payload was dropped (quiescence GC input)
 	// holders are the distinct neighbours seen advertising this message
-	// (stability detection input).
+	// (stability detection input), ascending. A handful of ids per message: a
+	// sorted slice is smaller and cheaper to probe than a map.
 	//bbvet:bounded-by maxHolders noteHolder refuses growth past the cap; total is maxHolders×MaxStore
-	holders map[wire.NodeID]bool
+	holders []wire.NodeID
 
 	// Causal lineage of the local copy: the frame it arrived on, its
 	// data-path hop count, whether gossip recovery repaired any hop of its
@@ -122,12 +131,16 @@ const (
 
 // noteHolder records that `from` advertised the message.
 func (st *msgState) noteHolder(from wire.NodeID) {
+	i, found := slices.BinarySearch(st.holders, from)
+	if found || len(st.holders) >= maxHolders {
+		return
+	}
 	if st.holders == nil {
-		st.holders = make(map[wire.NodeID]bool, 4)
+		// Room for a typical neighbourhood up front instead of growing
+		// through 1, 2 and 4.
+		st.holders = make([]wire.NodeID, 0, 8)
 	}
-	if len(st.holders) < maxHolders {
-		st.holders[from] = true
-	}
+	st.holders = slices.Insert(st.holders, i, from)
 }
 
 // pendingMiss tracks a message known (from gossip) but not yet received.
@@ -227,6 +240,29 @@ type Protocol struct {
 	syncArmed    bool
 	syncAttempts int
 
+	// Scratch reused by the per-packet and periodic paths, so work repeated
+	// every tick does not allocate. None of it ever leaves the protocol:
+	// frames handed to Send and published state records get fresh memory.
+	sigBuf []byte // signed-bytes buffer for one Sign/Verify call
+	//bbvet:bounded-by MaxStore holds the keys of one protocol table at a time (store, missing or reqSeen)
+	msgIDs []wire.MsgID
+	//bbvet:bounded-by GossipMaxEntries the advertisements of one gossip round, copied into the frame
+	gossipEntries []wire.GossipEntry
+	//bbvet:bounded-by MaxNeighbors the neighbour table's keys, sorted
+	nodeIDs []wire.NodeID
+	//bbvet:bounded-by MaxNeighbors the admitted neighbours of one maintenance view
+	viewInfos []overlay.NeighborInfo
+	//bbvet:bounded-by MaxNeighbors OL(1,p) as last computed
+	overlayIDs []wire.NodeID
+	//bbvet:bounded-by MaxNeighbors the state record under construction; its lists are subsets of the neighbour table plus the suspects
+	stateScratch wire.OverlayState
+	// published is the last state record handed out by buildState. It is
+	// shared with in-flight frames and receivers and never written again.
+	published *wire.OverlayState
+	distrusts func(wire.NodeID) bool // View.Distrusts, built once
+	//bbvet:bounded-by MaxNeighbors one link-quality sample per estimator entry
+	linkQuals []float64
+
 	stats   Stats
 	stops   []func()
 	stopped bool
@@ -247,6 +283,7 @@ func New(cfg Config, deps Deps) *Protocol {
 		maint:        overlay.New(cfg.Overlay),
 		reqSeen:      make(map[wire.MsgID]*reqRecord),
 	}
+	p.distrusts = func(id wire.NodeID) bool { return p.level(id) == fd.Untrusted }
 	p.initDetectors()
 	if restored := p.restoreDurable(); restored > 0 && cfg.CatchUpSync {
 		// A daemon restarting over a non-empty durable store missed traffic
@@ -387,8 +424,8 @@ func (p *Protocol) schedulePeriodic(period, jitter time.Duration, fn func()) {
 func (p *Protocol) schedulePeriodicFunc(period func() time.Duration, jitter time.Duration, fn func()) {
 	stopped := false
 	var cancel func()
-	var schedule func()
-	schedule = func() {
+	var tick func()
+	schedule := func() {
 		d := period()
 		if jitter > 0 {
 			d += time.Duration(p.deps.Rand.Int63n(int64(2*jitter))) - jitter
@@ -396,13 +433,15 @@ func (p *Protocol) schedulePeriodicFunc(period func() time.Duration, jitter time
 		if d <= 0 {
 			d = 1
 		}
-		cancel = p.deps.Clock.After(d, func() {
-			if stopped || p.stopped {
-				return
-			}
-			fn()
-			schedule()
-		})
+		cancel = p.deps.Clock.After(d, tick)
+	}
+	// One closure serves every round, so rescheduling costs only the timer.
+	tick = func() {
+		if stopped || p.stopped {
+			return
+		}
+		fn()
+		schedule()
 	}
 	schedule()
 	p.stops = append(p.stops, func() {
@@ -427,8 +466,9 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	id := wire.MsgID{Origin: p.deps.ID, Seq: p.seq}
 	body := make([]byte, len(payload))
 	copy(body, payload)
-	dataSig := p.deps.Scheme.Sign(uint32(p.deps.ID), wire.DataSigBytes(id, body))
-	headerSig := p.deps.Scheme.Sign(uint32(p.deps.ID), wire.HeaderSigBytes(id))
+	p.sigBuf = wire.AppendDataSigBytes(p.sigBuf[:0], id, body)
+	dataSig := p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
+	headerSig := p.signHeader(id)
 	digest := wire.Digest(body)
 	p.enforceStoreCap()
 	p.store[id] = &msgState{
@@ -455,9 +495,40 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	return id
 }
 
+// signHeader signs id's gossip-advertisement bytes as this node.
+func (p *Protocol) signHeader(id wire.MsgID) []byte {
+	p.sigBuf = wire.AppendHeaderSigBytes(p.sigBuf[:0], id)
+	return p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
+}
+
+// signState signs a state record as this node.
+func (p *Protocol) signState(state *wire.OverlayState) []byte {
+	p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], p.deps.ID, state)
+	return p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
+}
+
+// verifyData checks an originator's signature over a data message.
+func (p *Protocol) verifyData(id wire.MsgID, payload, tag []byte) bool {
+	p.sigBuf = wire.AppendDataSigBytes(p.sigBuf[:0], id, payload)
+	return p.verify(uint32(id.Origin), p.sigBuf, tag)
+}
+
+// verifyHeader checks an originator's signature over a gossip advertisement.
+func (p *Protocol) verifyHeader(id wire.MsgID, tag []byte) bool {
+	p.sigBuf = wire.AppendHeaderSigBytes(p.sigBuf[:0], id)
+	return p.verify(uint32(id.Origin), p.sigBuf, tag)
+}
+
+// verifyState checks a neighbour's signature over its state record.
+func (p *Protocol) verifyState(from wire.NodeID, state *wire.OverlayState, tag []byte) bool {
+	p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], from, state)
+	return p.verify(uint32(from), p.sigBuf, tag)
+}
+
 // verify runs Scheme.Verify, reporting the outcome and the wall-clock cost
 // to the observer when one is attached (wall-clock, not virtual: under
-// simulation the duration still measures real CPU spent verifying).
+// simulation the duration still measures real CPU spent verifying). msg is
+// usually p.sigBuf: schemes read it during the call and do not keep it.
 func (p *Protocol) verify(signer uint32, msg, tag []byte) bool {
 	if p.deps.Obs == nil {
 		return p.deps.Scheme.Verify(signer, msg, tag)
@@ -479,6 +550,11 @@ func (p *Protocol) send(pkt *wire.Packet) {
 // the radio delivers. Admission control runs first: a sender over its token
 // budget is shed before any signature verification or state mutation, so a
 // flooding neighbour costs this node a table lookup per packet, not a hash.
+//
+// pkt is shared with the sender and every other receiver of the frame. The
+// protocol retains parts of it (payload, signatures, the state record) and
+// never modifies it; the one frame it relays edited (a FIND_MISSING with a
+// lower TTL) goes out as a Clone.
 func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 	if p.stopped || pkt.Sender == p.deps.ID {
 		return
@@ -531,13 +607,13 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 				p.stats.DedupSkips++
 				p.observeAdmission(obsv.AdmitDedup)
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
-			} else if p.verify(uint32(id.Origin), wire.DataSigBytes(id, pkt.Payload), pkt.Sig) {
+			} else if p.verifyData(id, pkt.Payload, pkt.Sig) {
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
 			}
 		}
 		return
 	}
-	if !p.verify(uint32(id.Origin), wire.DataSigBytes(id, pkt.Payload), pkt.Sig) {
+	if !p.verifyData(id, pkt.Payload, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
@@ -694,7 +770,7 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 		if verified {
 			p.stats.DedupSkips++
 			p.observeAdmission(obsv.AdmitDedup)
-		} else if !p.verify(uint32(entry.ID.Origin), wire.HeaderSigBytes(entry.ID), entry.Sig) {
+		} else if !p.verifyHeader(entry.ID, entry.Sig) {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			continue
@@ -798,7 +874,7 @@ func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wi
 // handleRequest implements Figure 4 lines 42–61.
 func (p *Protocol) handleRequest(pkt *wire.Packet) {
 	id := pkt.ID()
-	if !p.verify(uint32(id.Origin), wire.HeaderSigBytes(id), pkt.Sig) {
+	if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
@@ -856,7 +932,7 @@ func (p *Protocol) handleRequest(pkt *wire.Packet) {
 // handleFindMissing implements Figure 4 lines 62–81.
 func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
 	id := pkt.ID()
-	if !p.verify(uint32(id.Origin), wire.HeaderSigBytes(id), pkt.Sig) {
+	if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
 	"bbcast/internal/overlay"
@@ -41,7 +43,8 @@ func (p *Protocol) Rejoin() {
 	}
 	// Cancel outstanding recovery timers (sorted walk: cancellation order
 	// must not depend on map iteration, for replayable runs).
-	for _, id := range sortedMsgIDs(p.missing) {
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.missing)
+	for _, id := range p.msgIDs {
 		for _, cancel := range p.missing[id].cancels {
 			cancel()
 		}
@@ -166,13 +169,9 @@ func (p *Protocol) syncStep() {
 		p.scheduleSyncStep()
 		return
 	}
-	have := make([]wire.MsgID, 0, len(p.store))
-	for _, id := range sortedMsgIDs(p.store) {
-		have = append(have, id)
-		if len(have) >= maxSyncHave {
-			break
-		}
-	}
+	// The frame owns its summary: a fresh copy, never the scratch.
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
+	have := slices.Clone(p.msgIDs[:min(len(p.msgIDs), maxSyncHave)])
 	pkt := &wire.Packet{
 		Kind:     wire.KindSyncReq,
 		TTL:      1,
@@ -227,7 +226,8 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 	}
 	limit := p.cfg.syncMaxEntries()
 	var entries []wire.SyncEntry
-	for _, id := range sortedMsgIDs(p.store) {
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
+	for _, id := range p.msgIDs {
 		st := p.store[id]
 		if st.purged || have[id] || st.dataSig == nil {
 			continue
@@ -287,7 +287,7 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 		if _, ok := p.store[e.ID]; ok {
 			continue // held or tombstoned: already delivered
 		}
-		if !p.verify(uint32(e.ID.Origin), wire.DataSigBytes(e.ID, e.Payload), e.Sig) {
+		if !p.verifyData(e.ID, e.Payload, e.Sig) {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			break // poisoned batch: discard the rest
@@ -303,7 +303,7 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 		// The header signature is the gossip proof; keep it only if it
 		// verifies, so a corrupt one can never be re-advertised under our
 		// name. The payload above already proved itself independently.
-		if len(e.HeaderSig) > 0 && p.verify(uint32(e.ID.Origin), wire.HeaderSigBytes(e.ID), e.HeaderSig) {
+		if len(e.HeaderSig) > 0 && p.verifyHeader(e.ID, e.HeaderSig) {
 			st.headerSig = e.HeaderSig
 		}
 		if miss := p.missing[e.ID]; miss != nil {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"bbcast/internal/fd"
@@ -17,22 +17,25 @@ import (
 // overlay-state record.
 func (p *Protocol) gossipTick() {
 	now := p.deps.Clock.Now()
-	entries := make([]wire.GossipEntry, 0, 16)
-	ids := make([]wire.MsgID, 0, len(p.store))
-	for id := range p.store {
-		ids = append(ids, id)
+	// Only recently received, unpurged messages are advertised; filtering
+	// before the sort keeps retained tombstones out of it. The filter has no
+	// side effects, so the loop below still sees its candidates in id order.
+	ids := p.msgIDs[:0]
+	for id, st := range p.store {
+		if !st.purged && now-st.receivedAt <= p.cfg.GossipRetention {
+			ids = append(ids, id)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.SortFunc(ids, wire.MsgID.Compare)
+	p.msgIDs = ids
+	entries := p.gossipEntries[:0]
 	for _, id := range ids {
 		st := p.store[id]
-		if st.purged || now-st.receivedAt > p.cfg.GossipRetention {
-			continue
-		}
 		if st.headerSig == nil {
 			// We received the data but never a gossip proof; derive one if
 			// we are the originator, otherwise we cannot advertise.
 			if id.Origin == p.deps.ID {
-				st.headerSig = p.deps.Scheme.Sign(uint32(p.deps.ID), wire.HeaderSigBytes(id))
+				st.headerSig = p.signHeader(id)
 			} else {
 				continue
 			}
@@ -43,7 +46,10 @@ func (p *Protocol) gossipTick() {
 			break
 		}
 	}
-	p.sendGossipWithState(entries)
+	p.gossipEntries = entries
+	// The frame owns its entries from here on (receivers may retain them), so
+	// it gets an exact-size copy, never the scratch.
+	p.sendGossipWithState(slices.Clone(entries))
 }
 
 // sendGossipWithState emits the gossip (even when empty, if a state record
@@ -53,7 +59,7 @@ func (p *Protocol) sendGossipWithState(entries []wire.GossipEntry) {
 	var stateSig []byte
 	if p.cfg.PiggybackState {
 		state = p.buildState()
-		stateSig = p.deps.Scheme.Sign(uint32(p.deps.ID), wire.StateSigBytes(p.deps.ID, state))
+		stateSig = p.signState(state)
 	}
 	if len(entries) == 0 && state == nil {
 		return
@@ -160,7 +166,7 @@ func (p *Protocol) maintenanceTick() {
 			Target:   wire.NoNode,
 			Origin:   wire.NoNode,
 			State:    state,
-			StateSig: p.deps.Scheme.Sign(uint32(p.deps.ID), wire.StateSigBytes(p.deps.ID, state)),
+			StateSig: p.signState(state),
 			Meta:     wire.Meta{Cause: wire.CauseState},
 		})
 	}
@@ -198,7 +204,8 @@ func (p *Protocol) purgeTick() {
 	//
 	// A message advertised but never received is abandoned once its
 	// recovery window passes (everyone else will have purged it too).
-	for _, id := range sortedMsgIDs(p.missing) {
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.missing)
+	for _, id := range p.msgIDs {
 		miss := p.missing[id]
 		if now-miss.firstHeard > p.cfg.PurgeTimeout {
 			for _, cancel := range miss.cancels {
@@ -207,7 +214,8 @@ func (p *Protocol) purgeTick() {
 			delete(p.missing, id)
 		}
 	}
-	for _, id := range sortedMsgIDs(p.store) {
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
+	for _, id := range p.msgIDs {
 		st := p.store[id]
 		if st.purged {
 			// Quiescence GC: a tombstone that has outlived its duplicate-filter
@@ -240,7 +248,8 @@ func (p *Protocol) purgeTick() {
 		ttl = p.cfg.PurgeTimeout
 	}
 	if ttl > 0 {
-		for _, id := range sortedMsgIDs(p.reqSeen) {
+		p.msgIDs = sortedMsgIDs(p.msgIDs, p.reqSeen)
+		for _, id := range p.msgIDs {
 			if now-p.reqSeen[id].touched > ttl {
 				delete(p.reqSeen, id)
 				p.observeAdmission(obsv.AdmitReqSeenExpire)
@@ -249,14 +258,28 @@ func (p *Protocol) purgeTick() {
 	}
 }
 
-// sortedMsgIDs returns m's keys in ascending (origin, seq) order, for table
-// walks whose bodies emit events or touch timers.
-func sortedMsgIDs[V any](m map[wire.MsgID]V) []wire.MsgID {
-	ids := make([]wire.MsgID, 0, len(m))
+// sortedMsgIDs overwrites buf with m's keys in ascending (origin, seq) order
+// and returns it, for table walks whose bodies emit events or touch timers.
+// Callers pass p.msgIDs and finish their walk before the next one starts.
+func sortedMsgIDs[V any](buf []wire.MsgID, m map[wire.MsgID]V) []wire.MsgID {
+	buf = buf[:0]
 	for id := range m {
+		buf = append(buf, id)
+	}
+	slices.SortFunc(buf, wire.MsgID.Compare)
+	return buf
+}
+
+// sortedNeighborIDs refreshes p.nodeIDs with the neighbour table's keys in
+// ascending order. The walks that use it (buildView, buildState,
+// overlayNeighbors) never nest.
+func (p *Protocol) sortedNeighborIDs() []wire.NodeID {
+	ids := p.nodeIDs[:0]
+	for id := range p.neighbors {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	slices.Sort(ids)
+	p.nodeIDs = ids
 	return ids
 }
 
@@ -317,7 +340,7 @@ func (p *Protocol) expireNeighbors() {
 // handleState processes a neighbour's (signed) overlay-state record and its
 // second-hand suspicion reports.
 func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, stateSig []byte) {
-	if !p.verify(uint32(from), wire.StateSigBytes(from, state), stateSig) {
+	if !p.verifyState(from, state, stateSig) {
 		p.stats.BadSignatures++
 		p.suspect(from, fd.ReasonBadSignature)
 		return
@@ -341,16 +364,12 @@ func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, state
 }
 
 // buildView assembles the maintainer's input from the neighbour table and
-// the TRUST detector.
+// the TRUST detector. The view borrows protocol scratch: it is valid until
+// the next buildView and must not be retained.
 func (p *Protocol) buildView() overlay.View {
-	v := overlay.View{Self: p.deps.ID, SelfRole: p.role}
-	v.Distrusts = func(id wire.NodeID) bool { return p.level(id) == fd.Untrusted }
-	ids := make([]wire.NodeID, 0, len(p.neighbors))
-	for id := range p.neighbors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	v := overlay.View{Self: p.deps.ID, SelfRole: p.role, Distrusts: p.distrusts}
+	infos := p.viewInfos[:0]
+	for _, id := range p.sortedNeighborIDs() {
 		nb := p.neighbors[id]
 		if !nb.admitted() {
 			continue
@@ -371,8 +390,10 @@ func (p *Protocol) buildView() overlay.View {
 			info.ActiveNeighbors = nb.state.ActiveNeighbors
 			info.DominatorNeighbors = nb.state.DominatorNeighbors
 		}
-		v.Neighbors = append(v.Neighbors, info)
+		infos = append(infos, info)
 	}
+	p.viewInfos = infos
+	v.Neighbors = infos
 	return v
 }
 
@@ -385,18 +406,20 @@ func (p *Protocol) level(id wire.NodeID) fd.Level {
 	return p.trust.Level(id)
 }
 
-// buildState produces the signed maintenance record the node publishes.
+// buildState produces the maintenance record the node publishes. Published
+// records are immutable — in-flight frames carry them and receivers keep them
+// as nb.state — so the record is assembled in p.stateScratch and a fresh one
+// is allocated only when it differs from the last one published; an unchanged
+// neighbourhood republishes the same record.
 func (p *Protocol) buildState() *wire.OverlayState {
-	st := &wire.OverlayState{
-		Active:    p.role.Active(),
-		Dominator: p.role == overlay.Dominator,
-	}
-	ids := make([]wire.NodeID, 0, len(p.neighbors))
-	for id := range p.neighbors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	st := &p.stateScratch
+	st.Active = p.role.Active()
+	st.Dominator = p.role == overlay.Dominator
+	st.Neighbors = st.Neighbors[:0]
+	st.ActiveNeighbors = st.ActiveNeighbors[:0]
+	st.DominatorNeighbors = st.DominatorNeighbors[:0]
+	st.Suspects = st.Suspects[:0]
+	for _, id := range p.sortedNeighborIDs() {
 		nb := p.neighbors[id]
 		if !nb.admitted() {
 			continue
@@ -410,9 +433,20 @@ func (p *Protocol) buildState() *wire.OverlayState {
 		}
 	}
 	if p.cfg.EnableFDs {
-		st.Suspects = p.trust.Suspects()
+		st.Suspects = p.trust.AppendSuspects(st.Suspects)
 	}
-	return st
+	if p.published == nil || !sameState(p.published, st) {
+		p.published = st.Clone()
+	}
+	return p.published
+}
+
+func sameState(a, b *wire.OverlayState) bool {
+	return a.Active == b.Active && a.Dominator == b.Dominator &&
+		slices.Equal(a.Neighbors, b.Neighbors) &&
+		slices.Equal(a.ActiveNeighbors, b.ActiveNeighbors) &&
+		slices.Equal(a.DominatorNeighbors, b.DominatorNeighbors) &&
+		slices.Equal(a.Suspects, b.Suspects)
 }
 
 // isOverlayNeighbor reports whether id is a usable overlay neighbour
@@ -423,27 +457,24 @@ func (p *Protocol) isOverlayNeighbor(id wire.NodeID) bool {
 }
 
 // overlayNeighbors returns OL(1,p): the usable overlay neighbours, sorted.
+// The result borrows protocol scratch and is valid until the next call.
 func (p *Protocol) overlayNeighbors() []wire.NodeID {
 	// Sorted iteration, not sort-after-filter: level() folds expired
 	// suspicions lazily and can emit raise/clear transitions, so the filter
 	// itself must run in id order.
-	ids := make([]wire.NodeID, 0, len(p.neighbors))
-	for id := range p.neighbors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]wire.NodeID, 0, 8)
-	for _, id := range ids {
+	out := p.overlayIDs[:0]
+	for _, id := range p.sortedNeighborIDs() {
 		nb := p.neighbors[id]
 		if nb.admitted() && nb.state != nil && nb.state.Active && p.level(id) != fd.Untrusted {
 			out = append(out, id)
 		}
 	}
+	p.overlayIDs = out
 	return out
 }
 
 // OverlayNeighbors exposes OL(1,p): the usable overlay neighbours.
-func (p *Protocol) OverlayNeighbors() []wire.NodeID { return p.overlayNeighbors() }
+func (p *Protocol) OverlayNeighbors() []wire.NodeID { return slices.Clone(p.overlayNeighbors()) }
 
 // DescribeView renders the current maintainer view, for tools and debugging.
 func (p *Protocol) DescribeView() string {

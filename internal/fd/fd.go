@@ -24,7 +24,7 @@
 package fd
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"bbcast/internal/wire"
@@ -79,6 +79,8 @@ type counterSet struct {
 	counters map[wire.NodeID]*agingCounter
 	until    map[wire.NodeID]time.Duration // suspected until
 	onChange func(id wire.NodeID, suspected bool)
+
+	keys []wire.NodeID // sortedKeys scratch for appendSuspects
 }
 
 func newCounterSet(now Now, threshold int, suspicionTTL, ageInterval time.Duration) *counterSet {
@@ -157,27 +159,29 @@ func (c *counterSet) count(id wire.NodeID) int {
 	return ctr.count
 }
 
-func (c *counterSet) suspects() []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(c.until))
+// appendSuspects appends the currently suspected nodes to dst, ascending.
+func (c *counterSet) appendSuspects(dst []wire.NodeID) []wire.NodeID {
 	// Iterate in id order: suspected() emits clear events through onChange
 	// when an entry has expired, and those must not fire in map order.
-	for _, id := range sortedKeys(c.until) {
+	c.keys = sortedKeys(c.keys, c.until)
+	for _, id := range c.keys {
 		if c.suspected(id) {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
-// sortedKeys returns m's keys in ascending id order. The detectors touch
-// suspicion state only in sorted order wherever a callback (and hence an
-// observer emission) can fire, so Go's randomized map iteration never leaks
-// into the event trace.
-func sortedKeys[V any](m map[wire.NodeID]V) []wire.NodeID {
-	ids := make([]wire.NodeID, 0, len(m))
+// sortedKeys overwrites buf with m's keys in ascending id order and returns
+// it. The detectors touch suspicion state only in sorted order wherever a
+// callback (and hence an observer emission) can fire, so Go's randomized map
+// iteration never leaks into the event trace. Each detector passes its own
+// scratch: the walks nest (TRUST's walk calls into MUTE's sweep).
+func sortedKeys[V any](buf []wire.NodeID, m map[wire.NodeID]V) []wire.NodeID {
+	buf = buf[:0]
 	for id := range m {
-		ids = append(ids, id)
+		buf = append(buf, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(buf)
+	return buf
 }

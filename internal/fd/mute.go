@@ -49,6 +49,7 @@ type Mute struct {
 	cfg     MuteConfig
 	set     *counterSet
 	pending []*expectation
+	keys    []wire.NodeID // sortedKeys scratch for sweep
 
 	// OnSuspect, if non-nil, observes suspicion transitions.
 	OnSuspect func(id wire.NodeID, suspected bool)
@@ -138,7 +139,8 @@ func (m *Mute) sweep() {
 		// expectations and counters age).
 		// Sorted: bump can raise a suspicion, and the OnSuspect emissions
 		// must not depend on map iteration order.
-		for _, id := range sortedKeys(e.waiting) {
+		m.keys = sortedKeys(m.keys, e.waiting)
+		for _, id := range m.keys {
 			m.set.bump(id, 1)
 		}
 	}
@@ -152,9 +154,11 @@ func (m *Mute) Suspected(id wire.NodeID) bool {
 }
 
 // Suspects returns the currently suspected nodes, sorted.
-func (m *Mute) Suspects() []wire.NodeID {
+func (m *Mute) Suspects() []wire.NodeID { return m.appendSuspects(nil) }
+
+func (m *Mute) appendSuspects(dst []wire.NodeID) []wire.NodeID {
 	m.sweep()
-	return m.set.suspects()
+	return m.set.appendSuspects(dst)
 }
 
 // Misses reports id's current (decayed) miss count, for tests and debugging.

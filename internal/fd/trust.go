@@ -1,7 +1,7 @@
 package fd
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"bbcast/internal/wire"
@@ -61,6 +61,7 @@ type Trust struct {
 	direct     map[wire.NodeID]time.Duration // untrusted until
 	reasons    map[wire.NodeID]Reason
 	secondHand map[wire.NodeID]time.Duration // unknown until
+	keys       []wire.NodeID                 // sortedKeys scratch for AppendSuspects
 
 	// OnDirect, if non-nil, observes every direct local suspicion
 	// (a raise; direct suspicions expire silently rather than clear).
@@ -153,29 +154,27 @@ func (t *Trust) Reason(id wire.NodeID) (Reason, bool) {
 
 // Suspects returns the nodes this detector considers Untrusted, sorted.
 // These are what the node advertises in its overlay-state Suspects list.
-func (t *Trust) Suspects() []wire.NodeID {
-	seen := make(map[wire.NodeID]bool)
+func (t *Trust) Suspects() []wire.NodeID { return t.AppendSuspects(nil) }
+
+// AppendSuspects appends Suspects() to dst, for callers that poll every
+// maintenance round and keep their own buffer.
+func (t *Trust) AppendSuspects(dst []wire.NodeID) []wire.NodeID {
+	start := len(dst)
 	// Sorted: Level folds expired suspicions lazily and can emit raise/clear
 	// transitions, so it must not run in map iteration order.
-	for _, id := range sortedKeys(t.direct) {
+	t.keys = sortedKeys(t.keys, t.direct)
+	for _, id := range t.keys {
 		if t.Level(id) == Untrusted {
-			seen[id] = true
+			dst = append(dst, id)
 		}
 	}
 	if t.mute != nil {
-		for _, id := range t.mute.Suspects() {
-			seen[id] = true
-		}
+		dst = t.mute.appendSuspects(dst)
 	}
 	if t.verbose != nil {
-		for _, id := range t.verbose.Suspects() {
-			seen[id] = true
-		}
+		dst = t.verbose.appendSuspects(dst)
 	}
-	out := make([]wire.NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// The three sources overlap: order the union and drop repeats.
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }

@@ -87,7 +87,11 @@ func (v *Verbose) Observe(id wire.NodeID, kind wire.Kind) {
 func (v *Verbose) Suspected(id wire.NodeID) bool { return v.set.suspected(id) }
 
 // Suspects returns the currently suspected nodes, sorted.
-func (v *Verbose) Suspects() []wire.NodeID { return v.set.suspects() }
+func (v *Verbose) Suspects() []wire.NodeID { return v.appendSuspects(nil) }
+
+func (v *Verbose) appendSuspects(dst []wire.NodeID) []wire.NodeID {
+	return v.set.appendSuspects(dst)
+}
 
 // Indictments reports id's current (decayed) indictment count.
 func (v *Verbose) Indictments(id wire.NodeID) int { return v.set.count(id) }

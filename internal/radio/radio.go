@@ -114,6 +114,9 @@ type txBatch struct {
 	from wire.NodeID
 	pkt  *wire.Packet
 	recs []*reception
+	// finish is the batch's completion event, built once per pooled record so
+	// scheduling a transmission allocates no closure.
+	finish func()
 }
 
 // interval is a closed transmit window, for half-duplex accounting.
@@ -167,15 +170,28 @@ type Medium struct {
 
 	// frameSeq numbers frames in transmission order: Broadcast stamps each
 	// packet's Meta.Frame before OnTransmit fires, so lineage events can
-	// reference a frame receivers will see under the same id (clones carry
-	// the Meta by value). Transmission order is deterministic under the
-	// simulation engine, so frame ids are reproducible across runs.
+	// reference a frame receivers will see under the same id (they are handed
+	// the stamped packet itself). Transmission order is deterministic under
+	// the simulation engine, so frame ids are reproducible across runs.
 	frameSeq uint64
 
 	scratch     []uint32
 	freeRecs    []*reception
 	freeBatches []*txBatch
 }
+
+// Stages of a frame's life reported to frameHook.
+const (
+	frameOnAir     = "broadcast"    // Broadcast stamped the frame; node is the sender
+	frameDelivered = "delivered"    // a receiver's callback returned; node is that receiver
+	frameBatchDone = "batch-finish" // every reception of the frame resolved; node is the sender
+)
+
+// frameHook is a test seam, set only through export_test.go: the frame
+// immutability guard uses it to fingerprint every frame at Broadcast and
+// re-check it after each receiver callback and at batch finish. It is nil
+// outside tests.
+var frameHook func(stage string, node wire.NodeID, pkt *wire.Packet)
 
 // New builds a medium for n nodes moving per model.
 func New(eng *sim.Engine, model mobility.Model, n int, cfg Config) *Medium {
@@ -213,8 +229,10 @@ func (m *Medium) refreshPositions() {
 	}
 }
 
-// Attach registers the receive callback for node id. Each delivered packet
-// is a deep copy private to the receiver.
+// Attach registers the receive callback for node id. Every receiver of a
+// transmission is handed the same *wire.Packet the sender broadcast: fn may
+// retain the packet and anything it points to, but must never modify it —
+// clone before editing (wire.Packet.Clone).
 func (m *Medium) Attach(id wire.NodeID, fn func(*wire.Packet)) {
 	if int(id) < len(m.rx) {
 		m.rx[id] = fn
@@ -508,7 +526,9 @@ func (m *Medium) allocBatch() *txBatch {
 		m.freeBatches = m.freeBatches[:n-1]
 		return b
 	}
-	return &txBatch{}
+	b := &txBatch{}
+	b.finish = func() { m.finishBatch(b) }
+	return b
 }
 
 // Broadcast puts pkt on the air from node `from`. Delivery to each in-range
@@ -516,6 +536,12 @@ func (m *Medium) allocBatch() *txBatch {
 // fringe-loss, noise and half-duplex rules. The caller must have set
 // pkt.Sender; the medium alters only pkt.Meta.Frame (the lineage frame id),
 // never any on-wire field.
+//
+// Ownership passes to the medium: pkt itself, not a copy, reaches every
+// receiver (possibly later, under jitter), so the caller must not modify it,
+// its byte slices, its Gossip entries or its State record afterwards, and
+// must not broadcast the same *wire.Packet again — the second stamp of
+// Meta.Frame would be visible to receivers still waiting for the first.
 func (m *Medium) Broadcast(from wire.NodeID, pkt *wire.Packet) {
 	if m.IsDown(from) {
 		return // radio is off the air; the frame vanishes
@@ -529,6 +555,9 @@ func (m *Medium) Broadcast(from wire.NodeID, pkt *wire.Packet) {
 	pkt.Meta.Frame = m.frameSeq
 	if m.OnTransmit != nil {
 		m.OnTransmit(from, pkt)
+	}
+	if frameHook != nil {
+		frameHook(frameOnAir, from, pkt)
 	}
 
 	m.txBusy[from] = pruneIntervals(append(m.txBusy[from], interval{now, now + dur}), now)
@@ -571,7 +600,7 @@ func (m *Medium) Broadcast(from wire.NodeID, pkt *wire.Packet) {
 		m.releaseBatch(batch)
 		return
 	}
-	m.eng.At(rxEnd, func() { m.finishBatch(batch) })
+	m.eng.At(rxEnd, batch.finish)
 }
 
 func (m *Medium) releaseBatch(b *txBatch) {
@@ -600,6 +629,9 @@ func (m *Medium) finishBatch(b *txBatch) {
 	for _, rec := range b.recs {
 		m.finishReception(b.from, rec, b.pkt)
 		m.freeRecs = append(m.freeRecs, rec)
+	}
+	if frameHook != nil {
+		frameHook(frameBatchDone, b.from, b.pkt)
 	}
 	m.releaseBatch(b)
 }
@@ -653,24 +685,30 @@ func (m *Medium) finishReception(from wire.NodeID, rec *reception, pkt *wire.Pac
 
 // deliver hands a successful reception to the receiver — immediately on the
 // nominal channel, or deferred by a deterministic uniform draw in [0,jitter)
-// when latency jitter is active. The packet is cloned at decision time so a
-// deferred delivery cannot observe later sender-side mutation; a receiver
-// that goes down while the frame is deferred loses it.
+// when latency jitter is active. Frames are immutable once broadcast, so both
+// paths pass the transmitted packet itself; a receiver that goes down while
+// the frame is deferred loses it.
 func (m *Medium) deliver(dst wire.NodeID, fn func(*wire.Packet), pkt *wire.Packet) {
 	if m.jitter <= 0 {
-		m.stats.Deliveries++
-		fn(pkt.Clone())
+		m.handOver(dst, fn, pkt)
 		return
 	}
-	cp := pkt.Clone()
 	d := time.Duration(m.eng.Rand().Int63n(int64(m.jitter)))
 	m.eng.After(d, func() {
 		if m.IsDown(dst) {
 			return
 		}
-		m.stats.Deliveries++
-		fn(cp)
+		m.handOver(dst, fn, pkt)
 	})
+}
+
+// handOver runs the receiver's callback on the shared frame.
+func (m *Medium) handOver(dst wire.NodeID, fn func(*wire.Packet), pkt *wire.Packet) {
+	m.stats.Deliveries++
+	fn(pkt)
+	if frameHook != nil {
+		frameHook(frameDelivered, dst, pkt)
+	}
 }
 
 // receives draws the distance-dependent reception outcome.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/alloctest"
 	"bbcast/internal/geo"
 	"bbcast/internal/mobility"
 	"bbcast/internal/sim"
@@ -69,21 +70,48 @@ func TestNoDeliveryBeyondRange(t *testing.T) {
 	}
 }
 
-func TestDeliveryIsDeepCopy(t *testing.T) {
-	eng, m := lineNetwork(t, 100, 3, idealConfig())
-	var got []*wire.Packet
-	for i := 1; i < 3; i++ {
-		id := wire.NodeID(i)
-		m.Attach(id, func(p *wire.Packet) { got = append(got, p) })
+// TestDeliveryHandsOverTheSentFrame pins the delivery contract: every
+// receiver, on the immediate and the jitter-deferred path alike, is handed
+// the very packet that was broadcast (immutable_test.go guards the other half
+// of the contract, that nobody writes to it).
+func TestDeliveryHandsOverTheSentFrame(t *testing.T) {
+	for _, jitter := range []time.Duration{0, 5 * time.Millisecond} {
+		eng, m := lineNetwork(t, 100, 3, idealConfig())
+		m.SetJitter(jitter)
+		var got []*wire.Packet
+		for i := 1; i < 3; i++ {
+			m.Attach(wire.NodeID(i), func(p *wire.Packet) { got = append(got, p) })
+		}
+		sent := dataPkt(0)
+		m.Broadcast(0, sent)
+		eng.RunAll()
+		if len(got) != 2 || got[0] != sent || got[1] != sent {
+			t.Fatalf("jitter %v: deliveries %v, want the sent packet %p twice", jitter, got, sent)
+		}
 	}
-	m.Broadcast(0, dataPkt(0))
-	eng.RunAll()
-	if len(got) != 2 {
-		t.Fatalf("got %d deliveries", len(got))
+}
+
+// TestDeliveryDoesNotAllocate is the radio's allocation ceiling: putting a
+// frame on the air and handing it to a receiver reuses pooled records and the
+// sender's own packet.
+func TestDeliveryDoesNotAllocate(t *testing.T) {
+	eng, m := lineNetwork(t, 100, 2, idealConfig())
+	delivered := 0
+	m.Attach(1, func(*wire.Packet) { delivered++ })
+	pkts := make([]*wire.Packet, 102) // a packet is broadcast once: one per run
+	for i := range pkts {
+		pkts[i] = dataPkt(0)
 	}
-	got[0].Payload[0] = 'X'
-	if got[1].Payload[0] == 'X' {
-		t.Fatal("receivers share a packet buffer")
+	next := 0
+	transmit := func() {
+		m.Broadcast(0, pkts[next])
+		next++
+		eng.RunAll()
+	}
+	transmit() // warm the reception, batch and event pools
+	alloctest.AtMost(t, 0, transmit)
+	if delivered != next {
+		t.Fatalf("%d deliveries for %d transmissions", delivered, next)
 	}
 }
 

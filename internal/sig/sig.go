@@ -114,6 +114,11 @@ type HMACScheme struct {
 
 	mu   sync.Mutex
 	macs []hash.Hash
+	// idb and want are scratch for tag and Verify, guarded by mu: locals
+	// would escape through the hash.Hash interface and cost an allocation per
+	// call.
+	idb  [4]byte
+	want [hmacTagSize]byte
 }
 
 var _ Scheme = (*HMACScheme)(nil)
@@ -143,9 +148,8 @@ func (s *HMACScheme) tag(dst []byte, id uint32, msg []byte) []byte {
 	} else {
 		mac.Reset()
 	}
-	var idb [4]byte
-	binary.LittleEndian.PutUint32(idb[:], id)
-	mac.Write(idb[:])
+	binary.LittleEndian.PutUint32(s.idb[:], id)
+	mac.Write(s.idb[:])
 	mac.Write(msg)
 	return mac.Sum(dst)
 }
@@ -166,11 +170,9 @@ func (s *HMACScheme) Verify(id uint32, msg, tag []byte) bool {
 	if int(id) >= len(s.keys) {
 		return false
 	}
-	var buf [hmacTagSize]byte
 	s.mu.Lock()
-	want := s.tag(buf[:0], id, msg)
-	s.mu.Unlock()
-	return hmac.Equal(tag, want)
+	defer s.mu.Unlock()
+	return hmac.Equal(tag, s.tag(s.want[:0], id, msg))
 }
 
 // SigSize implements Scheme.

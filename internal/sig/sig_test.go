@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"bbcast/internal/alloctest"
 )
 
 func schemes(t *testing.T, n int) []Scheme {
@@ -162,4 +164,19 @@ func TestQuickDistinctMessagesDistinctTags(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHMACVerifyDoesNotAllocate is the scheme's allocation ceiling: the
+// simulator verifies more than a million tags per benchmark run, all against
+// scratch held under the scheme's mutex.
+func TestHMACVerifyDoesNotAllocate(t *testing.T) {
+	s := NewHMAC(4, 1)
+	msg := []byte("broadcast payload")
+	tag := s.Sign(2, msg)
+	forged := bytes.Repeat([]byte{0xAB}, len(tag))
+	alloctest.AtMost(t, 0, func() {
+		if !s.Verify(2, msg, tag) || s.Verify(2, msg, forged) {
+			t.Fatal("verify gave the wrong answer")
+		}
+	})
 }

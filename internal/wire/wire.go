@@ -18,6 +18,7 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,11 +42,14 @@ type MsgID struct {
 }
 
 // Less orders MsgIDs lexicographically (origin, then seq).
-func (m MsgID) Less(o MsgID) bool {
-	if m.Origin != o.Origin {
-		return m.Origin < o.Origin
+func (m MsgID) Less(o MsgID) bool { return m.Compare(o) < 0 }
+
+// Compare is the three-way form of Less, for slices.SortFunc.
+func (m MsgID) Compare(o MsgID) int {
+	if c := cmp.Compare(m.Origin, o.Origin); c != 0 {
+		return c
 	}
-	return m.Seq < o.Seq
+	return cmp.Compare(m.Seq, o.Seq)
 }
 
 // String renders the id as "origin/seq".
@@ -126,6 +130,35 @@ type OverlayState struct {
 	Suspects           []NodeID
 }
 
+// Clone returns a deep copy of the record: the struct plus one arena shared
+// by the four id lists.
+func (s *OverlayState) Clone() *OverlayState {
+	n := len(s.Neighbors) + len(s.ActiveNeighbors) + len(s.DominatorNeighbors) + len(s.Suspects)
+	var arena []NodeID
+	if n > 0 {
+		arena = make([]NodeID, 0, n)
+	}
+	carve := func(ids []NodeID) []NodeID {
+		if len(ids) == 0 {
+			if ids == nil {
+				return nil
+			}
+			return []NodeID{}
+		}
+		start := len(arena)
+		arena = append(arena, ids...)
+		return arena[start:len(arena):len(arena)]
+	}
+	return &OverlayState{
+		Active:             s.Active,
+		Dominator:          s.Dominator,
+		Neighbors:          carve(s.Neighbors),
+		ActiveNeighbors:    carve(s.ActiveNeighbors),
+		DominatorNeighbors: carve(s.DominatorNeighbors),
+		Suspects:           carve(s.Suspects),
+	}
+}
+
 // Cause tags why a frame was transmitted, for causal lineage tracing. It is
 // observability metadata: never serialized, never consulted by the protocol.
 type Cause uint8
@@ -177,11 +210,11 @@ func (c Cause) String() string {
 }
 
 // Meta is per-frame causal metadata carried alongside a Packet in memory. It
-// is not part of the wire format: the simulated medium hands each receiver a
-// clone that keeps the sender's Meta, while a live transport decodes frames
-// with a zero Meta (rx causality is a simulation-only capability). Frame ids
-// are assigned by the transmitting layer; Parent is the frame id of the
-// reception that caused this transmission (0 for origin sends).
+// is not part of the wire format: the simulated medium hands every receiver
+// the transmitted packet itself, Meta included, while a live transport decodes
+// frames with a zero Meta (rx causality is a simulation-only capability).
+// Frame ids are assigned by the transmitting layer; Parent is the frame id of
+// the reception that caused this transmission (0 for origin sends).
 type Meta struct {
 	Frame  uint64 // unique id of this transmission, assigned at tx
 	Parent uint64 // frame id this transmission was caused by, or 0
@@ -234,8 +267,8 @@ type Packet struct {
 	SyncEntries []SyncEntry
 
 	// Meta is in-memory causal metadata (see Meta). Excluded from
-	// Marshal/Unmarshal; Clone's value copy carries it to receivers under
-	// simulation.
+	// Marshal/Unmarshal; receivers under simulation read it off the shared
+	// frame, and Clone's value copy keeps it.
 	Meta Meta
 }
 
@@ -245,43 +278,56 @@ func (p *Packet) ID() MsgID { return MsgID{Origin: p.Origin, Seq: p.Seq} }
 // DataSigBytes returns the byte string an originator signs for a data
 // message: msg_id ‖ node_id ‖ msg (§3.2 line 1).
 func DataSigBytes(id MsgID, payload []byte) []byte {
-	b := make([]byte, 0, 8+len(payload))
-	b = binary.LittleEndian.AppendUint32(b, uint32(id.Origin))
-	b = binary.LittleEndian.AppendUint32(b, uint32(id.Seq))
-	return append(b, payload...)
+	return AppendDataSigBytes(make([]byte, 0, 8+len(payload)), id, payload)
+}
+
+// AppendDataSigBytes appends DataSigBytes(id, payload) to dst, so a caller
+// that signs or verifies repeatedly can reuse one buffer.
+func AppendDataSigBytes(dst []byte, id MsgID, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id.Origin))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id.Seq))
+	return append(dst, payload...)
 }
 
 // HeaderSigBytes returns the byte string an originator signs for a gossip
 // advertisement: msg_id ‖ node_id (§3.2 line 2).
 func HeaderSigBytes(id MsgID) []byte {
-	b := make([]byte, 0, 9)
-	b = binary.LittleEndian.AppendUint32(b, uint32(id.Origin))
-	b = binary.LittleEndian.AppendUint32(b, uint32(id.Seq))
-	return append(b, 'h') // domain separation from DataSigBytes of empty payload
+	return AppendHeaderSigBytes(make([]byte, 0, 9), id)
 }
+
+// AppendHeaderSigBytes appends HeaderSigBytes(id) to dst.
+func AppendHeaderSigBytes(dst []byte, id MsgID) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id.Origin))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(id.Seq))
+	return append(dst, 'h') // domain separation from DataSigBytes of empty payload
+}
+
+// stateSigFixed is the fixed part of a state record's signed bytes: 4 sender
+// + 2 flags + four 4-byte length prefixes.
+const stateSigFixed = 4 + 2 + 4*4
 
 // StateSigBytes returns the byte string a sender signs over its overlay
 // maintenance record ("overlay maintenance messages are signed as well").
 func StateSigBytes(sender NodeID, s *OverlayState) []byte {
-	b := make([]byte, 0, 20+4*(len(s.Neighbors)+len(s.ActiveNeighbors)+len(s.DominatorNeighbors)+len(s.Suspects)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(sender))
-	if s.Active {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	n := len(s.Neighbors) + len(s.ActiveNeighbors) + len(s.DominatorNeighbors) + len(s.Suspects)
+	return AppendStateSigBytes(make([]byte, 0, stateSigFixed+4*n), sender, s)
+}
+
+// AppendStateSigBytes appends StateSigBytes(sender, s) to dst.
+func AppendStateSigBytes(dst []byte, sender NodeID, s *OverlayState) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(sender))
+	dst = append(dst, boolByte(s.Active), boolByte(s.Dominator))
+	dst = appendIDs(dst, s.Neighbors)
+	dst = appendIDs(dst, s.ActiveNeighbors)
+	dst = appendIDs(dst, s.DominatorNeighbors)
+	return appendIDs(dst, s.Suspects)
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
 	}
-	if s.Dominator {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	for _, set := range [][]NodeID{s.Neighbors, s.ActiveNeighbors, s.DominatorNeighbors, s.Suspects} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(set)))
-		for _, id := range set {
-			b = binary.LittleEndian.AppendUint32(b, uint32(id))
-		}
-	}
-	return b
+	return 0
 }
 
 // Codec errors.
@@ -316,17 +362,7 @@ func (p *Packet) Marshal() []byte {
 	if p.State == nil {
 		b = append(b, 0)
 	} else {
-		b = append(b, 1)
-		if p.State.Active {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		if p.State.Dominator {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = append(b, 1, boolByte(p.State.Active), boolByte(p.State.Dominator))
 		b = appendIDs(b, p.State.Neighbors)
 		b = appendIDs(b, p.State.ActiveNeighbors)
 		b = appendIDs(b, p.State.DominatorNeighbors)
@@ -450,14 +486,16 @@ func Unmarshal(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// Clone returns a deep copy of the packet. The radio layer hands each
-// receiver its own copy so receivers cannot corrupt one another.
+// Clone returns a deep copy of the packet. A packet is immutable once it has
+// been handed to a send path, and every receiver of a transmission sees the
+// same *Packet: receivers may retain it and anything it points to, never
+// modify it. Clone before editing — a node that relays a received frame with
+// a new TTL, tampers with a payload or re-sends a harvested frame edits its
+// own copy.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	// All byte fields share one arena and all id slices another, so a clone
 	// costs a handful of allocations regardless of how many fields are set.
-	// The medium clones every delivered packet, which makes this the
-	// simulator's hottest allocation site.
 	nb := len(p.Payload) + len(p.Sig)
 	for _, g := range p.Gossip {
 		nb += len(g.Sig)
@@ -492,31 +530,7 @@ func (p *Packet) Clone() *Packet {
 		}
 	}
 	if p.State != nil {
-		ni := len(p.State.Neighbors) + len(p.State.ActiveNeighbors) +
-			len(p.State.DominatorNeighbors) + len(p.State.Suspects)
-		var ids []NodeID
-		if ni > 0 {
-			ids = make([]NodeID, 0, ni)
-		}
-		carveIDs := func(s []NodeID) []NodeID {
-			if len(s) == 0 {
-				if s == nil {
-					return nil
-				}
-				return []NodeID{}
-			}
-			start := len(ids)
-			ids = append(ids, s...)
-			return ids[start:len(ids):len(ids)]
-		}
-		cp.State = &OverlayState{
-			Active:             p.State.Active,
-			Dominator:          p.State.Dominator,
-			Neighbors:          carveIDs(p.State.Neighbors),
-			ActiveNeighbors:    carveIDs(p.State.ActiveNeighbors),
-			DominatorNeighbors: carveIDs(p.State.DominatorNeighbors),
-			Suspects:           carveIDs(p.State.Suspects),
-		}
+		cp.State = p.State.Clone()
 		cp.StateSig = carve(p.StateSig)
 	}
 	if p.SyncHave != nil {

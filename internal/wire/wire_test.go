@@ -165,6 +165,39 @@ func TestSigBytesDomainSeparation(t *testing.T) {
 	}
 }
 
+// TestSigBytesAreExactlySized pins the wrappers' capacity to the encoded
+// length (an undersized hint costs every call a regrow) and the append forms
+// to the same bytes.
+func TestSigBytesAreExactlySized(t *testing.T) {
+	fifteen := make([]NodeID, 15)
+	for i := range fifteen {
+		fifteen[i] = NodeID(i + 1)
+	}
+	records := map[string]*OverlayState{
+		"empty": {},
+		"15-neighbour": {
+			Active: true, Dominator: true,
+			Neighbors: fifteen, ActiveNeighbors: fifteen[:9], DominatorNeighbors: fifteen[:4], Suspects: fifteen[13:],
+		},
+	}
+	for name, s := range records {
+		b := StateSigBytes(7, s)
+		if cap(b) != len(b) {
+			t.Errorf("StateSigBytes(%s): cap %d != len %d", name, cap(b), len(b))
+		}
+		if got := AppendStateSigBytes([]byte("prefix"), 7, s); !bytes.Equal(got[6:], b) {
+			t.Errorf("AppendStateSigBytes(%s) differs from StateSigBytes", name)
+		}
+	}
+	id, payload := MsgID{Origin: 3, Seq: 9}, []byte("payload")
+	if b := DataSigBytes(id, payload); cap(b) != len(b) || !bytes.Equal(AppendDataSigBytes(nil, id, payload), b) {
+		t.Errorf("DataSigBytes: cap %d, len %d, or append form differs", cap(b), len(b))
+	}
+	if b := HeaderSigBytes(id); cap(b) != len(b) || !bytes.Equal(AppendHeaderSigBytes(nil, id), b) {
+		t.Errorf("HeaderSigBytes: cap %d, len %d, or append form differs", cap(b), len(b))
+	}
+}
+
 func TestStateSigBytesSensitive(t *testing.T) {
 	s := &OverlayState{Active: true, Neighbors: []NodeID{1, 2}}
 	base := StateSigBytes(5, s)
