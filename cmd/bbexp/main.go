@@ -8,7 +8,6 @@
 //	bbexp -all -quick           # shrunken sweeps for a fast smoke run
 //	bbexp -all -parallel 8      # cap the worker pool at 8 simulations
 //	bbexp -list                 # list experiment ids
-//	bbexp -bench BENCH.json     # measure simulator throughput + sweep speedup
 //
 // Replicates of every experiment scenario run concurrently on a worker pool
 // (-parallel, default GOMAXPROCS). Each simulation remains single-threaded
@@ -17,15 +16,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"bbcast/internal/experiments"
-	"bbcast/internal/runner"
 )
 
 func main() {
@@ -43,18 +39,12 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiment ids")
 	seed := fs.Int64("seed", 1, "base random seed")
 	parallel := fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS); per-replicate results are identical at any setting")
-	bench := fs.String("bench", "", "write a machine-readable benchmark report (events/sec, ns/event, allocs/event, sweep speedup, knee) to this path ('-' for stdout)")
-	benchN := fs.Int("bench-replicates", 32, "replicates for the -bench sweep")
-	benchDur := fs.Duration("bench-duration", 30*time.Second, "simulated duration per -bench replicate")
-	benchKnee := fs.Bool("bench-knee", true, "include the offered-load knee sweep in the -bench report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := experiments.Config{Quick: *quick, Seed: *seed, Parallel: *parallel}
 
 	switch {
-	case *bench != "":
-		return runBench(*bench, *seed, *benchN, *benchDur, *parallel, *benchKnee)
 	case *list:
 		fmt.Println(strings.Join(experiments.IDs(), " "))
 		return nil
@@ -72,38 +62,6 @@ func run(args []string) error {
 		return nil
 	default:
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -all, -exp <id>, -bench <path>, or -list")
+		return fmt.Errorf("nothing to do: pass -all, -exp <id>, or -list")
 	}
-}
-
-// runBench measures simulator throughput on the default scenario: a serial
-// sweep and a parallel sweep over identical replicates, the simulated-second
-// figure, and (unless disabled) the offered-load knee sweep, reported as JSON
-// (the BENCH_<pr>.json schema; see EXPERIMENTS.md).
-func runBench(path string, seed int64, replicates int, dur time.Duration, workers int, knee bool) error {
-	sc := runner.DefaultScenario()
-	sc.Name = "bench-default"
-	sc.Seed = seed
-	sc.Duration = dur
-	sc.Workload.End = dur - 5*time.Second
-	var kneeOpt *runner.KneeOptions
-	if knee {
-		o := runner.DefaultKneeOptions(seed)
-		o.Workers = workers
-		kneeOpt = &o
-	}
-	report, err := runner.FullBench(sc, replicates, workers, kneeOpt)
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }

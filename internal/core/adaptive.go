@@ -185,28 +185,20 @@ func (p *Protocol) observeRetry(id wire.MsgID, attempt int, abandoned bool) {
 	}
 }
 
-// retryBackoff returns the backoff before retransmission attempt+1:
-// RetryBackoffBase doubled per completed attempt, capped at RetryBackoffMax.
-func (p *Protocol) retryBackoff(attempt int) time.Duration {
-	base := p.cfg.RetryBackoffBase
-	if base <= 0 {
-		base = p.cfg.RequestDelay
-	}
-	if base <= 0 {
-		base = 400 * time.Millisecond
-	}
-	max := p.cfg.RetryBackoffMax
-	if max <= 0 {
-		max = 8 * base
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+// The retransmission chain waits retryBackoffBase before its first attempt
+// and doubles the wait per completed attempt up to retryBackoffMax.
+const (
+	retryBackoffBase = 800 * time.Millisecond
+	retryBackoffMax  = 6400 * time.Millisecond
+)
+
+// retryBackoff returns the backoff before retransmission attempt+1.
+func retryBackoff(attempt int) time.Duration {
+	d := retryBackoffBase
+	for i := 0; i < attempt && d < retryBackoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, retryBackoffMax)
 }
 
 // armRetries starts the bounded retransmission chain for a missing message,
@@ -227,7 +219,7 @@ func (p *Protocol) armRetries(id wire.MsgID, miss *pendingMiss) {
 // gossip rounds still retry recovery naturally); otherwise re-request from
 // the next known gossiper, round-robin over the sorted set.
 func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
-	backoff := p.retryBackoff(miss.attempts)
+	backoff := retryBackoff(miss.attempts)
 	delay := backoff + time.Duration(p.deps.Rand.Int63n(int64(backoff/4)+1))
 	cancel := p.deps.Clock.After(delay, func() {
 		if p.stopped {

@@ -57,7 +57,7 @@ func TestRetryStopsWhenDataArrives(t *testing.T) {
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(2, id))
 	// Let the first request and one retry fire, then supply the data.
-	h.run(cfg.RequestDelay + cfg.RetryBackoffBase + cfg.RetryBackoffBase/4 + 50*time.Millisecond)
+	h.run(cfg.RequestDelay + retryBackoffBase + retryBackoffBase/4 + 50*time.Millisecond)
 	sentBefore := len(h.sentOfKind(wire.KindRequest))
 	h.p.HandlePacket(h.dataFrom(1, 7, []byte("payload")))
 	h.run(2 * time.Minute)

@@ -76,11 +76,6 @@ type Config struct {
 	MaintenanceJitter time.Duration
 	// NeighborTTL expires neighbours not heard from.
 	NeighborTTL time.Duration
-	// JoinDamping is how many consecutive maintenance steps must agree
-	// before a node PROMOTES itself (passive→bridge→dominator). Demotions
-	// apply immediately. Damping prevents role oscillation caused by the
-	// one-beacon delay in neighbour-state propagation.
-	JoinDamping int
 	// PiggybackState attaches the overlay-state record to gossip packets
 	// instead of sending dedicated maintenance packets (§3: "most overlay
 	// maintenance messages can be piggybacked on gossip messages").
@@ -133,32 +128,16 @@ type Config struct {
 	// the MUTE expectation timeout between their configured bounds (faster
 	// gossip and a more patient detector under loss, nominal values when the
 	// channel recovers). With it off the timers are static (the E15 baseline
-	// arm).
+	// arm). The bounds are GossipBounds and MuteTimeoutBounds.
 	AdaptiveTiming bool
-	// GossipIntervalMin and GossipIntervalMax are the hard bounds of the
-	// adaptive gossip period (defaults: GossipInterval/4 and 2×GossipInterval
-	// when zero). The adaptation never leaves [Min, Max]; the invariant
-	// checker's timer-bounds probe enforces this.
-	GossipIntervalMin time.Duration
-	GossipIntervalMax time.Duration
-	// MuteTimeoutMin and MuteTimeoutMax are the hard bounds of the adaptive
-	// MUTE expectation timeout (defaults: Mute.Timeout and 4×Mute.Timeout
-	// when zero).
-	MuteTimeoutMin time.Duration
-	MuteTimeoutMax time.Duration
 
 	// RetryMaxAttempts caps the explicit retransmission chain per missing
 	// message: after the first request fires without the data arriving, up to
-	// this many further requests are sent with exponential backoff before the
-	// node gives up and leaves recovery to later gossip rounds. Zero or
-	// negative disables the chain (the pre-ISSUE-6 behaviour).
+	// this many further requests are sent with exponential backoff (see
+	// retryBackoff) before the node gives up and leaves recovery to later
+	// gossip rounds. Zero or negative disables the chain (the pre-ISSUE-6
+	// behaviour).
 	RetryMaxAttempts int
-	// RetryBackoffBase is the delay before the first retransmission; each
-	// further attempt doubles it (defaults to RequestDelay when zero).
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential backoff (defaults to
-	// 8×RetryBackoffBase when zero).
-	RetryBackoffMax time.Duration
 
 	// EnableFDs gates the failure detectors; with them off the protocol
 	// still recovers via gossip but never evicts Byzantine overlay nodes
@@ -176,30 +155,14 @@ type Config struct {
 	// persist.Store (Deps.Store) and the protocol records its broadcast
 	// sequence number, delivered-message digests and direct suspicions to it,
 	// restoring them after an amnesiac crash so the node does not reuse
-	// sequence numbers or re-deliver pre-crash traffic.
+	// sequence numbers or re-deliver pre-crash traffic. The protocol itself
+	// keys off Deps.Store; this flag tells the host to attach one.
 	Persist bool
-	// PersistSnapshotEvery is the periodic snapshot-compaction interval for
-	// the durable store (defaults to 10s when zero and Persist is on). The
-	// snapshot task draws no randomness, so enabling it does not perturb the
-	// RNG schedule of other tasks.
-	PersistSnapshotEvery time.Duration
 	// CatchUpSync enables the rejoin catch-up protocol: after a wipe the node
 	// asks one admitted neighbour for messages it missed while down
 	// (SYNC-REQ / SYNC-RESP), instead of waiting for gossip advertisements of
 	// messages that may already have aged out of the advertisement window.
 	CatchUpSync bool
-	// SyncMaxEntries caps the entries in one SYNC-RESP (defaults to 64 when
-	// zero). A full batch signals the requester that more may remain, so it
-	// issues another round.
-	SyncMaxEntries int
-	// SyncRetryDelay paces catch-up rounds: the delay before the first
-	// SYNC-REQ after rejoin and between successive rounds (defaults to 1s
-	// when zero).
-	SyncRetryDelay time.Duration
-	// SyncMaxAttempts caps fruitless catch-up rounds (no response applied)
-	// before the node abandons sync and falls back to plain gossip recovery
-	// (defaults to 5 when zero).
-	SyncMaxAttempts int
 }
 
 // DefaultConfig returns the parameters used throughout the experiments.
@@ -234,7 +197,6 @@ func DefaultConfig() Config {
 		MaintenanceInterval: 1 * time.Second,
 		MaintenanceJitter:   200 * time.Millisecond,
 		NeighborTTL:         5 * time.Second,
-		JoinDamping:         2,
 		PiggybackState:      true,
 		Overlay:             overlay.MISB,
 
@@ -244,8 +206,6 @@ func DefaultConfig() Config {
 		// configuration exactly.
 		AdaptiveTiming:   true,
 		RetryMaxAttempts: 3,
-		RetryBackoffBase: 800 * time.Millisecond,
-		RetryBackoffMax:  6400 * time.Millisecond,
 
 		EnableFDs: true,
 		Mute: fd.MuteConfig{
@@ -268,68 +228,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// GossipBounds returns the effective adaptive gossip-period bounds, filling
-// the documented defaults for zero fields. Both the protocol's AIMD step and
-// the invariant checker's timer-bounds probe use this, so they can never
+// GossipBounds returns the hard bounds of the adaptive gossip period: a
+// quarter of the nominal interval to twice it. Both the protocol's AIMD step
+// and the invariant checker's timer-bounds probe use this, so they can never
 // disagree about what "in bounds" means.
 func (c *Config) GossipBounds() (min, max time.Duration) {
-	min, max = c.GossipIntervalMin, c.GossipIntervalMax
-	if min <= 0 {
-		min = c.GossipInterval / 4
-	}
-	if max <= 0 {
-		max = 2 * c.GossipInterval
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
+	return c.GossipInterval / 4, 2 * c.GossipInterval
 }
 
-// snapshotEvery returns the effective durable-store snapshot interval.
-func (c *Config) snapshotEvery() time.Duration {
-	if c.PersistSnapshotEvery > 0 {
-		return c.PersistSnapshotEvery
-	}
-	return 10 * time.Second
-}
-
-// syncMaxEntries returns the effective SYNC-RESP batch cap.
-func (c *Config) syncMaxEntries() int {
-	if c.SyncMaxEntries > 0 {
-		return c.SyncMaxEntries
-	}
-	return 64
-}
-
-// syncRetryDelay returns the effective catch-up round pacing.
-func (c *Config) syncRetryDelay() time.Duration {
-	if c.SyncRetryDelay > 0 {
-		return c.SyncRetryDelay
-	}
-	return 1 * time.Second
-}
-
-// syncMaxAttempts returns the effective cap on fruitless catch-up rounds.
-func (c *Config) syncMaxAttempts() int {
-	if c.SyncMaxAttempts > 0 {
-		return c.SyncMaxAttempts
-	}
-	return 5
-}
-
-// MuteTimeoutBounds returns the effective adaptive MUTE-timeout bounds,
-// filling the documented defaults for zero fields.
+// MuteTimeoutBounds returns the hard bounds of the adaptive MUTE expectation
+// timeout: the nominal timeout to four times it.
 func (c *Config) MuteTimeoutBounds() (min, max time.Duration) {
-	min, max = c.MuteTimeoutMin, c.MuteTimeoutMax
-	if min <= 0 {
-		min = c.Mute.Timeout
-	}
-	if max <= 0 {
-		max = 4 * c.Mute.Timeout
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
+	return c.Mute.Timeout, 4 * c.Mute.Timeout
 }

@@ -5,6 +5,7 @@ package core
 // retention windows.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -173,5 +174,53 @@ func TestAbandonedMissingEntriesReaped(t *testing.T) {
 	h.run(5 * time.Second)
 	if got := h.p.MissingCount(); got != 0 {
 		t.Fatalf("abandoned missing entries not reaped: %d", got)
+	}
+}
+
+// TestRetryBackoffSchedule pins the retransmission waits the goldens were cut
+// with: 800 ms doubling per completed attempt, capped at 6.4 s.
+func TestRetryBackoffSchedule(t *testing.T) {
+	for attempt, ms := range []time.Duration{800, 1600, 3200, 6400, 6400} {
+		if got := retryBackoff(attempt); got != ms*time.Millisecond {
+			t.Errorf("retryBackoff(%d) = %v, want %v", attempt, got, ms*time.Millisecond)
+		}
+	}
+}
+
+// TestDefaultAdaptiveBounds pins the adaptive-timer bounds of DefaultConfig,
+// which the invariant checker's timer-bounds probe and the goldens rely on.
+func TestDefaultAdaptiveBounds(t *testing.T) {
+	cfg := DefaultConfig()
+	if lo, hi := cfg.GossipBounds(); lo != 250*time.Millisecond || hi != 2*time.Second {
+		t.Errorf("GossipBounds() = [%v, %v], want [250ms, 2s]", lo, hi)
+	}
+	if lo, hi := cfg.MuteTimeoutBounds(); lo != 1500*time.Millisecond || hi != 6*time.Second {
+		t.Errorf("MuteTimeoutBounds() = [%v, %v], want [1.5s, 6s]", lo, hi)
+	}
+}
+
+// TestStatsAddCoversEveryCounter sets every field of Stats to a distinct
+// value by reflection, so a counter added to the struct but not to counters()
+// fails here instead of silently reading zero in every experiment table.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is %s: Add and Div handle uint64 counters only", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	sum := one
+	sum.Add(one)
+	sum.Add(one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if got, want := s.Field(i).Uint(), 3*uint64(i+1); got != want {
+			t.Errorf("after two Adds Stats.%s = %d, want %d", s.Type().Field(i).Name, got, want)
+		}
+	}
+	if sum.Div(3); sum != one {
+		t.Errorf("Div(3) of the tripled stats = %+v, want %+v", sum, one)
 	}
 }

@@ -181,7 +181,7 @@ func TestQuickRequestsBoundedByGossipPairs(t *testing.T) {
 			pairs[[2]uint32{uint32(origin)<<16 | uint32(seq), uint32(gossiper)}] = true
 			ids[wire.MsgID{Origin: origin, Seq: seq}] = true
 		}
-		h.run(cfg.RequestDelay*3 + cfg.RetryBackoffMax*time.Duration(cfg.RetryMaxAttempts+1) + time.Second)
+		h.run(cfg.RequestDelay*3 + retryBackoffMax*time.Duration(cfg.RetryMaxAttempts+1) + time.Second)
 		st := h.p.Stats()
 		if int(st.RetriesSent) > len(ids)*cfg.RetryMaxAttempts {
 			return false // retry budget exceeded

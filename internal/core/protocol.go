@@ -203,6 +203,33 @@ type Stats struct {
 	SyncAbandoned      uint64 // catch-up rounds abandoned at the attempt cap
 }
 
+// counters lists every counter once, so Add and Div cannot skip one.
+func (s *Stats) counters() []*uint64 {
+	return []*uint64{
+		&s.Accepted, &s.Duplicates, &s.BadSignatures, &s.Forwarded,
+		&s.GossipsSent, &s.RequestsSent, &s.FindsSent, &s.RecoveredByData,
+		&s.RateLimited, &s.DedupSkips, &s.Evictions, &s.Adaptations,
+		&s.RetriesSent, &s.RetriesAbandoned,
+		&s.Rejoins, &s.SyncReqsSent, &s.SyncEntriesServed,
+		&s.SyncEntriesApplied, &s.SyncAbandoned,
+	}
+}
+
+// Add accumulates o into s, counter by counter.
+func (s *Stats) Add(o Stats) {
+	from := o.counters()
+	for i, c := range s.counters() {
+		*c += *from[i]
+	}
+}
+
+// Div divides every counter by n (the mean of n accumulated snapshots).
+func (s *Stats) Div(n uint64) {
+	for _, c := range s.counters() {
+		*c /= n
+	}
+}
+
 // Protocol is one node's instance of the Byzantine broadcast protocol.
 type Protocol struct {
 	cfg  Config
@@ -236,7 +263,7 @@ type Protocol struct {
 
 	// Catch-up sync state: syncArmed is set from rejoin (or a restored-state
 	// start) until the node is caught up or gives up; syncAttempts counts
-	// rounds without progress toward the SyncMaxAttempts cap.
+	// rounds without progress toward the syncMaxAttempts cap.
 	syncArmed    bool
 	syncAttempts int
 
@@ -303,7 +330,7 @@ func New(cfg Config, deps Deps) *Protocol {
 	if deps.Store != nil {
 		// Jitterless so attaching a store draws nothing from the RNG: runs
 		// with persistence off keep their exact draw schedule.
-		p.schedulePeriodic(cfg.snapshotEvery(), 0, p.snapshotTick)
+		p.schedulePeriodic(snapshotEvery, 0, p.snapshotTick)
 	}
 	return p
 }
@@ -342,6 +369,9 @@ func (p *Protocol) initDetectors() {
 		}
 	}
 }
+
+// snapshotEvery is the durable store's snapshot-compaction interval.
+const snapshotEvery = 10 * time.Second
 
 // snapshotTick compacts the durable store: one snapshot write replaces the
 // accumulated record log.

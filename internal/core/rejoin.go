@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
@@ -131,8 +132,21 @@ func (p *Protocol) observeSync(event obsv.SyncEvent, peer wire.NodeID, entries, 
 	}
 }
 
+// Catch-up sync pacing and bounds.
+const (
+	// syncMaxEntries caps the entries in one SYNC-RESP. A full batch signals
+	// the requester that more may remain, so it issues another round.
+	syncMaxEntries = 64
+	// syncRetryDelay is the delay before the first SYNC-REQ after rejoin and
+	// between successive rounds.
+	syncRetryDelay = 1 * time.Second
+	// syncMaxAttempts caps fruitless catch-up rounds (no response applied)
+	// before the node abandons sync and falls back to plain gossip recovery.
+	syncMaxAttempts = 5
+)
+
 // armCatchUp starts (or restarts) the catch-up sync loop. The first request
-// waits one SyncRetryDelay so the rejoiner hears a beacon round first and has
+// waits one syncRetryDelay so the rejoiner hears a beacon round first and has
 // admitted neighbours to ask.
 func (p *Protocol) armCatchUp() {
 	p.syncArmed = true
@@ -141,7 +155,7 @@ func (p *Protocol) armCatchUp() {
 }
 
 func (p *Protocol) scheduleSyncStep() {
-	p.deps.Clock.After(p.cfg.syncRetryDelay(), func() {
+	p.deps.Clock.After(syncRetryDelay, func() {
 		if p.stopped || !p.syncArmed {
 			return
 		}
@@ -152,10 +166,10 @@ func (p *Protocol) scheduleSyncStep() {
 // syncStep runs one catch-up round: pick a neighbour, send it a SYNC-REQ
 // summarizing what we hold, and schedule the next round. Rounds that apply a
 // full batch reset the attempt counter (progress); fruitless rounds count
-// toward the SyncMaxAttempts cap, after which the node abandons catch-up and
+// toward the syncMaxAttempts cap, after which the node abandons catch-up and
 // leaves recovery to plain gossip.
 func (p *Protocol) syncStep() {
-	if p.syncAttempts >= p.cfg.syncMaxAttempts() {
+	if p.syncAttempts >= syncMaxAttempts {
 		p.syncArmed = false
 		p.stats.SyncAbandoned++
 		p.observeSync(obsv.SyncAbandoned, wire.NoNode, 0, 0)
@@ -208,7 +222,7 @@ func (p *Protocol) syncTarget() wire.NodeID {
 }
 
 // handleSyncReq serves one catch-up request: every held, unpurged message
-// absent from the requester's summary, sorted, capped at SyncMaxEntries per
+// absent from the requester's summary, sorted, capped at syncMaxEntries per
 // response. Service is metered through the requester's admission bucket; a
 // requester without the tokens for the batch is dropped (it retries after its
 // bucket refills). An empty response is still sent — it tells the requester
@@ -224,7 +238,6 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 	for _, id := range pkt.SyncHave {
 		have[id] = true
 	}
-	limit := p.cfg.syncMaxEntries()
 	var entries []wire.SyncEntry
 	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
 	for _, id := range p.msgIDs {
@@ -238,7 +251,7 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 			Sig:       st.dataSig,
 			HeaderSig: st.headerSig,
 		})
-		if len(entries) >= limit {
+		if len(entries) >= syncMaxEntries {
 			break
 		}
 	}
@@ -327,9 +340,9 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 	p.observeSync(obsv.SyncApplied, pkt.Sender, applied, 0)
 	p.stats.SyncEntriesApplied += uint64(applied)
 	switch {
-	case len(pkt.SyncEntries) >= p.cfg.syncMaxEntries() && applied > 0:
+	case len(pkt.SyncEntries) >= syncMaxEntries && applied > 0:
 		p.syncAttempts = 0 // full batch applied: likely more remains
-	case len(pkt.SyncEntries) < p.cfg.syncMaxEntries():
+	case len(pkt.SyncEntries) < syncMaxEntries:
 		p.syncArmed = false // short batch: the neighbour had nothing else
 	}
 }

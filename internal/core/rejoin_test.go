@@ -134,7 +134,7 @@ func TestCatchUpSyncRoundTrip(t *testing.T) {
 	// fires after the retry delay.
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{3: {}})
 	h.sent = nil
-	h.run(cfg.syncRetryDelay() + 100*time.Millisecond)
+	h.run(syncRetryDelay + 100*time.Millisecond)
 	reqs := h.sentOfKind(wire.KindSyncReq)
 	if len(reqs) == 0 {
 		t.Fatal("armed rejoiner with an admitted neighbour never sent a SYNC-REQ")

@@ -123,6 +123,12 @@ func (p *Protocol) registerGossip(id wire.MsgID, st *msgState, headerSig []byte)
 	}
 }
 
+// joinDamping is how many consecutive maintenance steps must agree before a
+// node changes role (a dominator yielding to a higher one is exempt). Damping
+// prevents role oscillation caused by the one-beacon delay in neighbour-state
+// propagation.
+const joinDamping = 2
+
 // maintenanceTick is the overlay computation step (§3.3): refresh the
 // neighbour table, recompute the local role, and publish the state record
 // (as its own packet unless it piggybacks on gossip).
@@ -141,7 +147,7 @@ func (p *Protocol) maintenanceTick() {
 	default:
 		// All other changes are damped: neighbour views lag by a beacon
 		// period and marginal fringe links flap, so a transient verdict
-		// must persist for JoinDamping consecutive steps before the role
+		// must persist for joinDamping consecutive steps before the role
 		// changes. Without damping, adjacent nodes step up in lockstep and
 		// the overlay churns indefinitely.
 		if next == p.roleCand {
@@ -150,11 +156,7 @@ func (p *Protocol) maintenanceTick() {
 			p.roleCand = next
 			p.roleRun = 1
 		}
-		damping := p.cfg.JoinDamping
-		if damping < 1 {
-			damping = 1
-		}
-		if p.roleRun >= damping {
+		if p.roleRun >= joinDamping {
 			p.applyRole(next)
 		}
 	}

@@ -154,7 +154,7 @@ func Average(rs []Result) Result {
 	var rejoinLatMean, rejoinLatMax time.Duration
 	var overlaySize, detected, injected int
 	byKind := make(map[wire.Kind]uint64)
-	var node core.Stats
+	out.Node = core.Stats{}
 	out.Violations = nil
 	out.FaultEvents = nil
 	for _, r := range rs {
@@ -192,25 +192,7 @@ func Average(rs []Result) Result {
 		for k, v := range r.TxByKind {
 			byKind[k] += v
 		}
-		node.Accepted += r.Node.Accepted
-		node.Duplicates += r.Node.Duplicates
-		node.BadSignatures += r.Node.BadSignatures
-		node.Forwarded += r.Node.Forwarded
-		node.GossipsSent += r.Node.GossipsSent
-		node.RequestsSent += r.Node.RequestsSent
-		node.FindsSent += r.Node.FindsSent
-		node.RecoveredByData += r.Node.RecoveredByData
-		node.RateLimited += r.Node.RateLimited
-		node.DedupSkips += r.Node.DedupSkips
-		node.Evictions += r.Node.Evictions
-		node.Adaptations += r.Node.Adaptations
-		node.RetriesSent += r.Node.RetriesSent
-		node.RetriesAbandoned += r.Node.RetriesAbandoned
-		node.Rejoins += r.Node.Rejoins
-		node.SyncReqsSent += r.Node.SyncReqsSent
-		node.SyncEntriesServed += r.Node.SyncEntriesServed
-		node.SyncEntriesApplied += r.Node.SyncEntriesApplied
-		node.SyncAbandoned += r.Node.SyncAbandoned
+		out.Node.Add(r.Node)
 		out.Violations = append(out.Violations, r.Violations...)
 		out.FaultEvents = append(out.FaultEvents, r.FaultEvents...)
 		if out.Repro == "" {
@@ -250,26 +232,6 @@ func Average(rs []Result) Result {
 	for k, v := range byKind {
 		out.TxByKind[k] = v / un
 	}
-	out.Node = core.Stats{
-		Accepted:           node.Accepted / un,
-		Duplicates:         node.Duplicates / un,
-		BadSignatures:      node.BadSignatures / un,
-		Forwarded:          node.Forwarded / un,
-		GossipsSent:        node.GossipsSent / un,
-		RequestsSent:       node.RequestsSent / un,
-		FindsSent:          node.FindsSent / un,
-		RecoveredByData:    node.RecoveredByData / un,
-		RateLimited:        node.RateLimited / un,
-		DedupSkips:         node.DedupSkips / un,
-		Evictions:          node.Evictions / un,
-		Adaptations:        node.Adaptations / un,
-		RetriesSent:        node.RetriesSent / un,
-		RetriesAbandoned:   node.RetriesAbandoned / un,
-		Rejoins:            node.Rejoins / un,
-		SyncReqsSent:       node.SyncReqsSent / un,
-		SyncEntriesServed:  node.SyncEntriesServed / un,
-		SyncEntriesApplied: node.SyncEntriesApplied / un,
-		SyncAbandoned:      node.SyncAbandoned / un,
-	}
+	out.Node.Div(un)
 	return out
 }

@@ -527,26 +527,7 @@ func Run(sc Scenario) (Result, error) {
 	}
 
 	for i := 0; i < sc.N; i++ {
-		st := protos[i].Stats()
-		res.Node.Accepted += st.Accepted
-		res.Node.Duplicates += st.Duplicates
-		res.Node.BadSignatures += st.BadSignatures
-		res.Node.Forwarded += st.Forwarded
-		res.Node.GossipsSent += st.GossipsSent
-		res.Node.RequestsSent += st.RequestsSent
-		res.Node.FindsSent += st.FindsSent
-		res.Node.RecoveredByData += st.RecoveredByData
-		res.Node.RateLimited += st.RateLimited
-		res.Node.DedupSkips += st.DedupSkips
-		res.Node.Evictions += st.Evictions
-		res.Node.Adaptations += st.Adaptations
-		res.Node.RetriesSent += st.RetriesSent
-		res.Node.RetriesAbandoned += st.RetriesAbandoned
-		res.Node.Rejoins += st.Rejoins
-		res.Node.SyncReqsSent += st.SyncReqsSent
-		res.Node.SyncEntriesServed += st.SyncEntriesServed
-		res.Node.SyncEntriesApplied += st.SyncEntriesApplied
-		res.Node.SyncAbandoned += st.SyncAbandoned
+		res.Node.Add(protos[i].Stats())
 		if cp, ok := protos[i].(*core.Protocol); ok {
 			if cp.InOverlay() {
 				res.Results.OverlaySize++

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -322,10 +323,10 @@ func TestInspectHookSeesProtocols(t *testing.T) {
 
 // TestWholeRunAllocationCeiling bounds what a simulated run allocates per
 // engine event, set-up included: the default scenario for 20 s with traffic
-// from 5 s to 15 s. With a clone per reception this was 18.9; it is 2.45, and
-// the count is a pure function of code and seed. The ceiling leaves a fifth of
-// headroom for a new Go runtime; a per-reception or per-tick allocation coming
-// back adds more than one per event and fails it.
+// from 5 s to 15 s. With a clone per reception this was 18.9 allocations; it
+// is 2.45 and about 294 bytes, and both are a pure function of code and seed. Each
+// ceiling leaves a fifth of headroom for a new Go runtime; a per-reception or
+// per-tick allocation coming back adds more than one per event and fails it.
 func TestWholeRunAllocationCeiling(t *testing.T) {
 	alloctest.SkipUnderRace(t)
 	sc := DefaultScenario()
@@ -339,11 +340,32 @@ func TestWholeRunAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.Events)
-	t.Logf("%d events, %.2f allocs/event, %.0f bytes/event", res.Events, perEvent,
-		float64(after.TotalAlloc-before.TotalAlloc)/float64(res.Events))
-	const ceiling = 3.0
-	if perEvent > ceiling {
-		t.Errorf("%.2f allocations per engine event, ceiling is %v", perEvent, ceiling)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(res.Events)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Events)
+	t.Logf("%d events, %.2f allocs/event, %.0f bytes/event", res.Events, allocs, bytes)
+	const allocCeiling, byteCeiling = 3.0, 360.0
+	if allocs > allocCeiling {
+		t.Errorf("%.2f allocations per engine event, ceiling is %v", allocs, allocCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Errorf("%.0f bytes allocated per engine event, ceiling is %v", bytes, byteCeiling)
+	}
+}
+
+// TestAverageCoversEveryNodeCounter fills every core.Stats counter of two
+// results with distinct values by reflection and checks the mean of each, so
+// a counter the reduction forgets (PR 4 found three) fails here.
+func TestAverageCoversEveryNodeCounter(t *testing.T) {
+	var a, b Result
+	va, vb := reflect.ValueOf(&a.Node).Elem(), reflect.ValueOf(&b.Node).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(2 * uint64(i+1))
+		vb.Field(i).SetUint(4 * uint64(i+1))
+	}
+	avg := reflect.ValueOf(Average([]Result{a, b}).Node)
+	for i := 0; i < avg.NumField(); i++ {
+		if got, want := avg.Field(i).Uint(), 3*uint64(i+1); got != want {
+			t.Errorf("Average(...).Node.%s = %d, want %d", avg.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -153,7 +153,6 @@ func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, d
 			dev.Close() //bbvet:errflow cleanup on a failed constructor path; the open error being returned is the root cause
 			return nil, fmt.Errorf("transport: persist: %w", err)
 		}
-		cfg.Persist = true
 	}
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
