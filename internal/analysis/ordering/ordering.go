@@ -11,11 +11,12 @@
 //  1. Protocol.HandlePacket — the single packet-ingress root — must gate the
 //     kind dispatch behind `if !p.admit(...) { return }` before its first
 //     crypto-reaching call.
-//  2. The handlers with a dedup table (handleData, handleGossip,
-//     handleSyncResp) must index that table (p.store / p.missing) before
-//     their first crypto-reaching call. handleRequest and handleFindMissing
-//     verify immediately by design — requests carry no dedup state — and are
-//     deliberately absent from the table.
+//  2. Every handler that verifies (handleData, handleGossip, handleRequest,
+//     handleFindMissing, handleSyncResp, handleState) must consult the table
+//     holding the bytes it already verified (p.store / p.missing /
+//     p.neighbors) before its first crypto-reaching call: by indexing it, or
+//     by calling a core lookup helper that indexes it and itself never
+//     reaches crypto (knownHeaderSig).
 //  3. No other exported function taking a *wire.Packet may reach crypto:
 //     a second verify-bearing ingress point would bypass the admission
 //     bucket.
@@ -57,11 +58,14 @@ const ingressRoot = "Protocol.HandlePacket"
 const admissionGuard = "admit"
 
 // dedupGuards names, per handler, the Protocol map fields that must be
-// indexed before the handler's first crypto-reaching call.
+// consulted before the handler's first crypto-reaching call.
 var dedupGuards = map[string][]string{
-	"Protocol.handleData":     {"store"},
-	"Protocol.handleGossip":   {"store", "missing"},
-	"Protocol.handleSyncResp": {"store"},
+	"Protocol.handleData":        {"store"},
+	"Protocol.handleGossip":      {"store", "missing"},
+	"Protocol.handleRequest":     {"store", "missing"},
+	"Protocol.handleFindMissing": {"store", "missing"},
+	"Protocol.handleSyncResp":    {"store"},
+	"Protocol.handleState":       {"neighbors"},
 }
 
 func run(pass *analysis.ProgramPass) error {
@@ -144,7 +148,7 @@ func run(pass *analysis.ProgramPass) error {
 			continue
 		}
 		for _, field := range dedupGuards[name] {
-			if p := firstIndexOf(n.Decl.Body, field); p == token.NoPos || p > cryptoPos {
+			if p := firstConsult(prog, n, field, taints); p == token.NoPos || p > cryptoPos {
 				if !excused(n, cryptoPos) {
 					pass.Reportf(cryptoPos, "%s reaches crypto (%s) before consulting the %s dedup table; a replayed frame must cost a lookup, not a verify", name, chain, field)
 				}
@@ -221,6 +225,24 @@ func admissionGuardPos(root *analysis.FuncNode) token.Pos {
 		}
 		return true
 	})
+	return pos
+}
+
+// firstConsult returns the earliest position in n that consults the table
+// named field: an index expression in n's own body, or a call to a function
+// of the same package that indexes it and reaches no crypto sink (a lookup
+// helper; one that could verify on its own would prove nothing about order).
+func firstConsult(prog *analysis.Program, n *analysis.FuncNode, field string, taints map[*types.Func]*analysis.Taint) token.Pos {
+	pos := firstIndexOf(n.Decl.Body, field)
+	for _, cs := range n.Calls {
+		helper := prog.Funcs[cs.Callee]
+		if helper == nil || helper.Pkg != n.Pkg || taints[cs.Callee] != nil {
+			continue
+		}
+		if at := cs.Call.Pos(); (pos == token.NoPos || at < pos) && firstIndexOf(helper.Decl.Body, field) != token.NoPos {
+			pos = at
+		}
+	}
 	return pos
 }
 

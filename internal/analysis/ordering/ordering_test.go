@@ -23,7 +23,8 @@ func TestConforming(t *testing.T) {
 }
 
 // TestViolations proves each table rule fires: verify before admission,
-// verify before store dedup, and a missing dedup lookup.
+// verify before store dedup, a missing dedup lookup, and a lookup hidden in a
+// helper that verifies on its own.
 func TestViolations(t *testing.T) {
 	analysistest.RunDirs(t, append(deps(),
 		analysis.DirSpec{Dir: "testdata/badcore", ImportPath: "bbcast/internal/core"}), ordering.Analyzer)

@@ -1,6 +1,7 @@
 // Package core poses as bbcast/internal/core with a contract-conforming
 // ingress path: admission gates the dispatch, every table handler consults
-// its dedup map first, and the one extra verify-bearing entry point carries
+// its dedup map first (directly, or through the crypto-free lookup helper
+// knownHeaderSig), and the one extra verify-bearing entry point carries
 // either a want (rule 3) or a reviewed exception.
 package core
 
@@ -9,7 +10,10 @@ import (
 	"bbcast/internal/wire"
 )
 
-type neighbor struct{ tokens int }
+type neighbor struct {
+	tokens   int
+	stateSig []byte
+}
 
 type Protocol struct {
 	scheme    sig.Scheme
@@ -42,7 +46,19 @@ func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 		p.handleGossip(pkt)
 	case 3:
 		p.handleSyncResp(pkt)
+	case 4:
+		p.handleRequest(pkt)
+	case 5:
+		p.handleFindMissing(pkt)
+	case 6:
+		p.handleState(pkt)
 	}
+}
+
+// knownHeaderSig is the lookup helper: it indexes both tables and reaches no
+// crypto, so a call to it counts as consulting them.
+func (p *Protocol) knownHeaderSig(id uint64) bool {
+	return p.store[id] || p.missing[id]
 }
 
 func (p *Protocol) handleData(pkt *wire.Packet) {
@@ -73,6 +89,34 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 		return
 	}
 	p.store[pkt.ID] = true
+}
+
+// handleRequest consults both tables through the helper.
+func (p *Protocol) handleRequest(pkt *wire.Packet) {
+	if p.knownHeaderSig(pkt.ID) {
+		return
+	}
+	if !p.verify(pkt.Sender, pkt.Payload, pkt.Sig) {
+		return
+	}
+}
+
+func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
+	if !p.knownHeaderSig(pkt.ID) && !p.verify(pkt.Sender, pkt.Payload, pkt.Sig) {
+		return
+	}
+}
+
+// handleState compares against the sender's own entry before verifying.
+func (p *Protocol) handleState(pkt *wire.Packet) {
+	nb := p.neighbors[pkt.Sender]
+	if nb != nil && string(nb.stateSig) == string(pkt.Sig) {
+		return
+	}
+	if !p.verify(pkt.Sender, pkt.Payload, pkt.Sig) {
+		return
+	}
+	nb.stateSig = pkt.Sig
 }
 
 // Inject is a second verify-bearing packet entry point: rule 3 flags it.

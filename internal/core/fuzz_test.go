@@ -193,13 +193,21 @@ func TestQuickRequestsBoundedByGossipPairs(t *testing.T) {
 	}
 }
 
+// fuzzPrimedState is the overlay-state record neighbour `from` has already had
+// verified when FuzzHandlePacket's input arrives.
+func fuzzPrimedState(from wire.NodeID) *wire.OverlayState {
+	return &wire.OverlayState{Active: true, Neighbors: []wire.NodeID{0, from ^ 1}}
+}
+
 // FuzzHandlePacket is the native fuzz target (run continuously with
 // `go test -fuzz=FuzzHandlePacket ./internal/core`): arbitrary bytes are
 // decoded by the wire codec and fed straight into a fresh protocol instance,
 // which must neither panic nor deliver anything it could not verify. The
 // seed corpus covers every packet kind with valid signatures, so the
 // mutator starts from deep inside the handler rather than at codec
-// rejections.
+// rejections. The instance has already verified one overlay-state record from
+// each of neighbours 2 and 3 (fuzzPrimedState), so seeds that nearly match one
+// start on the compare-then-verify branches of handleState.
 func FuzzHandlePacket(f *testing.F) {
 	seedScheme := sig.NewHMAC(16, 7)
 	signData := func(from wire.NodeID, seq wire.Seq, payload []byte) *wire.Packet {
@@ -261,12 +269,37 @@ func FuzzHandlePacket(f *testing.F) {
 	}
 	f.Add(big.Marshal())
 
+	// Near misses of a record the node has already verified: the signature
+	// it holds over an altered record, the record it holds under an altered
+	// signature, and neighbour 2's record and signature re-stamped as 3's.
+	// Each must reach Verify and fail; none may be taken on resemblance.
+	primed := func(sender wire.NodeID) *wire.Packet {
+		st := fuzzPrimedState(sender)
+		return &wire.Packet{
+			Kind: wire.KindOverlayState, Sender: sender, TTL: 1, Target: wire.NoNode, Origin: wire.NoNode,
+			State: st, StateSig: seedScheme.Sign(uint32(sender), wire.StateSigBytes(sender, st)),
+		}
+	}
+	f.Add(primed(2).Marshal()) // the exact replay: reuse, no verification
+	altered := primed(2)
+	altered.State.Active = false
+	f.Add(altered.Marshal())
+	resigned := primed(2)
+	resigned.StateSig[0] ^= 1
+	f.Add(resigned.Marshal())
+	borrowed := primed(2)
+	borrowed.Sender = 3
+	f.Add(borrowed.Marshal())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := wire.Unmarshal(data)
 		if err != nil {
 			return
 		}
 		h := newHarness(t, 0, testConfig())
+		for _, nb := range []wire.NodeID{2, 3} {
+			h.p.HandlePacket(h.stateFrom(nb, fuzzPrimedState(nb)))
+		}
 		h.p.HandlePacket(pkt)
 		h.p.HandlePacket(pkt.Clone()) // duplicates must be harmless too
 		h.run(2 * time.Second)        // let any armed timers fire

@@ -11,11 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"bbcast/internal/env"
 	"bbcast/internal/obsv"
 	"bbcast/internal/overlay"
-	"bbcast/internal/sig"
-	"bbcast/internal/sim"
 	"bbcast/internal/wire"
 )
 
@@ -28,13 +25,14 @@ type recObserver struct {
 	roles       []overlay.Role
 	sigs        int
 	queues      map[obsv.Queue]int
+	admits      map[obsv.AdmissionEvent]int
 	suspRaised  int
 	suspCleared int
 	suppressed  int
 }
 
 func newRecObserver() *recObserver {
-	return &recObserver{queues: make(map[obsv.Queue]int)}
+	return &recObserver{queues: make(map[obsv.Queue]int), admits: make(map[obsv.AdmissionEvent]int)}
 }
 
 func (r *recObserver) log(format string, args ...any) {
@@ -91,6 +89,7 @@ func (r *recObserver) OnQueueDepth(at time.Duration, node wire.NodeID, queue obs
 }
 
 func (r *recObserver) OnAdmission(at time.Duration, node wire.NodeID, event obsv.AdmissionEvent) {
+	r.admits[event]++
 	r.log("admit %s %d %s", at, node, event)
 }
 
@@ -113,20 +112,7 @@ func (r *recObserver) OnRejoin(at time.Duration, node wire.NodeID, restored int)
 // newObsHarness is newHarness with an observer attached.
 func newObsHarness(t *testing.T, selfID wire.NodeID, cfg Config, obs obsv.Observer) *harness {
 	t.Helper()
-	h := &harness{t: t, eng: sim.New(1), scheme: sig.NewHMAC(16, 7)}
-	h.p = New(cfg, Deps{
-		ID:     selfID,
-		Clock:  env.SimClock{Eng: h.eng},
-		Send:   func(pkt *wire.Packet) { h.sent = append(h.sent, pkt) },
-		Scheme: h.scheme,
-		Rand:   h.eng.SubRand(uint64(selfID)),
-		Obs:    obs,
-		Deliver: func(origin wire.NodeID, id wire.MsgID, payload []byte) {
-			h.delivered = append(h.delivered, id)
-		},
-	})
-	t.Cleanup(h.p.Stop)
-	return h
+	return newHarnessWith(t, selfID, cfg, func(d *Deps) { d.Obs = obs })
 }
 
 func assertRecordersAgree(t *testing.T, a, b *recObserver) {
@@ -240,10 +226,16 @@ func TestObserverSuspicionRaiseAndClear(t *testing.T) {
 // (every packet kind, mutated under the same rng schedule as the fuzz test)
 // and checks the structural exactly-once guarantees: one rx per handled
 // foreign packet, accepts exactly mirroring deliveries, and identical event
-// streams on both fan-out members.
+// streams on both fan-out members. The two signature events are held to the
+// same standard: one AdmitDedup per verification skipped by byte-equal reuse,
+// one OnSigVerify per Scheme.Verify call really made.
 func TestObserverExactlyOnceUnderFuzzCorpus(t *testing.T) {
 	rec, twin := newRecObserver(), newRecObserver()
-	h := newObsHarness(t, 0, testConfig(), obsv.Multi(rec, twin))
+	var scheme *countingScheme
+	h := newHarnessWith(t, 0, testConfig(), func(d *Deps) {
+		scheme = countScheme(d)
+		d.Obs = obsv.Multi(rec, twin)
+	})
 	legit := [][]byte{[]byte("alpha"), []byte("bravo"), []byte("charlie")}
 	rng := rand.New(rand.NewSource(1))
 
@@ -301,8 +293,11 @@ func TestObserverExactlyOnceUnderFuzzCorpus(t *testing.T) {
 			t.Fatalf("message %v accepted %d times", id, seen[id])
 		}
 	}
-	if rec.sigs == 0 {
-		t.Fatal("no signature-verify events under the fuzz corpus")
+	if rec.sigs == 0 || rec.sigs != scheme.verifies {
+		t.Fatalf("%d signature-verify events for %d Verify calls", rec.sigs, scheme.verifies)
+	}
+	if skips := h.p.Stats().DedupSkips; skips == 0 || uint64(rec.admits[obsv.AdmitDedup]) != skips {
+		t.Fatalf("%d dedup events for %d DedupSkips", rec.admits[obsv.AdmitDedup], skips)
 	}
 	assertRecordersAgree(t, rec, twin)
 }

@@ -169,6 +169,7 @@ type neighborState struct {
 	lastHeard time.Duration
 	hits      int
 	state     *wire.OverlayState // last verified report, nil before the first
+	stateSig  []byte             // the signature state verified under
 
 	tokens     float64       // admission token bucket (packets)
 	lastRefill time.Duration // last bucket refill instant
@@ -283,10 +284,12 @@ type Protocol struct {
 	overlayIDs []wire.NodeID
 	//bbvet:bounded-by MaxNeighbors the state record under construction; its lists are subsets of the neighbour table plus the suspects
 	stateScratch wire.OverlayState
-	// published is the last state record handed out by buildState. It is
-	// shared with in-flight frames and receivers and never written again.
-	published *wire.OverlayState
-	distrusts func(wire.NodeID) bool // View.Distrusts, built once
+	// published is the last state record handed out by buildState, and
+	// publishedSig this node's signature over it. Both are shared with
+	// in-flight frames and receivers and never written again.
+	published    *wire.OverlayState
+	publishedSig []byte
+	distrusts    func(wire.NodeID) bool // View.Distrusts, built once
 	//bbvet:bounded-by MaxNeighbors one link-quality sample per estimator entry
 	linkQuals []float64
 
@@ -531,12 +534,6 @@ func (p *Protocol) signHeader(id wire.MsgID) []byte {
 	return p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 }
 
-// signState signs a state record as this node.
-func (p *Protocol) signState(state *wire.OverlayState) []byte {
-	p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], p.deps.ID, state)
-	return p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
-}
-
 // verifyData checks an originator's signature over a data message.
 func (p *Protocol) verifyData(id wire.MsgID, payload, tag []byte) bool {
 	p.sigBuf = wire.AppendDataSigBytes(p.sigBuf[:0], id, payload)
@@ -568,6 +565,28 @@ func (p *Protocol) verify(signer uint32, msg, tag []byte) bool {
 	//bbvet:wallclock the verify duration is a wall-clock measurement by design (virtual time is zero here)
 	p.deps.Obs.OnSigVerify(p.deps.Clock.Now(), p.deps.ID, ok, time.Since(start))
 	return ok
+}
+
+// knownHeaderSig reports whether tag is byte-equal to a header signature this
+// node already verified for id: the gossip proof of a stored message or of a
+// pending recovery. Those exact bytes verified once, so a replayed
+// advertisement, request or search costs a comparison, not a signature check.
+// Only successes are remembered: a tag that matches nothing is verified in
+// full every time it arrives.
+func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) bool {
+	if st, held := p.store[id]; held {
+		return st.headerSig != nil && bytes.Equal(tag, st.headerSig)
+	}
+	miss := p.missing[id]
+	return miss != nil && bytes.Equal(tag, miss.headerSig)
+}
+
+// noteDedupSkip counts one signature verification avoided by byte-equal
+// reuse — every reuse site reports through here, so Stats.DedupSkips and the
+// AdmitDedup events stay one-to-one.
+func (p *Protocol) noteDedupSkip() {
+	p.stats.DedupSkips++
+	p.observeAdmission(obsv.AdmitDedup)
 }
 
 // send stamps the sender and hands the packet to the host.
@@ -634,8 +653,7 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		// duplicates cost a comparison, not a signature check.
 		if p.cfg.EnableFDs {
 			if bytes.Equal(pkt.Sig, st.dataSig) && bytes.Equal(pkt.Payload, st.payload) {
-				p.stats.DedupSkips++
-				p.observeAdmission(obsv.AdmitDedup)
+				p.noteDedupSkip()
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
 			} else if p.verifyData(id, pkt.Payload, pkt.Sig) {
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
@@ -779,8 +797,8 @@ func dataDigest(pkt *wire.Packet) uint64 {
 
 // handleGossip implements §3.2 lines 26–41, batched. Two admission guards
 // bound the work one datagram can buy: the entry count is capped, and an
-// advertisement whose signature byte-matches one we already verified (held
-// message or pending recovery) skips re-verification entirely.
+// advertisement whose signature byte-matches one we already verified
+// (knownHeaderSig) skips re-verification entirely.
 func (p *Protocol) handleGossip(pkt *wire.Packet) {
 	p.noteGossipArrival(pkt.Sender)
 	entries := pkt.Gossip
@@ -790,22 +808,14 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 	}
 	for i := range entries {
 		entry := entries[i]
-		st, held := p.store[entry.ID]
-		verified := false
-		if held && st.headerSig != nil && bytes.Equal(entry.Sig, st.headerSig) {
-			verified = true
-		} else if miss := p.missing[entry.ID]; !held && miss != nil && bytes.Equal(entry.Sig, miss.headerSig) {
-			verified = true
-		}
-		if verified {
-			p.stats.DedupSkips++
-			p.observeAdmission(obsv.AdmitDedup)
+		if p.knownHeaderSig(entry.ID, entry.Sig) {
+			p.noteDedupSkip()
 		} else if !p.verifyHeader(entry.ID, entry.Sig) {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			continue
 		}
-		if held {
+		if st, held := p.store[entry.ID]; held {
 			// Lines 35–37: register it with the lazycast (if not already
 			// advertised) so the periodic gossip passes it onward. The
 			// gossiper is also a confirmed holder (stability detection).
@@ -904,7 +914,9 @@ func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wi
 // handleRequest implements Figure 4 lines 42–61.
 func (p *Protocol) handleRequest(pkt *wire.Packet) {
 	id := pkt.ID()
-	if !p.verifyHeader(id, pkt.Sig) {
+	if p.knownHeaderSig(id, pkt.Sig) {
+		p.noteDedupSkip()
+	} else if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
@@ -962,7 +974,9 @@ func (p *Protocol) handleRequest(pkt *wire.Packet) {
 // handleFindMissing implements Figure 4 lines 62–81.
 func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
 	id := pkt.ID()
-	if !p.verifyHeader(id, pkt.Sig) {
+	if p.knownHeaderSig(id, pkt.Sig) {
+		p.noteDedupSkip()
+	} else if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return

@@ -35,8 +35,16 @@ func testConfig() Config {
 
 func newHarness(t *testing.T, selfID wire.NodeID, cfg Config) *harness {
 	t.Helper()
+	return newHarnessWith(t, selfID, cfg, nil)
+}
+
+// newHarnessWith is newHarness with the protocol's dependencies adjusted by
+// mod (an observer, a durable store, a wrapped scheme) before it is built.
+// Packets are still crafted with h.scheme, the plain one.
+func newHarnessWith(t *testing.T, selfID wire.NodeID, cfg Config, mod func(*Deps)) *harness {
+	t.Helper()
 	h := &harness{t: t, eng: sim.New(1), scheme: sig.NewHMAC(16, 7)}
-	h.p = New(cfg, Deps{
+	deps := Deps{
 		ID:     selfID,
 		Clock:  env.SimClock{Eng: h.eng},
 		Send:   func(pkt *wire.Packet) { h.sent = append(h.sent, pkt) },
@@ -45,7 +53,11 @@ func newHarness(t *testing.T, selfID wire.NodeID, cfg Config) *harness {
 		Deliver: func(origin wire.NodeID, id wire.MsgID, payload []byte) {
 			h.delivered = append(h.delivered, id)
 		},
-	})
+	}
+	if mod != nil {
+		mod(&deps)
+	}
+	h.p = New(cfg, deps)
 	t.Cleanup(h.p.Stop)
 	return h
 }

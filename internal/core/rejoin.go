@@ -314,9 +314,15 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 			digest:       wire.Digest(e.Payload),
 		}
 		// The header signature is the gossip proof; keep it only if it
-		// verifies, so a corrupt one can never be re-advertised under our
-		// name. The payload above already proved itself independently.
-		if len(e.HeaderSig) > 0 && p.verifyHeader(e.ID, e.HeaderSig) {
+		// verifies (or byte-matches the one a gossip round already proved), so
+		// a corrupt one can never be re-advertised under our name. The payload
+		// above already proved itself independently.
+		switch {
+		case len(e.HeaderSig) == 0:
+		case p.knownHeaderSig(e.ID, e.HeaderSig):
+			p.noteDedupSkip()
+			st.headerSig = e.HeaderSig
+		case p.verifyHeader(e.ID, e.HeaderSig):
 			st.headerSig = e.HeaderSig
 		}
 		if miss := p.missing[e.ID]; miss != nil {

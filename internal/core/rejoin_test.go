@@ -4,10 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"bbcast/internal/env"
 	"bbcast/internal/persist"
-	"bbcast/internal/sig"
-	"bbcast/internal/sim"
 	"bbcast/internal/wire"
 )
 
@@ -21,20 +18,7 @@ func newPersistHarness(t *testing.T, selfID wire.NodeID, cfg Config) (*harness, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, eng: sim.New(1), scheme: sig.NewHMAC(16, 7)}
-	h.p = New(cfg, Deps{
-		ID:     selfID,
-		Clock:  env.SimClock{Eng: h.eng},
-		Send:   func(pkt *wire.Packet) { h.sent = append(h.sent, pkt) },
-		Scheme: h.scheme,
-		Rand:   h.eng.SubRand(uint64(selfID)),
-		Store:  st,
-		Deliver: func(origin wire.NodeID, id wire.MsgID, payload []byte) {
-			h.delivered = append(h.delivered, id)
-		},
-	})
-	t.Cleanup(h.p.Stop)
-	return h, dev
+	return newHarnessWith(t, selfID, cfg, func(d *Deps) { d.Store = st }), dev
 }
 
 func TestRejoinRestoresSeqAndDedup(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"time"
@@ -58,8 +59,7 @@ func (p *Protocol) sendGossipWithState(entries []wire.GossipEntry) {
 	var state *wire.OverlayState
 	var stateSig []byte
 	if p.cfg.PiggybackState {
-		state = p.buildState()
-		stateSig = p.signState(state)
+		state, stateSig = p.buildState()
 	}
 	if len(entries) == 0 && state == nil {
 		return
@@ -161,14 +161,14 @@ func (p *Protocol) maintenanceTick() {
 		}
 	}
 	if !p.cfg.PiggybackState {
-		state := p.buildState()
+		state, stateSig := p.buildState()
 		p.send(&wire.Packet{
 			Kind:     wire.KindOverlayState,
 			TTL:      1,
 			Target:   wire.NoNode,
 			Origin:   wire.NoNode,
 			State:    state,
-			StateSig: p.signState(state),
+			StateSig: stateSig,
 			Meta:     wire.Meta{Cause: wire.CauseState},
 		})
 	}
@@ -340,14 +340,23 @@ func (p *Protocol) expireNeighbors() {
 }
 
 // handleState processes a neighbour's (signed) overlay-state record and its
-// second-hand suspicion reports.
+// second-hand suspicion reports. A neighbour republishes an unchanged record
+// every period, so a copy whose signature and record both equal what this
+// sender's entry already verified is taken as verified: the same record
+// (pointer-equal on the simulator's shared frames, field-equal on decoded
+// ones) under the same signature from the same signer. Signature equality
+// alone proves nothing, the comparison never crosses senders, and a failed
+// verification is never remembered.
 func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, stateSig []byte) {
-	if !p.verifyState(from, state, stateSig) {
+	nb := p.neighbors[from]
+	if nb != nil && nb.state != nil && bytes.Equal(stateSig, nb.stateSig) &&
+		(state == nb.state || sameState(state, nb.state)) {
+		p.noteDedupSkip()
+	} else if !p.verifyState(from, state, stateSig) {
 		p.stats.BadSignatures++
 		p.suspect(from, fd.ReasonBadSignature)
 		return
 	}
-	nb := p.neighbors[from]
 	if nb == nil {
 		// handleState is only reached through HandlePacket, which already
 		// created the entry via touchNeighbor; this branch guards direct
@@ -356,6 +365,7 @@ func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, state
 	}
 	nb.lastHeard = p.deps.Clock.Now()
 	nb.state = state
+	nb.stateSig = stateSig
 	if p.cfg.EnableFDs {
 		for _, s := range state.Suspects {
 			if s != p.deps.ID {
@@ -408,12 +418,13 @@ func (p *Protocol) level(id wire.NodeID) fd.Level {
 	return p.trust.Level(id)
 }
 
-// buildState produces the maintenance record the node publishes. Published
-// records are immutable — in-flight frames carry them and receivers keep them
-// as nb.state — so the record is assembled in p.stateScratch and a fresh one
-// is allocated only when it differs from the last one published; an unchanged
-// neighbourhood republishes the same record.
-func (p *Protocol) buildState() *wire.OverlayState {
+// buildState produces the maintenance record the node publishes and its
+// signature. Published records are immutable — in-flight frames carry them and
+// receivers keep them as nb.state — so the record is assembled in
+// p.stateScratch and a fresh one is allocated, and signed, only when it
+// differs from the last one published; an unchanged neighbourhood republishes
+// the same record under the same signature.
+func (p *Protocol) buildState() (*wire.OverlayState, []byte) {
 	st := &p.stateScratch
 	st.Active = p.role.Active()
 	st.Dominator = p.role == overlay.Dominator
@@ -439,8 +450,10 @@ func (p *Protocol) buildState() *wire.OverlayState {
 	}
 	if p.published == nil || !sameState(p.published, st) {
 		p.published = st.Clone()
+		p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], p.deps.ID, p.published)
+		p.publishedSig = p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 	}
-	return p.published
+	return p.published, p.publishedSig
 }
 
 func sameState(a, b *wire.OverlayState) bool {
