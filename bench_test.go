@@ -1,14 +1,13 @@
 package bbcast_test
 
 // The benchmark harness regenerates every experiment table from DESIGN.md
-// (E1–E10 and ablations A1–A6): one benchmark per table, plus micro
-// benchmarks for the hot substrate paths (wire codec, signatures, event
-// engine, full simulation throughput).
+// (whatever internal/experiments registers: E1–E17 and ablations A1–A9 today)
+// under BenchmarkExperiments/<id>, plus micro benchmarks for the hot substrate
+// paths (wire codec, signatures, event engine, full simulation throughput).
 //
-// Experiment benchmarks run the Quick variant of each table per iteration
-// (E1–E11, A1–A9) and report the row count via b.ReportMetric; run the
-// full-size tables with `go run ./cmd/bbexp -all` (EXPERIMENTS.md records
-// those results).
+// Experiment benchmarks run the Quick variant of each table per iteration and
+// report the row count via b.ReportMetric; run the full-size tables with
+// `go run ./cmd/bbexp -all` (EXPERIMENTS.md records those results).
 
 import (
 	"bytes"
@@ -26,40 +25,21 @@ import (
 	"bbcast/internal/wire"
 )
 
-func benchTable(b *testing.B, fn func(experiments.Config) experiments.Table) {
-	b.Helper()
+// BenchmarkExperiments regenerates each table of the suite, one sub-benchmark
+// per registry id.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Config{Quick: true, Seed: 1}
-	var rows int
-	for i := 0; i < b.N; i++ {
-		t := fn(cfg)
-		rows = len(t.Rows)
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				t, _ := experiments.ByID(id, cfg)
+				rows = len(t.Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
-	b.ReportMetric(float64(rows), "rows")
 }
-
-func BenchmarkE1MessageOverhead(b *testing.B) { benchTable(b, experiments.E1MessageOverhead) }
-func BenchmarkE2DeliveryRatio(b *testing.B)   { benchTable(b, experiments.E2Delivery) }
-func BenchmarkE3Latency(b *testing.B)         { benchTable(b, experiments.E3Latency) }
-func BenchmarkE4MuteDelivery(b *testing.B)    { benchTable(b, experiments.E4MuteDelivery) }
-func BenchmarkE5MuteLatency(b *testing.B)     { benchTable(b, experiments.E5MuteLatency) }
-func BenchmarkE6OverlayCompare(b *testing.B)  { benchTable(b, experiments.E6OverlayCompare) }
-func BenchmarkE7Breakdown(b *testing.B)       { benchTable(b, experiments.E7Breakdown) }
-func BenchmarkE8Mobility(b *testing.B)        { benchTable(b, experiments.E8Mobility) }
-func BenchmarkE9Verbose(b *testing.B)         { benchTable(b, experiments.E9Verbose) }
-func BenchmarkE10FPlusOne(b *testing.B)       { benchTable(b, experiments.E10FPlusOne) }
-
-func BenchmarkA1GossipAggregation(b *testing.B) { benchTable(b, experiments.A1GossipAggregation) }
-func BenchmarkA2Recovery(b *testing.B)          { benchTable(b, experiments.A2Recovery) }
-func BenchmarkA3FindMissing(b *testing.B)       { benchTable(b, experiments.A3FindMissing) }
-func BenchmarkA4Signatures(b *testing.B)        { benchTable(b, experiments.A4Signatures) }
-func BenchmarkA5RateSweep(b *testing.B)         { benchTable(b, experiments.A5RateSweep) }
-func BenchmarkA6Tamper(b *testing.B)            { benchTable(b, experiments.A6Tamper) }
-func BenchmarkA7FDClasses(b *testing.B)         { benchTable(b, experiments.A7FDClasses) }
-func BenchmarkA8Poisson(b *testing.B)           { benchTable(b, experiments.A8Poisson) }
-func BenchmarkA9Capture(b *testing.B)           { benchTable(b, experiments.A9Capture) }
-func BenchmarkE11FastPathTimeline(b *testing.B) { benchTable(b, experiments.E11FastPathTimeline) }
-func BenchmarkE12Churn(b *testing.B)            { benchTable(b, experiments.E12Churn) }
-func BenchmarkE13PartitionHeal(b *testing.B)    { benchTable(b, experiments.E13PartitionHeal) }
 
 // BenchmarkSimulatedSecond measures how fast the simulator runs one virtual
 // second of the default 75-node scenario (the sims-per-wallclock figure of

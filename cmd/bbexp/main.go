@@ -1,5 +1,5 @@
 // Command bbexp regenerates the paper-reproduction experiment tables
-// (DESIGN.md E1–E15 and ablations A1–A9).
+// (DESIGN.md E1–E17 and ablations A1–A9).
 //
 // Usage:
 //
@@ -9,10 +9,11 @@
 //	bbexp -all -parallel 8      # cap the worker pool at 8 simulations
 //	bbexp -list                 # list experiment ids
 //
-// Replicates of every experiment scenario run concurrently on a worker pool
-// (-parallel, default GOMAXPROCS). Each simulation remains single-threaded
-// and bit-identical: per-replicate seeds are derived from the base seed with
-// SplitMix64, so results never depend on the worker count.
+// Every distinct scenario of the requested tables, times its replicate seeds,
+// runs on one worker pool (-parallel, default GOMAXPROCS); a scenario that
+// several tables show is simulated once. Each simulation remains
+// single-threaded and bit-identical: per-replicate seeds are derived from the
+// base seed with SplitMix64, so results never depend on the worker count.
 package main
 
 import (

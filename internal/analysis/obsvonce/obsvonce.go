@@ -31,9 +31,9 @@ const obsvPathSuffix = "internal/obsv"
 // enclosing named function.
 var EmissionSources = map[string][]string{
 	// tx: one event per frame put on the air — the simulated medium's
-	// transmit hook (installed in runner.Run) and the UDP send path.
+	// transmit hook (installed in runner.run, the body of Run) and the UDP send path.
 	"OnPacketTx": {
-		"bbcast/internal/runner.Run",
+		"bbcast/internal/runner.run",
 		"bbcast/internal/transport.UDPNode.send",
 	},
 	// rx: one event per frame handed to the protocol, emitted through the

@@ -818,10 +818,13 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 		if st, held := p.store[entry.ID]; held {
 			// Lines 35–37: register it with the lazycast (if not already
 			// advertised) so the periodic gossip passes it onward. The
-			// gossiper is also a confirmed holder (stability detection).
+			// gossiper is also a confirmed holder, which only stability
+			// detection reads.
 			if !st.purged {
 				p.registerGossip(entry.ID, st, entry.Sig)
-				st.noteHolder(pkt.Sender)
+				if p.cfg.StabilityPurge {
+					st.noteHolder(pkt.Sender)
+				}
 			}
 			continue
 		}

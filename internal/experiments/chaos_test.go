@@ -6,9 +6,7 @@ import (
 )
 
 func TestChaosExperimentsQuick(t *testing.T) {
-	cfg := quickCfg()
-
-	churn := E12Churn(cfg)
+	churn := quickSuite()["E12"]
 	if len(churn.Rows) != 2 {
 		t.Fatalf("E12 quick mode: %d rows, want 2", len(churn.Rows))
 	}
@@ -26,7 +24,7 @@ func TestChaosExperimentsQuick(t *testing.T) {
 		}
 	}
 
-	ph := E13PartitionHeal(cfg)
+	ph := quickSuite()["E13"]
 	if len(ph.Rows) < 3 {
 		t.Fatalf("E13 produced too few rows: %v", ph.Rows)
 	}

@@ -1,18 +1,20 @@
 // Package experiments defines the paper-reproduction experiment suite
-// (DESIGN.md E1–E10 plus ablations A1–A5). Each experiment runs a set of
-// scenarios through the runner and renders one table; the benchmark harness
-// in the repository root and cmd/bbexp both drive this package, so the
-// numbers in EXPERIMENTS.md regenerate from either entry point.
+// (DESIGN.md E1–E17 plus ablations A1–A9) as data: one ordered registry
+// (registry.go) of tables, each a pure plan (Config → scenarios) and a render
+// step (results → rows), and one driver that plans every requested table,
+// simulates each distinct scenario once on a single runner pool, and renders.
+// The benchmark harness in the repository root and cmd/bbexp both drive this
+// package, so the numbers in EXPERIMENTS.md regenerate from either entry
+// point.
 package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
-	"bbcast/internal/overlay"
 	"bbcast/internal/runner"
-	"bbcast/internal/wire"
 )
 
 // Table is one experiment's output: paper-style rows of series × sweep.
@@ -76,8 +78,9 @@ type Config struct {
 	Parallel int
 }
 
-// base returns the canonical scenario every experiment perturbs.
-func (c Config) base() runner.Scenario {
+// base returns the canonical scenario every experiment perturbs, with the
+// experiment's own fixed settings applied on top.
+func (c Config) base(mods ...func(*runner.Scenario)) runner.Scenario {
 	sc := runner.DefaultScenario()
 	sc.Seed = c.Seed
 	if sc.Seed == 0 {
@@ -87,355 +90,139 @@ func (c Config) base() runner.Scenario {
 		sc.Workload.End = 35 * time.Second
 		sc.Duration = 45 * time.Second
 	}
+	for _, mod := range mods {
+		mod(&sc)
+	}
 	return sc
 }
 
-func (c Config) nSweep() []int {
-	if c.Quick {
-		return []int{25, 50}
+func (c Config) repeats() int {
+	switch {
+	case c.Repeats > 0:
+		return c.Repeats
+	case c.Quick:
+		return 1
 	}
-	return []int{25, 50, 75, 100}
+	return 3
 }
 
-// run executes the scenario across the configured repeats (replicate seeds
-// derived via runner.ReplicateSeed) on the runner's worker pool and returns
-// the seed-averaged result. Counter-like fields are averaged too, so every
-// reported number is a per-seed mean.
-func (c Config) run(sc runner.Scenario) runner.Result {
-	repeats := c.Repeats
-	if repeats <= 0 {
-		repeats = 3
-		if c.Quick {
-			repeats = 1
+// sweep picks an axis's values: the full sweep, or the shrunken Quick one.
+func sweep[T any](c Config, full, quick []T) []T {
+	if c.Quick {
+		return quick
+	}
+	return full
+}
+
+// cell is one planned simulation: the scenario, how many replicate seeds it
+// is averaged over (0 = the Config's repeats) and the leading columns of the
+// row it renders into.
+type cell struct {
+	sc      runner.Scenario
+	repeats int
+	label   []string
+}
+
+// row starts a table row with the cell's label.
+func (c cell) row(vals ...string) []string {
+	return append(append([]string(nil), c.label...), vals...)
+}
+
+// experiment is one registry entry: a table's fixed text, the pure plan that
+// lists its scenarios, and the render step that turns the seed-averaged
+// result of each planned cell (same order) into rows.
+type experiment struct {
+	id, title, params string
+	header            []string
+	plan              func(Config) []cell
+	render            func([]cell, []runner.Result) [][]string
+}
+
+// run is the driver, and the package's only call into the runner. It plans
+// every requested experiment, drops each cell whose scenario (Name aside) and
+// repeat count equal one already planned — a run is a deterministic function
+// of its scenario, so E2 reads E1's results and the unperturbed base scenario
+// is simulated once however many tables show it — sends every remaining
+// (scenario × replicate seed) through one pool, averages per cell and renders.
+func run(c Config, exps []experiment) []Table {
+	var (
+		plans    = make([][]cell, len(exps))
+		slots    = make([][]int, len(exps)) // per planned cell, its index in distinct
+		distinct []cell
+		scs      []runner.Scenario
+		first    []int // per distinct cell, the index in scs of its replicate 0
+	)
+	for i, e := range exps {
+		plans[i] = e.plan(c)
+		for _, cl := range plans[i] {
+			if cl.repeats <= 0 {
+				cl.repeats = c.repeats()
+			}
+			j := 0
+			for j < len(distinct) && !(distinct[j].repeats == cl.repeats && sameScenario(distinct[j].sc, cl.sc)) {
+				j++
+			}
+			if j == len(distinct) {
+				distinct = append(distinct, cl)
+				first = append(first, len(scs))
+				scs = append(scs, runner.ReplicateScenarios(cl.sc, cl.repeats)...)
+			}
+			slots[i] = append(slots[i], j)
 		}
 	}
-	results, err := runner.Pool{Workers: c.Parallel}.RunReplicates(sc, repeats)
+	results, err := runner.Pool{Workers: c.Parallel}.RunAll(scs)
 	if err != nil {
 		// Experiment scenarios are constructed by this package; a failure
 		// is a programming error, surfaced loudly.
 		panic(fmt.Sprintf("experiment scenario failed: %v", err))
 	}
-	return runner.Average(results)
+	// Counter-like fields are averaged too, so every reported number is a
+	// per-seed mean.
+	averaged := make([]runner.Result, len(distinct))
+	for j, cl := range distinct {
+		averaged[j] = runner.Average(results[first[j] : first[j]+cl.repeats])
+	}
+	tables := make([]Table, len(exps))
+	for i, e := range exps {
+		res := make([]runner.Result, len(slots[i]))
+		for k, j := range slots[i] {
+			res[k] = averaged[j]
+		}
+		tables[i] = Table{ID: e.id, Title: e.title, Params: e.params, Header: e.header, Rows: e.render(plans[i], res)}
+	}
+	return tables
 }
 
-func f1(v float64) string       { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string       { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string       { return fmt.Sprintf("%.3f", v) }
-func ms(d time.Duration) string { return fmt.Sprintf("%d", d.Milliseconds()) }
-func itoa(v int) string         { return fmt.Sprintf("%d", v) }
-func u64(v uint64) string       { return fmt.Sprintf("%d", v) }
-func perMsg(v uint64, n int) string {
-	if n == 0 {
-		return "0"
-	}
-	return f1(float64(v) / float64(n))
+// sameScenario reports whether two scenarios describe the same simulation;
+// the name is a label the runner never reads.
+func sameScenario(a, b runner.Scenario) bool {
+	a.Name, b.Name = "", ""
+	return reflect.DeepEqual(a, b)
 }
 
-// E1MessageOverhead measures transmissions per message vs. network size for
-// the three protocols (failure-free). Expected shape: ByzCast's data cost
-// tracks the (flat) overlay size while flooding grows linearly with n; the
-// f+1 baseline pays (f+1) overlays.
-func E1MessageOverhead(c Config) Table {
-	t := Table{
-		ID:     "E1",
-		Title:  "message overhead vs. network size (failure-free)",
-		Params: "1000x1000 m, range 250 m, rate 1 msg/s, f=2",
-		Header: []string{"n", "protocol", "tx/msg", "data/msg", "gossip/msg", "bytes/msg", "delivery", "hops-p50", "rec-share"},
-	}
-	for _, n := range c.nSweep() {
-		for _, proto := range []runner.Protocol{runner.ProtoByzCast, runner.ProtoFlooding, runner.ProtoFPlusOne} {
-			sc := c.base()
-			sc.N = n
-			sc.Protocol = proto
-			res := c.run(sc)
-			t.Rows = append(t.Rows, []string{
-				itoa(n), proto.String(),
-				f1(res.TxPerMessage),
-				perMsg(res.TxByKind[wire.KindData], res.Injected),
-				perMsg(res.TxByKind[wire.KindGossip], res.Injected),
-				perMsg(res.BytesOnAir, res.Injected),
-				f3(res.DeliveryRatio),
-				f1(res.HopP50), f3(res.RecoveryShare),
-			})
+// All runs the complete suite in registry order.
+func All(c Config) []Table { return run(c, registry) }
+
+// ByID returns the experiment with the given id (case-sensitive), or false.
+func ByID(id string, c Config) (Table, bool) {
+	for _, e := range registry {
+		if e.id == id {
+			return run(c, []experiment{e})[0], true
 		}
 	}
-	return t
+	return Table{}, false
 }
 
-// E2Delivery measures the delivery ratio vs. network size (failure-free).
-func E2Delivery(c Config) Table {
-	t := Table{
-		ID:     "E2",
-		Title:  "delivery ratio vs. network size (failure-free)",
-		Params: "as E1",
-		Header: []string{"n", "byzcast", "flooding", "f+1"},
-	}
-	for _, n := range c.nSweep() {
-		row := []string{itoa(n)}
-		for _, proto := range []runner.Protocol{runner.ProtoByzCast, runner.ProtoFlooding, runner.ProtoFPlusOne} {
-			sc := c.base()
-			sc.N = n
-			sc.Protocol = proto
-			row = append(row, f3(c.run(sc).DeliveryRatio))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// E3Latency measures dissemination latency vs. network size (failure-free).
-func E3Latency(c Config) Table {
-	t := Table{
-		ID:     "E3",
-		Title:  "dissemination latency vs. network size (failure-free)",
-		Params: "as E1; milliseconds",
-		Header: []string{"n", "protocol", "mean", "p50", "p95", "max"},
-	}
-	for _, n := range c.nSweep() {
-		for _, proto := range []runner.Protocol{runner.ProtoByzCast, runner.ProtoFlooding} {
-			sc := c.base()
-			sc.N = n
-			sc.Protocol = proto
-			res := c.run(sc)
-			t.Rows = append(t.Rows, []string{
-				itoa(n), proto.String(),
-				ms(res.LatMean), ms(res.LatP50), ms(res.LatP95), ms(res.LatMax),
-			})
+// IDs lists the experiment identifiers: the experiments (E…) in registry
+// order, then the ablations (A…).
+func IDs() []string {
+	var exps, ablations []string
+	for _, e := range registry {
+		if e.id[0] == 'A' {
+			ablations = append(ablations, e.id)
+		} else {
+			exps = append(exps, e.id)
 		}
 	}
-	return t
-}
-
-func (c Config) muteCounts() []int {
-	if c.Quick {
-		return []int{0, 8}
-	}
-	return []int{0, 4, 8, 12, 15}
-}
-
-// E4MuteDelivery measures delivery under mute Byzantine overlay nodes — the
-// paper's central claim: gossip recovery keeps delivery high where a pure
-// overlay (or flooding with losses) degrades.
-func E4MuteDelivery(c Config) Table {
-	t := Table{
-		ID:     "E4",
-		Title:  "delivery under mute Byzantine overlay nodes",
-		Params: "n=75, mute nodes placed on would-be dominators",
-		Header: []string{"mute", "byzcast+fd", "byzcast-fd", "flooding", "detected(+fd)"},
-	}
-	for _, count := range c.muteCounts() {
-		row := []string{itoa(count)}
-		var detected int
-		for _, arm := range []string{"fd", "nofd", "flood"} {
-			sc := c.base()
-			sc.N = 75
-			if count > 0 {
-				sc.Adversaries = []runner.Adversaries{{Kind: runner.AdvMute, Count: count}}
-				sc.Placement = runner.PlaceDominators
-			}
-			switch arm {
-			case "nofd":
-				sc.Core.EnableFDs = false
-			case "flood":
-				sc.Protocol = runner.ProtoFlooding
-			}
-			res := c.run(sc)
-			row = append(row, f3(res.DeliveryRatio))
-			if arm == "fd" {
-				detected = res.AdversariesDetected
-			}
-		}
-		row = append(row, itoa(detected))
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// E5MuteLatency measures recovery latency under mute failures, with and
-// without the failure detectors.
-func E5MuteLatency(c Config) Table {
-	t := Table{
-		ID:     "E5",
-		Title:  "latency under mute Byzantine overlay nodes (ms)",
-		Params: "n=75, dominator placement; FDs evict mute nodes from the overlay",
-		Header: []string{"mute", "mean(+fd)", "p95(+fd)", "mean(-fd)", "p95(-fd)"},
-	}
-	for _, count := range c.muteCounts() {
-		row := []string{itoa(count)}
-		for _, fds := range []bool{true, false} {
-			sc := c.base()
-			sc.N = 75
-			if count > 0 {
-				sc.Adversaries = []runner.Adversaries{{Kind: runner.AdvMute, Count: count}}
-				sc.Placement = runner.PlaceDominators
-			}
-			sc.Core.EnableFDs = fds
-			if !c.Quick {
-				sc.Workload.End = 90 * time.Second
-				sc.Duration = 105 * time.Second
-			}
-			res := c.run(sc)
-			row = append(row, ms(res.LatMean), ms(res.LatP95))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// E6OverlayCompare contrasts the CDS and MIS+B maintainers.
-func E6OverlayCompare(c Config) Table {
-	t := Table{
-		ID:     "E6",
-		Title:  "overlay maintainers: CDS vs MIS+B",
-		Params: "failure-free",
-		Header: []string{"n", "overlay", "size", "tx/msg", "delivery", "lat-p95(ms)"},
-	}
-	for _, n := range c.nSweep() {
-		for _, kind := range []overlay.Kind{overlay.CDS, overlay.MISB} {
-			sc := c.base()
-			sc.N = n
-			sc.Core.Overlay = kind
-			res := c.run(sc)
-			t.Rows = append(t.Rows, []string{
-				itoa(n), overlay.New(kind).Name(), itoa(res.OverlaySize),
-				f1(res.TxPerMessage), f3(res.DeliveryRatio), ms(res.LatP95),
-			})
-		}
-	}
-	return t
-}
-
-// E7Breakdown reports per-kind transmission counts, failure-free vs. under
-// mute attack — showing where the protocol's overhead goes.
-func E7Breakdown(c Config) Table {
-	t := Table{
-		ID:     "E7",
-		Title:  "transmission breakdown by packet kind",
-		Params: "n=75",
-		Header: []string{"scenario", "data", "gossip", "request", "find-missing", "total"},
-	}
-	for _, arm := range []struct {
-		label string
-		mute  int
-	}{{"failure-free", 0}, {"8 mute dominators", 8}} {
-		sc := c.base()
-		sc.N = 75
-		if arm.mute > 0 {
-			sc.Adversaries = []runner.Adversaries{{Kind: runner.AdvMute, Count: arm.mute}}
-			sc.Placement = runner.PlaceDominators
-		}
-		res := c.run(sc)
-		t.Rows = append(t.Rows, []string{
-			arm.label,
-			u64(res.TxByKind[wire.KindData]),
-			u64(res.TxByKind[wire.KindGossip]),
-			u64(res.TxByKind[wire.KindRequest]),
-			u64(res.TxByKind[wire.KindFindMissing]),
-			u64(res.TotalTx),
-		})
-	}
-	return t
-}
-
-// E8Mobility measures delivery and latency vs. node speed (random waypoint).
-func E8Mobility(c Config) Table {
-	t := Table{
-		ID:     "E8",
-		Title:  "mobility: delivery and latency vs. node speed",
-		Params: "n=75, random waypoint, pause 2 s",
-		Header: []string{"speed(m/s)", "protocol", "delivery", "lat-mean(ms)", "lat-p95(ms)"},
-	}
-	speeds := []float64{0, 1, 5, 10, 20}
-	if c.Quick {
-		speeds = []float64{0, 10}
-	}
-	for _, speed := range speeds {
-		for _, proto := range []runner.Protocol{runner.ProtoByzCast, runner.ProtoFlooding} {
-			sc := c.base()
-			sc.N = 75
-			sc.Protocol = proto
-			if speed > 0 {
-				sc.Mobility = runner.MobWaypoint
-				sc.Speed = speed
-				sc.Pause = 2 * time.Second
-			}
-			res := c.run(sc)
-			t.Rows = append(t.Rows, []string{
-				f1(speed), proto.String(), f3(res.DeliveryRatio),
-				ms(res.LatMean), ms(res.LatP95),
-			})
-		}
-	}
-	return t
-}
-
-// E9Verbose measures the damage of verbose (request-spam) attackers with and
-// without the VERBOSE failure detector.
-func E9Verbose(c Config) Table {
-	t := Table{
-		ID:     "E9",
-		Title:  "verbose attackers: reaction traffic with and without FDs",
-		Params: "n=75; spammers replay valid requests",
-		Header: []string{"verbose", "arm", "tx/msg", "delivery", "detected"},
-	}
-	counts := []int{0, 1, 3, 5}
-	if c.Quick {
-		counts = []int{0, 3}
-	}
-	for _, count := range counts {
-		for _, fds := range []bool{true, false} {
-			sc := c.base()
-			sc.N = 75
-			if count > 0 {
-				sc.Adversaries = []runner.Adversaries{{Kind: runner.AdvVerbose, Count: count}}
-			}
-			sc.Core.EnableFDs = fds
-			res := c.run(sc)
-			arm := "+fd"
-			if !fds {
-				arm = "-fd"
-			}
-			t.Rows = append(t.Rows, []string{
-				itoa(count), arm, f1(res.TxPerMessage), f3(res.DeliveryRatio),
-				itoa(res.AdversariesDetected),
-			})
-		}
-	}
-	return t
-}
-
-// E10FPlusOne shows the §1 claim: the f+1-overlays baseline pays (f+1)×
-// while ByzCast's failure-free cost is one overlay regardless of f.
-func E10FPlusOne(c Config) Table {
-	t := Table{
-		ID:     "E10",
-		Title:  "cost scaling vs. tolerated failures f (failure-free)",
-		Params: "n=75; byzcast row is f-independent (tolerates any f with one correct node per neighbourhood)",
-		Header: []string{"protocol", "f", "tx/msg", "data/msg", "delivery"},
-	}
-	byz := c.base()
-	byz.N = 75
-	byzRes := c.run(byz)
-	t.Rows = append(t.Rows, []string{
-		"byzcast", "any", f1(byzRes.TxPerMessage),
-		perMsg(byzRes.TxByKind[wire.KindData], byzRes.Injected),
-		f3(byzRes.DeliveryRatio),
-	})
-	fs := []int{0, 1, 2, 3, 4}
-	if c.Quick {
-		fs = []int{0, 2}
-	}
-	for _, f := range fs {
-		sc := c.base()
-		sc.N = 75
-		sc.Protocol = runner.ProtoFPlusOne
-		sc.F = f
-		res := c.run(sc)
-		t.Rows = append(t.Rows, []string{
-			"f+1", itoa(f), f1(res.TxPerMessage),
-			perMsg(res.TxByKind[wire.KindData], res.Injected),
-			f3(res.DeliveryRatio),
-		})
-	}
-	return t
+	return append(exps, ablations...)
 }

@@ -1,15 +1,41 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"bbcast/internal/runner"
 )
 
-func quickCfg() Config { return Config{Quick: true, Seed: 1, Repeats: 1} }
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick-seed1.golden from the current run")
+
+func quickCfg() Config { return Config{Quick: true, Seed: 1, Repeats: 1, Parallel: 8} }
+
+// quickSuite is one driver run of the whole quick suite, shared by every test
+// that reads a table.
+var quickSuite = sync.OnceValue(func() map[string]Table {
+	tables := map[string]Table{}
+	for _, tab := range All(quickCfg()) {
+		tables[tab.ID] = tab
+	}
+	return tables
+})
+
+// bbexpOutput is what `bbexp -all` prints for the tables.
+func bbexpOutput(tables []Table) string {
+	var b strings.Builder
+	for _, tab := range tables {
+		b.WriteString(tab.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 func TestTableRendering(t *testing.T) {
 	tab := Table{
@@ -33,10 +59,33 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestByIDAndIDsAgree(t *testing.T) {
-	for _, id := range IDs() {
-		if _, ok := byIDFns()[id]; !ok {
-			t.Errorf("IDs() lists %q but ByID cannot resolve it", id)
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range registry {
+		if e.id == "" || seen[e.id] {
+			t.Errorf("id %q is empty or listed twice", e.id)
+		}
+		seen[e.id] = true
+		if e.title == "" || len(e.header) == 0 || e.render == nil {
+			t.Errorf("%s: incomplete entry", e.id)
+		}
+		for _, c := range []Config{quickCfg(), {Seed: 1}} {
+			cells := e.plan(c)
+			if len(cells) == 0 {
+				t.Errorf("%s plans no cells (quick=%v)", e.id, c.Quick)
+			}
+			if !reflect.DeepEqual(cells, e.plan(c)) {
+				t.Errorf("%s: plan is not a pure function of the Config", e.id)
+			}
+		}
+	}
+	ids := IDs()
+	if len(ids) != len(registry) {
+		t.Errorf("IDs() lists %d ids, the registry holds %d", len(ids), len(registry))
+	}
+	for _, id := range ids {
+		if !seen[id] {
+			t.Errorf("IDs() lists %q, which is not in the registry", id)
 		}
 	}
 	if _, ok := ByID("nope", quickCfg()); ok {
@@ -44,21 +93,41 @@ func TestByIDAndIDsAgree(t *testing.T) {
 	}
 }
 
-// byIDFns mirrors ByID's registry without running anything.
-func byIDFns() map[string]bool {
-	out := map[string]bool{}
-	for _, id := range IDs() {
-		out[id] = true
+// TestIdenticalScenariosArePlannedOnce pins how much of the suite is shared:
+// E2 and E3 read E1's runs, E15L reads E15's, and the unperturbed base
+// scenario appears in a dozen tables. A plan edit that makes two "same"
+// scenarios differ in some field shows up here as a changed count.
+func TestIdenticalScenariosArePlannedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		cfg               Config
+		planned, distinct int
+	}{{quickCfg(), 87, 47}, {Config{Seed: 1}, 164, 106}} {
+		var cells []cell
+		for _, e := range registry {
+			cells = append(cells, e.plan(tc.cfg)...)
+		}
+		distinct := 0
+		for i, c := range cells {
+			dup := false
+			for _, p := range cells[:i] {
+				dup = dup || sameScenario(p.sc, c.sc)
+			}
+			if !dup {
+				distinct++
+			}
+		}
+		if len(cells) != tc.planned || distinct != tc.distinct {
+			t.Errorf("quick=%v: %d cells planned, %d distinct; want %d and %d",
+				tc.cfg.Quick, len(cells), distinct, tc.planned, tc.distinct)
+		}
 	}
-	return out
 }
 
 func TestQuickExperimentsProduceRows(t *testing.T) {
-	// Run a representative subset end to end in quick mode; each must yield
-	// a plausibly sized table with non-empty cells.
-	cfg := quickCfg()
+	// A representative subset must yield plausibly sized tables with
+	// non-empty cells.
 	for _, id := range []string{"E2", "E7", "A2"} {
-		tab, ok := ByID(id, cfg)
+		tab, ok := quickSuite()[id]
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
 		}
@@ -79,8 +148,7 @@ func TestQuickExperimentsProduceRows(t *testing.T) {
 }
 
 func TestE2DeliveryValuesParse(t *testing.T) {
-	tab := E2Delivery(quickCfg())
-	for _, row := range tab.Rows {
+	for _, row := range quickSuite()["E2"].Rows {
 		for _, cell := range row[1:] {
 			v, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
@@ -124,23 +192,48 @@ func TestAverageSingleIsIdentity(t *testing.T) {
 	}
 }
 
+// TestAllQuickTablesEndToEnd holds the whole quick suite byte-identical to
+// testdata/quick-seed1.golden (the output of `bbexp -all -quick -seed 1`), on
+// one worker and on eight, and each table run alone identical to its block of
+// the suite. Regenerate after an intended change with
+//
+//	go test ./internal/experiments/ -run TestAllQuickTablesEndToEnd -update
 func TestAllQuickTablesEndToEnd(t *testing.T) {
-	// Run the complete suite in quick mode: every experiment must produce a
-	// well-formed table. Slow (~2 min); skipped with -short.
 	if testing.Short() {
-		t.Skip("full quick-suite run skipped in -short mode")
+		t.Skip("full quick-suite runs skipped in -short mode")
 	}
-	for _, tab := range All(quickCfg()) {
+	const golden = "testdata/quick-seed1.golden"
+	serial := quickCfg()
+	serial.Parallel = 1
+	tables := All(serial)
+	got := bbexpOutput(tables)
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("quick suite on one worker differs from %s; if intended, regenerate with -update.\ngot:\n%s", golden, got)
+	}
+	pooled := quickSuite()
+	for _, tab := range tables {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s produced no rows", tab.ID)
-		}
-		if tab.String() == "" {
-			t.Errorf("%s renders empty", tab.ID)
 		}
 		for _, row := range tab.Rows {
 			if len(row) != len(tab.Header) {
 				t.Errorf("%s row/header width mismatch", tab.ID)
 			}
+		}
+		if !reflect.DeepEqual(tab, pooled[tab.ID]) {
+			t.Errorf("%s on eight workers differs from one worker:\n%s\n%s", tab.ID, pooled[tab.ID], tab)
+		}
+		if alone, ok := ByID(tab.ID, quickCfg()); !ok || !reflect.DeepEqual(alone, tab) {
+			t.Errorf("%s run alone differs from its block of the suite:\n%s\n%s", tab.ID, alone, tab)
 		}
 	}
 }

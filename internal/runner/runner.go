@@ -279,7 +279,12 @@ type FaultRecord struct {
 }
 
 // Run executes the scenario and returns its results.
-func Run(sc Scenario) (Result, error) {
+func Run(sc Scenario) (Result, error) { return run(sc, nil) }
+
+// run is Run with an optional post-run inspection hook (see RunInspect). The
+// hook is a parameter, never shared state: concurrent runs cannot see each
+// other's.
+func run(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
 	if sc.N <= 0 {
 		return Result{}, fmt.Errorf("runner: scenario needs N > 0, got %d", sc.N)
 	}
@@ -494,12 +499,12 @@ func Run(sc Scenario) (Result, error) {
 		chk.Finish(eng.Now())
 	}
 
-	if debugInspect != nil {
+	if inspect != nil {
 		cores := make([]*core.Protocol, sc.N)
 		for i := range protos {
 			cores[i], _ = protos[i].(*core.Protocol)
 		}
-		debugInspect(cores)
+		inspect(cores)
 	}
 
 	res := Result{Phys: medium.Stats(), FaultEvents: faultEvents, NumCorrect: numCorrect, TraceErr: tracer.Err(), Events: eng.Processed()}
@@ -844,9 +849,5 @@ func scheduleWorkload(sc Scenario, eng *sim.Engine, protos []broadcaster, correc
 // instances (nil entries for baseline protocols); used by tests and the
 // experiment harness to sample internal state before teardown.
 func RunInspect(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
-	debugInspect = inspect
-	defer func() { debugInspect = nil }()
-	return Run(sc)
+	return run(sc, inspect)
 }
-
-var debugInspect func(protos []*core.Protocol)
