@@ -23,7 +23,7 @@ const corePathSuffix = "internal/core"
 // the invariant checker's state-bounds probe. Each entry ties a struct field
 // to the Config field capping it; the analyzer verifies the cap still exists.
 var RegisteredCaps = []struct{ Struct, Field, Cap string }{
-	{"Protocol", "store", "MaxStore"},
+	{"msgStore", "byID", "MaxStore"},
 	{"Protocol", "missing", "MaxMissing"},
 	{"Protocol", "neighbors", "MaxNeighbors"},
 	{"Protocol", "reqSeen", "MaxReqSeen"},

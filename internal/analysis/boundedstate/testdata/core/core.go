@@ -15,9 +15,15 @@ type Config struct {
 // maxSide bounds the annotated side table below.
 const maxSide = 4
 
+// msgStore mirrors the real message store: the table registered against
+// Config.MaxStore lives in its own struct.
+type msgStore struct {
+	byID map[int]int // registered: capped by Config.MaxStore
+}
+
 // Protocol mirrors the real protocol state tables.
 type Protocol struct {
-	store     map[int]int // registered: capped by Config.MaxStore
+	store     msgStore
 	missing   map[int]int
 	neighbors map[int]int
 	reqSeen   map[int]int

@@ -9,9 +9,11 @@ type Config struct {
 	MaxNeighbors int
 }
 
+type msgStore struct{ byID map[int]int }
+
 // Protocol lost its reqSeen table in this fixture.
 type Protocol struct {
-	store     map[int]int
+	store     msgStore
 	missing   map[int]int // want `registered against Config\.MaxMissing, but that cap field does not exist`
 	neighbors map[int]int
 	linkQual  map[int]int

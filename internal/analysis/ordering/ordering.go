@@ -246,8 +246,9 @@ func firstConsult(prog *analysis.Program, n *analysis.FuncNode, field string, ta
 	return pos
 }
 
-// firstIndexOf returns the position of the first index expression over a
-// field or variable named field (e.g. p.store[id]) in body.
+// firstIndexOf returns the position of the first index expression in body
+// over a field or variable named field, or over a field of it (p.store[id],
+// p.store.byID[id]).
 func firstIndexOf(body *ast.BlockStmt, field string) token.Pos {
 	pos := token.NoPos
 	ast.Inspect(body, func(nd ast.Node) bool {
@@ -258,13 +259,17 @@ func firstIndexOf(body *ast.BlockStmt, field string) token.Pos {
 		if !ok {
 			return true
 		}
-		switch x := ast.Unparen(idx.X).(type) {
-		case *ast.SelectorExpr:
-			if x.Sel.Name == field {
-				pos = idx.Pos()
+		for x := ast.Unparen(idx.X); x != nil && pos == token.NoPos; {
+			name := ""
+			switch e := x.(type) {
+			case *ast.SelectorExpr:
+				name, x = e.Sel.Name, ast.Unparen(e.X)
+			case *ast.Ident:
+				name, x = e.Name, nil
+			default:
+				x = nil
 			}
-		case *ast.Ident:
-			if x.Name == field {
+			if name == field {
 				pos = idx.Pos()
 			}
 		}

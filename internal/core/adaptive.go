@@ -228,7 +228,7 @@ func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
 		if cur, ok := p.missing[id]; !ok || cur != miss {
 			return
 		}
-		if st, held := p.store[id]; held && !st.purged {
+		if st, held := p.store.byID[id]; held && !st.purged {
 			delete(p.missing, id)
 			return
 		}

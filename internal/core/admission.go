@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"bbcast/internal/obsv"
@@ -58,39 +59,15 @@ func (p *Protocol) admit(nb *neighborState) bool {
 
 // enforceStoreCap makes room for one store insertion when MaxStore is set:
 // tombstones are evicted oldest-purged-first (they are only a duplicate
-// filter), then held entries oldest-received-first. The O(n) scan runs only
-// when the table is actually at its cap.
+// filter), then held entries oldest-received-first — the head of the store's
+// own order, so making room costs the same at the cap as below it.
 func (p *Protocol) enforceStoreCap() {
-	max := p.cfg.MaxStore
-	if max <= 0 || len(p.store) < max {
-		return
-	}
-	for len(p.store) >= max {
-		// The scan below ranges the map unsorted, which is fine only because
-		// the victim choice is a pure minimum with a total order: tombstones
-		// before held entries, then oldest timestamp, then smallest id. The
-		// id tie-break matters — entries inserted at the same virtual instant
-		// are common, and without it the randomized iteration order would
-		// pick the victim (and hence the emitted eviction event) per run.
-		var victim wire.MsgID
-		var victimAt time.Duration
-		victimPurged, found := false, false
-		for id, st := range p.store { //bbvet:unordered pure minimum with a total order (purged flag, timestamp, id); no emission until the loop ends
-			at := st.receivedAt
-			if st.purged {
-				at = st.purgedAt
-			}
-			switch {
-			case !found,
-				st.purged && !victimPurged,
-				st.purged == victimPurged && (at < victimAt || (at == victimAt && id.Less(victim))):
-				victim, victimAt, victimPurged, found = id, at, st.purged, true
-			}
+	for max := p.cfg.MaxStore; max > 0 && len(p.store.byID) >= max; {
+		victim := p.store.tombs.head
+		if victim == nil {
+			victim = p.store.held.head
 		}
-		if !found {
-			return
-		}
-		delete(p.store, victim)
+		p.store.remove(victim)
 		p.stats.Evictions++
 		p.observeAdmission(obsv.AdmitStoreEvict)
 	}
@@ -121,6 +98,8 @@ func (p *Protocol) enforceNeighborCap() {
 		}
 		delete(p.neighbors, victim)
 		delete(p.linkQual, victim)
+		i, _ := slices.BinarySearch(p.nodeIDs, victim)
+		p.nodeIDs = slices.Delete(p.nodeIDs, i, i+1)
 		p.stats.Evictions++
 		p.observeAdmission(obsv.AdmitNeighborEvict)
 	}

@@ -145,13 +145,12 @@ func TestStoreCapEvictsTombstonesFirst(t *testing.T) {
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("a")))
 	h.run(10 * time.Millisecond)
 	h.p.HandlePacket(h.dataFrom(1, 2, []byte("b")))
-	// Tombstone the older entry by hand: at the cap it must be the victim
-	// even though a younger held entry exists.
-	h.p.store[a].purged = true
-	h.p.store[a].purgedAt = h.p.deps.Clock.Now()
+	// Tombstone the older entry as the purge task would: at the cap it must
+	// be the victim even though a younger held entry exists.
+	h.p.store.entomb(h.p.store.byID[a], h.p.deps.Clock.Now())
 	h.run(10 * time.Millisecond)
 	h.p.HandlePacket(h.dataFrom(1, 3, []byte("c")))
-	if _, ok := h.p.store[a]; ok {
+	if _, ok := h.p.store.byID[a]; ok {
 		t.Fatal("tombstone survived store-cap eviction")
 	}
 	if !h.p.Holds(b) || !h.p.Holds(wire.MsgID{Origin: 1, Seq: 3}) {
@@ -170,7 +169,7 @@ func TestStoreCapEvictsOldestHeld(t *testing.T) {
 		h.p.HandlePacket(h.dataFrom(1, seq, []byte("x")))
 		h.run(10 * time.Millisecond)
 	}
-	if n := len(h.p.store); n != 4 {
+	if n := len(h.p.store.byID); n != 4 {
 		t.Fatalf("store has %d entries, want cap 4", n)
 	}
 	for seq := wire.Seq(5); seq <= 8; seq++ {

@@ -85,29 +85,34 @@ func (d *Deps) ObserveSuppressed(id wire.MsgID, meta wire.Meta) {
 	}
 }
 
-// msgState tracks one known message.
+// msgState tracks one known message. The layout is kept within the 144-byte
+// allocation size class (TestMsgStateSize).
 type msgState struct {
-	payload    []byte
-	dataSig    []byte // originator signature over the data
-	headerSig  []byte // originator signature over the header (gossip proof)
-	receivedAt time.Duration
-	gossiped   bool          // advertised at least once since receipt
-	purged     bool          // payload dropped; id retained as duplicate-filter tombstone
-	purgedAt   time.Duration // when the payload was dropped (quiescence GC input)
+	id        wire.MsgID
+	payload   []byte
+	dataSig   []byte // originator signature over the data
+	headerSig []byte // originator signature over the header (gossip proof)
+	// at is when the entry entered its current phase: receipt for a held
+	// entry, the payload drop for a tombstone (quiescence GC input).
+	at time.Duration
+	// prev and next thread the entry into the store's held or tombstone list.
+	prev, next *msgState
 	// holders are the distinct neighbours seen advertising this message
 	// (stability detection input), ascending. A handful of ids per message: a
-	// sorted slice is smaller and cheaper to probe than a map.
+	// sorted slice is smaller and cheaper to probe than a map, and behind a
+	// pointer it costs the runs without StabilityPurge one word.
 	//bbvet:bounded-by maxHolders noteHolder refuses growth past the cap; total is maxHolders×MaxStore
-	holders []wire.NodeID
+	holders *[]wire.NodeID
 
 	// Causal lineage of the local copy: the frame it arrived on, its
 	// data-path hop count, whether gossip recovery repaired any hop of its
 	// journey (sticky downstream), and the payload digest. All zero for a
 	// locally originated message.
 	viaFrame     uint64
+	digest       uint64
 	viaHops      uint32
 	viaRecovered bool
-	digest       uint64
+	purged       bool // payload dropped; id retained as duplicate-filter tombstone
 }
 
 // Per-entry side-table caps. These small maps hang off entries of the
@@ -131,16 +136,16 @@ const (
 
 // noteHolder records that `from` advertised the message.
 func (st *msgState) noteHolder(from wire.NodeID) {
-	i, found := slices.BinarySearch(st.holders, from)
-	if found || len(st.holders) >= maxHolders {
-		return
-	}
 	if st.holders == nil {
 		// Room for a typical neighbourhood up front instead of growing
 		// through 1, 2 and 4.
-		st.holders = make([]wire.NodeID, 0, 8)
+		st.holders = new([]wire.NodeID)
+		*st.holders = make([]wire.NodeID, 0, 8)
 	}
-	st.holders = slices.Insert(st.holders, i, from)
+	i, found := slices.BinarySearch(*st.holders, from)
+	if !found && len(*st.holders) < maxHolders {
+		*st.holders = slices.Insert(*st.holders, i, from)
+	}
 }
 
 // pendingMiss tracks a message known (from gossip) but not yet received.
@@ -238,7 +243,7 @@ type Protocol struct {
 
 	seq wire.Seq
 
-	store   map[wire.MsgID]*msgState
+	store   msgStore
 	missing map[wire.MsgID]*pendingMiss
 
 	neighbors map[wire.NodeID]*neighborState
@@ -276,7 +281,7 @@ type Protocol struct {
 	msgIDs []wire.MsgID
 	//bbvet:bounded-by GossipMaxEntries the advertisements of one gossip round, copied into the frame
 	gossipEntries []wire.GossipEntry
-	//bbvet:bounded-by MaxNeighbors the neighbour table's keys, sorted
+	//bbvet:bounded-by MaxNeighbors the neighbour table's keys, ascending, updated with every insert and delete
 	nodeIDs []wire.NodeID
 	//bbvet:bounded-by MaxNeighbors the admitted neighbours of one maintenance view
 	viewInfos []overlay.NeighborInfo
@@ -304,7 +309,7 @@ func New(cfg Config, deps Deps) *Protocol {
 	p := &Protocol{
 		cfg:          cfg,
 		deps:         deps,
-		store:        make(map[wire.MsgID]*msgState),
+		store:        msgStore{byID: make(map[wire.MsgID]*msgState)},
 		missing:      make(map[wire.MsgID]*pendingMiss),
 		neighbors:    make(map[wire.NodeID]*neighborState),
 		linkQual:     make(map[wire.NodeID]*linkEstimate),
@@ -426,23 +431,14 @@ func (p *Protocol) LinkQualCount() int { return len(p.linkQual) }
 
 // Holds reports whether the node has (unpurged) message id.
 func (p *Protocol) Holds(id wire.MsgID) bool {
-	st, ok := p.store[id]
+	st, ok := p.store.byID[id]
 	return ok && !st.purged
 }
 
 // StoreSize reports the number of held payloads and retained tombstones —
 // the buffer the paper bounds by max_timeout·(n−1)·δ (§3.4.1).
 func (p *Protocol) StoreSize() (held, tombstones int) {
-	// Unsorted range is fine: counting is commutative, so iteration order
-	// cannot leak into the returned totals or anywhere else.
-	for _, st := range p.store {
-		if st.purged {
-			tombstones++
-		} else {
-			held++
-		}
-	}
-	return held, tombstones
+	return p.store.held.n, p.store.tombs.n
 }
 
 func (p *Protocol) schedulePeriodic(period, jitter time.Duration, fn func()) {
@@ -504,13 +500,13 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	headerSig := p.signHeader(id)
 	digest := wire.Digest(body)
 	p.enforceStoreCap()
-	p.store[id] = &msgState{
-		payload:    body,
-		dataSig:    dataSig,
-		headerSig:  headerSig,
-		receivedAt: p.deps.Clock.Now(),
-		digest:     digest,
-	}
+	p.store.hold(&msgState{
+		id:        id,
+		payload:   body,
+		dataSig:   dataSig,
+		headerSig: headerSig,
+		digest:    digest,
+	}, p.deps.Clock.Now())
 	p.send(&wire.Packet{
 		Kind:    wire.KindData,
 		TTL:     1,
@@ -572,13 +568,14 @@ func (p *Protocol) verify(signer uint32, msg, tag []byte) bool {
 // pending recovery. Those exact bytes verified once, so a replayed
 // advertisement, request or search costs a comparison, not a signature check.
 // Only successes are remembered: a tag that matches nothing is verified in
-// full every time it arrives.
-func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) bool {
-	if st, held := p.store[id]; held {
-		return st.headerSig != nil && bytes.Equal(tag, st.headerSig)
+// full every time it arrives. The store entry (nil when absent) is returned
+// too, so a caller that goes on to use it pays for one lookup.
+func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool) {
+	if st := p.store.byID[id]; st != nil {
+		return st, st.headerSig != nil && bytes.Equal(tag, st.headerSig)
 	}
 	miss := p.missing[id]
-	return miss != nil && bytes.Equal(tag, miss.headerSig)
+	return nil, miss != nil && bytes.Equal(tag, miss.headerSig)
 }
 
 // noteDedupSkip counts one signature verification avoided by byte-equal
@@ -641,7 +638,8 @@ func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 // handleData implements §3.2 lines 5–25.
 func (p *Protocol) handleData(pkt *wire.Packet) {
 	id := pkt.ID()
-	if st, ok := p.store[id]; ok && !st.purged {
+	st := p.store.byID[id]
+	if st != nil && !st.purged {
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
 		// A duplicate still proves the sender transmitted the expected
@@ -666,13 +664,12 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
 	}
-	if st, ok := p.store[id]; ok && st.purged {
+	if st != nil {
 		// Already accepted once (tombstone); refresh payload for recovery
 		// but do not deliver again.
+		p.store.hold(st, p.deps.Clock.Now())
 		st.payload = pkt.Payload
 		st.dataSig = pkt.Sig
-		st.purged = false
-		st.receivedAt = p.deps.Clock.Now()
 		st.viaFrame = pkt.Meta.Frame
 		st.viaHops = pkt.Meta.Hops
 		st.viaRecovered = pkt.Meta.Recovered
@@ -695,17 +692,17 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		delete(p.missing, id)
 	}
 
-	st := &msgState{
+	st = &msgState{
+		id:           id,
 		payload:      pkt.Payload,
 		dataSig:      pkt.Sig,
-		receivedAt:   p.deps.Clock.Now(),
 		viaFrame:     pkt.Meta.Frame,
 		viaHops:      pkt.Meta.Hops,
 		viaRecovered: pkt.Meta.Recovered,
 		digest:       dataDigest(pkt),
 	}
 	p.enforceStoreCap()
-	p.store[id] = st
+	p.store.hold(st, p.deps.Clock.Now())
 	// A fresh acceptance closes any request cycle for the id: the record is
 	// satisfied, so its per-requester counts need not be retained.
 	delete(p.reqSeen, id)
@@ -751,7 +748,7 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 // message is re-read from the store at fire time (it may have been purged).
 func (p *Protocol) forwardDataJittered(id wire.MsgID, ttl uint8, target wire.NodeID, cause wire.Cause) {
 	send := func() {
-		st, ok := p.store[id]
+		st, ok := p.store.byID[id]
 		if !ok || st.purged || p.stopped {
 			return
 		}
@@ -808,14 +805,15 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 	}
 	for i := range entries {
 		entry := entries[i]
-		if p.knownHeaderSig(entry.ID, entry.Sig) {
+		st, known := p.knownHeaderSig(entry.ID, entry.Sig)
+		if known {
 			p.noteDedupSkip()
 		} else if !p.verifyHeader(entry.ID, entry.Sig) {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			continue
 		}
-		if st, held := p.store[entry.ID]; held {
+		if st != nil {
 			// Lines 35–37: register it with the lazycast (if not already
 			// advertised) so the periodic gossip passes it onward. The
 			// gossiper is also a confirmed holder, which only stability
@@ -890,7 +888,7 @@ func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wi
 		if cur, ok := p.missing[id]; !ok || cur != miss {
 			return
 		}
-		if st, held := p.store[id]; held && !st.purged {
+		if st, held := p.store.byID[id]; held && !st.purged {
 			delete(p.missing, id)
 			return
 		}
@@ -917,7 +915,8 @@ func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wi
 // handleRequest implements Figure 4 lines 42–61.
 func (p *Protocol) handleRequest(pkt *wire.Packet) {
 	id := pkt.ID()
-	if p.knownHeaderSig(id, pkt.Sig) {
+	st, known := p.knownHeaderSig(id, pkt.Sig)
+	if known {
 		p.noteDedupSkip()
 	} else if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
@@ -937,8 +936,7 @@ func (p *Protocol) handleRequest(pkt *wire.Packet) {
 		return
 	}
 
-	st, have := p.store[id]
-	if have && !st.purged {
+	if st != nil && !st.purged {
 		if p.InOverlay() && p.cfg.EnableFDs {
 			// Line 46: an overlay node already broadcast this message;
 			// tolerate a few re-requests (collisions), then indict.
@@ -977,7 +975,8 @@ func (p *Protocol) handleRequest(pkt *wire.Packet) {
 // handleFindMissing implements Figure 4 lines 62–81.
 func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
 	id := pkt.ID()
-	if p.knownHeaderSig(id, pkt.Sig) {
+	st, known := p.knownHeaderSig(id, pkt.Sig)
+	if known {
 		p.noteDedupSkip()
 	} else if !p.verifyHeader(id, pkt.Sig) {
 		p.stats.BadSignatures++
@@ -987,8 +986,7 @@ func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
 	if p.cfg.EnableFDs && p.verbose.Suspected(pkt.Sender) {
 		return // do not relay or serve searches from verbose spammers (§3.1)
 	}
-	st, have := p.store[id]
-	if !have || st.purged {
+	if st == nil || st.purged {
 		// Lines 63–66: relay the search one more hop.
 		if pkt.TTL >= 2 {
 			fwd := pkt.Clone()

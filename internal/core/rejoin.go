@@ -51,9 +51,10 @@ func (p *Protocol) Rejoin() {
 		}
 	}
 	p.seq = 0
-	p.store = make(map[wire.MsgID]*msgState)
+	p.store = msgStore{byID: make(map[wire.MsgID]*msgState)}
 	p.missing = make(map[wire.MsgID]*pendingMiss)
 	p.neighbors = make(map[wire.NodeID]*neighborState)
+	p.nodeIDs = p.nodeIDs[:0]
 	p.linkQual = make(map[wire.NodeID]*linkEstimate)
 	p.reqSeen = make(map[wire.MsgID]*reqRecord)
 	p.gossipPeriod = p.cfg.GossipInterval
@@ -101,19 +102,14 @@ func (p *Protocol) restoreDurable() int {
 	now := p.deps.Clock.Now()
 	restored := 0
 	for _, id := range store.DeliveredSorted() {
-		if _, ok := p.store[id]; ok {
+		if _, ok := p.store.byID[id]; ok {
 			continue
 		}
-		if max := p.cfg.MaxStore; max > 0 && len(p.store) >= max {
+		if max := p.cfg.MaxStore; max > 0 && len(p.store.byID) >= max {
 			break
 		}
 		rec, _ := store.Delivered(id)
-		p.store[id] = &msgState{
-			purged:     true,
-			purgedAt:   now,
-			receivedAt: now,
-			digest:     rec.Digest,
-		}
+		p.store.restore(id, rec.Digest, now)
 		restored++
 	}
 	for _, s := range store.SuspicionsSorted() {
@@ -184,7 +180,7 @@ func (p *Protocol) syncStep() {
 		return
 	}
 	// The frame owns its summary: a fresh copy, never the scratch.
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store.byID)
 	have := slices.Clone(p.msgIDs[:min(len(p.msgIDs), maxSyncHave)])
 	pkt := &wire.Packet{
 		Kind:     wire.KindSyncReq,
@@ -239,9 +235,9 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 		have[id] = true
 	}
 	var entries []wire.SyncEntry
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store.byID)
 	for _, id := range p.msgIDs {
-		st := p.store[id]
+		st := p.store.byID[id]
 		if st.purged || have[id] || st.dataSig == nil {
 			continue
 		}
@@ -297,7 +293,7 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 	applied := 0
 	for i := range pkt.SyncEntries {
 		e := pkt.SyncEntries[i]
-		if _, ok := p.store[e.ID]; ok {
+		if _, ok := p.store.byID[e.ID]; ok {
 			continue // held or tombstoned: already delivered
 		}
 		if !p.verifyData(e.ID, e.Payload, e.Sig) {
@@ -306,9 +302,9 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 			break // poisoned batch: discard the rest
 		}
 		st := &msgState{
+			id:           e.ID,
 			payload:      e.Payload,
 			dataSig:      e.Sig,
-			receivedAt:   now,
 			viaFrame:     pkt.Meta.Frame,
 			viaRecovered: true,
 			digest:       wire.Digest(e.Payload),
@@ -317,13 +313,13 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 		// verifies (or byte-matches the one a gossip round already proved), so
 		// a corrupt one can never be re-advertised under our name. The payload
 		// above already proved itself independently.
-		switch {
-		case len(e.HeaderSig) == 0:
-		case p.knownHeaderSig(e.ID, e.HeaderSig):
-			p.noteDedupSkip()
-			st.headerSig = e.HeaderSig
-		case p.verifyHeader(e.ID, e.HeaderSig):
-			st.headerSig = e.HeaderSig
+		if len(e.HeaderSig) > 0 {
+			if _, known := p.knownHeaderSig(e.ID, e.HeaderSig); known {
+				p.noteDedupSkip()
+				st.headerSig = e.HeaderSig
+			} else if p.verifyHeader(e.ID, e.HeaderSig) {
+				st.headerSig = e.HeaderSig
+			}
 		}
 		if miss := p.missing[e.ID]; miss != nil {
 			for _, cancel := range miss.cancels {
@@ -332,7 +328,7 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 			delete(p.missing, e.ID)
 		}
 		p.enforceStoreCap()
-		p.store[e.ID] = st
+		p.store.hold(st, now)
 		delete(p.reqSeen, e.ID)
 		p.stats.Accepted++
 		p.deps.Accept(e.ID, e.Payload, wire.Meta{

@@ -99,7 +99,7 @@ func TestSpamSoakStateStaysBounded(t *testing.T) {
 		if tick%checkGap != 0 {
 			continue
 		}
-		if n := len(h.p.store); n > cfg.MaxStore {
+		if n := len(h.p.store.byID); n > cfg.MaxStore {
 			t.Fatalf("t=%ds: store %d > MaxStore %d", tick, n, cfg.MaxStore)
 		}
 		if n := h.p.NeighborCount(); n > cfg.MaxNeighbors {
@@ -130,7 +130,7 @@ func TestSpamSoakStateStaysBounded(t *testing.T) {
 		"rate-limited=%d dedup-skips=%d evictions=%d store=%d neighbours=%d",
 		hours, st.Accepted, st.Duplicates, st.BadSignatures,
 		st.RateLimited, st.DedupSkips, st.Evictions,
-		len(h.p.store), h.p.NeighborCount())
+		len(h.p.store.byID), h.p.NeighborCount())
 
 	// Heap growth: the margin is deliberately generous (GC timing, map
 	// bucket growth to the caps, engine internals) — catching an O(packets)

@@ -17,32 +17,20 @@ import (
 // aggregated into as few packets as possible, optionally piggybacking the
 // overlay-state record.
 func (p *Protocol) gossipTick() {
-	now := p.deps.Clock.Now()
-	// Only recently received, unpurged messages are advertised; filtering
-	// before the sort keeps retained tombstones out of it. The filter has no
-	// side effects, so the loop below still sees its candidates in id order.
-	ids := p.msgIDs[:0]
-	for id, st := range p.store {
-		if !st.purged && now-st.receivedAt <= p.cfg.GossipRetention {
-			ids = append(ids, id)
-		}
-	}
-	slices.SortFunc(ids, wire.MsgID.Compare)
-	p.msgIDs = ids
+	// The store keeps the recently received held entries in id order, so the
+	// tick walks its candidates without touching the rest of the table.
 	entries := p.gossipEntries[:0]
-	for _, id := range ids {
-		st := p.store[id]
+	for _, st := range p.store.recent(p.deps.Clock.Now(), p.cfg.GossipRetention) {
 		if st.headerSig == nil {
 			// We received the data but never a gossip proof; derive one if
 			// we are the originator, otherwise we cannot advertise.
-			if id.Origin == p.deps.ID {
-				st.headerSig = p.signHeader(id)
+			if st.id.Origin == p.deps.ID {
+				st.headerSig = p.signHeader(st.id)
 			} else {
 				continue
 			}
 		}
-		entries = append(entries, wire.GossipEntry{ID: id, Sig: st.headerSig})
-		st.gossiped = true
+		entries = append(entries, wire.GossipEntry{ID: st.id, Sig: st.headerSig})
 		if p.cfg.GossipMaxEntries > 0 && len(entries) >= p.cfg.GossipMaxEntries {
 			break
 		}
@@ -183,7 +171,7 @@ func (p *Protocol) sampleQueues() {
 		return
 	}
 	at, id := p.deps.Clock.Now(), p.deps.ID
-	obs.OnQueueDepth(at, id, obsv.QueueStore, len(p.store))
+	obs.OnQueueDepth(at, id, obsv.QueueStore, len(p.store.byID))
 	obs.OnQueueDepth(at, id, obsv.QueueMissing, len(p.missing))
 	obs.OnQueueDepth(at, id, obsv.QueueNeighbors, len(p.neighbors))
 	obs.OnQueueDepth(at, id, obsv.QueueExpectations, p.mute.PendingExpectations())
@@ -199,10 +187,10 @@ func (p *Protocol) sampleQueues() {
 // feeds shrinks back to zero under silence.
 func (p *Protocol) purgeTick() {
 	now := p.deps.Clock.Now()
-	// Every loop below walks its table in sorted id order: purging cancels
-	// timers and emits admission events, and neither may happen in Go's
-	// randomized map iteration order or serial and parallel replays of the
-	// same seed would diverge.
+	// The map walks below go in sorted id order: purging cancels timers and
+	// emits admission events, and neither may happen in Go's randomized map
+	// iteration order or serial and parallel replays of the same seed would
+	// diverge.
 	//
 	// A message advertised but never received is abandoned once its
 	// recovery window passes (everyone else will have purged it too).
@@ -216,34 +204,29 @@ func (p *Protocol) purgeTick() {
 			delete(p.missing, id)
 		}
 	}
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store)
-	for _, id := range p.msgIDs {
-		st := p.store[id]
-		if st.purged {
-			// Quiescence GC: a tombstone that has outlived its duplicate-filter
-			// window is dropped outright. The price is that a ≥quiescence-old
-			// replay is accepted (and re-delivered locally) once more — benign
-			// for agreement, and the metrics layer is idempotent per (id, node).
-			if q := p.cfg.StoreQuiescence; q > 0 && now-st.purgedAt > q {
-				delete(p.store, id)
-				p.observeAdmission(obsv.AdmitStoreEvict)
-			}
-			continue
+	// The store's lists are oldest-first, so each walk below stops at the
+	// first entry still inside its window. Quiescence GC: a tombstone that has
+	// outlived its duplicate-filter window is dropped outright. The price is
+	// that a ≥quiescence-old replay is accepted (and re-delivered locally) once
+	// more — benign for agreement, and the metrics layer is idempotent per
+	// (id, node).
+	if q := p.cfg.StoreQuiescence; q > 0 {
+		for st := p.store.tombs.head; st != nil && now-st.at > q; st = p.store.tombs.head {
+			p.store.remove(st)
+			p.observeAdmission(obsv.AdmitStoreEvict)
 		}
-		age := now - st.receivedAt
-		expired := age > p.cfg.PurgeTimeout
-		if !expired && p.cfg.StabilityPurge {
-			expired = p.stable(st, age)
+	}
+	for st := p.store.held.head; st != nil; {
+		next, age := st.next, now-st.at
+		if age > p.cfg.PurgeTimeout || p.cfg.StabilityPurge && p.stable(st, age) {
+			p.store.entomb(st, now)
+			delete(p.reqSeen, st.id)
+		} else if !p.cfg.StabilityPurge {
+			break
 		}
-		if expired {
-			st.payload = nil
-			st.dataSig = nil
-			st.headerSig = nil
-			st.holders = nil
-			st.purged = true
-			st.purgedAt = now
-			delete(p.reqSeen, id)
-		}
+		// Stability is unrelated to age, so that mode visits every held entry;
+		// unlinking one mid-list costs the same as at the head.
+		st = next
 	}
 	ttl := p.cfg.ReqSeenTTL
 	if ttl <= 0 {
@@ -272,19 +255,6 @@ func sortedMsgIDs[V any](buf []wire.MsgID, m map[wire.MsgID]V) []wire.MsgID {
 	return buf
 }
 
-// sortedNeighborIDs refreshes p.nodeIDs with the neighbour table's keys in
-// ascending order. The walks that use it (buildView, buildState,
-// overlayNeighbors) never nest.
-func (p *Protocol) sortedNeighborIDs() []wire.NodeID {
-	ids := p.nodeIDs[:0]
-	for id := range p.neighbors {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	p.nodeIDs = ids
-	return ids
-}
-
 // stable reports whether enough distinct neighbours advertised the message
 // for it to be safely dropped early.
 func (p *Protocol) stable(st *msgState, age time.Duration) bool {
@@ -302,7 +272,7 @@ func (p *Protocol) stable(st *msgState, age time.Duration) bool {
 			threshold = 3
 		}
 	}
-	return len(st.holders) >= threshold
+	return st.holders != nil && len(*st.holders) >= threshold
 }
 
 func (p *Protocol) touchNeighbor(id wire.NodeID) *neighborState {
@@ -310,6 +280,8 @@ func (p *Protocol) touchNeighbor(id wire.NodeID) *neighborState {
 	nb := p.neighbors[id]
 	if nb == nil {
 		p.enforceNeighborCap()
+		i, _ := slices.BinarySearch(p.nodeIDs, id)
+		p.nodeIDs = slices.Insert(p.nodeIDs, i, id)
 		// A new sender starts with a full token bucket so short bursts from
 		// legitimate newcomers are never shed.
 		burst := p.cfg.AdmitBurst
@@ -331,12 +303,16 @@ func (p *Protocol) expireNeighbors() {
 		return
 	}
 	now := p.deps.Clock.Now()
-	for id, nb := range p.neighbors {
-		if now-nb.lastHeard > p.cfg.NeighborTTL {
+	kept := p.nodeIDs[:0]
+	for _, id := range p.nodeIDs {
+		if now-p.neighbors[id].lastHeard > p.cfg.NeighborTTL {
 			delete(p.neighbors, id)
 			delete(p.linkQual, id)
+		} else {
+			kept = append(kept, id)
 		}
 	}
+	p.nodeIDs = kept
 }
 
 // handleState processes a neighbour's (signed) overlay-state record and its
@@ -381,7 +357,7 @@ func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, state
 func (p *Protocol) buildView() overlay.View {
 	v := overlay.View{Self: p.deps.ID, SelfRole: p.role, Distrusts: p.distrusts}
 	infos := p.viewInfos[:0]
-	for _, id := range p.sortedNeighborIDs() {
+	for _, id := range p.nodeIDs {
 		nb := p.neighbors[id]
 		if !nb.admitted() {
 			continue
@@ -432,7 +408,7 @@ func (p *Protocol) buildState() (*wire.OverlayState, []byte) {
 	st.ActiveNeighbors = st.ActiveNeighbors[:0]
 	st.DominatorNeighbors = st.DominatorNeighbors[:0]
 	st.Suspects = st.Suspects[:0]
-	for _, id := range p.sortedNeighborIDs() {
+	for _, id := range p.nodeIDs {
 		nb := p.neighbors[id]
 		if !nb.admitted() {
 			continue
@@ -478,7 +454,7 @@ func (p *Protocol) overlayNeighbors() []wire.NodeID {
 	// suspicions lazily and can emit raise/clear transitions, so the filter
 	// itself must run in id order.
 	out := p.overlayIDs[:0]
-	for _, id := range p.sortedNeighborIDs() {
+	for _, id := range p.nodeIDs {
 		nb := p.neighbors[id]
 		if nb.admitted() && nb.state != nil && nb.state.Active && p.level(id) != fd.Untrusted {
 			out = append(out, id)

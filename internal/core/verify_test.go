@@ -180,7 +180,7 @@ func TestSyncRespHeaderVerifyCeiling(t *testing.T) {
 	// header is a comparison.
 	r.expect("sync batch", sigCost{verifies: 3, skips: 1}, func() { r.p.HandlePacket(resp) })
 	for _, id := range []wire.MsgID{known, fresh} {
-		if st := r.p.store[id]; st == nil || st.headerSig == nil {
+		if st := r.p.store.byID[id]; st == nil || st.headerSig == nil {
 			t.Fatalf("%v applied without its gossip proof", id)
 		}
 	}

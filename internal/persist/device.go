@@ -32,7 +32,8 @@ type Device interface {
 	WriteSnapshot(b []byte) error
 	// ReadLog returns the full log contents (nil when empty).
 	ReadLog() ([]byte, error)
-	// AppendLog appends framed record bytes to the log.
+	// AppendLog appends framed record bytes to the log. b is the caller's
+	// to reuse once the call returns.
 	AppendLog(b []byte) error
 	// ResetLog truncates the log to empty (after a snapshot subsumed it).
 	ResetLog() error

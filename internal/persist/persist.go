@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"bbcast/internal/wire"
@@ -87,6 +89,22 @@ type Store struct {
 	// evicted first); <= 0 means DefaultMaxDelivered.
 	MaxDelivered int
 	err          error
+	frame        []byte // the record being framed; reused by every append
+	// order[head:] is the delivered table's keys in eviction order,
+	// ascending (generation, id); order[:head] is the evicted prefix, reclaimed
+	// once it is half the slice.
+	order []genID
+	head  int
+}
+
+// genID is one delivered id with the generation it was last recorded under.
+type genID struct {
+	gen uint64
+	id  wire.MsgID
+}
+
+func (a genID) compare(b genID) int {
+	return cmp.Or(cmp.Compare(a.gen, b.gen), a.id.Compare(b.id))
 }
 
 // Open replays dev's snapshot and log into a Store. A corrupt snapshot is
@@ -101,6 +119,12 @@ func Open(dev Device) (*Store, error) {
 	}
 	if st, ok := decodeSnapshot(snap); ok {
 		s.state = st
+		order := make([]genID, 0, len(st.Delivered))
+		for id, rec := range st.Delivered {
+			order = append(order, genID{rec.Gen, id})
+		}
+		slices.SortFunc(order, genID.compare)
+		s.order = order
 	}
 	raw, err := dev.ReadLog()
 	if err != nil {
@@ -182,50 +206,49 @@ func (s *Store) apply(p []byte) bool {
 }
 
 // noteDelivered inserts one delivery into the in-memory table under the
-// bounded-state cap.
+// bounded-state cap, evicting the oldest generation (ties broken by smallest
+// id) to make room: the head of the order. Generations only grow, so the
+// record joins it at the tail, unless a snapshot's counter lags its own
+// records (never one this package wrote).
 func (s *Store) noteDelivered(id wire.MsgID, digest uint64) {
-	if _, known := s.state.Delivered[id]; !known {
-		s.enforceDeliveredCap()
+	if old, known := s.state.Delivered[id]; known {
+		i, _ := slices.BinarySearchFunc(s.order[s.head:], genID{old.Gen, id}, genID.compare)
+		s.order = slices.Delete(s.order, s.head+i, s.head+i+1)
+	} else {
+		limit := cmp.Or(max(s.MaxDelivered, 0), DefaultMaxDelivered)
+		for len(s.state.Delivered) >= limit {
+			delete(s.state.Delivered, s.order[s.head].id)
+			s.head++
+		}
+		if s.head*2 >= len(s.order) {
+			s.order = s.order[:copy(s.order, s.order[s.head:])]
+			s.head = 0
+		}
 	}
+	rec := genID{s.state.Gen, id}
+	at, _ := slices.BinarySearchFunc(s.order[s.head:], rec, genID.compare)
+	s.order = slices.Insert(s.order, s.head+at, rec)
 	s.state.Delivered[id] = DeliveredRec{Digest: digest, Gen: s.state.Gen}
 	s.state.Gen++
 }
 
-// enforceDeliveredCap makes room for one insertion by evicting the oldest
-// generation (ties broken by smallest id — a pure minimum with a total
-// order, so the randomized map iteration cannot pick the victim).
-func (s *Store) enforceDeliveredCap() {
-	max := s.MaxDelivered
-	if max <= 0 {
-		max = DefaultMaxDelivered
-	}
-	for len(s.state.Delivered) >= max {
-		var victim wire.MsgID
-		var victimGen uint64
-		found := false
-		//bbvet:unordered pure minimum under a total order; every iteration order picks the same victim
-		for id, rec := range s.state.Delivered {
-			if !found || rec.Gen < victimGen || (rec.Gen == victimGen && id.Less(victim)) {
-				victim, victimGen, found = id, rec.Gen, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(s.state.Delivered, victim)
-	}
+// record returns the n-byte payload area (zeroed) of the store's one frame
+// buffer, for appendRecord to frame: devices copy what AppendLog hands them,
+// so no record needs memory of its own.
+func (s *Store) record(n int) []byte {
+	s.frame = append(s.frame[:0], make([]byte, frameHeader+n)...)
+	return s.frame[frameHeader:]
 }
 
-// appendRecord frames and appends one record payload.
-func (s *Store) appendRecord(payload []byte) {
+// appendRecord frames the payload filled into record's buffer and appends it.
+func (s *Store) appendRecord() {
 	if s.err != nil {
 		return
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
-	if err := s.dev.AppendLog(frame); err != nil {
+	payload := s.frame[frameHeader:]
+	binary.LittleEndian.PutUint32(s.frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(s.frame[4:], crc32.ChecksumIEEE(payload))
+	if err := s.dev.AppendLog(s.frame); err != nil {
 		s.err = err
 	}
 }
@@ -233,12 +256,12 @@ func (s *Store) appendRecord(payload []byte) {
 // RecordDelivered persists one delivery (id + payload digest).
 func (s *Store) RecordDelivered(id wire.MsgID, digest uint64) {
 	s.noteDelivered(id, digest)
-	p := make([]byte, 17)
+	p := s.record(17)
 	p[0] = recDelivered
 	binary.LittleEndian.PutUint32(p[1:], uint32(id.Origin))
 	binary.LittleEndian.PutUint32(p[5:], uint32(id.Seq))
 	binary.LittleEndian.PutUint64(p[9:], digest)
-	s.appendRecord(p)
+	s.appendRecord()
 }
 
 // RecordSeq persists the origination sequence counter high-water mark.
@@ -246,10 +269,10 @@ func (s *Store) RecordSeq(seq uint32) {
 	if seq > s.state.Seq {
 		s.state.Seq = seq
 	}
-	p := make([]byte, 5)
+	p := s.record(5)
 	p[0] = recSeq
 	binary.LittleEndian.PutUint32(p[1:], seq)
-	s.appendRecord(p)
+	s.appendRecord()
 }
 
 // RecordSuspicion persists one suspicion transition.
@@ -260,14 +283,14 @@ func (s *Store) RecordSuspicion(detector uint8, subject wire.NodeID, raised bool
 	} else {
 		delete(s.state.Suspicions, key)
 	}
-	p := make([]byte, 7)
+	p := s.record(7)
 	p[0] = recSuspicion
 	p[1] = detector
 	binary.LittleEndian.PutUint32(p[2:], uint32(subject))
 	if raised {
 		p[6] = 1
 	}
-	s.appendRecord(p)
+	s.appendRecord()
 }
 
 // Snapshot serializes the full state, atomically replaces the snapshot blob,
