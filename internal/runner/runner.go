@@ -279,12 +279,22 @@ type FaultRecord struct {
 }
 
 // Run executes the scenario and returns its results.
-func Run(sc Scenario) (Result, error) { return run(sc, nil) }
+func Run(sc Scenario) (Result, error) { return run(sc, hooks{}) }
 
-// run is Run with an optional post-run inspection hook (see RunInspect). The
-// hook is a parameter, never shared state: concurrent runs cannot see each
-// other's.
-func run(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
+// hooks are run's seams. They are a parameter, never shared state: concurrent
+// runs cannot see each other's.
+type hooks struct {
+	// inspect, when set, sees the protocol instances after the run and before
+	// teardown (see RunInspect).
+	inspect func(protos []*core.Protocol)
+	// scheme, when set, builds the run's signature scheme in place of
+	// buildScheme. Tests only: it is how they run on the bare Ed25519 keyring
+	// or count what reaches it.
+	scheme func(Scenario) (sig.Scheme, error)
+}
+
+// run is Run with hooks.
+func run(sc Scenario, h hooks) (Result, error) {
 	if sc.N <= 0 {
 		return Result{}, fmt.Errorf("runner: scenario needs N > 0, got %d", sc.N)
 	}
@@ -311,7 +321,11 @@ func run(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
 	medium := radio.New(eng, model, sc.N, sc.Radio)
 	defer medium.Close()
 
-	scheme, err := buildScheme(sc)
+	build := buildScheme
+	if h.scheme != nil {
+		build = h.scheme
+	}
+	scheme, err := build(sc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -499,12 +513,12 @@ func run(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
 		chk.Finish(eng.Now())
 	}
 
-	if inspect != nil {
+	if h.inspect != nil {
 		cores := make([]*core.Protocol, sc.N)
 		for i := range protos {
 			cores[i], _ = protos[i].(*core.Protocol)
 		}
-		inspect(cores)
+		h.inspect(cores)
 	}
 
 	res := Result{Phys: medium.Stats(), FaultEvents: faultEvents, NumCorrect: numCorrect, TraceErr: tracer.Err(), Events: eng.Processed()}
@@ -594,9 +608,18 @@ func buildMobility(sc Scenario) mobility.Model {
 	}
 }
 
+// buildScheme returns the run's one omniscient keyring. Every simulated
+// receiver of a shared frame asks it the same pure question, so the Ed25519
+// keyring sits behind a verdict memo and verifies each distinct record once
+// per run instead of once per receiver. HMAC does not: hashing a frame to look
+// its verdict up costs what the HMAC costs.
 func buildScheme(sc Scenario) (sig.Scheme, error) {
 	if sc.UseEd25519 {
-		return sig.NewEd25519(sc.N, sc.Seed)
+		ed, err := sig.NewEd25519(sc.N, sc.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return sig.NewVerifyMemo(ed), nil
 	}
 	return sig.NewHMAC(sc.N, sc.Seed), nil
 }
@@ -849,5 +872,5 @@ func scheduleWorkload(sc Scenario, eng *sim.Engine, protos []broadcaster, correc
 // instances (nil entries for baseline protocols); used by tests and the
 // experiment harness to sample internal state before teardown.
 func RunInspect(sc Scenario, inspect func(protos []*core.Protocol)) (Result, error) {
-	return run(sc, inspect)
+	return run(sc, hooks{inspect: inspect})
 }

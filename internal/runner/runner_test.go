@@ -11,6 +11,7 @@ import (
 	"bbcast/internal/alloctest"
 	"bbcast/internal/core"
 	"bbcast/internal/fd"
+	"bbcast/internal/sig"
 	"bbcast/internal/wire"
 )
 
@@ -234,12 +235,27 @@ func TestEd25519SchemeEndToEnd(t *testing.T) {
 	sc.UseEd25519 = true
 	sc.Workload.End = 30 * time.Second
 	sc.Duration = 40 * time.Second
-	res, err := Run(sc)
+	var scheme sig.Scheme
+	res, err := run(sc, hooks{scheme: func(sc Scenario) (sig.Scheme, error) {
+		var err error
+		scheme, err = buildScheme(sc)
+		return scheme, err
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.DeliveryRatio < 0.90 {
 		t.Errorf("ed25519 delivery = %.3f", res.DeliveryRatio)
+	}
+	// The simulator's keyring verifies each distinct record once per run, and
+	// reports still name the scheme underneath.
+	if _, ok := scheme.(*sig.VerifyMemo); !ok || scheme.Name() != "ed25519" {
+		t.Errorf("the run's scheme is %T named %q, want a *sig.VerifyMemo named ed25519", scheme, scheme.Name())
+	}
+	sc.UseEd25519 = false
+	hm, err := buildScheme(sc)
+	if _, ok := hm.(*sig.HMACScheme); !ok || err != nil {
+		t.Errorf("the HMAC path builds %T (%v), want the bare *sig.HMACScheme", hm, err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 )
 
 // ErrNoPrivateKey is returned when a loaded key file lacks the private key
@@ -84,7 +85,7 @@ func GenerateKeystores(dir string, n int, seed int64) error {
 	}
 	pub := make(map[string]string, n)
 	for i := 0; i < n; i++ {
-		pub[fmt.Sprintf("%d", i)] = hex.EncodeToString(scheme.pub[uint32(i)])
+		pub[strconv.Itoa(i)] = hex.EncodeToString(scheme.pub[i])
 	}
 	for i := 0; i < n; i++ {
 		self := uint32(i)
@@ -153,10 +154,13 @@ func LoadKeystore(path string) (*NodeKeys, error) {
 	}
 	sort.Strings(ids)
 	for _, idStr := range ids {
-		var id uint32
-		if _, err := fmt.Sscanf(idStr, "%d", &id); err != nil {
+		// Canonical decimal only, so that no two keys of the file name one
+		// node: ParseUint alone would let "05" replace the public key of "5".
+		id64, err := strconv.ParseUint(idStr, 10, 32)
+		if err != nil || strconv.FormatUint(id64, 10) != idStr {
 			return nil, fmt.Errorf("sig: keystore %s: bad node id %q", path, idStr)
 		}
+		id := uint32(id64)
 		pubBytes, err := hex.DecodeString(file.Public[idStr])
 		if err != nil || len(pubBytes) != ed25519.PublicKeySize {
 			return nil, fmt.Errorf("sig: keystore %s: bad public key for %s", path, idStr)

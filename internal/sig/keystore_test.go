@@ -105,6 +105,37 @@ func TestLoadKeystoreErrors(t *testing.T) {
 	}
 }
 
+// TestLoadKeystoreRejectsNonCanonicalIDs adds one more public-key entry to a
+// good file under an id that is not plain decimal. Sscanf("%d") took the
+// first three as 12, 5 and 7, and let "01" replace node 1's key.
+func TestLoadKeystoreRejectsNonCanonicalIDs(t *testing.T) {
+	dir := t.TempDir()
+	if err := GenerateKeystores(dir, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	path := KeystorePath(dir, 0)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"12abc", "+5", " 7", "01", "-1", "4294967296", ""} {
+		var file keystoreFile
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		file.Public[id] = file.Public["0"]
+		if err := writeKeystore(path, file, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadKeystore(path)
+		if err == nil {
+			t.Errorf("node id %q accepted", id)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("node id %q: error %q does not name the file", id, err)
+		}
+	}
+}
+
 func TestLoadKeystoreDetectsTampering(t *testing.T) {
 	dir := t.TempDir()
 	if err := GenerateKeystores(dir, 2, 1); err != nil {

@@ -44,10 +44,11 @@ type Scheme interface {
 	Name() string
 }
 
-// Ed25519Scheme implements Scheme with real Ed25519 keys.
+// Ed25519Scheme implements Scheme with real Ed25519 keys, indexed by node id
+// (ids are 0..n-1 by construction).
 type Ed25519Scheme struct {
-	priv map[uint32]ed25519.PrivateKey
-	pub  map[uint32]ed25519.PublicKey
+	priv []ed25519.PrivateKey
+	pub  []ed25519.PublicKey
 }
 
 var _ Scheme = (*Ed25519Scheme)(nil)
@@ -55,8 +56,8 @@ var _ Scheme = (*Ed25519Scheme)(nil)
 // NewEd25519 generates keys for node ids 0..n-1 deterministically from seed.
 func NewEd25519(n int, seed int64) (*Ed25519Scheme, error) {
 	s := &Ed25519Scheme{
-		priv: make(map[uint32]ed25519.PrivateKey, n),
-		pub:  make(map[uint32]ed25519.PublicKey, n),
+		priv: make([]ed25519.PrivateKey, n),
+		pub:  make([]ed25519.PublicKey, n),
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
@@ -65,32 +66,30 @@ func NewEd25519(n int, seed int64) (*Ed25519Scheme, error) {
 			return nil, fmt.Errorf("generate key %d: %w", i, err)
 		}
 		priv := ed25519.NewKeyFromSeed(seedBytes)
-		s.priv[uint32(i)] = priv
+		s.priv[i] = priv
 		pubKey, ok := priv.Public().(ed25519.PublicKey)
 		if !ok {
 			return nil, fmt.Errorf("generate key %d: unexpected public key type", i)
 		}
-		s.pub[uint32(i)] = pubKey
+		s.pub[i] = pubKey
 	}
 	return s, nil
 }
 
 // Sign implements Scheme.
 func (s *Ed25519Scheme) Sign(id uint32, msg []byte) []byte {
-	priv, ok := s.priv[id]
-	if !ok {
+	if int(id) >= len(s.priv) {
 		panic(fmt.Sprintf("sig: no key registered for node %d", id))
 	}
-	return ed25519.Sign(priv, msg)
+	return ed25519.Sign(s.priv[id], msg)
 }
 
 // Verify implements Scheme.
 func (s *Ed25519Scheme) Verify(id uint32, msg, tag []byte) bool {
-	pub, ok := s.pub[id]
-	if !ok || len(tag) != ed25519.SignatureSize {
+	if int(id) >= len(s.pub) || len(tag) != ed25519.SignatureSize {
 		return false
 	}
-	return ed25519.Verify(pub, msg, tag)
+	return ed25519.Verify(s.pub[id], msg, tag)
 }
 
 // SigSize implements Scheme.
