@@ -38,6 +38,8 @@
 package bbcast
 
 import (
+	"flag"
+
 	"bbcast/internal/core"
 	"bbcast/internal/faultplan"
 	"bbcast/internal/geo"
@@ -287,8 +289,15 @@ func LoadLoadGen(path string) (*LoadGenConfig, error) { return loadgen.Load(path
 func DefaultInvariantConfig() InvariantConfig { return invariant.DefaultConfig() }
 
 // ReproCommand renders a one-line bbsim invocation reproducing the scenario,
-// fault plan included.
+// fault plan and load schedule included. If the scenario sets a field no bbsim
+// flag spells, the line ends in a shell comment naming it.
 func ReproCommand(sc Scenario) string { return runner.ReproCommand(sc) }
+
+// ScenarioFlags registers on fs every bbsim flag that describes a Scenario
+// (-n, -proto, -mute, -faults, …: the same list ReproCommand prints from) and
+// returns the function that yields the scenario once fs has parsed. Adversary
+// flags add nodes in command-line order.
+func ScenarioFlags(fs *flag.FlagSet) func() (Scenario, error) { return runner.ScenarioFlags(fs) }
 
 // DefaultScenario returns the base experiment configuration: 75 nodes on a
 // jittered grid in a 1000×1000 m area with 250 m radios, five senders

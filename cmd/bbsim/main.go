@@ -29,8 +29,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"bbcast"
@@ -43,126 +43,49 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options are the flags that say how to run and report, not what to simulate.
+type options struct {
+	replicates, parallel int
+	breakdown            bool
+	trace, metricsOut    string
+}
+
+// stderr is where usage, warnings and violations go; a test points it at a
+// buffer.
+var stderr io.Writer = os.Stderr
+
+// parse reads the command line: the flags that spell a scenario, which
+// bbcast.ScenarioFlags owns, and the options.
+func parse(args []string) (bbcast.Scenario, options, error) {
 	fs := flag.NewFlagSet("bbsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := bbcast.ScenarioFlags(fs)
 	var (
-		n          = fs.Int("n", 75, "number of nodes")
-		seed       = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 		replicates = fs.Int("replicates", 1, "independent replicates to run (seeds derived from -seed via SplitMix64); results are averaged")
 		parallel   = fs.Int("parallel", 0, "concurrent replicate simulations (0 = GOMAXPROCS); per-replicate results are identical at any setting")
-		proto      = fs.String("proto", "byzcast", "protocol: byzcast | flooding | f+1")
-		f          = fs.Int("f", 2, "tolerated failures for the f+1 baseline")
-		area       = fs.Float64("area", 1000, "square area side in metres")
-		rng        = fs.Float64("range", 250, "radio range in metres")
-		rate       = fs.Float64("rate", 1, "injection rate δ in messages/second")
-		senders    = fs.Int("senders", 5, "number of distinct senders")
-		size       = fs.Int("size", 256, "payload size in bytes")
-		duration   = fs.Duration("duration", 85*time.Second, "total simulated time")
-		warmup     = fs.Duration("warmup", 15*time.Second, "time before the first injection")
-		drain      = fs.Duration("drain", 10*time.Second, "time after the last injection")
-
-		overlayKind = fs.String("overlay", "mis+b", "overlay maintainer: cds | mis+b")
-		noFD        = fs.Bool("no-fd", false, "disable the failure detectors")
-		noAdapt     = fs.Bool("no-adapt", false, "disable adaptive timing and bounded retransmission (static timers, no retry chain)")
-		ed25519     = fs.Bool("ed25519", false, "use real Ed25519 signatures")
-
-		persistOn   = fs.Bool("persist", false, "give every node a durable store: amnesiac rejoiners restore their sequence number, delivered-message digests and suspicions instead of restarting blank")
-		syncOn      = fs.Bool("sync", false, "enable rejoin catch-up sync (SYNC-REQ/SYNC-RESP from one neighbour after a wipe); implies -persist")
-		persistTear = fs.Bool("persist-tear", false, "tear the tail record off each amnesiac node's durable log at recovery (exercises replay-truncate)")
-		persistFlip = fs.Int("persist-flip", 0, "flip this many seeded-random bits in each amnesiac node's durable log at recovery (exercises CRC rejection)")
-
-		mute       = fs.Int("mute", 0, "mute Byzantine nodes")
-		tamper     = fs.Int("tamper", 0, "payload-tampering Byzantine nodes")
-		verbose    = fs.Int("verbose", 0, "request-spamming Byzantine nodes")
-		selective  = fs.Int("selective", 0, "selfish 50%-dropping nodes")
-		equivocate = fs.Int("equivocate", 0, "equivocating Byzantine sources (conflicting payloads, same id)")
-		flooder    = fs.Int("flooder", 0, "message-flooding nodes (fresh signed spam at ~10x workload rate)")
-		replayer   = fs.Int("replayer", 0, "packet-replaying nodes (re-send harvested traffic)")
-		forge      = fs.Int("forge", 0, "junk-signature spamming nodes (nonexistent origins)")
-		placement  = fs.String("placement", "spread", "adversary placement: spread | dominators")
-
-		faults = fs.String("faults", "", "fault plan: a JSON file path, or inline JSON starting with '{'")
-		load   = fs.String("load", "", "load-generator schedule replacing the fixed-rate workload: a JSON file path, or inline JSON starting with '{'")
-		noInv  = fs.Bool("no-invariants", false, "disable the runtime invariant checker")
-
-		mobility = fs.String("mobility", "grid", "mobility: grid | uniform | waypoint | walk | gauss-markov | ferry")
-		speed    = fs.Float64("speed", 5, "node speed (m/s) for waypoint/walk")
-		pause    = fs.Duration("pause", 2*time.Second, "waypoint pause time")
-
 		breakdown  = fs.Bool("breakdown", false, "print per-kind transmission counts")
 		svg        = fs.String("svg", "", "write an SVG of the final topology/overlay to this path")
 		traceFile  = fs.String("trace", "", "write a JSONL event trace to this path")
 		metricsOut = fs.String("metrics-out", "", "write the run's metrics registry as JSON to this path ('-' for stdout); same schema a live node serves at /metrics.json")
 	)
 	if err := fs.Parse(args); err != nil {
+		return bbcast.Scenario{}, options{}, err
+	}
+	if *replicates < 1 {
+		return bbcast.Scenario{}, options{}, fmt.Errorf("-replicates must be >= 1, got %d", *replicates)
+	}
+	sc, err := scenario()
+	sc.SnapshotSVG = *svg
+	return sc, options{*replicates, *parallel, *breakdown, *traceFile, *metricsOut}, err
+}
+
+func run(args []string) error {
+	sc, o, err := parse(args)
+	if err != nil {
 		return err
 	}
-
-	sc := bbcast.DefaultScenario()
-	sc.N = *n
-	sc.Seed = *seed
-	sc.Area = bbcast.Area{W: *area, H: *area}
-	sc.Radio.Range = *rng
-	sc.F = *f
-	sc.UseEd25519 = *ed25519
-	sc.Workload.Rate = *rate
-	sc.Workload.Senders = *senders
-	sc.Workload.PayloadSize = *size
-	sc.Workload.Start = *warmup
-	sc.Workload.End = *duration - *drain
-	sc.Duration = *duration
-	sc.Core.EnableFDs = !*noFD
-	if *noAdapt {
-		sc.Core.AdaptiveTiming = false
-		sc.Core.RetryMaxAttempts = 0
-	}
-	sc.Core.Persist = *persistOn || *syncOn
-	sc.Core.CatchUpSync = *syncOn
-	if *persistFlip < 0 {
-		return fmt.Errorf("-persist-flip must be >= 0, got %d", *persistFlip)
-	}
-	if *persistTear || *persistFlip > 0 {
-		if !sc.Core.Persist {
-			return fmt.Errorf("-persist-tear/-persist-flip need -persist or -sync (there is no durable log to damage otherwise)")
-		}
-		sc.PersistCorrupt = &bbcast.PersistCorruption{TearTail: *persistTear, FlipBits: *persistFlip}
-	}
-	sc.SnapshotSVG = *svg
-	if *noInv {
-		sc.Invariants = bbcast.InvariantConfig{}
-	}
-	if *faults != "" {
-		var plan *bbcast.FaultPlan
-		var err error
-		if strings.HasPrefix(strings.TrimSpace(*faults), "{") {
-			plan, err = bbcast.ParseFaultPlan([]byte(*faults))
-		} else {
-			plan, err = bbcast.LoadFaultPlan(*faults)
-		}
-		if err != nil {
-			return err
-		}
-		sc.FaultPlan = plan
-	}
-	if *load != "" {
-		var lg *bbcast.LoadGenConfig
-		var err error
-		if strings.HasPrefix(strings.TrimSpace(*load), "{") {
-			lg, err = bbcast.ParseLoadGen([]byte(*load))
-		} else {
-			lg, err = bbcast.LoadLoadGen(*load)
-		}
-		if err != nil {
-			return err
-		}
-		sc.LoadGen = lg
-		sc.Workload = bbcast.Workload{}
-		if sc.Duration < lg.End()+*drain {
-			sc.Duration = lg.End() + *drain
-		}
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
@@ -170,104 +93,36 @@ func run(args []string) error {
 		sc.Trace = f
 	}
 	var registry *bbcast.MetricsRegistry
-	if *metricsOut != "" {
+	if o.metricsOut != "" {
 		registry = bbcast.NewMetricsRegistry()
 		sc.Observer = bbcast.NewMetricsObserver(registry)
 	}
 
-	switch *proto {
-	case "byzcast":
-		sc.Protocol = bbcast.ProtoByzCast
-	case "flooding":
-		sc.Protocol = bbcast.ProtoFlooding
-	case "f+1":
-		sc.Protocol = bbcast.ProtoFPlusOne
-	default:
-		return fmt.Errorf("unknown protocol %q", *proto)
-	}
-	switch *overlayKind {
-	case "cds":
-		sc.Core.Overlay = bbcast.OverlayCDS
-	case "mis+b":
-		sc.Core.Overlay = bbcast.OverlayMISB
-	default:
-		return fmt.Errorf("unknown overlay %q", *overlayKind)
-	}
-	switch *placement {
-	case "spread":
-		sc.Placement = bbcast.PlaceSpread
-	case "dominators":
-		sc.Placement = bbcast.PlaceDominators
-	default:
-		return fmt.Errorf("unknown placement %q", *placement)
-	}
-	switch *mobility {
-	case "grid":
-		sc.Mobility = bbcast.MobGrid
-	case "uniform":
-		sc.Mobility = bbcast.MobUniform
-	case "waypoint":
-		sc.Mobility = bbcast.MobWaypoint
-		sc.Speed = *speed
-		sc.Pause = *pause
-	case "walk":
-		sc.Mobility = bbcast.MobWalk
-		sc.Speed = *speed
-	case "gauss-markov":
-		sc.Mobility = bbcast.MobGaussMarkov
-		sc.Speed = *speed
-	case "ferry":
-		sc.Mobility = bbcast.MobFerry
-		sc.Speed = *speed
-	default:
-		return fmt.Errorf("unknown mobility %q", *mobility)
-	}
-	for _, adv := range []struct {
-		kind  bbcast.AdversaryKind
-		count int
-	}{
-		{bbcast.AdvMute, *mute},
-		{bbcast.AdvTamper, *tamper},
-		{bbcast.AdvVerbose, *verbose},
-		{bbcast.AdvSelective, *selective},
-		{bbcast.AdvEquivocate, *equivocate},
-		{bbcast.AdvFlooder, *flooder},
-		{bbcast.AdvReplayer, *replayer},
-		{bbcast.AdvForgeSpammer, *forge},
-	} {
-		if adv.count > 0 {
-			sc.Adversaries = append(sc.Adversaries, bbcast.Adversaries{Kind: adv.kind, Count: adv.count})
-		}
-	}
-
-	if *replicates < 1 {
-		return fmt.Errorf("-replicates must be >= 1, got %d", *replicates)
-	}
 	// With several replicates, single-writer sinks (-trace, -svg, the
 	// metrics registry) are kept on replicate 0 only; replicate 0 runs the
 	// base seed, so its outputs match a plain single run.
-	all, err := bbcast.RunReplicates(sc, *replicates, *parallel)
+	all, err := bbcast.RunReplicates(sc, o.replicates, o.parallel)
 	if err != nil {
 		return err
 	}
 	res := all[0]
-	if *replicates > 1 {
+	if o.replicates > 1 {
 		for k, r := range all {
 			fmt.Printf("replicate %-3d seed=%-20d delivery=%.3f tx/msg=%.1f lat-mean=%s violations=%d\n",
-				k, bbcast.ReplicateSeed(*seed, k), r.DeliveryRatio, r.TxPerMessage, r.LatMean.Round(time.Millisecond), len(r.Violations))
+				k, bbcast.ReplicateSeed(sc.Seed, k), r.DeliveryRatio, r.TxPerMessage, r.LatMean.Round(time.Millisecond), len(r.Violations))
 		}
 		res = bbcast.AverageResults(all)
-		fmt.Printf("aggregate over %d replicates:\n", *replicates)
+		fmt.Printf("aggregate over %d replicates:\n", o.replicates)
 	}
 	if all[0].TraceErr != nil {
-		fmt.Fprintf(os.Stderr, "bbsim: warning: trace is incomplete (first write error: %v)\n", all[0].TraceErr)
+		fmt.Fprintf(stderr, "bbsim: warning: trace is incomplete (first write error: %v)\n", all[0].TraceErr)
 	}
 	if registry != nil {
 		// The ratio is only known once the run's eligible-receiver counts
 		// are; exported here so the JSON dump is self-contained. The
 		// registry observes replicate 0 only, so its gauge uses that run.
 		registry.Gauge("bbcast_delivery_ratio").Set(all[0].Results.DeliveryRatio)
-		if err := writeMetrics(*metricsOut, registry); err != nil {
+		if err := writeMetrics(o.metricsOut, registry); err != nil {
 			return err
 		}
 	}
@@ -279,14 +134,14 @@ func run(args []string) error {
 		}
 	}
 	if len(res.Violations) > 0 {
-		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATIONS (%d):\n", len(res.Violations))
+		fmt.Fprintf(stderr, "INVARIANT VIOLATIONS (%d):\n", len(res.Violations))
 		for _, v := range res.Violations {
-			fmt.Fprintf(os.Stderr, "  %s\n", v)
+			fmt.Fprintf(stderr, "  %s\n", v)
 		}
-		fmt.Fprintf(os.Stderr, "reproduce with:\n  %s\n", res.Repro)
+		fmt.Fprintf(stderr, "reproduce with:\n  %s\n", res.Repro)
 		return fmt.Errorf("%d invariant violation(s)", len(res.Violations))
 	}
-	if *breakdown {
+	if o.breakdown {
 		fmt.Println(res.Results.KindBreakdown())
 		fmt.Printf("phys: collisions=%d fringe-losses=%d half-duplex-drops=%d bytes=%d\n",
 			res.Phys.Collisions, res.Phys.FringeLosses, res.Phys.HalfDuplexDrop, res.Phys.BytesOnAir)

@@ -34,8 +34,8 @@ func deps(t *testing.T, id wire.NodeID, scheme sig.Scheme, cap *capture) core.De
 func TestFloodingBroadcastAndDeliver(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var capA, capB capture
-	a := NewFlooding(deps(t, 0, scheme, &capA), 0)
-	b := NewFlooding(deps(t, 1, scheme, &capB), 0)
+	a := NewFlooding(deps(t, 0, scheme, &capA))
+	b := NewFlooding(deps(t, 1, scheme, &capB))
 	a.Broadcast([]byte("hello"))
 	if len(capA.sent) != 1 {
 		t.Fatalf("originator sent %d packets", len(capA.sent))
@@ -63,8 +63,8 @@ func TestFloodingBroadcastAndDeliver(t *testing.T) {
 func TestFloodingRejectsBadSignature(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var capA, capB capture
-	a := NewFlooding(deps(t, 0, scheme, &capA), 0)
-	b := NewFlooding(deps(t, 1, scheme, &capB), 0)
+	a := NewFlooding(deps(t, 0, scheme, &capA))
+	b := NewFlooding(deps(t, 1, scheme, &capB))
 	a.Broadcast([]byte("hello"))
 	bad := capA.sent[0].Clone()
 	bad.Payload[0] ^= 0xFF
@@ -80,7 +80,7 @@ func TestFloodingRejectsBadSignature(t *testing.T) {
 func TestFloodingIgnoresOwnAndNonData(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var cap capture
-	f := NewFlooding(deps(t, 0, scheme, &cap), 0)
+	f := NewFlooding(deps(t, 0, scheme, &cap))
 	f.HandlePacket(&wire.Packet{Kind: wire.KindGossip, Sender: 1})
 	f.HandlePacket(&wire.Packet{Kind: wire.KindData, Sender: 0})
 	if len(cap.delivered) != 0 {
@@ -91,7 +91,7 @@ func TestFloodingIgnoresOwnAndNonData(t *testing.T) {
 func TestFPlusOneBroadcastsOneCopyPerOverlay(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var cap capture
-	p := NewFPlusOne(deps(t, 0, scheme, &cap), 2, []int{0}, 0)
+	p := NewFPlusOne(deps(t, 0, scheme, &cap), 2, []int{0})
 	p.Broadcast([]byte("m"))
 	if len(cap.sent) != 3 {
 		t.Fatalf("sent %d copies, want f+1=3", len(cap.sent))
@@ -112,8 +112,8 @@ func TestFPlusOneBroadcastsOneCopyPerOverlay(t *testing.T) {
 func TestFPlusOneDeliversOnceRelaysMemberChannels(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var capA, capB capture
-	a := NewFPlusOne(deps(t, 0, scheme, &capA), 1, nil, 0)
-	b := NewFPlusOne(deps(t, 1, scheme, &capB), 1, []int{1}, 0) // member of overlay 1 only
+	a := NewFPlusOne(deps(t, 0, scheme, &capA), 1, nil)
+	b := NewFPlusOne(deps(t, 1, scheme, &capB), 1, []int{1}) // member of overlay 1 only
 	a.Broadcast([]byte("m"))
 	for _, pkt := range capA.sent {
 		b.HandlePacket(pkt)
@@ -136,8 +136,8 @@ func TestFPlusOneDeliversOnceRelaysMemberChannels(t *testing.T) {
 func TestFPlusOneRejectsBadChannelAndSig(t *testing.T) {
 	scheme := sig.NewHMAC(4, 1)
 	var capA, capB capture
-	a := NewFPlusOne(deps(t, 0, scheme, &capA), 1, nil, 0)
-	b := NewFPlusOne(deps(t, 1, scheme, &capB), 1, []int{0, 1}, 0)
+	a := NewFPlusOne(deps(t, 0, scheme, &capA), 1, nil)
+	b := NewFPlusOne(deps(t, 1, scheme, &capB), 1, []int{0, 1})
 	a.Broadcast([]byte("m"))
 	bad := capA.sent[0].Clone()
 	bad.Payload[0] = 9 // out-of-range channel, breaks signature too

@@ -6,8 +6,6 @@
 package baseline
 
 import (
-	"time"
-
 	"bbcast/internal/core"
 	"bbcast/internal/wire"
 )
@@ -15,18 +13,16 @@ import (
 // Flooding is the classic broadcast: the originator transmits, and every
 // node re-transmits the first valid copy of each message it receives.
 type Flooding struct {
-	deps   core.Deps
-	jitter time.Duration
-	seq    wire.Seq
-	seen   map[wire.MsgID]bool
+	deps core.Deps
+	seq  wire.Seq
+	seen map[wire.MsgID]bool
 
 	stats core.Stats
 }
 
-// NewFlooding builds a flooding instance. jitter is the random assessment
-// delay inserted before each re-flood (0 disables it).
-func NewFlooding(deps core.Deps, jitter time.Duration) *Flooding {
-	return &Flooding{deps: deps, jitter: jitter, seen: make(map[wire.MsgID]bool)}
+// NewFlooding builds a flooding instance.
+func NewFlooding(deps core.Deps) *Flooding {
+	return &Flooding{deps: deps, seen: make(map[wire.MsgID]bool)}
 }
 
 // Stop is a no-op (flooding has no periodic tasks); it exists for interface
@@ -93,12 +89,6 @@ func (f *Flooding) HandlePacket(pkt *wire.Packet) {
 		Cause:     wire.CauseOriginRelay,
 		Digest:    pkt.Meta.Digest,
 		Recovered: pkt.Meta.Recovered,
-	}
-	if f.jitter > 0 {
-		f.deps.Clock.After(time.Duration(f.deps.Rand.Int63n(int64(f.jitter))), func() {
-			f.deps.Send(fwd)
-		})
-		return
 	}
 	f.deps.Send(fwd)
 }

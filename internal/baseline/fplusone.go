@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"sort"
-	"time"
 
 	"bbcast/internal/core"
 	"bbcast/internal/wire"
@@ -19,9 +18,8 @@ import (
 // by the originator, so copies are individually authenticated and receivers
 // know which overlay should relay each copy.
 type FPlusOne struct {
-	deps   core.Deps
-	jitter time.Duration
-	f      int
+	deps core.Deps
+	f    int
 	// member[c] reports whether this node relays on overlay c.
 	member []bool
 
@@ -38,12 +36,10 @@ type chanMsg struct {
 }
 
 // NewFPlusOne builds an instance for a node that is a member of the given
-// overlays (indices in [0, f]). jitter is the random assessment delay before
-// each relay.
-func NewFPlusOne(deps core.Deps, f int, memberOf []int, jitter time.Duration) *FPlusOne {
+// overlays (indices in [0, f]).
+func NewFPlusOne(deps core.Deps, f int, memberOf []int) *FPlusOne {
 	p := &FPlusOne{
 		deps:      deps,
-		jitter:    jitter,
 		f:         f,
 		member:    make([]bool, f+1),
 		seen:      make(map[wire.MsgID]bool),
@@ -131,13 +127,7 @@ func (p *FPlusOne) HandlePacket(pkt *wire.Packet) {
 			Digest:    pkt.Meta.Digest,
 			Recovered: pkt.Meta.Recovered,
 		}
-		if p.jitter > 0 {
-			p.deps.Clock.After(time.Duration(p.deps.Rand.Int63n(int64(p.jitter))), func() {
-				p.deps.Send(fwd)
-			})
-		} else {
-			p.deps.Send(fwd)
-		}
+		p.deps.Send(fwd)
 	}
 }
 

@@ -40,10 +40,6 @@ type Config struct {
 	// gossip for a missing message the node waits (for the data to arrive
 	// by itself) before issuing a REQUEST_MSG.
 	RequestDelay time.Duration
-	// ForwardJitter is the maximum random delay inserted before forwarding
-	// a data message (the broadcast-storm "random assessment delay": it
-	// desynchronizes the relays of a flooded frame so they do not collide).
-	ForwardJitter time.Duration
 	// RequestTolerance is how many identical requests from one node an
 	// overlay node serves before indicting it to VERBOSE.
 	RequestTolerance int

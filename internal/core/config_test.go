@@ -94,46 +94,6 @@ func TestGossipRetentionStopsAdvertising(t *testing.T) {
 	}
 }
 
-func TestZeroForwardJitterForwardsInline(t *testing.T) {
-	cfg := testConfig()
-	cfg.ForwardJitter = 0
-	h := newHarness(t, 5, cfg)
-	h.makeOverlay()
-	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
-	if len(h.sentOfKind(wire.KindData)) != 1 {
-		t.Fatal("inline forward missing with zero jitter")
-	}
-}
-
-func TestForwardJitterDelaysForward(t *testing.T) {
-	cfg := testConfig()
-	cfg.ForwardJitter = 50 * time.Millisecond
-	h := newHarness(t, 5, cfg)
-	h.makeOverlay()
-	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
-	if len(h.sentOfKind(wire.KindData)) != 0 {
-		t.Fatal("forward left before the assessment delay")
-	}
-	h.run(60 * time.Millisecond)
-	if len(h.sentOfKind(wire.KindData)) != 1 {
-		t.Fatal("forward never left after the assessment delay")
-	}
-}
-
-func TestForwardCancelledIfPurgedBeforeJitterFires(t *testing.T) {
-	cfg := testConfig()
-	cfg.ForwardJitter = 500 * time.Millisecond
-	cfg.PurgeTimeout = 100 * time.Millisecond
-	cfg.PurgeInterval = 50 * time.Millisecond
-	h := newHarness(t, 5, cfg)
-	h.makeOverlay()
-	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
-	h.run(time.Second)
-	if len(h.sentOfKind(wire.KindData)) != 0 {
-		t.Fatal("forwarded a payload that was purged before the delay elapsed")
-	}
-}
-
 func TestSecondHandReportAboutSelfIgnored(t *testing.T) {
 	// A Byzantine neighbour accusing *us* must not poison our own tables.
 	h := newHarness(t, 0, testConfig())

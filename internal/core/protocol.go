@@ -725,14 +725,13 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 
 	switch {
 	case p.InOverlay():
-		// §3.2 lines 12–13: overlay nodes forward (after a random
-		// assessment delay so co-located relays do not collide).
+		// §3.2 lines 12–13: overlay nodes forward.
 		p.stats.Forwarded++
-		p.forwardDataJittered(id, 1, wire.NoNode, wire.CauseOriginRelay)
+		p.forwardData(id, st, 1, wire.NoNode, wire.CauseOriginRelay)
 	case pkt.TTL >= 2:
 		// §3.2 lines 15–17: recovery floods travel two hops.
 		p.stats.Forwarded++
-		p.forwardDataJittered(id, pkt.TTL-1, pkt.Target, wire.CauseGossipRecovery)
+		p.forwardData(id, st, pkt.TTL-1, pkt.Target, wire.CauseGossipRecovery)
 	}
 
 	// §3.2 lines 19–21: if we had heard a gossip for it while missing,
@@ -742,23 +741,6 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 	if heardGossipBefore && miss != nil {
 		p.registerGossip(id, st, miss.headerSig)
 	}
-}
-
-// forwardDataJittered re-broadcasts after a random assessment delay; the
-// message is re-read from the store at fire time (it may have been purged).
-func (p *Protocol) forwardDataJittered(id wire.MsgID, ttl uint8, target wire.NodeID, cause wire.Cause) {
-	send := func() {
-		st, ok := p.store.byID[id]
-		if !ok || st.purged || p.stopped {
-			return
-		}
-		p.forwardData(id, st, ttl, target, cause)
-	}
-	if p.cfg.ForwardJitter <= 0 {
-		send()
-		return
-	}
-	p.deps.Clock.After(time.Duration(p.deps.Rand.Int63n(int64(p.cfg.ForwardJitter))), send)
 }
 
 func (p *Protocol) forwardData(id wire.MsgID, st *msgState, ttl uint8, target wire.NodeID, cause wire.Cause) {

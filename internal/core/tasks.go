@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"time"
 
@@ -82,22 +81,6 @@ func (p *Protocol) sendGossipWithState(entries []wire.GossipEntry) {
 		State:    state,
 		StateSig: stateSig,
 		Meta:     wire.Meta{Cause: wire.CauseGossip},
-	})
-}
-
-// sendGossip emits a bare gossip packet (no piggybacked state).
-func (p *Protocol) sendGossip(entries []wire.GossipEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	p.stats.GossipsSent++
-	p.send(&wire.Packet{
-		Kind:   wire.KindGossip,
-		TTL:    1,
-		Target: wire.NoNode,
-		Origin: wire.NoNode,
-		Gossip: entries,
-		Meta:   wire.Meta{Cause: wire.CauseGossip},
 	})
 }
 
@@ -462,19 +445,6 @@ func (p *Protocol) overlayNeighbors() []wire.NodeID {
 	}
 	p.overlayIDs = out
 	return out
-}
-
-// OverlayNeighbors exposes OL(1,p): the usable overlay neighbours.
-func (p *Protocol) OverlayNeighbors() []wire.NodeID { return slices.Clone(p.overlayNeighbors()) }
-
-// DescribeView renders the current maintainer view, for tools and debugging.
-func (p *Protocol) DescribeView() string {
-	v := p.buildView()
-	s := fmt.Sprintf("self=%d role=%v\n", v.Self, p.role)
-	for _, n := range v.Neighbors {
-		s += fmt.Sprintf("  nbr %d role=%v level=%v nbrs=%v act=%v\n", n.ID, n.Role, n.Level, n.Neighbors, n.ActiveNeighbors)
-	}
-	return s
 }
 
 // applyRole commits a role change.

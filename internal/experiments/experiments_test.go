@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"reflect"
+	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +122,71 @@ func TestIdenticalScenariosArePlannedOnce(t *testing.T) {
 			t.Errorf("quick=%v: %d cells planned, %d distinct; want %d and %d",
 				tc.cfg.Quick, len(cells), distinct, tc.planned, tc.distinct)
 		}
+	}
+}
+
+var shellWord = regexp.MustCompile(`'[^']*'|\S+`)
+
+// parseBbsim reads a bbsim command line the way a shell and then bbsim would.
+// The only quoting the planned scenarios need is '…' around fault-plan JSON.
+func parseBbsim(cmd string) (runner.Scenario, error) {
+	words := shellWord.FindAllString(cmd, -1)
+	for i, w := range words {
+		words[i] = strings.Trim(w, "'")
+	}
+	fs := flag.NewFlagSet(words[0], flag.ContinueOnError)
+	finish := runner.ScenarioFlags(fs)
+	if err := fs.Parse(words[1:]); err != nil {
+		return runner.Scenario{}, err
+	}
+	return finish()
+}
+
+// TestPlannedScenariosReproduceOrSaySo holds runner.ReproCommand to every
+// scenario the quick suite plans: the line either parses back to the planned
+// scenario, or ends in the comment that names what no flag spells, and then it
+// really does not. The split is pinned: an experiment that starts moving an
+// unspelt field, or a flag that stops rendering, changes the counts.
+func TestPlannedScenariosReproduceOrSaySo(t *testing.T) {
+	exact, commented := 0, 0
+	unspelt := map[string]bool{}
+	for _, e := range registry {
+		for _, c := range e.plan(quickCfg()) {
+			line := runner.ReproCommand(c.sc)
+			cmd, comment, said := strings.Cut(line, "  # not expressible as flags: ")
+			back, err := parseBbsim(cmd)
+			if err != nil {
+				t.Errorf("%s %v: %s: %v", e.id, c.label, line, err)
+				continue
+			}
+			switch same := sameScenario(back, c.sc); {
+			case said && same:
+				t.Errorf("%s %v: the line is exact but says it is not: %s", e.id, c.label, line)
+			case said:
+				commented++
+				for _, field := range strings.Split(comment, ", ") {
+					unspelt[field] = true
+				}
+			case !same || strings.Contains(cmd, "#"):
+				t.Errorf("%s %v: the line silently differs from the plan: %s", e.id, c.label, line)
+			default:
+				exact++
+			}
+		}
+	}
+	var fields []string
+	for f := range unspelt {
+		fields = append(fields, f)
+	}
+	sort.Strings(fields)
+	const wantFields = "Core.EnableFindMissing, Core.EnableRecovery, Core.GossipAggregation, " +
+		"Core.Mute.AgeInterval, Core.Mute.SuspicionTTL, Core.Trust.DirectTTL, Core.Trust.ReportTTL, " +
+		"Core.Verbose.AgeInterval, Core.Verbose.SuspicionTTL, LatencyBucket, Radio.CaptureRatio, Workload.Poisson"
+	if got := strings.Join(fields, ", "); got != wantFields {
+		t.Errorf("fields no flag spells:\n got %s\nwant %s", got, wantFields)
+	}
+	if exact != 77 || commented != 10 {
+		t.Errorf("%d planned scenarios reproduce exactly and %d say what they cannot spell; want 77 and 10", exact, commented)
 	}
 }
 

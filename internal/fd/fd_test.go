@@ -242,41 +242,13 @@ func TestVerboseSuspicionExpiresAndAges(t *testing.T) {
 	}
 }
 
-func TestVerboseMinSpacing(t *testing.T) {
-	c := &fakeClock{}
-	cfg := verboseCfg()
-	cfg.Threshold = 1
-	cfg.MinSpacing = map[wire.Kind]time.Duration{wire.KindGossip: 100 * time.Millisecond}
-	v := NewVerbose(c.NowFunc(), cfg)
-	v.Observe(3, wire.KindGossip)
-	c.Advance(200 * time.Millisecond)
-	v.Observe(3, wire.KindGossip) // legitimate spacing
-	if v.Suspected(3) {
-		t.Fatal("well-spaced messages indicted")
-	}
-	c.Advance(10 * time.Millisecond)
-	v.Observe(3, wire.KindGossip) // too fast
-	if !v.Suspected(3) {
-		t.Fatal("spacing violation not indicted")
-	}
-}
-
-func TestVerboseMinSpacingPerKind(t *testing.T) {
-	c := &fakeClock{}
-	cfg := verboseCfg()
-	cfg.Threshold = 1
-	cfg.MinSpacing = map[wire.Kind]time.Duration{wire.KindGossip: 100 * time.Millisecond}
-	v := NewVerbose(c.NowFunc(), cfg)
-	v.Observe(3, wire.KindData)
-	v.Observe(3, wire.KindData) // data unconstrained
-	if v.Suspected(3) {
-		t.Fatal("unconstrained kind triggered indictment")
-	}
+func trustCfg() TrustConfig {
+	return TrustConfig{DirectTTL: 60 * time.Second, ReportTTL: 30 * time.Second}
 }
 
 func TestTrustDefaultsTrusted(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), nil, nil)
+	tr := NewTrust(c.NowFunc(), trustCfg(), nil, nil)
 	if tr.Level(1) != Trusted {
 		t.Fatal("fresh node not trusted")
 	}
@@ -304,7 +276,7 @@ func TestTrustConsultsMuteAndVerbose(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
 	v := NewVerbose(c.NowFunc(), verboseCfg())
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), m, v)
+	tr := NewTrust(c.NowFunc(), trustCfg(), m, v)
 	m.Expect(key(1, 1), []wire.NodeID{8}, ExpectAny)
 	c.Advance(150 * time.Millisecond)
 	if tr.Level(8) != Untrusted {
@@ -340,7 +312,7 @@ func TestTrustSecondHandReportUnknown(t *testing.T) {
 func TestTrustReportFromUntrustedIgnored(t *testing.T) {
 	// §3.3: "unless p already suspects either q or r".
 	c := &fakeClock{}
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), nil, nil)
+	tr := NewTrust(c.NowFunc(), trustCfg(), nil, nil)
 	tr.Suspect(2, ReasonBadSignature)
 	tr.Report(2, 3) // reporter untrusted
 	if tr.Level(3) != Trusted {
@@ -350,7 +322,7 @@ func TestTrustReportFromUntrustedIgnored(t *testing.T) {
 
 func TestTrustReportAboutUntrustedKeepsUntrusted(t *testing.T) {
 	c := &fakeClock{}
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), nil, nil)
+	tr := NewTrust(c.NowFunc(), trustCfg(), nil, nil)
 	tr.Suspect(3, ReasonBadSignature)
 	tr.Report(2, 3)
 	if tr.Level(3) != Untrusted {
@@ -362,7 +334,7 @@ func TestTrustSuspectsAggregates(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
 	v := NewVerbose(c.NowFunc(), verboseCfg())
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), m, v)
+	tr := NewTrust(c.NowFunc(), trustCfg(), m, v)
 	tr.Suspect(1, ReasonBadSignature)
 	m.Expect(key(9, 9), []wire.NodeID{2}, ExpectAny)
 	c.Advance(150 * time.Millisecond)
@@ -385,7 +357,7 @@ func TestTrustSecondHandDoesNotAppearInSuspects(t *testing.T) {
 	// Only locally observed (Untrusted) nodes are advertised; Unknown nodes
 	// are not, preventing endless rumor propagation.
 	c := &fakeClock{}
-	tr := NewTrust(c.NowFunc(), DefaultTrustConfig(), nil, nil)
+	tr := NewTrust(c.NowFunc(), trustCfg(), nil, nil)
 	tr.Report(2, 3)
 	if len(tr.Suspects()) != 0 {
 		t.Fatalf("Suspects = %v, want empty", tr.Suspects())

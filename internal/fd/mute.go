@@ -20,17 +20,6 @@ type MuteConfig struct {
 	AgeInterval time.Duration
 }
 
-// DefaultMuteConfig returns interval-detector parameters suited to the
-// simulation's time scales.
-func DefaultMuteConfig() MuteConfig {
-	return MuteConfig{
-		Timeout:      500 * time.Millisecond,
-		Threshold:    2,
-		SuspicionTTL: 30 * time.Second,
-		AgeInterval:  10 * time.Second,
-	}
-}
-
 // expectation is one armed Expect call.
 type expectation struct {
 	key      ExpectKey

@@ -42,14 +42,6 @@ type TrustConfig struct {
 	ReportTTL time.Duration
 }
 
-// DefaultTrustConfig returns parameters suited to the simulation's scales.
-func DefaultTrustConfig() TrustConfig {
-	return TrustConfig{
-		DirectTTL: 60 * time.Second,
-		ReportTTL: 30 * time.Second,
-	}
-}
-
 // Trust aggregates MUTE, VERBOSE, direct observations and second-hand
 // reports into per-node trust levels. Not safe for concurrent use.
 type Trust struct {

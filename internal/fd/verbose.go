@@ -15,30 +15,12 @@ type VerboseConfig struct {
 	SuspicionTTL time.Duration
 	// AgeInterval is the decay period of indictment counters.
 	AgeInterval time.Duration
-	// MinSpacing, when non-zero for a kind, is the smallest legitimate gap
-	// between consecutive messages of that kind from one node; closer
-	// arrivals auto-indict (the "general requirements about minimal
-	// spacing" hook of §3.1, set at initialization time).
-	MinSpacing map[wire.Kind]time.Duration
-}
-
-// DefaultVerboseConfig returns interval-detector parameters suited to the
-// simulation's time scales.
-func DefaultVerboseConfig() VerboseConfig {
-	return VerboseConfig{
-		Threshold:    5,
-		SuspicionTTL: 30 * time.Second,
-		AgeInterval:  10 * time.Second,
-	}
 }
 
 // Verbose is the VERBOSE failure detector: it suspects nodes that send too
 // many messages (§3.1). Not safe for concurrent use.
 type Verbose struct {
-	now  Now
-	cfg  VerboseConfig
-	set  *counterSet
-	last map[wire.NodeID]map[wire.Kind]time.Duration
+	set *counterSet
 
 	// OnSuspect, if non-nil, observes suspicion transitions.
 	OnSuspect func(id wire.NodeID, suspected bool)
@@ -46,12 +28,7 @@ type Verbose struct {
 
 // NewVerbose builds a VERBOSE detector.
 func NewVerbose(now Now, cfg VerboseConfig) *Verbose {
-	v := &Verbose{
-		now:  now,
-		cfg:  cfg,
-		set:  newCounterSet(now, cfg.Threshold, cfg.SuspicionTTL, cfg.AgeInterval),
-		last: make(map[wire.NodeID]map[wire.Kind]time.Duration),
-	}
+	v := &Verbose{set: newCounterSet(now, cfg.Threshold, cfg.SuspicionTTL, cfg.AgeInterval)}
 	v.set.onChange = func(id wire.NodeID, s bool) {
 		if v.OnSuspect != nil {
 			v.OnSuspect(id, s)
@@ -62,26 +39,6 @@ func NewVerbose(now Now, cfg VerboseConfig) *Verbose {
 
 // Indict charges id with one count of excessive sending (VERBOSE.indict).
 func (v *Verbose) Indict(id wire.NodeID) { v.set.bump(id, 1) }
-
-// Observe records the arrival of a message of the given kind from id and
-// auto-indicts if it violates the configured minimum spacing.
-func (v *Verbose) Observe(id wire.NodeID, kind wire.Kind) {
-	minGap := v.cfg.MinSpacing[kind]
-	if minGap <= 0 {
-		return
-	}
-	now := v.now()
-	kinds := v.last[id]
-	if kinds == nil {
-		kinds = make(map[wire.Kind]time.Duration)
-		v.last[id] = kinds
-	}
-	prev, seen := kinds[kind]
-	kinds[kind] = now
-	if seen && now-prev < minGap {
-		v.Indict(id)
-	}
-}
 
 // Suspected reports whether the detector currently suspects id.
 func (v *Verbose) Suspected(id wire.NodeID) bool { return v.set.suspected(id) }

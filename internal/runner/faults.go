@@ -1,10 +1,8 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"bbcast/internal/byzantine"
@@ -310,112 +308,5 @@ func groupVector(groups [][]wire.NodeID, n int) []int {
 func signerFor(scheme sig.Scheme, id wire.NodeID) func([]byte) []byte {
 	return func(data []byte) []byte {
 		return scheme.Sign(uint32(id), data)
-	}
-}
-
-// ReproCommand renders a one-line bbsim invocation that reproduces the
-// scenario, including the fault plan inline. Printed alongside invariant
-// violations so a failing chaos run can be replayed directly.
-func ReproCommand(sc Scenario) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bbsim -seed %d -n %d", sc.Seed, sc.N)
-	if sc.Protocol != ProtoByzCast {
-		fmt.Fprintf(&b, " -proto %s", sc.Protocol)
-	}
-	def := DefaultScenario()
-	if sc.Area.W != def.Area.W {
-		fmt.Fprintf(&b, " -area %g", sc.Area.W)
-	}
-	if sc.Radio.Range > 0 && sc.Radio.Range != def.Radio.Range {
-		fmt.Fprintf(&b, " -range %g", sc.Radio.Range)
-	}
-	w := sc.Workload
-	if w.Rate != def.Workload.Rate {
-		fmt.Fprintf(&b, " -rate %g", w.Rate)
-	}
-	if w.Senders != def.Workload.Senders {
-		fmt.Fprintf(&b, " -senders %d", w.Senders)
-	}
-	if w.PayloadSize != def.Workload.PayloadSize {
-		fmt.Fprintf(&b, " -size %d", w.PayloadSize)
-	}
-	fmt.Fprintf(&b, " -duration %s", sc.Duration)
-	if w.Start != def.Workload.Start {
-		fmt.Fprintf(&b, " -warmup %s", w.Start)
-	}
-	if drain := sc.Duration - w.End; drain != 10*time.Second {
-		fmt.Fprintf(&b, " -drain %s", drain)
-	}
-	if sc.LoadGen != nil {
-		if data, err := json.Marshal(sc.LoadGen); err == nil {
-			fmt.Fprintf(&b, " -load '%s'", data)
-		}
-	}
-	for _, a := range sc.Adversaries {
-		switch a.Kind {
-		case AdvMute, AdvMuteSilent:
-			fmt.Fprintf(&b, " -mute %d", a.Count)
-		case AdvVerbose:
-			fmt.Fprintf(&b, " -verbose %d", a.Count)
-		case AdvTamper:
-			fmt.Fprintf(&b, " -tamper %d", a.Count)
-		case AdvSelective:
-			fmt.Fprintf(&b, " -selective %d", a.Count)
-		case AdvEquivocate:
-			fmt.Fprintf(&b, " -equivocate %d", a.Count)
-		case AdvFlooder:
-			fmt.Fprintf(&b, " -flooder %d", a.Count)
-		case AdvReplayer:
-			fmt.Fprintf(&b, " -replayer %d", a.Count)
-		case AdvForgeSpammer:
-			fmt.Fprintf(&b, " -forge %d", a.Count)
-		}
-	}
-	if sc.Placement == PlaceDominators {
-		b.WriteString(" -placement dominators")
-	}
-	if name := mobilityFlag(sc.Mobility); name != "grid" {
-		fmt.Fprintf(&b, " -mobility %s -speed %g", name, sc.Speed)
-	}
-	if !sc.Core.EnableFDs {
-		b.WriteString(" -no-fd")
-	}
-	if !sc.Core.AdaptiveTiming {
-		b.WriteString(" -no-adapt")
-	}
-	if sc.Core.Persist {
-		b.WriteString(" -persist")
-	}
-	if sc.Core.CatchUpSync {
-		b.WriteString(" -sync")
-	}
-	if c := sc.PersistCorrupt; c != nil {
-		if c.TearTail {
-			b.WriteString(" -persist-tear")
-		}
-		if c.FlipBits > 0 {
-			fmt.Fprintf(&b, " -persist-flip %d", c.FlipBits)
-		}
-	}
-	if sc.FaultPlan != nil {
-		fmt.Fprintf(&b, " -faults '%s'", sc.FaultPlan.String())
-	}
-	return b.String()
-}
-
-func mobilityFlag(m MobilityKind) string {
-	switch m {
-	case MobUniform:
-		return "uniform"
-	case MobWaypoint:
-		return "waypoint"
-	case MobWalk:
-		return "walk"
-	case MobGaussMarkov:
-		return "gauss-markov"
-	case MobFerry:
-		return "ferry"
-	default:
-		return "grid"
 	}
 }

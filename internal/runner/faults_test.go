@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bbcast/internal/faultplan"
-	"bbcast/internal/persist"
 	"bbcast/internal/radio"
 	"bbcast/internal/sim"
 	"bbcast/internal/wire"
@@ -221,26 +220,6 @@ func TestInvariantsCleanOnAdversarialRuns(t *testing.T) {
 	}
 }
 
-func TestReproCommandRendersScenario(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Seed = 42
-	sc.N = 80
-	sc.Adversaries = []Adversaries{{Kind: AdvMute, Count: 3}}
-	sc.FaultPlan = &faultplan.Plan{Events: []faultplan.Event{
-		{At: 10 * time.Second, Kind: faultplan.Crash, Node: 1},
-	}}
-	cmd := ReproCommand(sc)
-	for _, want := range []string{"bbsim -seed 42", "-n 80", "-mute 3", `-faults '{"events"`} {
-		if !strings.Contains(cmd, want) {
-			t.Errorf("repro %q missing %q", cmd, want)
-		}
-	}
-	// Defaults stay off the line.
-	if strings.Contains(cmd, "-proto") || strings.Contains(cmd, "-no-fd") {
-		t.Errorf("repro includes default flags: %q", cmd)
-	}
-}
-
 func TestFaultPlanRejectsOutOfRangeNodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -302,18 +281,5 @@ func TestAmnesiaRecoveryEndToEnd(t *testing.T) {
 	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("invariant violations under amnesiac churn: %v", res.Violations)
-	}
-}
-
-func TestReproCommandRendersPersistFlags(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Core.Persist = true
-	sc.Core.CatchUpSync = true
-	sc.PersistCorrupt = &persist.Corruption{TearTail: true, FlipBits: 5}
-	cmd := ReproCommand(sc)
-	for _, want := range []string{" -persist", " -sync", " -persist-tear", " -persist-flip 5"} {
-		if !strings.Contains(cmd, want) {
-			t.Errorf("repro %q missing %q", cmd, want)
-		}
 	}
 }

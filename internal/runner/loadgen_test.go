@@ -162,22 +162,3 @@ func TestLoadGenInvalidConfigFailsRun(t *testing.T) {
 		t.Errorf("error %q does not name the offending field", err)
 	}
 }
-
-// TestLoadGenReproCommandRoundTrips: scenarios with a load generator render
-// a -load flag whose JSON parses back to the same config.
-func TestLoadGenReproCommandRoundTrips(t *testing.T) {
-	sc := loadGenScenario(rampCfg(loadgen.Poisson))
-	repro := ReproCommand(sc)
-	if !strings.Contains(repro, "-load '") {
-		t.Fatalf("repro %q has no -load flag", repro)
-	}
-	jsonPart := repro[strings.Index(repro, "-load '")+len("-load '"):]
-	jsonPart = jsonPart[:strings.Index(jsonPart, "'")]
-	parsed, err := loadgen.Parse([]byte(jsonPart))
-	if err != nil {
-		t.Fatalf("repro -load payload does not parse: %v\npayload: %s", err, jsonPart)
-	}
-	if parsed.ExpectedCount() != sc.LoadGen.ExpectedCount() || parsed.Arrival != sc.LoadGen.Arrival {
-		t.Errorf("repro round trip changed the schedule: %+v vs %+v", parsed, sc.LoadGen)
-	}
-}

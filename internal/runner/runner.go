@@ -47,16 +47,10 @@ const (
 
 // String implements fmt.Stringer.
 func (p Protocol) String() string {
-	switch p {
-	case ProtoByzCast:
-		return "byzcast"
-	case ProtoFlooding:
-		return "flooding"
-	case ProtoFPlusOne:
-		return "f+1"
-	default:
-		return "proto(?)"
+	if name := spell(protocolNames, p); name != "" {
+		return name
 	}
+	return "proto(?)"
 }
 
 // MobilityKind selects the movement model.
@@ -306,6 +300,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 			return Result{}, err
 		}
 	}
+	given := sc // as the caller spelt it; what follows fills in and normalises
 	if sc.Radio.Range <= 0 {
 		sc.Radio = radio.DefaultConfig()
 	}
@@ -461,7 +456,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 		}
 		switch sc.Protocol {
 		case ProtoFlooding:
-			protos[i] = baseline.NewFlooding(deps, sc.Core.ForwardJitter)
+			protos[i] = baseline.NewFlooding(deps)
 		case ProtoFPlusOne:
 			var memberOf []int
 			for c, members := range fpOverlays {
@@ -471,7 +466,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 					}
 				}
 			}
-			protos[i] = baseline.NewFPlusOne(deps, sc.F, memberOf, sc.Core.ForwardJitter)
+			protos[i] = baseline.NewFPlusOne(deps, sc.F, memberOf)
 		default:
 			protos[i] = core.New(sc.Core, deps)
 		}
@@ -525,7 +520,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 	if chk != nil {
 		res.Violations = chk.Violations()
 		if len(res.Violations) > 0 {
-			res.Repro = ReproCommand(sc)
+			res.Repro = ReproCommand(given)
 		}
 	}
 	res.Results = collector.Summarize(sc.Protocol.String(), sc.N, func(origin wire.NodeID) int {
