@@ -33,7 +33,8 @@ type Behavior interface {
 	Tick(send func(*wire.Packet))
 }
 
-// Correct is the identity behaviour.
+// Correct is the identity behaviour. The adversaries embed it for the
+// methods in which they do not deviate.
 type Correct struct{}
 
 var _ Behavior = Correct{}
@@ -55,6 +56,7 @@ func (Correct) Tick(func(*wire.Packet)) {}
 // forwards other nodes' data and never relays searches, silently black-holing
 // the overlay paths through it.
 type Mute struct {
+	Correct
 	// Self is the adversary's own id; its own originations still go out
 	// (a mute node may still be an application source).
 	Self wire.NodeID
@@ -91,16 +93,11 @@ func (m *Mute) FilterSend(pkt *wire.Packet) *wire.Packet {
 	return pkt
 }
 
-// OnReceive implements Behavior.
-func (m *Mute) OnReceive(*wire.Packet) {}
-
-// Tick implements Behavior.
-func (m *Mute) Tick(func(*wire.Packet)) {}
-
 // Verbose floods the network with valid-looking requests for messages it has
 // heard advertised, provoking overlay nodes into re-sending data (a
 // reaction-amplification attack, §3.1).
 type Verbose struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Rng drives target selection.
@@ -116,9 +113,6 @@ var _ Behavior = (*Verbose)(nil)
 
 // Name implements Behavior.
 func (v *Verbose) Name() string { return "verbose" }
-
-// FilterSend implements Behavior.
-func (v *Verbose) FilterSend(pkt *wire.Packet) *wire.Packet { return pkt }
 
 // OnReceive implements Behavior: harvest real gossip entries (their
 // signatures are valid, so spam requests referencing them pass verification)
@@ -173,6 +167,7 @@ func (v *Verbose) Tick(send func(*wire.Packet)) {
 // being able to re-sign it, so correct receivers detect the bad signature
 // and suspect the tamperer.
 type Tamper struct {
+	Correct
 	// Self is the adversary's id; its own originations are left intact
 	// (tampering with its own signed messages would only hurt itself).
 	Self wire.NodeID
@@ -193,15 +188,10 @@ func (t *Tamper) FilterSend(pkt *wire.Packet) *wire.Packet {
 	return cp
 }
 
-// OnReceive implements Behavior.
-func (t *Tamper) OnReceive(*wire.Packet) {}
-
-// Tick implements Behavior.
-func (t *Tamper) Tick(func(*wire.Packet)) {}
-
 // SelectiveDrop drops a random fraction of all forwards — a "selfish" node
 // saving battery rather than an outright attacker.
 type SelectiveDrop struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Rng drives the drop decision.
@@ -223,12 +213,6 @@ func (s *SelectiveDrop) FilterSend(pkt *wire.Packet) *wire.Packet {
 	return pkt
 }
 
-// OnReceive implements Behavior.
-func (s *SelectiveDrop) OnReceive(*wire.Packet) {}
-
-// Tick implements Behavior.
-func (s *SelectiveDrop) Tick(func(*wire.Packet)) {}
-
 // Equivocate is a Byzantine *source*: it signs conflicting payload variants
 // of its own messages under the same message id, so different correct nodes
 // accept different payloads (the classic equivocation attack). Signatures
@@ -241,6 +225,7 @@ func (s *SelectiveDrop) Tick(func(*wire.Packet)) {}
 // the message from a B-holder's forward — delivers B while the rest of the
 // network delivers A.
 type Equivocate struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Sign signs bytes with the node's own key (injected by the host; a
@@ -286,9 +271,6 @@ func (e *Equivocate) FilterSend(pkt *wire.Packet) *wire.Packet {
 	cp.Sig = e.Sign(wire.DataSigBytes(id, cp.Payload))
 	return cp
 }
-
-// OnReceive implements Behavior.
-func (e *Equivocate) OnReceive(*wire.Packet) {}
 
 // Tick implements Behavior: alternately broadcast a fresh variant-A message
 // and the conflicting variant B of the previous one.
@@ -339,6 +321,7 @@ const flooderSeqBase wire.Seq = 2 << 20
 // receivers' memory (store growth) and CPU (one verification per message),
 // which is exactly what the admission-control layer must bound.
 type Flooder struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Sign signs bytes with the node's own key.
@@ -356,12 +339,6 @@ var _ Behavior = (*Flooder)(nil)
 
 // Name implements Behavior.
 func (f *Flooder) Name() string { return "flooder" }
-
-// FilterSend implements Behavior.
-func (f *Flooder) FilterSend(pkt *wire.Packet) *wire.Packet { return pkt }
-
-// OnReceive implements Behavior.
-func (f *Flooder) OnReceive(*wire.Packet) {}
 
 // Tick implements Behavior: spam fresh signed messages.
 func (f *Flooder) Tick(send func(*wire.Packet)) {
@@ -400,6 +377,7 @@ func (f *Flooder) Tick(send func(*wire.Packet)) {
 // replay costs a full signature check, and without tombstones an old replay
 // is re-accepted.
 type Replayer struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Rng picks which harvested packets to replay.
@@ -414,9 +392,6 @@ var _ Behavior = (*Replayer)(nil)
 
 // Name implements Behavior.
 func (r *Replayer) Name() string { return "replayer" }
-
-// FilterSend implements Behavior.
-func (r *Replayer) FilterSend(pkt *wire.Packet) *wire.Packet { return pkt }
 
 // OnReceive implements Behavior: harvest up to 128 distinct packets.
 func (r *Replayer) OnReceive(pkt *wire.Packet) {
@@ -456,6 +431,7 @@ func (r *Replayer) Tick(send func(*wire.Packet)) {
 // real node: signer ids are drawn from far outside the deployment's id range,
 // so the bad-signature suspicions it provokes indict no one.
 type ForgeSpammer struct {
+	Correct
 	// Self is the adversary's id.
 	Self wire.NodeID
 	// Rng drives id and payload generation.
@@ -474,12 +450,6 @@ const forgeIDBase = 1 << 24
 
 // Name implements Behavior.
 func (s *ForgeSpammer) Name() string { return "forge-spammer" }
-
-// FilterSend implements Behavior.
-func (s *ForgeSpammer) FilterSend(pkt *wire.Packet) *wire.Packet { return pkt }
-
-// OnReceive implements Behavior.
-func (s *ForgeSpammer) OnReceive(*wire.Packet) {}
 
 // Tick implements Behavior: spam data and gossip packets with random
 // signatures from nonexistent origins.
@@ -570,50 +540,55 @@ func (s *Switchable) OnReceive(pkt *wire.Packet) { s.Current().OnReceive(pkt) }
 // Tick implements Behavior.
 func (s *Switchable) Tick(send func(*wire.Packet)) { s.Current().Tick(send) }
 
-// Make builds a behaviour by name — the vocabulary fault plans use for
-// behaviour swaps. rng and sign may be nil for behaviours that do not need
-// them. Known names: correct, mute, mute-silent, verbose, tamper,
-// selective-drop, equivocate, flooder, replayer, forge-spammer.
+// tools is what a host can hand a behaviour: its id, a random stream and a
+// function signing with the node's own key.
+type tools struct {
+	self wire.NodeID
+	rng  *rand.Rand
+	sign func([]byte) []byte
+}
+
+// makers is the behaviour vocabulary — the names fault plans swap to, the
+// runner's adversary kinds map to, and reports print — with what each one
+// cannot be built without.
+var makers = map[string]struct {
+	rng, sign bool
+	build     func(tools) Behavior
+}{
+	"correct":        {build: func(tools) Behavior { return Correct{} }},
+	"mute":           {build: func(t tools) Behavior { return &Mute{Self: t.self} }},
+	"mute-silent":    {build: func(t tools) Behavior { return &Mute{Self: t.self, DropGossip: true} }},
+	"verbose":        {rng: true, build: func(t tools) Behavior { return &Verbose{Self: t.self, Rng: t.rng, PerTick: 4} }},
+	"tamper":         {build: func(t tools) Behavior { return &Tamper{Self: t.self} }},
+	"selective-drop": {rng: true, build: func(t tools) Behavior { return &SelectiveDrop{Self: t.self, Rng: t.rng, DropProb: 0.5} }},
+	"equivocate":     {sign: true, build: func(t tools) Behavior { return &Equivocate{Self: t.self, Sign: t.sign} }},
+	"flooder":        {sign: true, build: func(t tools) Behavior { return &Flooder{Self: t.self, Sign: t.sign} }},
+	"replayer":       {build: func(t tools) Behavior { return &Replayer{Self: t.self, Rng: t.rng} }},
+	"forge-spammer":  {rng: true, build: func(t tools) Behavior { return &ForgeSpammer{Self: t.self, Rng: t.rng} }},
+}
+
+// Known reports whether name is in Make's vocabulary.
+func Known(name string) bool {
+	_, ok := makers[name]
+	return ok
+}
+
+// Make builds a behaviour by name (the empty name is "correct"). rng and sign
+// may be nil for behaviours that do not need them.
 func Make(name string, self wire.NodeID, rng *rand.Rand, sign func([]byte) []byte) (Behavior, error) {
-	switch name {
-	case "correct", "":
-		return Correct{}, nil
-	case "mute":
-		return &Mute{Self: self}, nil
-	case "mute-silent":
-		return &Mute{Self: self, DropGossip: true}, nil
-	case "verbose":
-		if rng == nil {
-			return nil, fmt.Errorf("byzantine: %q needs a random stream", name)
-		}
-		return &Verbose{Self: self, Rng: rng, PerTick: 4}, nil
-	case "tamper":
-		return &Tamper{Self: self}, nil
-	case "selective-drop":
-		if rng == nil {
-			return nil, fmt.Errorf("byzantine: %q needs a random stream", name)
-		}
-		return &SelectiveDrop{Self: self, Rng: rng, DropProb: 0.5}, nil
-	case "equivocate":
-		if sign == nil {
-			return nil, fmt.Errorf("byzantine: %q needs a signing function", name)
-		}
-		return &Equivocate{Self: self, Sign: sign}, nil
-	case "flooder":
-		if sign == nil {
-			return nil, fmt.Errorf("byzantine: %q needs a signing function", name)
-		}
-		return &Flooder{Self: self, Sign: sign}, nil
-	case "replayer":
-		return &Replayer{Self: self, Rng: rng}, nil
-	case "forge-spammer":
-		if rng == nil {
-			return nil, fmt.Errorf("byzantine: %q needs a random stream", name)
-		}
-		return &ForgeSpammer{Self: self, Rng: rng}, nil
-	default:
-		return nil, fmt.Errorf("byzantine: unknown behaviour %q", name)
+	if name == "" {
+		name = "correct"
 	}
+	m, ok := makers[name]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("byzantine: unknown behaviour %q", name)
+	case m.rng && rng == nil:
+		return nil, fmt.Errorf("byzantine: %q needs a random stream", name)
+	case m.sign && sign == nil:
+		return nil, fmt.Errorf("byzantine: %q needs a signing function", name)
+	}
+	return m.build(tools{self, rng, sign}), nil
 }
 
 // Faulty reports whether the named behaviour deviates from the protocol

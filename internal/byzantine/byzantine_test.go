@@ -171,6 +171,9 @@ func TestMakeVocabulary(t *testing.T) {
 		"tamper":         "tamper",
 		"selective-drop": "selective-drop",
 		"equivocate":     "equivocate",
+		"flooder":        "flooder",
+		"replayer":       "replayer",
+		"forge-spammer":  "forge-spammer",
 	}
 	for in, want := range wantName {
 		b, err := Make(in, 3, rng, sign)
@@ -180,6 +183,12 @@ func TestMakeVocabulary(t *testing.T) {
 		if b.Name() != want {
 			t.Errorf("Make(%q).Name() = %q, want %q", in, b.Name(), want)
 		}
+		if Known(in) != (in != "") { // fault plans must spell "correct" out
+			t.Errorf("Known(%q) = %v", in, Known(in))
+		}
+	}
+	if len(makers) != len(wantName)-1 {
+		t.Errorf("vocabulary has %d names, this test knows %d", len(makers), len(wantName)-1)
 	}
 	if m, _ := Make("mute-silent", 3, nil, nil); !m.(*Mute).DropGossip {
 		t.Error("mute-silent did not set DropGossip")
@@ -193,7 +202,7 @@ func TestMakeVocabulary(t *testing.T) {
 	if _, err := Make("equivocate", 3, rng, nil); err == nil {
 		t.Error("Make(equivocate) without signer accepted")
 	}
-	if _, err := Make("gremlin", 3, rng, sign); err == nil {
+	if _, err := Make("gremlin", 3, rng, sign); err == nil || Known("gremlin") {
 		t.Error("unknown behaviour accepted")
 	}
 }

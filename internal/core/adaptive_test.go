@@ -16,7 +16,7 @@ import (
 // backoff, then the chain gives up explicitly while the missing entry stays
 // for the natural gossip-round retry.
 func TestRetransmissionBackoffAndGiveUp(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	// Raise the server-side tolerance above the retry budget so this test
 	// exercises the full backoff chain; the tolerance interaction is pinned
 	// by TestRetryRespectsRequestTolerance.
@@ -52,7 +52,7 @@ func TestRetransmissionBackoffAndGiveUp(t *testing.T) {
 // TestRetryStopsWhenDataArrives: a chain in flight is cut short the moment
 // the data lands; no abandoned transition is recorded.
 func TestRetryStopsWhenDataArrives(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(2, id))
@@ -77,7 +77,7 @@ func TestRetryStopsWhenDataArrives(t *testing.T) {
 // once that target has been asked RequestTolerance times in total — one more
 // request would get this node indicted as VERBOSE by a correct server.
 func TestRetryRespectsRequestTolerance(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	if cfg.RetryMaxAttempts < cfg.RequestTolerance {
 		t.Skip("default retry budget no longer reaches the tolerance cap")
 	}
@@ -102,7 +102,7 @@ func TestRetryRespectsRequestTolerance(t *testing.T) {
 // TestRetryRotatesGossipers: with several known gossipers, the retransmission
 // chain spreads its attempts over them instead of hammering the first.
 func TestRetryRotatesGossipers(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(2, id))
@@ -129,7 +129,7 @@ func TestRetryRotatesGossipers(t *testing.T) {
 // multiplicative steps (never leaving the configured bounds), and once
 // gossip flows again they return additively to nominal.
 func TestAdaptiveTimersDegradeAndRecover(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	gMin, gMax := cfg.GossipBounds()
 	mMin, mMax := cfg.MuteTimeoutBounds()
@@ -194,7 +194,7 @@ func TestAdaptiveTimersDegradeAndRecover(t *testing.T) {
 // TestAdaptiveTimingDisabledIsStatic: with the gate off, the estimator tracks
 // nothing and the timers never move regardless of link behaviour.
 func TestAdaptiveTimingDisabledIsStatic(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.AdaptiveTiming = false
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 1}
@@ -219,7 +219,7 @@ func TestAdaptiveTimingDisabledIsStatic(t *testing.T) {
 // TestLinkQualExpiresWithNeighbors: estimator entries die with their
 // neighbour-table entries, so MaxNeighbors bounds both.
 func TestLinkQualExpiresWithNeighbors(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	for n := wire.NodeID(2); n <= 5; n++ {

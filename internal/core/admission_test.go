@@ -15,13 +15,13 @@ import (
 // admitTestConfig disables rate limiting so tests of the other bounds can
 // send back-to-back packets without tripping the bucket.
 func admitTestConfig() Config {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.AdmitRate = 0
 	return cfg
 }
 
 func TestAdmissionBucketShedsFlood(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.AdmitRate = 2
 	cfg.AdmitBurst = 4
 	h := newHarness(t, 0, cfg)
@@ -79,7 +79,7 @@ func TestGossipReplayVerifiedByByteEquality(t *testing.T) {
 
 func TestGossipBatchTrimmedToRxCap(t *testing.T) {
 	cfg := admitTestConfig()
-	cfg.GossipMaxEntriesRx = 4
+	cfg.GossipMaxEntries = 2 // a receiver reads twice what a sender packs
 	h := newHarness(t, 0, cfg)
 	ids := make([]wire.MsgID, 10)
 	for i := range ids {
@@ -197,7 +197,7 @@ func TestMissingTableRejectsAtCap(t *testing.T) {
 func TestReqSeenCapAndTTL(t *testing.T) {
 	cfg := admitTestConfig()
 	cfg.MaxReqSeen = 3
-	cfg.ReqSeenTTL = 2 * time.Second
+	cfg.PurgeTimeout = 2 * time.Second // request-count records live as long as payloads
 	h := newHarness(t, 0, cfg)
 
 	for i := 1; i <= 5; i++ {
@@ -208,7 +208,7 @@ func TestReqSeenCapAndTTL(t *testing.T) {
 		t.Fatalf("reqSeen has %d records, want cap 3", n)
 	}
 	// Idle records expire on the purge tick once past the TTL.
-	h.run(cfg.ReqSeenTTL + cfg.PurgeInterval + time.Second)
+	h.run(cfg.PurgeTimeout + cfg.PurgeInterval + time.Second)
 	if n := h.p.ReqSeenCount(); n != 0 {
 		t.Fatalf("reqSeen has %d records after the TTL, want 0", n)
 	}

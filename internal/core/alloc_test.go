@@ -13,7 +13,7 @@ import (
 // protocol's own.
 func steadyHarness(t *testing.T) (*harness, *wire.OverlayState) {
 	t.Helper()
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.p.deps.Send = func(*wire.Packet) {}
 	var state *wire.OverlayState
 	for round := 0; round < 2; round++ { // two packets admit a neighbour

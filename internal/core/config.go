@@ -23,14 +23,16 @@ import (
 type Config struct {
 	// GossipInterval is the lazycast period (the paper's gossip_timeout):
 	// how often a node re-advertises the signatures of messages it holds.
+	// Each period is randomized by ± a fifth of this nominal interval to
+	// desynchronize gossipers (periodJitter).
 	GossipInterval time.Duration
-	// GossipJitter randomizes each gossip period by ±GossipJitter to
-	// desynchronize gossipers.
-	GossipJitter time.Duration
 	// GossipRetention is how long a message keeps being advertised.
 	GossipRetention time.Duration
 	// GossipMaxEntries caps advertisements per gossip packet; additional
-	// entries wait for the next period (aggregation bound).
+	// entries wait for the next period (aggregation bound). A receiver
+	// processes at most twice as many entries of one packet and ignores the
+	// rest, so a spammer cannot buy unbounded verification work with one
+	// datagram. Zero or negative lifts both bounds.
 	GossipMaxEntries int
 	// GossipAggregation, when false, sends one gossip packet per
 	// advertisement instead of batching (ablation of the §1 optimization).
@@ -57,19 +59,14 @@ type Config struct {
 	// StabilityPurge enables the paper's alternative purging mechanism
 	// (§3.2.2): a payload may be dropped before PurgeTimeout once enough
 	// distinct neighbours have advertised the message in their gossip —
-	// they all hold it, so this node no longer needs to serve it.
+	// they all hold it, so this node no longer needs to serve it. "Enough"
+	// is half the current neighbour count and at least three, and a message
+	// is kept for two gossip rounds whatever its confirmations.
 	StabilityPurge bool
-	// StabilityThreshold is how many distinct confirming gossipers make a
-	// message stable (0 picks half the current neighbour count, min 3).
-	StabilityThreshold int
-	// StabilityMinAge keeps even stable messages for at least this long
-	// (two gossip rounds by default when zero).
-	StabilityMinAge time.Duration
 
-	// MaintenanceInterval is the overlay computation-step period.
+	// MaintenanceInterval is the overlay computation-step period, randomized
+	// like the gossip period.
 	MaintenanceInterval time.Duration
-	// MaintenanceJitter randomizes the maintenance period.
-	MaintenanceJitter time.Duration
 	// NeighborTTL expires neighbours not heard from.
 	NeighborTTL time.Duration
 	// PiggybackState attaches the overlay-state record to gossip packets
@@ -106,17 +103,9 @@ type Config struct {
 	// Zero or negative means unbounded.
 	MaxMissing int
 	// MaxReqSeen caps the per-message request-count table; at the cap the
-	// least recently touched record is evicted. Zero or negative means
-	// unbounded.
+	// least recently touched record is evicted, and a record not touched for
+	// PurgeTimeout expires. Zero or negative means unbounded.
 	MaxReqSeen int
-	// ReqSeenTTL expires request-count records not touched for this long
-	// (defaults to PurgeTimeout when zero).
-	ReqSeenTTL time.Duration
-	// GossipMaxEntriesRx caps how many advertisements of one received gossip
-	// packet are processed; the rest are ignored (a spammer cannot buy
-	// unbounded verification work with one datagram). Zero or negative means
-	// unbounded.
-	GossipMaxEntriesRx int
 
 	// AdaptiveTiming gates the link-quality estimator and the AIMD timer
 	// control it drives: with it on, each node scores its neighbours by
@@ -144,9 +133,6 @@ type Config struct {
 	Verbose fd.VerboseConfig
 	Trust   fd.TrustConfig
 
-	// DeliverOwn, when set, delivers the node's own broadcasts locally.
-	DeliverOwn bool
-
 	// Persist enables the durable-state layer: the host attaches a
 	// persist.Store (Deps.Store) and the protocol records its broadcast
 	// sequence number, delivered-message digests and direct suspicions to it,
@@ -165,7 +151,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		GossipInterval:    1 * time.Second,
-		GossipJitter:      200 * time.Millisecond,
 		GossipRetention:   10 * time.Second,
 		GossipMaxEntries:  32,
 		GossipAggregation: true,
@@ -181,17 +166,15 @@ func DefaultConfig() Config {
 		// Resource bounds: generous enough that correct traffic never hits
 		// them at any experiment scale, tight enough that a flooding or
 		// replaying neighbour cannot exhaust memory or verification CPU.
-		AdmitRate:          60,
-		AdmitBurst:         120,
-		MaxNeighbors:       128,
-		MaxStore:           4096,
-		StoreQuiescence:    60 * time.Second,
-		MaxMissing:         1024,
-		MaxReqSeen:         1024,
-		GossipMaxEntriesRx: 64,
+		AdmitRate:       60,
+		AdmitBurst:      120,
+		MaxNeighbors:    128,
+		MaxStore:        4096,
+		StoreQuiescence: 60 * time.Second,
+		MaxMissing:      1024,
+		MaxReqSeen:      1024,
 
 		MaintenanceInterval: 1 * time.Second,
-		MaintenanceJitter:   200 * time.Millisecond,
 		NeighborTTL:         5 * time.Second,
 		PiggybackState:      true,
 		Overlay:             overlay.MISB,
@@ -219,8 +202,6 @@ func DefaultConfig() Config {
 			DirectTTL: 60 * time.Second,
 			ReportTTL: 20 * time.Second,
 		},
-
-		DeliverOwn: true,
 	}
 }
 

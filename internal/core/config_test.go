@@ -1,8 +1,7 @@
 package core
 
 // Tests for configuration paths not exercised by the main protocol tests:
-// dedicated maintenance packets, delivery options, gossip batching limits,
-// retention windows.
+// dedicated maintenance packets, gossip batching limits, retention windows.
 
 import (
 	"reflect"
@@ -13,7 +12,7 @@ import (
 )
 
 func TestDedicatedStatePacketsWhenNotPiggybacking(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.PiggybackState = false
 	h := newHarness(t, 0, cfg)
 	h.run(cfg.MaintenanceInterval + 100*time.Millisecond)
@@ -35,18 +34,8 @@ func TestDedicatedStatePacketsWhenNotPiggybacking(t *testing.T) {
 	}
 }
 
-func TestDeliverOwnDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.DeliverOwn = false
-	h := newHarness(t, 0, cfg)
-	h.p.Broadcast([]byte("mine"))
-	if len(h.delivered) != 0 {
-		t.Fatal("own message delivered despite DeliverOwn=false")
-	}
-}
-
 func TestGossipMaxEntriesCapsBatch(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GossipMaxEntries = 3
 	h := newHarness(t, 0, cfg)
 	var ids []wire.MsgID
@@ -67,7 +56,7 @@ func TestGossipMaxEntriesCapsBatch(t *testing.T) {
 }
 
 func TestGossipRetentionStopsAdvertising(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GossipRetention = 2 * time.Second
 	cfg.PurgeTimeout = time.Hour
 	h := newHarness(t, 0, cfg)
@@ -96,7 +85,7 @@ func TestGossipRetentionStopsAdvertising(t *testing.T) {
 
 func TestSecondHandReportAboutSelfIgnored(t *testing.T) {
 	// A Byzantine neighbour accusing *us* must not poison our own tables.
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	st := &wire.OverlayState{Active: true, Suspects: []wire.NodeID{0}}
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{2: st})
 	// Nothing to assert on Trust().Level(0) (it is never consulted for
@@ -108,7 +97,7 @@ func TestSecondHandReportAboutSelfIgnored(t *testing.T) {
 }
 
 func TestStatsSnapshot(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.p.Broadcast([]byte("a"))
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("b")))
 	st := h.p.Stats()
@@ -121,7 +110,7 @@ func TestStatsSnapshot(t *testing.T) {
 }
 
 func TestAbandonedMissingEntriesReaped(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.PurgeTimeout = 2 * time.Second
 	cfg.PurgeInterval = 500 * time.Millisecond
 	h := newHarness(t, 0, cfg)
@@ -134,6 +123,46 @@ func TestAbandonedMissingEntriesReaped(t *testing.T) {
 	h.run(5 * time.Second)
 	if got := h.p.MissingCount(); got != 0 {
 		t.Fatalf("abandoned missing entries not reaped: %d", got)
+	}
+}
+
+// TestConfigFieldCeiling holds Config at the 30 fields it had once every knob
+// nothing outside this package's tests had ever moved was worked out by the
+// code. Each field multiplies the configurations tests, experiments and the
+// benchmark have to cover: a new one must replace an old one.
+func TestConfigFieldCeiling(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n > 30 {
+		t.Fatalf("Config has %d fields, want <= 30", n)
+	}
+}
+
+// TestShortIntervalKeepsGossipTicksApart shortens only the gossip interval,
+// as the live tests and examples do. The jitter follows it, so no two ticks
+// fall closer than half an interval; a fixed 200 ms jitter around a 100 ms
+// period fired a quarter of them back to back.
+func TestShortIntervalKeepsGossipTicksApart(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GossipInterval = 100 * time.Millisecond
+	cfg.AdaptiveTiming = false
+	var ticks []time.Duration // every gossip tick sends one frame: it carries the state record
+	var h *harness
+	h = newHarnessWith(t, 0, cfg, func(d *Deps) {
+		d.Send = func(pkt *wire.Packet) {
+			if pkt.Kind == wire.KindGossip {
+				ticks = append(ticks, h.eng.Now())
+			}
+		}
+	})
+	for len(ticks) <= 200 && h.eng.Now() < time.Minute {
+		h.run(time.Second)
+	}
+	if len(ticks) <= 200 {
+		t.Fatalf("%d gossip ticks in %v, want more than 200", len(ticks), h.eng.Now())
+	}
+	for i := 1; i <= 200; i++ {
+		if gap := ticks[i] - ticks[i-1]; gap < cfg.GossipInterval/2 {
+			t.Fatalf("gossip ticks %d and %d are %v apart, want >= %v", i-1, i, gap, cfg.GossipInterval/2)
+		}
 	}
 }
 

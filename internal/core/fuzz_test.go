@@ -29,7 +29,7 @@ func mutate(rng *rand.Rand, pkt *wire.Packet) *wire.Packet {
 }
 
 func TestFuzzMutatedPacketsNeverPanicOrForge(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	legit := [][]byte{[]byte("alpha"), []byte("bravo"), []byte("charlie")}
 	rng := rand.New(rand.NewSource(1))
 
@@ -81,9 +81,9 @@ func TestFuzzDeliveredPayloadMatchesSigned(t *testing.T) {
 	// equal what the originator signed, bit for bit, under heavy mutation
 	// pressure.
 	var deliveredPayloads [][]byte
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.p.Stop() // rebuild with a payload-capturing deliver hook
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h.p = New(cfg, Deps{
 		ID:     0,
 		Clock:  h.p.deps.Clock,
@@ -123,7 +123,7 @@ func TestFuzzDeliveredPayloadMatchesSigned(t *testing.T) {
 // each message at most once and never accepts a forged one.
 func TestQuickAcceptOncePerInterleaving(t *testing.T) {
 	f := func(order []uint8) bool {
-		h := newHarness(t, 0, testConfig())
+		h := newHarness(t, 0, DefaultConfig())
 		defer h.p.Stop()
 		pkts := []*wire.Packet{
 			h.dataFrom(1, 1, []byte("a")),
@@ -165,7 +165,7 @@ func TestQuickRequestsBoundedByGossipPairs(t *testing.T) {
 		if len(entries) > 40 {
 			entries = entries[:40]
 		}
-		cfg := testConfig()
+		cfg := DefaultConfig()
 		h := newHarness(t, 0, cfg)
 		defer h.p.Stop()
 		pairs := map[[2]uint32]bool{}
@@ -243,7 +243,7 @@ func FuzzHandlePacket(f *testing.F) {
 	// flooder spam at a high sequence base, a replayed packet re-stamped
 	// with the replayer's own sender id, forged junk signatures from origins
 	// no PKI ever issued, and an oversized gossip batch that must be trimmed
-	// by GossipMaxEntriesRx rather than bought at face value.
+	// at twice GossipMaxEntries rather than bought at face value.
 	f.Add(signData(2, 2<<20, []byte("flood")).Marshal())
 	replayed := signData(1, 1, []byte("alpha"))
 	replayed.Sender = 7
@@ -296,7 +296,7 @@ func FuzzHandlePacket(f *testing.F) {
 		if err != nil {
 			return
 		}
-		h := newHarness(t, 0, testConfig())
+		h := newHarness(t, 0, DefaultConfig())
 		for _, nb := range []wire.NodeID{2, 3} {
 			h.p.HandlePacket(h.stateFrom(nb, fuzzPrimedState(nb)))
 		}

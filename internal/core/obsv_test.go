@@ -129,7 +129,7 @@ func assertRecordersAgree(t *testing.T, a, b *recObserver) {
 
 func TestObserverExactlyOncePerProtocolEvent(t *testing.T) {
 	rec, twin := newRecObserver(), newRecObserver()
-	h := newObsHarness(t, 0, testConfig(), obsv.Multi(rec, twin))
+	h := newObsHarness(t, 0, DefaultConfig(), obsv.Multi(rec, twin))
 
 	// One valid data packet: exactly one rx, one sig verify, one accept.
 	data := h.dataFrom(1, 1, []byte("alpha"))
@@ -147,8 +147,8 @@ func TestObserverExactlyOncePerProtocolEvent(t *testing.T) {
 	if rec.suppressed != 1 {
 		t.Fatalf("after duplicate: suppressed=%d, want 1", rec.suppressed)
 	}
-	// The node's own broadcast is delivered locally (DeliverOwn) and must
-	// emit exactly one accept too.
+	// The node's own broadcast is delivered locally and must emit exactly
+	// one accept too.
 	own := h.p.Broadcast([]byte("mine"))
 	if len(rec.accepts) != 2 || rec.accepts[1] != own {
 		t.Fatalf("own broadcast accepts = %v, want [.., %v]", rec.accepts, own)
@@ -170,7 +170,7 @@ func TestObserverExactlyOncePerProtocolEvent(t *testing.T) {
 
 func TestObserverRoleAndQueueEvents(t *testing.T) {
 	rec, twin := newRecObserver(), newRecObserver()
-	h := newObsHarness(t, 0, testConfig(), obsv.Multi(rec, twin))
+	h := newObsHarness(t, 0, DefaultConfig(), obsv.Multi(rec, twin))
 	h.run(10 * time.Second) // let elections and maintenance run
 
 	if len(rec.roles) == 0 {
@@ -202,7 +202,7 @@ func TestObserverRoleAndQueueEvents(t *testing.T) {
 
 func TestObserverSuspicionRaiseAndClear(t *testing.T) {
 	rec, twin := newRecObserver(), newRecObserver()
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newObsHarness(t, 0, cfg, obsv.Multi(rec, twin))
 
 	// Gossip from 3 advertises messages it never supplies: each unmet MUTE
@@ -232,7 +232,7 @@ func TestObserverSuspicionRaiseAndClear(t *testing.T) {
 func TestObserverExactlyOnceUnderFuzzCorpus(t *testing.T) {
 	rec, twin := newRecObserver(), newRecObserver()
 	var scheme *countingScheme
-	h := newHarnessWith(t, 0, testConfig(), func(d *Deps) {
+	h := newHarnessWith(t, 0, DefaultConfig(), func(d *Deps) {
 		scheme = countScheme(d)
 		d.Obs = obsv.Multi(rec, twin)
 	})

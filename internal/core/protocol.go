@@ -328,13 +328,13 @@ func New(cfg Config, deps Deps) *Protocol {
 
 	if cfg.GossipInterval > 0 {
 		// The gossip period is dynamic: the adaptive controller rewrites
-		// p.gossipPeriod and the scheduler re-reads it each round.
-		p.schedulePeriodicFunc(func() time.Duration { return p.gossipPeriod }, cfg.GossipJitter, p.gossipTick)
+		// p.gossipPeriod and the scheduler re-reads it each round. The jitter
+		// stays that of the nominal interval, so adapting the period never
+		// changes what is drawn from the RNG.
+		p.schedulePeriodicFunc(func() time.Duration { return p.gossipPeriod }, periodJitter(cfg.GossipInterval), p.gossipTick)
 	}
-	p.schedulePeriodic(cfg.MaintenanceInterval, cfg.MaintenanceJitter, p.maintenanceTick)
-	if cfg.PurgeInterval > 0 {
-		p.schedulePeriodic(cfg.PurgeInterval, 0, p.purgeTick)
-	}
+	p.schedulePeriodic(cfg.MaintenanceInterval, periodJitter(cfg.MaintenanceInterval), p.maintenanceTick)
+	p.schedulePeriodic(cfg.PurgeInterval, 0, p.purgeTick)
 	if deps.Store != nil {
 		// Jitterless so attaching a store draws nothing from the RNG: runs
 		// with persistence off keep their exact draw schedule.
@@ -441,6 +441,13 @@ func (p *Protocol) StoreSize() (held, tombstones int) {
 	return p.store.held.n, p.store.tombs.n
 }
 
+// periodJitter is how far a gossip or maintenance period is randomized either
+// way to desynchronize neighbours: a fifth of the nominal interval. That is
+// less than the shortest period the interval allows (GossipBounds: a quarter
+// of it), so a jittered period is positive however short the host makes the
+// interval.
+func periodJitter(interval time.Duration) time.Duration { return interval / 5 }
+
 func (p *Protocol) schedulePeriodic(period, jitter time.Duration, fn func()) {
 	if period <= 0 {
 		return
@@ -458,9 +465,6 @@ func (p *Protocol) schedulePeriodicFunc(period func() time.Duration, jitter time
 		d := period()
 		if jitter > 0 {
 			d += time.Duration(p.deps.Rand.Int63n(int64(2*jitter))) - jitter
-		}
-		if d <= 0 {
-			d = 1
 		}
 		cancel = p.deps.Clock.After(d, tick)
 	}
@@ -517,7 +521,7 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 		Sig:     dataSig,
 		Meta:    wire.Meta{Hops: 1, Cause: wire.CauseOrigin, Digest: digest},
 	})
-	if p.cfg.DeliverOwn && p.deps.Deliver != nil {
+	if p.deps.Deliver != nil {
 		p.stats.Accepted++
 		p.deps.Accept(id, body, wire.Meta{Cause: wire.CauseOrigin, Digest: digest})
 	}
@@ -781,7 +785,7 @@ func dataDigest(pkt *wire.Packet) uint64 {
 func (p *Protocol) handleGossip(pkt *wire.Packet) {
 	p.noteGossipArrival(pkt.Sender)
 	entries := pkt.Gossip
-	if max := p.cfg.GossipMaxEntriesRx; max > 0 && len(entries) > max {
+	if max := 2 * p.cfg.GossipMaxEntries; max > 0 && len(entries) > max {
 		entries = entries[:max]
 		p.observeAdmission(obsv.AdmitGossipTrim)
 	}

@@ -26,13 +26,6 @@ type harness struct {
 	delivered []wire.MsgID
 }
 
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.GossipJitter = 0
-	cfg.MaintenanceJitter = 0
-	return cfg
-}
-
 func newHarness(t *testing.T, selfID wire.NodeID, cfg Config) *harness {
 	t.Helper()
 	return newHarnessWith(t, selfID, cfg, nil)
@@ -151,7 +144,7 @@ func (h *harness) introduceNeighbors(states map[wire.NodeID]*wire.OverlayState) 
 }
 
 func TestBroadcastEmitsSignedDataAndDeliversOwn(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	id := h.p.Broadcast([]byte("hello"))
 	if id.Origin != 0 || id.Seq != 1 {
 		t.Fatalf("unexpected id %v", id)
@@ -173,7 +166,7 @@ func TestBroadcastEmitsSignedDataAndDeliversOwn(t *testing.T) {
 }
 
 func TestBroadcastSeqIncrements(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	a := h.p.Broadcast([]byte("a"))
 	b := h.p.Broadcast([]byte("b"))
 	if b.Seq != a.Seq+1 {
@@ -182,7 +175,7 @@ func TestBroadcastSeqIncrements(t *testing.T) {
 }
 
 func TestHandleDataAcceptsOnceAndFiltersDuplicates(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	pkt := h.dataFrom(1, 1, []byte("m"))
 	h.p.HandlePacket(pkt)
 	h.p.HandlePacket(pkt.Clone())
@@ -195,7 +188,7 @@ func TestHandleDataAcceptsOnceAndFiltersDuplicates(t *testing.T) {
 }
 
 func TestHandleDataRejectsBadSignature(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	pkt := h.dataFrom(1, 1, []byte("m"))
 	pkt.Payload[0] ^= 0xFF // tamper
 	pkt.Sender = 2         // the tampering forwarder
@@ -214,7 +207,7 @@ func TestHandleDataRejectsBadSignature(t *testing.T) {
 func TestHandleDataImpersonationRejected(t *testing.T) {
 	// Node 2 claims a message originates from node 1 but signs with its own
 	// key — verification against 1's key must fail.
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	payload := []byte("forged")
 	pkt := &wire.Packet{
@@ -229,7 +222,7 @@ func TestHandleDataImpersonationRejected(t *testing.T) {
 }
 
 func TestOverlayNodeForwardsData(t *testing.T) {
-	h := newHarness(t, 5, testConfig())
+	h := newHarness(t, 5, DefaultConfig())
 	h.makeOverlay()
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
 	fwd := h.sentOfKind(wire.KindData)
@@ -242,7 +235,7 @@ func TestOverlayNodeForwardsData(t *testing.T) {
 }
 
 func TestNonOverlayNodeDoesNotForwardTTL1(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	// Suppress self-election: a higher-ID dominator neighbour.
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{
@@ -260,7 +253,7 @@ func TestNonOverlayNodeDoesNotForwardTTL1(t *testing.T) {
 }
 
 func TestNonOverlayNodeRelaysTTL2(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{
 		9: {Active: true, Dominator: true, Neighbors: []wire.NodeID{0}},
 	})
@@ -276,7 +269,7 @@ func TestNonOverlayNodeRelaysTTL2(t *testing.T) {
 }
 
 func TestGossipForMissingSchedulesRequest(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(2, id)) // 2 gossips about 1's message
@@ -296,7 +289,7 @@ func TestGossipForMissingSchedulesRequest(t *testing.T) {
 func TestGossipFromOriginatorDelayedRequest(t *testing.T) {
 	// §3.2 line 29 deviation: the originator is asked only as a last
 	// resort, after a doubled delay (see DESIGN.md).
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(1, id)) // originator gossips its own message
@@ -312,7 +305,7 @@ func TestGossipFromOriginatorDelayedRequest(t *testing.T) {
 }
 
 func TestDataArrivalCancelsPendingRequest(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
 	h.p.HandlePacket(h.gossipFrom(2, id))
@@ -330,7 +323,7 @@ func TestOneRequestPerGossiper(t *testing.T) {
 	// does not re-request (periodic gossip rounds are the retry mechanism
 	// and each new gossiper is a new recovery avenue). The retry-enabled
 	// behaviour is covered in adaptive_test.go.
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.RetryMaxAttempts = 0
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
@@ -354,7 +347,7 @@ func TestOneRequestPerGossiper(t *testing.T) {
 func TestMuteSuspectsUnresponsiveGossiper(t *testing.T) {
 	// §3.2 line 28: the gossiper must be able to supply the message; if it
 	// never does, MUTE suspects it.
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.Mute.Threshold = 1
 	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 7}
@@ -366,7 +359,7 @@ func TestMuteSuspectsUnresponsiveGossiper(t *testing.T) {
 }
 
 func TestRequestServedFromStore(t *testing.T) {
-	h := newHarness(t, 5, testConfig())
+	h := newHarness(t, 5, DefaultConfig())
 	h.makeOverlay()
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
 	h.sent = nil
@@ -391,7 +384,7 @@ func TestRequestServedFromStore(t *testing.T) {
 func TestRequestIgnoredByNonOverlayNonTarget(t *testing.T) {
 	// §3.2 Figure 4 line 43: only overlay nodes and the addressed gossiper
 	// react to requests.
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{
 		9: {Active: true, Dominator: true, Neighbors: []wire.NodeID{0}},
 	})
@@ -412,7 +405,7 @@ func TestRequestIgnoredByNonOverlayNonTarget(t *testing.T) {
 func TestRequestUnknownEscalatesFindMissing(t *testing.T) {
 	// Figure 4 line 52: an overlay node lacking the message searches two
 	// hops out to bypass a Byzantine overlay neighbour.
-	h := newHarness(t, 5, testConfig())
+	h := newHarness(t, 5, DefaultConfig())
 	h.makeOverlay()
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	req := &wire.Packet{
@@ -432,7 +425,7 @@ func TestRequestUnknownEscalatesFindMissing(t *testing.T) {
 
 func TestOriginatorRequestingOwnMessageIndicted(t *testing.T) {
 	// Figure 4 line 55.
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.Verbose.Threshold = 1
 	h := newHarness(t, 5, cfg)
 	h.makeOverlay()
@@ -449,7 +442,7 @@ func TestOriginatorRequestingOwnMessageIndicted(t *testing.T) {
 }
 
 func TestRepeatedRequestsIndictVerbose(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.RequestTolerance = 2
 	cfg.Verbose.Threshold = 1
 	h := newHarness(t, 5, cfg)
@@ -475,7 +468,7 @@ func TestRepeatedRequestsIndictVerbose(t *testing.T) {
 
 func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 	// Figure 4 lines 63–66.
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	find := &wire.Packet{
 		Kind: wire.KindFindMissing, Sender: 4, TTL: 2, Target: 2,
@@ -500,7 +493,7 @@ func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 func TestFindMissingServedByHolder(t *testing.T) {
 	// Figure 4 lines 67–78: an overlay holder responds; a neighbour sender
 	// gets a TTL-1 response, an unknown (non-neighbour) sender TTL-2.
-	h := newHarness(t, 5, testConfig())
+	h := newHarness(t, 5, DefaultConfig())
 	h.makeOverlay()
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m"))) // sender 1 becomes a neighbour
 	h.sent = nil
@@ -518,7 +511,7 @@ func TestFindMissingServedByHolder(t *testing.T) {
 }
 
 func TestPurgeTombstonePreventsRedelivery(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.PurgeTimeout = 2 * time.Second
 	cfg.PurgeInterval = 500 * time.Millisecond
 	h := newHarness(t, 0, cfg)
@@ -535,7 +528,7 @@ func TestPurgeTombstonePreventsRedelivery(t *testing.T) {
 }
 
 func TestGossipTickAdvertisesHeldMessages(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	h := newHarness(t, 0, cfg)
 	h.p.Broadcast([]byte("a"))
 	h.p.HandlePacket(h.gossipFrom(2, wire.MsgID{Origin: 3, Seq: 9})) // learn a foreign header
@@ -555,7 +548,7 @@ func TestGossipTickAdvertisesHeldMessages(t *testing.T) {
 }
 
 func TestGossipAggregationAblation(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GossipAggregation = false
 	h := newHarness(t, 0, cfg)
 	h.p.Broadcast([]byte("a"))
@@ -570,7 +563,7 @@ func TestGossipAggregationAblation(t *testing.T) {
 }
 
 func TestStateUpdatesNeighborsAndSecondHandReports(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	st := &wire.OverlayState{
 		Active: true, Dominator: true,
 		Neighbors: []wire.NodeID{0, 3},
@@ -590,7 +583,7 @@ func TestStateUpdatesNeighborsAndSecondHandReports(t *testing.T) {
 }
 
 func TestBadStateSignatureSuspected(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	st := &wire.OverlayState{Active: true}
 	pkt := h.stateFrom(2, st)
 	pkt.State.Active = false // tamper after signing
@@ -601,7 +594,7 @@ func TestBadStateSignatureSuspected(t *testing.T) {
 }
 
 func TestRecoveryDisabledAblation(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.EnableRecovery = false
 	h := newHarness(t, 0, cfg)
 	h.p.HandlePacket(h.gossipFrom(2, wire.MsgID{Origin: 1, Seq: 7}))
@@ -612,7 +605,7 @@ func TestRecoveryDisabledAblation(t *testing.T) {
 }
 
 func TestFindMissingDisabledAblation(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.EnableFindMissing = false
 	h := newHarness(t, 5, cfg)
 	h.makeOverlay()
@@ -629,7 +622,7 @@ func TestFindMissingDisabledAblation(t *testing.T) {
 }
 
 func TestFDsDisabledNeverSuspect(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.EnableFDs = false
 	h := newHarness(t, 0, cfg)
 	pkt := h.dataFrom(1, 1, []byte("m"))
@@ -642,7 +635,7 @@ func TestFDsDisabledNeverSuspect(t *testing.T) {
 }
 
 func TestOwnPacketsIgnored(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	pkt := h.dataFrom(0, 1, []byte("m"))
 	h.p.HandlePacket(pkt) // sender == self
 	if len(h.delivered) != 0 {
@@ -651,7 +644,7 @@ func TestOwnPacketsIgnored(t *testing.T) {
 }
 
 func TestNeighborExpiry(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.NeighborTTL = 2 * time.Second
 	h := newHarness(t, 0, cfg)
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{2: {Active: true}})
@@ -665,7 +658,7 @@ func TestNeighborExpiry(t *testing.T) {
 }
 
 func TestStopCancelsTimers(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	h.p.HandlePacket(h.gossipFrom(2, wire.MsgID{Origin: 1, Seq: 7}))
 	h.p.Stop()
 	h.run(time.Minute)
@@ -681,7 +674,7 @@ func TestMuteExpectationOnNonOverlayDataReceipt(t *testing.T) {
 	// §3.2 lines 8–11: data received from a non-overlay non-originator arms
 	// MUTE against the overlay neighbours; if they never forward it, they
 	// are suspected.
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.Mute.Threshold = 1
 	h := newHarness(t, 0, cfg)
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{
@@ -697,7 +690,7 @@ func TestMuteExpectationOnNonOverlayDataReceipt(t *testing.T) {
 }
 
 func TestMuteExpectationFulfilledByOverlayForward(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.Mute.Threshold = 1
 	h := newHarness(t, 0, cfg)
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{
@@ -715,7 +708,7 @@ func TestMuteExpectationFulfilledByOverlayForward(t *testing.T) {
 }
 
 func TestRoleDemotionOnHigherDominator(t *testing.T) {
-	h := newHarness(t, 5, testConfig())
+	h := newHarness(t, 5, DefaultConfig())
 	h.makeOverlay()
 	if h.p.Role() != overlay.Dominator {
 		t.Fatalf("role = %v", h.p.Role())

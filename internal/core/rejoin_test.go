@@ -22,7 +22,7 @@ func newPersistHarness(t *testing.T, selfID wire.NodeID, cfg Config) (*harness, 
 }
 
 func TestRejoinRestoresSeqAndDedup(t *testing.T) {
-	h, dev := newPersistHarness(t, 0, testConfig())
+	h, dev := newPersistHarness(t, 0, DefaultConfig())
 	a := h.p.Broadcast([]byte("one"))
 	b := h.p.Broadcast([]byte("two"))
 	foreign := h.dataFrom(3, 1, []byte("from elsewhere"))
@@ -52,7 +52,7 @@ func TestRejoinRestoresSeqAndDedup(t *testing.T) {
 }
 
 func TestRejoinWithoutStoreIsAmnesiac(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	a := h.p.Broadcast([]byte("one"))
 	foreign := h.dataFrom(3, 1, []byte("from elsewhere"))
 	h.p.HandlePacket(foreign)
@@ -76,7 +76,7 @@ func TestRejoinWithoutStoreIsAmnesiac(t *testing.T) {
 }
 
 func TestSyncReqServedWithMissingEntries(t *testing.T) {
-	h := newHarness(t, 0, testConfig())
+	h := newHarness(t, 0, DefaultConfig())
 	held := h.p.Broadcast([]byte("you missed this"))
 	known := h.p.Broadcast([]byte("you have this"))
 	h.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{5: {}})
@@ -107,7 +107,7 @@ func TestSyncReqServedWithMissingEntries(t *testing.T) {
 }
 
 func TestCatchUpSyncRoundTrip(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.CatchUpSync = true
 	h := newHarness(t, 0, cfg)
 	h.p.Rejoin()
@@ -156,7 +156,7 @@ func TestCatchUpSyncRoundTrip(t *testing.T) {
 }
 
 func TestSyncRespWithBadSignatureRejected(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.CatchUpSync = true
 	h := newHarness(t, 0, cfg)
 	h.p.Rejoin()

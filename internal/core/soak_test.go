@@ -21,7 +21,7 @@ func TestSpamSoakStateStaysBounded(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 
-	cfg := testConfig() // default caps: the production configuration
+	cfg := DefaultConfig() // default caps: the production configuration
 	h := newHarness(t, 0, cfg)
 
 	// Warm up allocators and protocol steady state before the baseline heap

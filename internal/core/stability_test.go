@@ -7,11 +7,12 @@ import (
 	"bbcast/internal/wire"
 )
 
+// stabilityConfig turns stability purging on. With the default 1 s gossip
+// interval a message is kept for at least 2 s, and in these small
+// neighbourhoods three distinct gossipers make it stable.
 func stabilityConfig() Config {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.StabilityPurge = true
-	cfg.StabilityThreshold = 2
-	cfg.StabilityMinAge = 2 * time.Second
 	cfg.PurgeTimeout = time.Hour // only stability can purge in these tests
 	cfg.PurgeInterval = 500 * time.Millisecond
 	return cfg
@@ -22,9 +23,10 @@ func TestStabilityPurgeAfterConfirmations(t *testing.T) {
 	pkt := h.dataFrom(1, 1, []byte("m"))
 	h.p.HandlePacket(pkt)
 	id := pkt.ID()
-	// Two distinct neighbours advertise the message: it is stable.
+	// Three distinct neighbours advertise the message: it is stable.
 	h.p.HandlePacket(h.gossipFrom(2, id))
 	h.p.HandlePacket(h.gossipFrom(3, id))
+	h.p.HandlePacket(h.gossipFrom(4, id))
 	h.run(3 * time.Second)
 	if h.p.Holds(id) {
 		t.Fatal("stable message not purged early")
@@ -44,7 +46,8 @@ func TestStabilityPurgeNeedsThreshold(t *testing.T) {
 	h := newHarness(t, 0, stabilityConfig())
 	pkt := h.dataFrom(1, 1, []byte("m"))
 	h.p.HandlePacket(pkt)
-	h.p.HandlePacket(h.gossipFrom(2, pkt.ID())) // only one confirmation
+	h.p.HandlePacket(h.gossipFrom(2, pkt.ID()))
+	h.p.HandlePacket(h.gossipFrom(3, pkt.ID())) // only two confirmations
 	h.run(5 * time.Second)
 	if !h.p.Holds(pkt.ID()) {
 		t.Fatal("message purged below the stability threshold")
@@ -57,7 +60,8 @@ func TestStabilityPurgeRespectsMinAge(t *testing.T) {
 	h.p.HandlePacket(pkt)
 	h.p.HandlePacket(h.gossipFrom(2, pkt.ID()))
 	h.p.HandlePacket(h.gossipFrom(3, pkt.ID()))
-	h.run(1 * time.Second) // below StabilityMinAge (2 s)
+	h.p.HandlePacket(h.gossipFrom(4, pkt.ID()))
+	h.run(1 * time.Second) // less than two gossip rounds
 	if !h.p.Holds(pkt.ID()) {
 		t.Fatal("message purged before the minimum age")
 	}
@@ -78,7 +82,7 @@ func TestStabilityRepeatGossiperCountsOnce(t *testing.T) {
 }
 
 func TestStabilityDisabledByDefault(t *testing.T) {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.PurgeTimeout = time.Hour
 	h := newHarness(t, 0, cfg)
 	pkt := h.dataFrom(1, 1, []byte("m"))
@@ -94,21 +98,24 @@ func TestStabilityDisabledByDefault(t *testing.T) {
 }
 
 func TestStabilityDefaultThresholdScalesWithNeighbors(t *testing.T) {
-	cfg := stabilityConfig()
-	cfg.StabilityThreshold = 0 // derive from neighbour count (min 3)
-	h := newHarness(t, 0, cfg)
+	h := newHarness(t, 0, stabilityConfig())
 	pkt := h.dataFrom(1, 1, []byte("m"))
 	h.p.HandlePacket(pkt)
 	id := pkt.ID()
+	for n := wire.NodeID(2); n <= 10; n++ { // ten neighbours: half of them must confirm
+		h.p.HandlePacket(h.dataFrom(n, 1, []byte("other")))
+	}
 	h.p.HandlePacket(h.gossipFrom(2, id))
 	h.p.HandlePacket(h.gossipFrom(3, id))
+	h.p.HandlePacket(h.gossipFrom(4, id))
 	h.run(3 * time.Second)
 	if !h.p.Holds(id) {
-		t.Fatal("purged below the minimum default threshold of 3")
+		t.Fatal("purged on three confirmations from ten neighbours")
 	}
-	h.p.HandlePacket(h.gossipFrom(4, id))
-	h.run(2 * time.Second)
+	h.p.HandlePacket(h.gossipFrom(5, id))
+	h.p.HandlePacket(h.gossipFrom(6, id))
+	h.run(1 * time.Second)
 	if h.p.Holds(id) {
-		t.Fatal("not purged at the default threshold")
+		t.Fatal("not purged once half the neighbours confirmed")
 	}
 }

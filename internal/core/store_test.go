@@ -103,8 +103,9 @@ func (r *refStore) gossip(now time.Duration) []wire.MsgID {
 	return out
 }
 
-// purge is purgeTick's walk over the sorted ids of the whole table.
-func (r *refStore) purge(now time.Duration) {
+// purge is purgeTick's walk over the sorted ids of the whole table, by a node
+// with the given number of neighbours.
+func (r *refStore) purge(now time.Duration, neighbours int) {
 	ids := make([]wire.MsgID, 0, len(r.m))
 	for id := range r.m {
 		ids = append(ids, id)
@@ -121,7 +122,7 @@ func (r *refStore) purge(now time.Duration) {
 		age := now - e.receivedAt
 		expired := age > r.cfg.PurgeTimeout
 		if !expired && r.cfg.StabilityPurge {
-			expired = age >= r.cfg.StabilityMinAge && len(e.holders) >= r.cfg.StabilityThreshold
+			expired = age >= 2*r.cfg.GossipInterval && len(e.holders) >= max(3, neighbours/2)
 		}
 		if expired {
 			*e = refEntry{purged: true, purgedAt: now, receivedAt: e.receivedAt}
@@ -234,12 +235,11 @@ func runStoreOrder(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GossipInterval, cfg.MaintenanceInterval, cfg.PurgeInterval = 0, 0, 0 // ticks are called by hand
 	cfg.AdmitRate, cfg.EnableFDs, cfg.EnableRecovery, cfg.PiggybackState = 0, false, false, false
 	cfg.GossipRetention, cfg.PurgeTimeout, cfg.StoreQuiescence = 3*time.Second, 6*time.Second, 8*time.Second
 	cfg.GossipMaxEntries = 4
-	cfg.StabilityMinAge, cfg.StabilityThreshold = time.Second, 2
 	cfg.MaxStore = 2 + next()%63
 	flags := next()
 	cfg.StabilityPurge = flags&1 != 0
@@ -250,6 +250,11 @@ func runStoreOrder(t *testing.T, data []byte) {
 		h = newHarness(t, 0, cfg)
 	}
 	p := h.p
+	// No task was scheduled above; from here on the gossip interval only says
+	// how long a stable message is kept (two rounds). With at most three
+	// senders below, three confirmations make a message stable.
+	cfg.GossipInterval = 500 * time.Millisecond
+	p.cfg.GossipInterval = cfg.GossipInterval
 	ref := &refStore{cfg: cfg, self: 0, m: map[wire.MsgID]*refEntry{}}
 	payload := []byte("x")
 	dataFor := func(id wire.MsgID, sender wire.NodeID) *wire.Packet {
@@ -317,7 +322,7 @@ func runStoreOrder(t *testing.T, data []byte) {
 		case 8, 9:
 			op = "purge tick"
 			p.purgeTick()
-			ref.purge(now)
+			ref.purge(now, p.NeighborCount())
 		case 10:
 			op = "gossip tick"
 			h.sent = nil
@@ -365,7 +370,7 @@ func TestStoreOrderMatchesScans(t *testing.T) {
 func FuzzStoreOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 1, 1, 2, 1, 2, 2, 1, 3, 4, 8, 10})
 	f.Add([]byte{2, 3, 4, 4, 5, 0, 4, 11, 4, 2, 1, 1, 1, 7, 8, 10, 8})
-	f.Add([]byte{1, 1, 2, 1, 1, 6, 1, 1, 1, 6, 2, 1, 1, 1, 2, 8, 10, 1, 7, 9, 2, 1, 1})
+	f.Add([]byte{1, 1, 2, 1, 1, 6, 1, 1, 1, 6, 2, 1, 1, 6, 0, 1, 1, 1, 2, 8, 10, 1, 7, 9, 2, 1, 1}) // three gossipers make (2,2) stable
 	f.Fuzz(runStoreOrder)
 }
 
@@ -375,7 +380,7 @@ func FuzzStoreOrder(f *testing.F) {
 // a scan of the table the ratio was ≈150×.
 func TestStoreCapInsertIsNotAScan(t *testing.T) {
 	alloctest.SkipUnderRace(t)
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.AdmitRate, cfg.EnableFDs = 0, false
 	accept256 := func(prefill int) time.Duration {
 		h := newHarness(t, 0, cfg)

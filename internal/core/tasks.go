@@ -166,7 +166,7 @@ func (p *Protocol) sampleQueues() {
 // purging on, as soon as enough distinct neighbours have advertised the
 // message — leaving tombstones so duplicates are still filtered (§3.2.2).
 // Tombstones themselves are deleted once quiescent for StoreQuiescence, and
-// request-count records expire after ReqSeenTTL, so every table this task
+// request-count records expire after PurgeTimeout, so every table this task
 // feeds shrinks back to zero under silence.
 func (p *Protocol) purgeTick() {
 	now := p.deps.Clock.Now()
@@ -211,11 +211,7 @@ func (p *Protocol) purgeTick() {
 		// unlinking one mid-list costs the same as at the head.
 		st = next
 	}
-	ttl := p.cfg.ReqSeenTTL
-	if ttl <= 0 {
-		ttl = p.cfg.PurgeTimeout
-	}
-	if ttl > 0 {
+	if ttl := p.cfg.PurgeTimeout; ttl > 0 {
 		p.msgIDs = sortedMsgIDs(p.msgIDs, p.reqSeen)
 		for _, id := range p.msgIDs {
 			if now-p.reqSeen[id].touched > ttl {
@@ -241,21 +237,10 @@ func sortedMsgIDs[V any](buf []wire.MsgID, m map[wire.MsgID]V) []wire.MsgID {
 // stable reports whether enough distinct neighbours advertised the message
 // for it to be safely dropped early.
 func (p *Protocol) stable(st *msgState, age time.Duration) bool {
-	minAge := p.cfg.StabilityMinAge
-	if minAge <= 0 {
-		minAge = 2 * p.cfg.GossipInterval
-	}
-	if age < minAge {
+	if age < 2*p.cfg.GossipInterval {
 		return false
 	}
-	threshold := p.cfg.StabilityThreshold
-	if threshold <= 0 {
-		threshold = len(p.neighbors) / 2
-		if threshold < 3 {
-			threshold = 3
-		}
-	}
-	return st.holders != nil && len(*st.holders) >= threshold
+	return st.holders != nil && len(*st.holders) >= max(3, len(p.neighbors)/2)
 }
 
 func (p *Protocol) touchNeighbor(id wire.NodeID) *neighborState {

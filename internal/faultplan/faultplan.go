@@ -24,6 +24,7 @@ import (
 	"sort"
 	"time"
 
+	"bbcast/internal/byzantine"
 	"bbcast/internal/wire"
 )
 
@@ -49,9 +50,8 @@ const (
 	// DegradeRadio adds LossFactor per-reception loss for Duration.
 	// Overlapping windows stack (independent drop chances).
 	DegradeRadio Kind = "degrade-radio"
-	// SwapBehavior replaces Node's behaviour with Behavior (byzantine.Make
-	// vocabulary: correct, mute, mute-silent, verbose, tamper,
-	// selective-drop, equivocate).
+	// SwapBehavior replaces Node's behaviour with Behavior, a name in
+	// byzantine.Make's vocabulary.
 	SwapBehavior Kind = "swap-behavior"
 	// BurstLoss installs a per-link Gilbert–Elliott bursty-loss model for
 	// Duration: links flip between a good state and a bad state (mean dwell
@@ -435,10 +435,8 @@ func (p *Plan) Validate(n int) error {
 		default:
 			return fmt.Errorf("faultplan: event %d: unknown kind %q", i, e.Kind)
 		}
-		if e.Kind == SwapBehavior {
-			if _, err := makeCheck(e.Behavior); err != nil {
-				return fmt.Errorf("faultplan: event %d: %w", i, err)
-			}
+		if e.Kind == SwapBehavior && !byzantine.Known(e.Behavior) {
+			return fmt.Errorf("faultplan: event %d: unknown behaviour %q", i, e.Behavior)
 		}
 	}
 	if c := p.Churn; c != nil {
@@ -458,21 +456,6 @@ func (p *Plan) Validate(n int) error {
 		}
 	}
 	return nil
-}
-
-// knownBehaviors mirrors byzantine.Make's vocabulary; kept here as a plain
-// set so faultplan does not depend on the byzantine package.
-var knownBehaviors = map[string]bool{
-	"correct": true, "mute": true, "mute-silent": true, "verbose": true,
-	"tamper": true, "selective-drop": true, "equivocate": true,
-	"flooder": true, "replayer": true, "forge-spammer": true,
-}
-
-func makeCheck(name string) (string, error) {
-	if !knownBehaviors[name] {
-		return "", fmt.Errorf("unknown behaviour %q", name)
-	}
-	return name, nil
 }
 
 // Expanded merges the explicit events with the churn expansion and returns
@@ -495,7 +478,7 @@ func (p *Plan) SwapTargets() []wire.NodeID {
 	seen := make(map[wire.NodeID]bool)
 	var out []wire.NodeID
 	for _, e := range p.Events {
-		if e.Kind == SwapBehavior && e.Behavior != "correct" && !seen[e.Node] {
+		if e.Kind == SwapBehavior && byzantine.Faulty(e.Behavior) && !seen[e.Node] {
 			seen[e.Node] = true
 			out = append(out, e.Node)
 		}

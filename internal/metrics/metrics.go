@@ -173,6 +173,67 @@ type Results struct {
 	SyncAbandoned      uint64
 }
 
+// means lists, by type, every field that averaging replicates reduces to a
+// per-replicate mean, once, so Add and Div cannot skip one. N and
+// RejoinLatMax are the two numeric fields that are not means.
+func (r *Results) means() ([]*float64, []*time.Duration, []*uint64, []*int) {
+	return []*float64{
+			&r.DeliveryRatio, &r.TxPerMessage, &r.RecoveryShare,
+			&r.HopMean, &r.HopP50, &r.HopP95, &r.HopMax,
+		}, []*time.Duration{
+			&r.LatMean, &r.LatP50, &r.LatP95, &r.LatP99, &r.LatMax, &r.RejoinLatMean,
+		}, []*uint64{
+			&r.TotalTx, &r.BytesOnAir, &r.Collisions, &r.RemoteDeliveries, &r.RecoveryDeliveries,
+			&r.Rejoins, &r.SyncReqs, &r.SyncEntriesServed, &r.SyncEntriesApplied, &r.SyncBytes, &r.SyncAbandoned,
+		}, []*int{
+			&r.Injected, &r.OverlaySize,
+		}
+}
+
+type number interface {
+	int | uint64 | float64 | time.Duration
+}
+
+func addAll[T number](dst, src []*T) {
+	for i, d := range dst {
+		*d += *src[i]
+	}
+}
+
+func divAll[T number](dst []*T, n T) {
+	for _, d := range dst {
+		*d /= n
+	}
+}
+
+// Add accumulates another replicate of the same scenario into r: sums of
+// everything that Div turns into a mean, per-kind counts included, and the
+// larger of the two worst rejoin latencies. r must own its TxByKind map.
+func (r *Results) Add(o Results) {
+	f, d, u, i := r.means()
+	of, od, ou, oi := o.means()
+	addAll(f, of)
+	addAll(d, od)
+	addAll(u, ou)
+	addAll(i, oi)
+	for k, v := range o.TxByKind {
+		r.TxByKind[k] += v
+	}
+	r.RejoinLatMax = max(r.RejoinLatMax, o.RejoinLatMax)
+}
+
+// Div turns the sums of n accumulated replicates into their means.
+func (r *Results) Div(n int) {
+	f, d, u, i := r.means()
+	divAll(f, float64(n))
+	divAll(d, time.Duration(n))
+	divAll(u, uint64(n))
+	divAll(i, n)
+	for k := range r.TxByKind {
+		r.TxByKind[k] /= uint64(n)
+	}
+}
+
 // Summarize computes results. receivers maps each message's eligible
 // receiver count (correct nodes other than the originator); usually this is
 // constant, so a single value is passed.
@@ -235,9 +296,9 @@ func (c *Collector) Summarize(protocol string, n int, eligible func(origin wire.
 			sum += l
 		}
 		r.LatMean = sum / time.Duration(len(lats))
-		r.LatP50 = percentile(lats, 0.50)
-		r.LatP95 = percentile(lats, 0.95)
-		r.LatP99 = percentile(lats, 0.99)
+		r.LatP50 = obsv.Quantile(lats, 0.50)
+		r.LatP95 = obsv.Quantile(lats, 0.95)
+		r.LatP99 = obsv.Quantile(lats, 0.99)
 		r.LatMax = lats[len(lats)-1]
 	}
 	if len(hops) > 0 {
@@ -247,8 +308,8 @@ func (c *Collector) Summarize(protocol string, n int, eligible func(origin wire.
 			sum += h
 		}
 		r.HopMean = sum / float64(len(hops))
-		r.HopP50 = percentileF(hops, 0.50)
-		r.HopP95 = percentileF(hops, 0.95)
+		r.HopP50 = obsv.Quantile(hops, 0.50)
+		r.HopP95 = obsv.Quantile(hops, 0.95)
 		r.HopMax = hops[len(hops)-1]
 	}
 	r.RemoteDeliveries = remote
@@ -316,41 +377,11 @@ func (c *Collector) Timeline(bucket time.Duration) []Bucket {
 				sum += l
 			}
 			b.Mean = sum / time.Duration(len(lats))
-			b.P95 = percentile(lats, 0.95)
+			b.P95 = obsv.Quantile(lats, 0.95)
 		}
 		out = append(out, b)
 	}
 	return out
-}
-
-// percentileF returns the q-quantile of sorted float samples (nearest-rank).
-func percentileF(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// percentile returns the q-quantile of sorted samples (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // String renders a one-line summary.

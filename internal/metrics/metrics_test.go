@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/obsv"
 	"bbcast/internal/wire"
 )
 
@@ -126,13 +127,13 @@ func TestStringAndBreakdown(t *testing.T) {
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
-	if percentile(nil, 0.5) != 0 {
+	if obsv.Quantile([]time.Duration(nil), 0.5) != 0 {
 		t.Fatal("empty percentile should be 0")
 	}
 	one := []time.Duration{7}
 	for _, q := range []float64{0.01, 0.5, 0.95, 0.99} {
-		if got := percentile(one, q); got != 7 {
-			t.Fatalf("percentile(len 1, %v) = %v, want 7", q, got)
+		if got := obsv.Quantile(one, q); got != 7 {
+			t.Fatalf("obsv.Quantile(len 1, %v) = %v, want 7", q, got)
 		}
 	}
 }
@@ -144,10 +145,10 @@ func TestPercentileNearestRankRounding(t *testing.T) {
 	for i := range ten {
 		ten[i] = time.Duration(i+1) * time.Millisecond
 	}
-	if got := percentile(ten, 0.95); got != 10*time.Millisecond {
+	if got := obsv.Quantile(ten, 0.95); got != 10*time.Millisecond {
 		t.Fatalf("p95 of 1..10ms = %v, want 10ms", got)
 	}
-	if got := percentile(ten, 0.5); got != 5*time.Millisecond {
+	if got := obsv.Quantile(ten, 0.5); got != 5*time.Millisecond {
 		t.Fatalf("p50 of 1..10ms = %v, want 5ms", got)
 	}
 	// n=20, q=0.95: round(19) = 19 → index 18, the 19th value.
@@ -155,7 +156,7 @@ func TestPercentileNearestRankRounding(t *testing.T) {
 	for i := range twenty {
 		twenty[i] = time.Duration(i+1) * time.Millisecond
 	}
-	if got := percentile(twenty, 0.95); got != 19*time.Millisecond {
+	if got := obsv.Quantile(twenty, 0.95); got != 19*time.Millisecond {
 		t.Fatalf("p95 of 1..20ms = %v, want 19ms", got)
 	}
 }

@@ -14,7 +14,7 @@
 //     Broadcast call) emits one event per originated message;
 //   - accept: the protocol emits one event per application-level acceptance
 //     (the paper's accept() upcall), including the originator's own when
-//     DeliverOwn is set;
+//     the host attached a Deliver upcall;
 //   - forward suppressed: the protocol emits one event per redundant data
 //     frame it suppressed (already held or tombstoned) instead of forwarding;
 //   - role change: the protocol emits one event per committed overlay role

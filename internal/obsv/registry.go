@@ -82,9 +82,8 @@ type SummaryStats struct {
 	P99   float64 `json:"p99"`
 }
 
-// Stats digests the summary: total count and sum, and nearest-rank quantiles
-// over the retained samples (the same nearest-rank rule the simulation
-// metrics use, so the two agree on identical sample sets).
+// Stats digests the summary: total count and sum, and Quantile over the
+// retained samples.
 func (s *Summary) Stats() SummaryStats {
 	s.mu.Lock()
 	st := SummaryStats{Count: s.count, Sum: s.sum}
@@ -95,23 +94,23 @@ func (s *Summary) Stats() SummaryStats {
 		return st
 	}
 	sort.Float64s(samples)
-	st.P50 = quantile(samples, 0.50)
-	st.P95 = quantile(samples, 0.95)
-	st.P99 = quantile(samples, 0.99)
+	st.P50 = Quantile(samples, 0.50)
+	st.P95 = Quantile(samples, 0.95)
+	st.P99 = Quantile(samples, 0.99)
 	return st
 }
 
-// quantile returns the nearest-rank q-quantile of sorted samples, with the
-// same rounding as internal/metrics.percentile.
-func quantile(sorted []float64, q float64) float64 {
+// Quantile returns the nearest-rank q-quantile of sorted samples: the one at
+// index round(q·n) − 1, clamped to the slice; the zero value when there are
+// none. The live summaries and the simulation's metrics both digest through
+// it, so they agree on identical sample sets.
+func Quantile[T any](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
 	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // Registry is a named collection of counters, gauges and summaries with

@@ -36,7 +36,6 @@ func TestSummaryStatsNearestRank(t *testing.T) {
 	if st.Count != 100 || st.Sum != 5050 {
 		t.Fatalf("count/sum = %d/%v", st.Count, st.Sum)
 	}
-	// Same nearest-rank rule as internal/metrics.percentile.
 	if st.P50 != 50 || st.P95 != 95 || st.P99 != 99 {
 		t.Fatalf("quantiles = %v/%v/%v, want 50/95/99", st.P50, st.P95, st.P99)
 	}
@@ -73,10 +72,10 @@ func TestQuantileMatchesMetricsRounding(t *testing.T) {
 	}
 	// round(0.95*10) = 10 → index 9, the max (mirrors
 	// metrics.TestPercentileNearestRankRounding).
-	if got := quantile(ten, 0.95); got != 10 {
+	if got := Quantile(ten, 0.95); got != 10 {
 		t.Fatalf("p95 of 1..10 = %v, want 10", got)
 	}
-	if got := quantile(ten[:1], 0.01); got != 1 {
+	if got := Quantile(ten[:1], 0.01); got != 1 {
 		t.Fatalf("low quantile of singleton = %v, want 1", got)
 	}
 }

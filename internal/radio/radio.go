@@ -74,6 +74,29 @@ type Stats struct {
 	DupFrames      uint64 // extra deliveries injected by frame duplication
 }
 
+// counters lists every counter once, so Add and Div cannot skip one.
+func (s *Stats) counters() []*uint64 {
+	return []*uint64{
+		&s.Transmissions, &s.BytesOnAir, &s.Deliveries, &s.Collisions, &s.FringeLosses,
+		&s.HalfDuplexDrop, &s.BurstLosses, &s.AsymLosses, &s.DupFrames,
+	}
+}
+
+// Add accumulates o into s, counter by counter.
+func (s *Stats) Add(o Stats) {
+	from := o.counters()
+	for i, c := range s.counters() {
+		*c += *from[i]
+	}
+}
+
+// Div divides every counter by n (the mean of n accumulated snapshots).
+func (s *Stats) Div(n uint64) {
+	for _, c := range s.counters() {
+		*c /= n
+	}
+}
+
 // BurstConfig parameterises the per-link Gilbert–Elliott bursty-loss model:
 // each ordered link is a two-state (good/bad) continuous-time Markov chain
 // with mean dwell times MeanGood and MeanBad; receptions while the link is in

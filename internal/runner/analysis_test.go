@@ -17,10 +17,11 @@ import (
 )
 
 // maxTimeout mirrors the paper's max_timeout = gossip_timeout +
-// request_timeout + rebroadcast_timeout + 3β (using the MUTE timeout as the
-// rebroadcast allowance and a conservative per-hop β of 10 ms).
+// request_timeout + rebroadcast_timeout + 3β (the longest jittered gossip
+// period, a fifth over the interval; the MUTE timeout as the rebroadcast
+// allowance; a conservative per-hop β of 10 ms).
 func maxTimeout(cfg core.Config) time.Duration {
-	return cfg.GossipInterval + cfg.GossipJitter + cfg.RequestDelay + cfg.Mute.Timeout + 3*10*time.Millisecond
+	return cfg.GossipInterval + cfg.GossipInterval/5 + cfg.RequestDelay + cfg.Mute.Timeout + 3*10*time.Millisecond
 }
 
 func TestDisseminationTimeBound(t *testing.T) {

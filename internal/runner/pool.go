@@ -12,12 +12,9 @@ package runner
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
-	"time"
-
-	"bbcast/internal/core"
-	"bbcast/internal/wire"
 )
 
 // ReplicateSeed derives the engine seed for replicate k of a base seed.
@@ -134,104 +131,37 @@ func (p Pool) RunReplicates(base Scenario, count int) ([]Result, error) {
 // Average reduces per-replicate results to their mean: ratio and latency
 // fields become per-replicate means, counters become per-replicate mean
 // counts. Violations and fault events are concatenated (they identify the
-// replicates that misbehaved, which averaging would hide).
+// replicates that misbehaved, which averaging would hide). Everything else is
+// the first replicate's.
 func Average(rs []Result) Result {
 	if len(rs) == 0 {
 		return Result{}
 	}
-	if len(rs) == 1 {
-		return rs[0]
-	}
 	out := rs[0]
-	n := float64(len(rs))
-	un := uint64(len(rs))
-	var delivery, txPerMsg float64
-	var latMean, latP50, latP95, latP99, latMax time.Duration
-	var hopMean, hopP50, hopP95, hopMax, recoveryShare float64
-	var remoteDeliveries, recoveryDeliveries uint64
-	var totalTx, bytes, collisions, events uint64
-	var rejoins, syncReqs, syncServed, syncApplied, syncBytes, syncAbandoned uint64
-	var rejoinLatMean, rejoinLatMax time.Duration
-	var overlaySize, detected, injected int
-	byKind := make(map[wire.Kind]uint64)
-	out.Node = core.Stats{}
-	out.Violations = nil
-	out.FaultEvents = nil
-	for _, r := range rs {
-		delivery += r.DeliveryRatio
-		txPerMsg += r.TxPerMessage
-		latMean += r.LatMean
-		latP50 += r.LatP50
-		latP95 += r.LatP95
-		latP99 += r.LatP99
-		latMax += r.LatMax
-		hopMean += r.HopMean
-		hopP50 += r.HopP50
-		hopP95 += r.HopP95
-		hopMax += r.HopMax
-		recoveryShare += r.RecoveryShare
-		remoteDeliveries += r.RemoteDeliveries
-		recoveryDeliveries += r.RecoveryDeliveries
-		totalTx += r.TotalTx
-		bytes += r.BytesOnAir
-		collisions += r.Collisions
-		events += r.Events
-		rejoins += r.Rejoins
-		syncReqs += r.SyncReqs
-		syncServed += r.SyncEntriesServed
-		syncApplied += r.SyncEntriesApplied
-		syncBytes += r.SyncBytes
-		syncAbandoned += r.SyncAbandoned
-		rejoinLatMean += r.RejoinLatMean
-		if r.RejoinLatMax > rejoinLatMax {
-			rejoinLatMax = r.RejoinLatMax
+	if len(rs) == 1 {
+		return out
+	}
+	out.TxByKind = maps.Clone(out.TxByKind)
+	out.Violations, out.FaultEvents = nil, nil
+	for i, r := range rs {
+		if i > 0 {
+			out.Results.Add(r.Results)
+			out.Phys.Add(r.Phys)
+			out.Node.Add(r.Node)
+			out.AdversariesDetected += r.AdversariesDetected
+			out.Events += r.Events
 		}
-		overlaySize += r.OverlaySize
-		detected += r.AdversariesDetected
-		injected += r.Injected
-		for k, v := range r.TxByKind {
-			byKind[k] += v
-		}
-		out.Node.Add(r.Node)
 		out.Violations = append(out.Violations, r.Violations...)
 		out.FaultEvents = append(out.FaultEvents, r.FaultEvents...)
 		if out.Repro == "" {
 			out.Repro = r.Repro
 		}
 	}
-	out.DeliveryRatio = delivery / n
-	out.TxPerMessage = txPerMsg / n
-	out.LatMean = latMean / time.Duration(len(rs))
-	out.LatP50 = latP50 / time.Duration(len(rs))
-	out.LatP95 = latP95 / time.Duration(len(rs))
-	out.LatP99 = latP99 / time.Duration(len(rs))
-	out.LatMax = latMax / time.Duration(len(rs))
-	out.HopMean = hopMean / n
-	out.HopP50 = hopP50 / n
-	out.HopP95 = hopP95 / n
-	out.HopMax = hopMax / n
-	out.RecoveryShare = recoveryShare / n
-	out.RemoteDeliveries = remoteDeliveries / un
-	out.RecoveryDeliveries = recoveryDeliveries / un
-	out.TotalTx = totalTx / un
-	out.BytesOnAir = bytes / un
-	out.Collisions = collisions / un
-	out.Events = events / un
-	out.Rejoins = rejoins / un
-	out.SyncReqs = syncReqs / un
-	out.SyncEntriesServed = syncServed / un
-	out.SyncEntriesApplied = syncApplied / un
-	out.SyncBytes = syncBytes / un
-	out.SyncAbandoned = syncAbandoned / un
-	out.RejoinLatMean = rejoinLatMean / time.Duration(len(rs))
-	out.RejoinLatMax = rejoinLatMax
-	out.OverlaySize = overlaySize / len(rs)
-	out.AdversariesDetected = detected / len(rs)
-	out.Injected = injected / len(rs)
-	out.TxByKind = make(map[wire.Kind]uint64, len(byKind))
-	for k, v := range byKind {
-		out.TxByKind[k] = v / un
-	}
-	out.Node.Div(un)
+	n := uint64(len(rs))
+	out.Results.Div(len(rs))
+	out.Phys.Div(n)
+	out.Node.Div(n)
+	out.AdversariesDetected /= len(rs)
+	out.Events /= n
 	return out
 }

@@ -87,7 +87,7 @@ const (
 // AdversaryKind selects a Byzantine behaviour.
 type AdversaryKind int
 
-// Adversary kinds.
+// Adversary kinds. adversaryNames spells each in byzantine.Make's vocabulary.
 const (
 	AdvMute       AdversaryKind = iota + 1
 	AdvMuteSilent               // also suppresses gossip advertisements
@@ -105,6 +105,12 @@ const (
 	// AdvForgeSpammer sends junk signatures from nonexistent origins.
 	AdvForgeSpammer
 )
+
+var adversaryNames = [...]string{
+	AdvMute: "mute", AdvMuteSilent: "mute-silent", AdvVerbose: "verbose", AdvTamper: "tamper",
+	AdvSelective: "selective-drop", AdvEquivocate: "equivocate", AdvFlooder: "flooder",
+	AdvReplayer: "replayer", AdvForgeSpammer: "forge-spammer",
+}
 
 // Adversaries places Count nodes with the given behaviour. Adversaries are
 // spread across the area (grid placement maps ids to positions) at the
@@ -333,7 +339,10 @@ func run(sc Scenario, h hooks) (Result, error) {
 		traceObs = trace.NewObserver(tracer)
 	}
 
-	behaviors := assignAdversaries(sc, eng, medium, scheme)
+	behaviors, err := assignAdversaries(sc, eng, medium, scheme)
+	if err != nil {
+		return Result{}, err
+	}
 	correct := make([]bool, sc.N)
 	for i := range correct {
 		_, isAdv := behaviors[wire.NodeID(i)]
@@ -442,7 +451,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 		if correct[i] {
 			deps.Obs = obs
 			// The no-op upcall marks an application as attached, so
-			// originators still count their own deliveries (DeliverOwn);
+			// originators still count their own deliveries;
 			// measurement itself rides on the observer.
 			deps.Deliver = func(wire.NodeID, wire.MsgID, []byte) {}
 		}
@@ -622,14 +631,17 @@ func buildScheme(sc Scenario) (sig.Scheme, error) {
 // assignAdversaries spreads the configured behaviours across the id space,
 // starting from the top id and stepping so adversaries land in distinct
 // regions of the (id-ordered) placement.
-func assignAdversaries(sc Scenario, eng *sim.Engine, medium *radio.Medium, scheme sig.Scheme) map[wire.NodeID]byzantine.Behavior {
+func assignAdversaries(sc Scenario, eng *sim.Engine, medium *radio.Medium, scheme sig.Scheme) (map[wire.NodeID]byzantine.Behavior, error) {
 	out := make(map[wire.NodeID]byzantine.Behavior)
 	total := 0
 	for _, a := range sc.Adversaries {
+		if a.Kind <= 0 || int(a.Kind) >= len(adversaryNames) {
+			return nil, fmt.Errorf("runner: unknown adversary kind %d", a.Kind)
+		}
 		total += a.Count
 	}
 	if total == 0 {
-		return out
+		return out, nil
 	}
 	var order []wire.NodeID
 	if sc.Placement == PlaceDominators {
@@ -671,29 +683,17 @@ func assignAdversaries(sc Scenario, eng *sim.Engine, medium *radio.Medium, schem
 			if id == wire.NoNode {
 				break
 			}
-			switch a.Kind {
-			case AdvMuteSilent:
-				out[id] = &byzantine.Mute{Self: id, DropGossip: true}
-			case AdvVerbose:
-				out[id] = &byzantine.Verbose{Self: id, Rng: eng.SubRand(uint64(id) + 2<<32), PerTick: 4}
-			case AdvTamper:
-				out[id] = &byzantine.Tamper{Self: id}
-			case AdvSelective:
-				out[id] = &byzantine.SelectiveDrop{Self: id, Rng: eng.SubRand(uint64(id) + 2<<32), DropProb: 0.5}
-			case AdvEquivocate:
-				out[id] = &byzantine.Equivocate{Self: id, Sign: signerFor(scheme, id)}
-			case AdvFlooder:
-				out[id] = &byzantine.Flooder{Self: id, Sign: signerFor(scheme, id)}
-			case AdvReplayer:
-				out[id] = &byzantine.Replayer{Self: id, Rng: eng.SubRand(uint64(id) + 2<<32)}
-			case AdvForgeSpammer:
-				out[id] = &byzantine.ForgeSpammer{Self: id, Rng: eng.SubRand(uint64(id) + 2<<32)}
-			default:
-				out[id] = &byzantine.Mute{Self: id}
+			// Substream 2<<32 here, 3<<32 for a fault plan's swaps, so a
+			// node swapped mid-run draws from a stream of its own.
+			b, err := byzantine.Make(adversaryNames[a.Kind], id,
+				eng.SubRand(uint64(id)+2<<32), signerFor(scheme, id))
+			if err != nil {
+				return nil, fmt.Errorf("runner: %w", err)
 			}
+			out[id] = b
 		}
 	}
-	return out
+	return out, nil
 }
 
 func behaviorFor(m map[wire.NodeID]byzantine.Behavior, id wire.NodeID) byzantine.Behavior {

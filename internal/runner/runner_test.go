@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bbcast/internal/alloctest"
+	"bbcast/internal/byzantine"
 	"bbcast/internal/core"
 	"bbcast/internal/fd"
 	"bbcast/internal/sig"
@@ -411,20 +412,72 @@ func TestWholeRunAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestAverageCoversEveryNodeCounter fills every core.Stats counter of two
-// results with distinct values by reflection and checks the mean of each, so
-// a counter the reduction forgets (PR 4 found three) fails here.
+// TestAdversaryKindsSpellKnownBehaviours holds the kind → name table to
+// byzantine's vocabulary, and a kind outside it to an error (it used to run
+// as mute).
+func TestAdversaryKindsSpellKnownBehaviours(t *testing.T) {
+	for k := AdvMute; int(k) < len(adversaryNames); k++ {
+		if !byzantine.Known(adversaryNames[k]) {
+			t.Errorf("adversary kind %d is spelled %q, which byzantine.Make does not know", k, adversaryNames[k])
+		}
+	}
+	for _, k := range []AdversaryKind{0, AdversaryKind(len(adversaryNames))} {
+		sc := quickScenario()
+		sc.Adversaries = []Adversaries{{Kind: k, Count: 1}}
+		if _, err := Run(sc); err == nil {
+			t.Errorf("adversary kind %d accepted", k)
+		}
+	}
+}
+
+// TestAverageCoversEveryNodeCounter fills every counter of two results —
+// core.Stats, radio.Stats and each numeric field of metrics.Results — with
+// distinct values by reflection and checks the mean of each, so a field the
+// reduction forgets (PR 4 found three; Phys was never averaged) fails here.
 func TestAverageCoversEveryNodeCounter(t *testing.T) {
 	var a, b Result
-	va, vb := reflect.ValueOf(&a.Node).Elem(), reflect.ValueOf(&b.Node).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		va.Field(i).SetUint(2 * uint64(i+1))
-		vb.Field(i).SetUint(4 * uint64(i+1))
+	fill := func(r *Result, scale int64) {
+		for _, part := range []any{&r.Node, &r.Phys, &r.Results} {
+			v := reflect.ValueOf(part).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				switch f, x := v.Field(i), scale*int64(i+1); f.Kind() {
+				case reflect.Uint64:
+					f.SetUint(uint64(x))
+				case reflect.Int, reflect.Int64:
+					f.SetInt(x)
+				case reflect.Float64:
+					f.SetFloat(float64(x))
+				}
+			}
+		}
 	}
-	avg := reflect.ValueOf(Average([]Result{a, b}).Node)
-	for i := 0; i < avg.NumField(); i++ {
-		if got, want := avg.Field(i).Uint(), 3*uint64(i+1); got != want {
-			t.Errorf("Average(...).Node.%s = %d, want %d", avg.Type().Field(i).Name, got, want)
+	fill(&a, 2)
+	fill(&b, 4)
+	avg := Average([]Result{a, b})
+	for _, part := range []any{avg.Node, avg.Phys, avg.Results} {
+		v := reflect.ValueOf(part)
+		for i := 0; i < v.NumField(); i++ {
+			name, want := v.Type().Name()+"."+v.Type().Field(i).Name, float64(3*(i+1))
+			switch name {
+			case "Results.N": // the replicates' common size, not a measurement
+				want = float64(2 * (i + 1))
+			case "Results.RejoinLatMax": // the worst over all replicates
+				want = float64(4 * (i + 1))
+			}
+			var got float64
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Uint64:
+				got = float64(f.Uint())
+			case reflect.Int, reflect.Int64:
+				got = float64(f.Int())
+			case reflect.Float64:
+				got = f.Float()
+			default:
+				continue
+			}
+			if got != want {
+				t.Errorf("Average(...).%s = %v, want %v", name, got, want)
+			}
 		}
 	}
 }

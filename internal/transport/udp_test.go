@@ -16,9 +16,7 @@ import (
 func fastConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.GossipInterval = 100 * time.Millisecond
-	cfg.GossipJitter = 20 * time.Millisecond
 	cfg.MaintenanceInterval = 100 * time.Millisecond
-	cfg.MaintenanceJitter = 20 * time.Millisecond
 	cfg.RequestDelay = 50 * time.Millisecond
 	cfg.NeighborTTL = time.Second
 	return cfg
