@@ -486,8 +486,8 @@ func (p *Protocol) schedulePeriodicFunc(period func() time.Duration, jitter time
 }
 
 // Broadcast originates a new application message (§3.2 lines 1–4): sign it,
-// one-hop broadcast the data, and start gossiping its header signature.
-// It returns the message id.
+// one-hop broadcast the data, and hold it for the gossip rounds, which sign
+// and advertise its header (headerProof). It returns the message id.
 func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	p.seq++
 	if p.deps.Store != nil {
@@ -501,15 +501,13 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	copy(body, payload)
 	p.sigBuf = wire.AppendDataSigBytes(p.sigBuf[:0], id, body)
 	dataSig := p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
-	headerSig := p.signHeader(id)
 	digest := wire.Digest(body)
 	p.enforceStoreCap()
 	p.store.hold(&msgState{
-		id:        id,
-		payload:   body,
-		dataSig:   dataSig,
-		headerSig: headerSig,
-		digest:    digest,
+		id:      id,
+		payload: body,
+		dataSig: dataSig,
+		digest:  digest,
 	}, p.deps.Clock.Now())
 	p.send(&wire.Packet{
 		Kind:    wire.KindData,

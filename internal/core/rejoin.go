@@ -245,7 +245,7 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 			ID:        id,
 			Payload:   st.payload,
 			Sig:       st.dataSig,
-			HeaderSig: st.headerSig,
+			HeaderSig: p.headerProof(st),
 		})
 		if len(entries) >= syncMaxEntries {
 			break

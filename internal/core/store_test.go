@@ -284,7 +284,7 @@ func runStoreOrder(t *testing.T, data []byte) {
 		case 4:
 			op = "broadcast"
 			id := p.Broadcast(payload)
-			ref.insert(id, &refEntry{receivedAt: now, hasSig: true})
+			ref.insert(id, &refEntry{receivedAt: now}) // the header is signed when first gossiped
 		case 5:
 			// A neighbour hands back a message this node sent before a wipe,
 			// under a sequence number it is about to issue again.

@@ -20,16 +20,11 @@ func (p *Protocol) gossipTick() {
 	// tick walks its candidates without touching the rest of the table.
 	entries := p.gossipEntries[:0]
 	for _, st := range p.store.recent(p.deps.Clock.Now(), p.cfg.GossipRetention) {
-		if st.headerSig == nil {
-			// We received the data but never a gossip proof; derive one if
-			// we are the originator, otherwise we cannot advertise.
-			if st.id.Origin == p.deps.ID {
-				st.headerSig = p.signHeader(st.id)
-			} else {
-				continue
-			}
+		proof := p.headerProof(st)
+		if proof == nil {
+			continue // another origin's data, held without its gossip proof
 		}
-		entries = append(entries, wire.GossipEntry{ID: st.id, Sig: st.headerSig})
+		entries = append(entries, wire.GossipEntry{ID: st.id, Sig: proof})
 		if p.cfg.GossipMaxEntries > 0 && len(entries) >= p.cfg.GossipMaxEntries {
 			break
 		}
@@ -38,6 +33,18 @@ func (p *Protocol) gossipTick() {
 	// The frame owns its entries from here on (receivers may retain them), so
 	// it gets an exact-size copy, never the scratch.
 	p.sendGossipWithState(slices.Clone(entries))
+}
+
+// headerProof returns st's gossip proof, the origin's signature over its
+// header. A node signs the headers of its own messages here, when one is
+// first advertised or served, not at Broadcast: that keeps a signature off
+// the origin's latency path, and nobody can hold the proof before this node
+// hands it out. It returns nil for another origin's message held without one.
+func (p *Protocol) headerProof(st *msgState) []byte {
+	if st.headerSig == nil && st.id.Origin == p.deps.ID {
+		st.headerSig = p.signHeader(st.id)
+	}
+	return st.headerSig
 }
 
 // sendGossipWithState emits the gossip (even when empty, if a state record

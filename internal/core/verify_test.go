@@ -8,6 +8,7 @@ package core
 // guard that keeps each reuse site in place.
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -267,6 +268,53 @@ func TestStateReverifiedAfterNeighborLoss(t *testing.T) {
 		r.p.Rejoin()
 		r.expect("copy after rejoin", oneVerify, func() { r.p.HandlePacket(pkt) })
 	})
+}
+
+// An origin signs a message's data at Broadcast and its gossip header when the
+// header first leaves the node, in a gossip round or a SYNC-RESP, and reuses
+// that signature from then on.
+func TestOwnHeaderSignedWhenFirstHandedOut(t *testing.T) {
+	cfg := admitTestConfig()
+	cfg.PiggybackState = false // a gossip round signs no state record
+	syncReq := &wire.Packet{Kind: wire.KindSyncReq, Sender: 5, TTL: 1, Target: 0, Origin: wire.NoNode}
+	for _, first := range []string{"gossip", "sync"} {
+		t.Run(first, func(t *testing.T) {
+			r := newVerifyRig(t, 0, cfg)
+			r.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{5: {}})
+			signs := r.scheme.signs
+			id := r.p.Broadcast([]byte("m"))
+			if got := r.scheme.signs - signs; got != 1 {
+				t.Fatalf("Broadcast made %d signatures, want the data's alone", got)
+			}
+			handOut := map[string]func() []byte{
+				"gossip": func() []byte {
+					r.sent = nil
+					r.p.gossipTick()
+					return r.sentOfKind(wire.KindGossip)[0].Gossip[0].Sig
+				},
+				"sync": func() []byte {
+					r.sent = nil
+					r.p.HandlePacket(syncReq)
+					return r.sentOfKind(wire.KindSyncResp)[0].SyncEntries[0].HeaderSig
+				},
+			}
+			proof := handOut[first]()
+			if got := r.scheme.signs - signs; got != 2 {
+				t.Fatalf("%d signatures after the first %s, want data and header", got, first)
+			}
+			if !r.scheme.Scheme.Verify(0, wire.HeaderSigBytes(id), proof) {
+				t.Fatalf("the %s carries a header proof that does not verify", first)
+			}
+			for _, again := range []string{"gossip", "sync"} {
+				if p := handOut[again](); !bytes.Equal(p, proof) {
+					t.Fatalf("a later %s carries a different header proof", again)
+				}
+			}
+			if got := r.scheme.signs - signs; got != 2 {
+				t.Fatalf("%d signatures, want the header signed once", got)
+			}
+		})
+	}
 }
 
 // N gossip ticks over K distinct published records sign K state records.

@@ -46,14 +46,24 @@ var memoOracle = sync.OnceValues(func() (*Ed25519Scheme, []memoQuestion) {
 	return ed, pool
 })
 
+// memoRecord is a memoQuestion as a map key.
+type memoRecord struct {
+	id       uint32
+	msg, tag string
+}
+
+func (q memoQuestion) record() memoRecord { return memoRecord{q.id, string(q.msg), string(q.tag)} }
+
 // runVerifyMemo decodes data into a table size (2–16 slots, so that
-// collisions and evictions happen all the time) and a sequence of Verify
-// calls, asks the memo and the bare Ed25519 keyring each one, and compares
-// every answer. A call is a fresh valid record or a variant of an earlier
-// call at a decoded distance: the same again, the same msg and tag under
-// another id, one flipped bit in tag or msg, a short or over-long tag, an
-// unregistered id. A repeat of the call just made must not reach the inner
-// scheme at all.
+// collisions and evictions happen all the time) and a sequence of calls, asks
+// the memo and the bare Ed25519 keyring each one, and compares every answer.
+// A call signs a pool record through the memo, verifies a fresh valid record,
+// or verifies a variant of an earlier call at a decoded distance: the same
+// again, the same msg and tag under another id, one flipped bit in tag or
+// msg, a short or over-long tag, an unregistered id. Two verifications must
+// not reach the inner scheme at all: a repeat of the call just made, and one
+// of a record this memo signed while nothing has been written to the table
+// since, so that the slot still holds what Sign filed.
 func runVerifyMemo(t *testing.T, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -67,20 +77,27 @@ func runVerifyMemo(t *testing.T, data []byte) {
 	inner := &countingScheme{Scheme: bare}
 	memo := newVerifyMemo(inner, 2+next()%15)
 
-	flip := func(b []byte, at int) []byte {
-		out := bytes.Clone(b)
-		if len(out) > 0 {
-			out[at%len(out)] ^= 1 << (at % 8)
-		}
-		return out
-	}
 	var history []memoQuestion
+	// writes counts the memo's table writes: each Sign, and each Verify that
+	// reached the inner scheme. signedAt maps a record the memo signed to the
+	// count just after its Sign.
+	writes := 0
+	signedAt := map[memoRecord]int{}
 	for step := 0; len(data) > 0; step++ {
 		op := next() % 10
 		var q memoQuestion
 		if op < 2 || len(history) == 0 {
-			op = 0
 			q = pool[next()%len(pool)]
+			if op == 1 {
+				if tag := memo.Sign(q.id, q.msg); !bytes.Equal(tag, q.tag) {
+					t.Fatalf("step %d: memo signed %x, ed25519 signs %x", step, tag, q.tag)
+				}
+				writes++
+				signedAt[q.record()] = writes
+				history = append(history, q)
+				continue
+			}
+			op = 0
 		} else {
 			// Short distances mostly: the entry is then likely still in its slot.
 			d := next()
@@ -94,9 +111,9 @@ func runVerifyMemo(t *testing.T, data []byte) {
 		case 4:
 			q.id = (q.id + 1 + uint32(next()%(memoOracleNodes-1))) % memoOracleNodes
 		case 5:
-			q.tag = flip(q.tag, next())
+			q.tag = flipBit(q.tag, next())
 		case 6:
-			q.msg = flip(q.msg, next())
+			q.msg = flipBit(q.msg, next())
 		case 7:
 			q.tag = q.tag[:len(q.tag)*(next()%4)/4]
 		case 8:
@@ -110,13 +127,26 @@ func runVerifyMemo(t *testing.T, data []byte) {
 			t.Fatalf("step %d (op %d, %d slots): memo says %v, ed25519 says %v for id=%d msg=%x tag=%x",
 				step, op, len(memo.slots), got, want, q.id, q.msg, q.tag)
 		}
-		if n := len(history); n > 0 && inner.verifies != before {
-			if last := history[n-1]; last.id == q.id && bytes.Equal(last.msg, q.msg) && bytes.Equal(last.tag, q.tag) {
+		if inner.verifies != before {
+			if n := len(history); n > 0 && history[n-1].record() == q.record() {
 				t.Fatalf("step %d: a repeat of the previous call reached the inner scheme", step)
 			}
+			if at, ok := signedAt[q.record()]; ok && at == writes {
+				t.Fatalf("step %d: a record the memo signed, still in its slot, reached the inner scheme", step)
+			}
+			writes++
 		}
 		history = append(history, q)
 	}
+}
+
+// flipBit returns a copy of b with one bit flipped, chosen by at.
+func flipBit(b []byte, at int) []byte {
+	out := bytes.Clone(b)
+	if len(out) > 0 {
+		out[at%len(out)] ^= 1 << (at % 8)
+	}
+	return out
 }
 
 // TestVerifyMemoMatchesScheme drives the differential check with seeded
@@ -141,6 +171,10 @@ func FuzzVerifyMemo(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 4, 0, 1, 2, 0, 5, 0, 7, 2, 0})       // valid, then another id, then a flipped tag bit, again
 	f.Add([]byte{1, 0, 5, 5, 0, 9, 2, 0, 6, 0, 3, 2, 1, 2, 0}) // a forged tag and its repeat
 	f.Add([]byte{14, 0, 1, 0, 2, 0, 3, 7, 0, 1, 8, 0, 200, 9, 0, 7, 2, 3, 2, 2})
+	f.Add([]byte{0, 1, 5, 2, 0, 4, 0, 0})                           // sign, verify it at once, then under the next id
+	f.Add([]byte{3, 1, 10, 5, 0, 17, 2, 0, 2, 1})                   // sign, a flipped tag bit and its repeat, the signed record
+	f.Add([]byte{7, 1, 2, 6, 0, 33, 7, 0, 2, 8, 0, 9, 2, 0})        // sign, a flipped msg bit, short and long tags of it
+	f.Add([]byte{15, 1, 4, 1, 9, 1, 14, 2, 2, 2, 1, 2, 0, 4, 1, 0}) // three signs, each verified back
 	f.Fuzz(runVerifyMemo)
 }
 
@@ -161,9 +195,9 @@ func TestVerifyMemoPassesThrough(t *testing.T) {
 	}
 }
 
-// TestVerifyMemoConcurrent holds the Scheme contract, concurrent Verify after
-// registration: goroutines fight over a four-slot table and every answer must
-// still be the bare scheme's. It is the race detector's target.
+// TestVerifyMemoConcurrent holds the Scheme contract, concurrent Sign and
+// Verify after registration: goroutines fight over a four-slot table and every
+// answer must still be the bare scheme's. It is the race detector's target.
 func TestVerifyMemoConcurrent(t *testing.T) {
 	bare, pool := memoOracle()
 	memo := newVerifyMemo(bare, 4)
@@ -175,6 +209,9 @@ func TestVerifyMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				q := pool[(g+i)%8]
+				if i%4 == g && !bytes.Equal(memo.Sign(q.id, q.msg), q.tag) {
+					t.Errorf("goroutine %d: record %d signed differently", g, (g+i)%8)
+				}
 				if !memo.Verify(q.id, q.msg, q.tag) {
 					t.Errorf("goroutine %d: valid record %d refused", g, (g+i)%8)
 				}
@@ -188,10 +225,11 @@ func TestVerifyMemoConcurrent(t *testing.T) {
 }
 
 // stubScheme answers without allocating, so an allocation counted around a
-// miss is the memo's own.
+// miss is the memo's own. Its verdicts ignore the tag, which breaks the Scheme
+// law: a memo may ask it Verify questions but must not sign through it.
 type stubScheme struct{ verifies int }
 
-func (s *stubScheme) Sign(uint32, []byte) []byte { return nil }
+func (s *stubScheme) Sign(uint32, []byte) []byte { panic("stubScheme: Verify only") }
 func (s *stubScheme) Verify(_ uint32, msg, _ []byte) bool {
 	s.verifies++
 	return len(msg)%2 == 0
@@ -200,7 +238,8 @@ func (s *stubScheme) SigSize() int { return 0 }
 func (s *stubScheme) Name() string { return "stub" }
 
 // TestVerifyMemoDoesNotAllocate is the memo's allocation ceiling: the key is
-// hashed from scratch held under the mutex, on a hit and on a miss alike.
+// hashed from scratch held under the mutex, on a hit, on a miss and when Sign
+// files its own signature alike.
 func TestVerifyMemoDoesNotAllocate(t *testing.T) {
 	bare, pool := memoOracle()
 	q := pool[len(pool)-1]
@@ -232,6 +271,15 @@ func TestVerifyMemoDoesNotAllocate(t *testing.T) {
 		})
 		if inner.verifies != calls {
 			t.Errorf("%d of %d calls reached the inner scheme, want all", inner.verifies, calls)
+		}
+	})
+	t.Run("sign", func(t *testing.T) {
+		inner := &countingScheme{Scheme: bare}
+		memo := NewVerifyMemo(inner)
+		own := testing.AllocsPerRun(100, func() { bare.Sign(q.id, q.msg) })
+		alloctest.AtMost(t, own, func() { memo.Sign(q.id, q.msg) })
+		if ok := memo.Verify(q.id, q.msg, q.tag); !ok || inner.verifies != 0 {
+			t.Errorf("the signed record verified %v at the cost of %d keyring verifications, want true at none", ok, inner.verifies)
 		}
 	})
 }

@@ -31,6 +31,10 @@ import (
 //
 // Implementations must be safe for concurrent Verify/Sign after all nodes
 // have been registered.
+//
+// Law: Verify(id, msg, Sign(id, msg)) is true for every id Sign accepts and
+// every msg. VerifyMemo relies on it to answer for the signatures it made, and
+// TestSchemeLaw holds every scheme here to it.
 type Scheme interface {
 	// Sign produces node id's signature over msg. It panics if id is not
 	// registered (a programming error in simulation setup).

@@ -133,18 +133,54 @@ func TestEmptyMessage(t *testing.T) {
 	}
 }
 
-// Property: sign/verify round-trips for arbitrary messages and ids; a
-// different id never verifies.
-func TestQuickUnforgeability(t *testing.T) {
-	s := NewHMAC(8, 7)
-	f := func(idRaw uint8, msg []byte) bool {
-		id := uint32(idRaw % 8)
-		other := (id + 1) % 8
-		tag := s.Sign(id, msg)
-		return s.Verify(id, msg, tag) && !s.Verify(other, msg, tag)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+// TestSchemeLaw holds every scheme to the law on Scheme that VerifyMemo relies
+// on, Verify(id, m, Sign(id, m)), and to its refusals: one flipped bit in the
+// tag or in the message, or another registered id, must not verify.
+func TestSchemeLaw(t *testing.T) {
+	const n = 4
+	ed, err := NewEd25519(n, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := GenerateKeystores(dir, n, 3); err != nil {
+		t.Fatal(err)
+	}
+	var nodes [n]*NodeKeys
+	for i := range nodes {
+		if nodes[i], err = LoadKeystore(KeystorePath(dir, uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hm := NewHMAC(n, 3)
+	memo := newVerifyMemo(ed, 8) // a small table, so signed records get evicted
+	for _, s := range []struct {
+		name   string
+		sign   func(id uint32, msg []byte) []byte
+		verify func(id uint32, msg, tag []byte) bool
+	}{
+		{"ed25519", ed.Sign, ed.Verify},
+		{"hmac-sim", hm.Sign, hm.Verify},
+		// A deployed node signs only as itself; the next node verifies.
+		{"ed25519-keystore",
+			func(id uint32, msg []byte) []byte { return nodes[id].Sign(id, msg) },
+			func(id uint32, msg, tag []byte) bool { return nodes[(id+1)%n].Verify(id, msg, tag) }},
+		{"verify-memo", memo.Sign, memo.Verify},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			law := func(idRaw uint8, msg []byte, at uint16) bool {
+				id := uint32(idRaw) % n
+				other := (id + 1 + uint32(at)%(n-1)) % n
+				tag := s.sign(id, msg)
+				return s.verify(id, msg, tag) &&
+					!s.verify(id, msg, flipBit(tag, int(at))) &&
+					(len(msg) == 0 || !s.verify(id, flipBit(msg, int(at)), tag)) &&
+					!s.verify(other, msg, tag)
+			}
+			if err := quick.Check(law, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
