@@ -9,8 +9,8 @@
 //
 //   - In every package under internal/, wall-clock sources (time.Now,
 //     time.Since, timers) and the global math/rand functions are forbidden.
-//     Files that are wall-clock by nature (the UDP transport, the real
-//     clock, wall benchmarks) declare it with //bbvet:wallclock <why> in the
+//     Files that are wall-clock by nature (the UDP transport, wall
+//     benchmarks) declare it with //bbvet:wallclock <why> in the
 //     file header; a single expression can be exempted with the same
 //     annotation on or above its line.
 //   - In the simulation-deterministic package set (DetPackages), ranging
@@ -37,6 +37,7 @@ import (
 // the map-iteration checks as well as the wall-clock/global-rand ban.
 var DetPackages = map[string]bool{
 	"bbcast/internal/sim":         true,
+	"bbcast/internal/env":         true,
 	"bbcast/internal/core":        true,
 	"bbcast/internal/persist":     true,
 	"bbcast/internal/radio":       true,

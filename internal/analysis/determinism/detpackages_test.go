@@ -15,7 +15,6 @@ import (
 // PR 10 asks for.
 var detExemptions = map[string]string{
 	"bbcast/internal/baseline":  "reference implementations compared against the protocol; scored by the harness, not part of the replayed state machine",
-	"bbcast/internal/env":       "the determinism substrate itself (Clock, seeded Rand); it defines the contract rather than being subject to it",
 	"bbcast/internal/invariant": "read-only checkers over snapshots; they observe state, they never advance it",
 	"bbcast/internal/metrics":   "aggregation sinks; output ordering is normalized at render time, not consumed by the protocol",
 	"bbcast/internal/obsv":      "observability taps (wall-clock stamps are its job); detflow guards the boundary back into det packages",

@@ -33,7 +33,7 @@ func (d Deps) ObserveSuppressed(at time.Duration, id wire.MsgID, meta wire.Meta)
 }
 
 func leak(at time.Duration, obs obsv.Observer, node wire.NodeID, id wire.MsgID) {
-	obs.OnAccept(at, node, id, nil, wire.Meta{})      // want `obsv\.Observer\.OnAccept emitted outside its designated source`
+	obs.OnAccept(at, node, id, nil, wire.Meta{})       // want `obsv\.Observer\.OnAccept emitted outside its designated source`
 	obs.OnForwardSuppressed(at, node, id, wire.Meta{}) // want `obsv\.Observer\.OnForwardSuppressed emitted outside its designated source`
 }
 

@@ -1,12 +1,9 @@
-//bbvet:wallclock RealClock is the production wall-clock Clock implementation; everything deterministic goes through SimClock
-
 // Package env defines the small runtime interface the protocol stack needs
 // from its host — a clock and timers — so the same code runs inside the
 // deterministic simulator and over a real transport.
 package env
 
 import (
-	"sync"
 	"time"
 
 	"bbcast/internal/sim"
@@ -21,7 +18,9 @@ type Clock interface {
 	After(d time.Duration, fn func()) (cancel func())
 }
 
-// SimClock adapts a simulation engine to Clock.
+// SimClock adapts a simulation engine to Clock. It is the only Clock: the
+// simulator moves the engine from event to event, and a live node moves its
+// own engine to wall time.
 type SimClock struct {
 	Eng *sim.Engine
 }
@@ -34,26 +33,5 @@ func (c SimClock) Now() time.Duration { return c.Eng.Now() }
 // After implements Clock.
 func (c SimClock) After(d time.Duration, fn func()) func() {
 	t := c.Eng.After(d, fn)
-	return func() { t.Stop() }
-}
-
-// RealClock implements Clock over wall time. The zero value is ready to use;
-// its epoch is the first call to Now.
-type RealClock struct {
-	once  sync.Once
-	epoch time.Time
-}
-
-var _ Clock = (*RealClock)(nil)
-
-// Now implements Clock.
-func (c *RealClock) Now() time.Duration {
-	c.once.Do(func() { c.epoch = time.Now() })
-	return time.Since(c.epoch)
-}
-
-// After implements Clock.
-func (c *RealClock) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, fn)
 	return func() { t.Stop() }
 }

@@ -1,7 +1,6 @@
 package env
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -34,45 +33,5 @@ func TestSimClockCancel(t *testing.T) {
 	eng.RunAll()
 	if fired {
 		t.Fatal("cancelled sim timer fired")
-	}
-}
-
-func TestRealClockMonotonic(t *testing.T) {
-	c := &RealClock{}
-	a := c.Now()
-	time.Sleep(5 * time.Millisecond)
-	b := c.Now()
-	if b <= a {
-		t.Fatalf("real clock not monotonic: %v then %v", a, b)
-	}
-}
-
-func TestRealClockAfterFiresAndCancels(t *testing.T) {
-	c := &RealClock{}
-	var mu sync.Mutex
-	fired := 0
-	done := make(chan struct{})
-	c.After(5*time.Millisecond, func() {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-		close(done)
-	})
-	cancel := c.After(5*time.Millisecond, func() {
-		mu.Lock()
-		fired += 100
-		mu.Unlock()
-	})
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real timer never fired")
-	}
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want exactly the uncancelled timer", fired)
 	}
 }

@@ -52,9 +52,9 @@ func TestRegistryObserverLineageMetrics(t *testing.T) {
 	o := NewRegistryObserver(r)
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	o.OnInject(time.Second, 1, id)
-	o.OnAccept(time.Second, 1, id, nil, wire.Meta{})                             // own delivery: no hop sample
-	o.OnAccept(2*time.Second, 2, id, nil, wire.Meta{Hops: 2})                    // data path
-	o.OnAccept(3*time.Second, 3, id, nil, wire.Meta{Hops: 4, Recovered: true})   // via recovery
+	o.OnAccept(time.Second, 1, id, nil, wire.Meta{})                           // own delivery: no hop sample
+	o.OnAccept(2*time.Second, 2, id, nil, wire.Meta{Hops: 2})                  // data path
+	o.OnAccept(3*time.Second, 3, id, nil, wire.Meta{Hops: 4, Recovered: true}) // via recovery
 	o.OnForwardSuppressed(3*time.Second, 2, id, wire.Meta{Frame: 7})
 	st := r.Summary(MetricAcceptHops, 0).Stats()
 	if st.Count != 2 || st.Sum != 6 {

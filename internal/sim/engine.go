@@ -201,40 +201,42 @@ func (e *Engine) Epochs() []Epoch {
 	return out
 }
 
+// Next reports the time of the earliest pending event, dropping cancelled
+// events at the head of the queue on the way. It reports false when nothing
+// is pending. A host that drives the engine from wall time sleeps until the
+// instant Next reports.
+func (e *Engine) Next() (time.Duration, bool) {
+	for len(e.queue) > 0 {
+		if ev := e.queue[0]; !ev.cancelled {
+			return ev.at, true
+		}
+		e.recycle(e.pop())
+	}
+	return 0, false
+}
+
 // Step fires the earliest pending event. It reports false when the queue is
 // empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		ev.fired = true
-		e.processed++
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-		return true
+	if _, ok := e.Next(); !ok {
+		return false
 	}
-	return false
+	ev := e.pop()
+	e.now = ev.at
+	ev.fired = true
+	e.processed++
+	fn := ev.fn
+	e.recycle(ev)
+	fn()
+	return true
 }
 
 // Run processes events until the queue is exhausted or the clock would pass
-// until. The clock is left at min(until, time of last fired event); events
+// until. The clock is left at until, or where it was if that is later; events
 // scheduled beyond until remain queued. It returns the number of events fired.
 func (e *Engine) Run(until time.Duration) uint64 {
 	var fired uint64
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.cancelled {
-			e.recycle(e.pop())
-			continue
-		}
-		if next.at > until {
-			break
-		}
+	for at, ok := e.Next(); ok && at <= until; at, ok = e.Next() {
 		e.Step()
 		fired++
 	}

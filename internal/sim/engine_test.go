@@ -72,6 +72,53 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	}
 }
 
+func TestNextReportsEarliestPendingDeadline(t *testing.T) {
+	e := New(1)
+	if at, ok := e.Next(); ok {
+		t.Fatalf("empty queue: Next() = %v, true", at)
+	}
+
+	head := e.After(5*time.Millisecond, func() {})
+	var got []int
+	e.After(10*time.Millisecond, func() { got = append(got, 1) })
+	e.After(10*time.Millisecond, func() { got = append(got, 2) })
+	e.After(20*time.Millisecond, func() { got = append(got, 3) })
+	if at, ok := e.Next(); !ok || at != 5*time.Millisecond {
+		t.Fatalf("Next() = %v, %v; want 5ms, true", at, ok)
+	}
+
+	// A cancelled head is dropped, not reported, and Next does not fire or
+	// move the clock.
+	head.Stop()
+	if at, ok := e.Next(); !ok || at != 10*time.Millisecond {
+		t.Fatalf("after cancelling the head: Next() = %v, %v; want 10ms, true", at, ok)
+	}
+	if len(e.queue) != 3 || e.Now() != 0 || e.Processed() != 0 {
+		t.Fatalf("Next changed the engine: queue %d, now %v, processed %d", len(e.queue), e.Now(), e.Processed())
+	}
+
+	// Equal deadlines: Next keeps reporting the shared instant until both
+	// events have fired, in scheduling order.
+	e.Run(10 * time.Millisecond)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("equal deadlines fired %v, want [1 2]", got)
+	}
+	if at, ok := e.Next(); !ok || at != 20*time.Millisecond {
+		t.Fatalf("after the 10ms pair: Next() = %v, %v; want 20ms, true", at, ok)
+	}
+	e.RunAll()
+	if at, ok := e.Next(); ok {
+		t.Fatalf("drained queue: Next() = %v, true", at)
+	}
+
+	// Only cancelled events left: Next reports nothing and empties the queue.
+	e.After(time.Millisecond, func() {}).Stop()
+	e.After(time.Millisecond, func() {}).Stop()
+	if at, ok := e.Next(); ok || len(e.queue) != 0 {
+		t.Fatalf("all cancelled: Next() = %v, %v with %d queued", at, ok, len(e.queue))
+	}
+}
+
 func TestTimerStop(t *testing.T) {
 	e := New(1)
 	fired := false

@@ -1,4 +1,4 @@
-//bbvet:wallclock live transport: socket deadlines, RealClock and seed entropy are wall-clock by nature
+//bbvet:wallclock live transport: socket deadlines, the wall time each node's timer engine is moved to, and seed entropy are wall-clock by nature
 
 // Package transport runs the broadcast protocol over real UDP datagrams.
 //
@@ -27,6 +27,7 @@ import (
 	"bbcast/internal/obsv"
 	"bbcast/internal/persist"
 	"bbcast/internal/sig"
+	"bbcast/internal/sim"
 	"bbcast/internal/wire"
 )
 
@@ -38,16 +39,6 @@ const maxDatagram = 64 * 1024
 // flooder outpacing signature verification), further datagrams are dropped at
 // ingress instead of wedging the read loop or growing a queue without bound.
 const inboxDepth = 256
-
-// readBufs recycles receive buffers across datagrams. wire.Unmarshal copies
-// every byte slice out of the input, so a buffer can be reused as soon as
-// decoding returns.
-var readBufs = sync.Pool{
-	New: func() any {
-		b := make([]byte, maxDatagram)
-		return &b
-	},
-}
 
 // randSeed produces the seed for a live node's protocol RNG. Tests that need
 // reproducible live nodes may swap it; production uses the OS entropy pool.
@@ -69,6 +60,11 @@ func secureSeed() int64 {
 }
 
 // UDPNode hosts one protocol instance over a UDP socket.
+//
+// core.Protocol is not safe for concurrent use, so one goroutine, loop, owns
+// it: loop is the only code that touches proto, eng, peers and txFrames once
+// the constructor has returned. The socket reader and the API methods hand
+// their work to loop over channels.
 type UDPNode struct {
 	id    wire.NodeID
 	conn  *net.UDPConn
@@ -79,56 +75,39 @@ type UDPNode struct {
 
 	registry *obsv.Registry
 	obs      obsv.Observer
-	clock    env.Clock
+	// eng holds the protocol's timers; loop moves it to wall time measured
+	// from epoch, so they fire in (deadline, arm order) as in the simulator.
+	eng   *sim.Engine
+	epoch time.Time
 
-	mu    sync.Mutex // serializes all protocol access
 	peers []*net.UDPAddr
-	// txFrames numbers frames this node put on the wire (under mu), giving
-	// lineage events a local frame id. Meta does not cross the wire, so
-	// received frames carry a zero Meta on a live transport.
+	// txFrames numbers frames this node put on the wire, giving lineage
+	// events a local frame id. Meta does not cross the wire, so received
+	// frames carry a zero Meta on a live transport.
 	txFrames uint64
-
-	deliver func(origin wire.NodeID, id wire.MsgID, payload []byte)
 
 	debugMu  sync.Mutex
 	debugSrv *http.Server
 
 	inbox chan *wire.Packet
+	// Broadcast has a channel pair of its own: it is the per-message path,
+	// and handing loop a closure would allocate.
+	bcast   chan []byte
+	bcastID chan wire.MsgID
+	// calls carries every other API call. One reply channel serves all
+	// callers: loop takes no second call until the first has its reply.
+	calls chan func()
+	ret   chan struct{}
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	done      chan struct{}
-	procDone  chan struct{}
-}
-
-// lockedClock wraps a Clock so timer callbacks run under the node mutex,
-// because core.Protocol is not safe for concurrent use.
-type lockedClock struct {
-	inner env.Clock
-	mu    *sync.Mutex
-	node  *UDPNode
-}
-
-var _ env.Clock = lockedClock{}
-
-func (c lockedClock) Now() time.Duration { return c.inner.Now() }
-
-func (c lockedClock) After(d time.Duration, fn func()) func() {
-	return c.inner.After(d, func() {
-		select {
-		case <-c.node.closed:
-			return
-		default:
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		fn()
-	})
+	wg        sync.WaitGroup // readLoop and loop
 }
 
 // NewUDPNode binds listen (e.g. "127.0.0.1:0") and starts the protocol.
-// Deliver, if non-nil, receives accepted messages; it is invoked with the
-// node's internal lock held and must not call back into the node.
+// Deliver, if non-nil, receives accepted messages. It runs on the node's
+// protocol goroutine, which waits for it: return quickly, and do not call
+// back into the node, which would deadlock.
 func NewUDPNode(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen string,
 	deliver func(origin wire.NodeID, msgID wire.MsgID, payload []byte)) (*UDPNode, error) {
 	return NewUDPNodeDir(cfg, id, scheme, listen, "", deliver)
@@ -142,10 +121,13 @@ func NewUDPNode(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen strin
 // stateless across restarts.
 func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, dir string,
 	deliver func(origin wire.NodeID, msgID wire.MsgID, payload []byte)) (*UDPNode, error) {
+	addr, err := net.ResolveUDPAddr("udp", listen)
+	if err != nil {
+		return nil, fmt.Errorf("transport: resolve %q: %w", listen, err)
+	}
 	var dev *persist.FileDevice
 	var store *persist.Store
 	if dir != "" {
-		var err error
 		if dev, err = persist.OpenDir(dir); err != nil {
 			return nil, fmt.Errorf("transport: persist: %w", err)
 		}
@@ -153,13 +135,6 @@ func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, d
 			dev.Close() //bbvet:errflow cleanup on a failed constructor path; the open error being returned is the root cause
 			return nil, fmt.Errorf("transport: persist: %w", err)
 		}
-	}
-	addr, err := net.ResolveUDPAddr("udp", listen)
-	if err != nil {
-		if dev != nil {
-			dev.Close() //bbvet:errflow cleanup on a failed constructor path; the resolve error being returned is the root cause
-		}
-		return nil, fmt.Errorf("transport: resolve %q: %w", listen, err)
 	}
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
@@ -173,32 +148,86 @@ func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, d
 		dev:      dev,
 		conn:     conn,
 		registry: obsv.NewRegistry(),
-		deliver:  deliver,
+		eng:      sim.New(0),
+		epoch:    time.Now(),
 		inbox:    make(chan *wire.Packet, inboxDepth),
+		bcast:    make(chan []byte),
+		bcastID:  make(chan wire.MsgID),
+		calls:    make(chan func()),
+		ret:      make(chan struct{}),
 		closed:   make(chan struct{}),
-		done:     make(chan struct{}),
-		procDone: make(chan struct{}),
 	}
 	n.obs = obsv.NewRegistryObserver(n.registry)
-	clock := lockedClock{inner: &env.RealClock{}, mu: &n.mu, node: n}
-	n.clock = clock
+	if deliver == nil {
+		// core accepts a node's own broadcasts only when an upcall is
+		// attached, and a live node always accepts them.
+		deliver = func(wire.NodeID, wire.MsgID, []byte) {}
+	}
+	// New arms the first timers here, on the constructing goroutine, before
+	// loop exists to race with it.
 	n.proto = core.New(cfg, core.Deps{
-		ID:     id,
-		Clock:  clock,
-		Send:   n.send,
-		Scheme: scheme,
-		Rand:   rand.New(rand.NewSource(randSeed())),
-		Obs:    n.obs,
-		Store:  store,
-		Deliver: func(origin wire.NodeID, msgID wire.MsgID, payload []byte) {
-			if n.deliver != nil {
-				n.deliver(origin, msgID, payload)
-			}
-		},
+		ID:      id,
+		Clock:   env.SimClock{Eng: n.eng},
+		Send:    n.send,
+		Scheme:  scheme,
+		Rand:    rand.New(rand.NewSource(randSeed())),
+		Obs:     n.obs,
+		Store:   store,
+		Deliver: deliver,
 	})
+	n.wg.Add(2)
 	go n.readLoop()
-	go n.procLoop()
+	go n.loop()
 	return n, nil
+}
+
+// now is the wall time since the node's epoch: the time loop moves the
+// engine to, and a timestamp any goroutine may take.
+func (n *UDPNode) now() time.Duration { return time.Since(n.epoch) }
+
+// loop is the node's protocol goroutine. Each step first moves the engine to
+// wall time, which fires every timer that has come due, then handles one
+// input; between steps it sleeps until the engine's next deadline.
+func (n *UDPNode) loop() {
+	defer n.wg.Done()
+	wake := time.NewTimer(0) // New has armed timers already
+	defer wake.Stop()
+	for {
+		select {
+		case <-n.closed:
+			return
+		case <-wake.C:
+			n.eng.Run(n.now())
+		case pkt := <-n.inbox:
+			n.eng.Run(n.now())
+			n.proto.HandlePacket(pkt)
+		case payload := <-n.bcast:
+			n.eng.Run(n.now())
+			n.bcastID <- n.proto.Broadcast(payload)
+		case fn := <-n.calls:
+			n.eng.Run(n.now())
+			fn()
+			n.ret <- struct{}{}
+		}
+		// A deadline that has already passed fires the timer at once. Under
+		// Go 1.22's timer semantics Reset can leave an earlier deadline's
+		// tick in wake.C; it only wakes the loop early, to run no timer.
+		if at, ok := n.eng.Next(); ok {
+			wake.Reset(at - n.now())
+		}
+	}
+}
+
+// call runs fn on the protocol goroutine and waits for it. It reports false,
+// without running fn, once the node is closed.
+func (n *UDPNode) call(fn func()) bool {
+	select {
+	case n.calls <- fn:
+		<-n.ret
+		return true
+	case <-n.closed:
+		return false
+	}
 }
 
 // Addr returns the bound UDP address.
@@ -210,7 +239,7 @@ func (n *UDPNode) Addr() *net.UDPAddr {
 // ID returns the node id.
 func (n *UDPNode) ID() wire.NodeID { return n.id }
 
-// SetPeers replaces the broadcast domain.
+// SetPeers replaces the broadcast domain. It fails once the node is closed.
 func (n *UDPNode) SetPeers(addrs []string) error {
 	resolved := make([]*net.UDPAddr, 0, len(addrs))
 	for _, a := range addrs {
@@ -220,33 +249,37 @@ func (n *UDPNode) SetPeers(addrs []string) error {
 		}
 		resolved = append(resolved, ua)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers = resolved
+	if !n.call(func() { n.peers = resolved }) {
+		return fmt.Errorf("transport: set peers: %w", net.ErrClosed)
+	}
 	return nil
 }
 
-// Broadcast originates an application message.
+// Broadcast originates an application message. Once the node is closed it
+// sends nothing and returns the zero MsgID.
 func (n *UDPNode) Broadcast(payload []byte) wire.MsgID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	id := n.proto.Broadcast(payload)
-	n.obs.OnInject(n.clock.Now(), n.id, id)
+	select {
+	case n.bcast <- payload:
+	case <-n.closed:
+		return wire.MsgID{}
+	}
+	id := <-n.bcastID
+	n.obs.OnInject(n.now(), n.id, id)
 	return id
 }
 
-// InOverlay reports the node's current overlay membership.
-func (n *UDPNode) InOverlay() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.proto.InOverlay()
+// InOverlay reports the node's current overlay membership (false once the
+// node is closed).
+func (n *UDPNode) InOverlay() (in bool) {
+	n.call(func() { in = n.proto.InOverlay() })
+	return in
 }
 
-// Stats returns a snapshot of the protocol counters.
-func (n *UDPNode) Stats() core.Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.proto.Stats()
+// Stats returns a snapshot of the protocol counters (zero once the node is
+// closed).
+func (n *UDPNode) Stats() (s core.Stats) {
+	n.call(func() { s = n.proto.Stats() })
+	return s
 }
 
 // Metrics exposes the node's metrics registry (tx/rx by kind, accepts,
@@ -280,15 +313,17 @@ func (n *UDPNode) ServeDebug(addr string) (net.Addr, error) {
 		_ = n.registry.WriteJSON(w)
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		n.mu.Lock()
-		role := n.proto.Role().String()
-		held, tombstones := n.proto.StoreSize()
-		neighbors := n.proto.NeighborCount()
-		missing := n.proto.MissingCount()
-		n.mu.Unlock()
+		var status string
+		if !n.call(func() {
+			held, tombstones := n.proto.StoreSize()
+			status = fmt.Sprintf(`{"id":%d,"role":%q,"store":%d,"tombstones":%d,"neighbors":%d,"missing":%d}`+"\n",
+				n.id, n.proto.Role().String(), held, tombstones, n.proto.NeighborCount(), n.proto.MissingCount())
+		}) {
+			http.Error(w, "node closed", http.StatusServiceUnavailable)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"id":%d,"role":%q,"store":%d,"tombstones":%d,"neighbors":%d,"missing":%d}`+"\n",
-			n.id, role, held, tombstones, neighbors, missing)
+		fmt.Fprint(w, status)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -308,15 +343,15 @@ func (n *UDPNode) ServeDebug(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// send transmits one frame to every peer (the one-hop broadcast). Called
-// with the node lock held (all protocol entry points hold it).
+// send transmits one frame to every peer (the one-hop broadcast). The
+// protocol calls it, so it runs on the protocol goroutine.
 func (n *UDPNode) send(pkt *wire.Packet) {
 	buf := pkt.Marshal()
 	// One tx event per frame put on the air, not per peer: the peer loop
 	// emulates a single radio broadcast.
 	n.txFrames++
 	pkt.Meta.Frame = n.txFrames
-	n.obs.OnPacketTx(n.clock.Now(), n.id, pkt.Kind, pkt.ID(), pkt.Meta)
+	n.obs.OnPacketTx(n.eng.Now(), n.id, pkt.Kind, pkt.ID(), pkt.Meta)
 	for _, peer := range n.peers {
 		// Best-effort datagrams: losses are the protocol's problem by
 		// design, so write errors are intentionally dropped.
@@ -325,15 +360,16 @@ func (n *UDPNode) send(pkt *wire.Packet) {
 }
 
 // readLoop pulls datagrams off the socket, decodes them and hands them to the
-// protocol goroutine through the bounded inbox. It never takes the node lock
-// and never blocks on the protocol: when the inbox is full the datagram is
-// dropped (with an ingress-drop event), so a flooder saturating the protocol
-// layer cannot wedge the kernel receive path.
+// protocol goroutine through the bounded inbox. It never blocks on the
+// protocol: when the inbox is full the datagram is dropped (with an
+// ingress-drop event), so a flooder saturating the protocol layer cannot
+// wedge the kernel receive path.
 func (n *UDPNode) readLoop() {
-	defer close(n.done)
-	bufp := readBufs.Get().(*[]byte)
-	defer readBufs.Put(bufp)
-	buf := *bufp
+	defer n.wg.Done()
+	// One buffer serves every datagram: wire.Unmarshal copies every byte
+	// slice out of its input, so the buffer is free again once decoding
+	// returns.
+	buf := make([]byte, maxDatagram)
 	for {
 		sz, _, err := n.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -356,30 +392,23 @@ func (n *UDPNode) readLoop() {
 		}
 		select {
 		case n.inbox <- pkt:
+		case <-n.closed:
+			return
 		default:
 			// Protocol layer saturated: shed at ingress. The registry
-			// observer's counters are atomic, so this is safe off the
-			// protocol goroutine.
-			n.obs.OnAdmission(n.clock.Now(), n.id, obsv.AdmitIngressDrop)
+			// observer's counters are atomic and the timestamp is wall
+			// time, not the engine's, so this is safe off the protocol
+			// goroutine.
+			n.obs.OnAdmission(n.now(), n.id, obsv.AdmitIngressDrop)
 		}
 	}
 }
 
-// procLoop drains the inbox into the protocol under the node lock.
-func (n *UDPNode) procLoop() {
-	defer close(n.procDone)
-	for pkt := range n.inbox {
-		n.mu.Lock()
-		n.proto.HandlePacket(pkt)
-		n.mu.Unlock()
-	}
-}
-
 // Close stops the node and waits for its read and protocol loops to exit. It
-// returns promptly even if the read loop is blocked in a kernel read: an
-// immediate read deadline forces the pending ReadFromUDP to fail before the
-// socket is torn down, so the loop observes the closed flag without waiting
-// for traffic.
+// returns promptly even if the read loop is blocked in a kernel read: closing
+// the socket fails the pending ReadFromUDP at once, without waiting for
+// traffic. Whatever is still queued in the inbox is dropped, and the
+// protocol's pending timers are never run: nothing moves its engine again.
 func (n *UDPNode) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
@@ -390,17 +419,8 @@ func (n *UDPNode) Close() error {
 			n.debugSrv = nil
 		}
 		n.debugMu.Unlock()
-		_ = n.conn.SetReadDeadline(time.Now())
-		n.mu.Lock()
-		n.proto.Stop()
-		n.mu.Unlock()
 		err = n.conn.Close()
-		<-n.done
-		// The reader is gone; close the inbox so the protocol goroutine
-		// drains whatever was queued (HandlePacket is a no-op after Stop)
-		// and exits.
-		close(n.inbox)
-		<-n.procDone
+		n.wg.Wait()
 		if n.dev != nil {
 			if cerr := n.dev.Close(); err == nil {
 				err = cerr

@@ -11,9 +11,9 @@ import (
 // NewNode.
 type Node = transport.UDPNode
 
-// DeliverFunc receives accepted application messages. It is invoked on the
-// node's internal goroutines with its lock held: return quickly and do not
-// call back into the Node.
+// DeliverFunc receives accepted application messages. It runs on the node's
+// protocol goroutine, which waits for it: return quickly, and do not call
+// back into the Node, which would deadlock.
 type DeliverFunc = func(origin wire.NodeID, id wire.MsgID, payload []byte)
 
 // NewNode binds a UDP socket on listen (e.g. "0.0.0.0:9000" or
