@@ -2,14 +2,12 @@
 // package patterns and fails on any finding:
 //
 //	determinism   no wall-clock time, global math/rand or order-leaking map
-//	              iteration in simulation-deterministic packages
+//	              iteration in simulation-deterministic packages, directly
+//	              or through a call chain into helpers (printed)
 //	obsvonce      obsv.Observer events emitted only from their designated
 //	              source functions (the PR 2 emission table)
 //	boundedstate  every map-typed field in internal/core is capped or
 //	              //bbvet:bounded-by annotated (the PR 4 caps table)
-//	detflow       interprocedural determinism: no det-package call chain
-//	              reaches wall clock, global rand or an order-dependent map
-//	              range through helpers the direct checks cannot see
 //	ordering      internal/core packet ingress hits token-bucket admission
 //	              and dedup before any sig verify (the PR 4 contract)
 //	errflow       no dropped, discarded or overwritten errors from persist
@@ -30,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,7 +36,6 @@ import (
 	"bbcast/internal/analysis"
 	"bbcast/internal/analysis/boundedstate"
 	"bbcast/internal/analysis/determinism"
-	"bbcast/internal/analysis/detflow"
 	"bbcast/internal/analysis/errflow"
 	"bbcast/internal/analysis/obsvonce"
 	"bbcast/internal/analysis/ordering"
@@ -47,7 +45,6 @@ var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	obsvonce.Analyzer,
 	boundedstate.Analyzer,
-	detflow.Analyzer,
 	ordering.Analyzer,
 	errflow.Analyzer,
 }
@@ -56,7 +53,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bbvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")

@@ -1,52 +1,35 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
-// type-checked package at a time and reports position-anchored diagnostics.
+// golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects the
+// type-checked packages of one load, with their static call graph, and
+// reports position-anchored diagnostics.
 //
 // The repo intentionally has no external module dependencies, so instead of
 // the x/tools driver the loader in this package shells out to `go list
 // -export` and feeds compiler export data to the standard library's gc
 // importer — the same mechanism `go vet`'s unitchecker uses. Analyzers get
-// full syntax (with comments) plus go/types information for the package under
-// analysis.
+// full syntax (with comments) plus go/types information for the packages
+// under analysis.
 //
 // The project-specific analyzers live in the subpackages determinism,
-// obsvonce and boundedstate; cmd/bbvet is the multichecker binary that runs
-// them over the tree.
+// obsvonce, boundedstate, ordering and errflow; cmd/bbvet is the
+// multichecker binary that runs them over the tree.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
-// Analyzer describes one static check. A per-package analyzer sets Run; a
-// whole-program analyzer (one that needs the call graph) sets RunProgram.
-// Exactly one of the two must be non-nil.
+// Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics (a short lowercase word).
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
-	// Run inspects one package and reports findings through the pass.
-	Run func(*Pass) error
-	// RunProgram inspects all loaded packages at once with the call graph
-	// built; it runs once per Run() invocation, after the per-package
-	// analyzers.
+	// RunProgram inspects all loaded packages at once, with the call graph
+	// and the parsed annotations built; it runs once per Run() invocation.
 	RunProgram func(*ProgramPass) error
-}
-
-// Pass is the interface between one Analyzer run and one package.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags *[]Diagnostic
 }
 
 // Diagnostic is one finding.
@@ -60,17 +43,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Reportf records one finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ProgramPass is the interface between one whole-program Analyzer run and
-// the loaded program.
+// ProgramPass is the interface between one Analyzer run and the loaded
+// program.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Prog     *Program
@@ -87,37 +61,28 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run applies each analyzer (per-package passes over every package, then
-// whole-program passes over the call graph) and returns the combined
-// diagnostics sorted and deduplicated. Analyzer errors (not findings) abort.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				diags:     &diags,
-			}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
+// CheckTable is the drift check of a table-driven pass: it reports at anchor
+// every name of the pass's table for which exists is false, with the message
+// fmt.Sprintf(format, name). A table row whose function or field was renamed
+// or deleted would otherwise prove nothing, or permit whatever later reuses
+// the name.
+func (p *ProgramPass) CheckTable(anchor token.Pos, format string, names []string, exists func(name string) bool) {
+	for _, name := range names {
+		if !exists(name) {
+			p.Reportf(anchor, format, name)
 		}
 	}
-	var prog *Program
+}
+
+// Run builds the program view of pkgs once, applies each analyzer to it, and
+// returns the combined diagnostics sorted and deduplicated. Analyzer errors
+// (not findings) abort. Graph construction costs milliseconds against the
+// seconds `go list -export` and type-checking take, so every analyzer gets
+// the whole-program view.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	prog := BuildProgram(pkgs)
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			prog = BuildProgram(pkgs)
-		}
 		pass := &ProgramPass{Analyzer: a, Prog: prog, diags: &diags}
 		if err := a.RunProgram(pass); err != nil {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)

@@ -5,7 +5,9 @@
 // A want comment expects one diagnostic on its own line whose message matches
 // the quoted regular expression; several quoted patterns expect several
 // diagnostics on that line. Every diagnostic must be expected and every
-// expectation must be met, or the test fails.
+// expectation must be met, or the test fails. The want may also be a block
+// comment, /* want "regex" */, for a line whose line comment must end bare
+// (an annotation missing its justification).
 //
 // Testdata directories are deliberately not Go packages the tool would list
 // (they sit under testdata/), so they are type-checked by analysis.LoadDir
@@ -33,7 +35,7 @@ type expectation struct {
 
 // wantRe matches a want comment and captures its quoted patterns (either
 // double- or back-quoted; backquotes spare the regexp a double escape).
-var wantRe = regexp.MustCompile(`//\s*want((?:\s+(?:"(?:[^"\\]|\\.)*"|` + "`[^`]*`" + `))+)\s*$`)
+var wantRe = regexp.MustCompile(`(?://|/\*)\s*want((?:\s+(?:"(?:[^"\\]|\\.)*"|` + "`[^`]*`" + `))+)\s*(?:\*/)?$`)
 
 // strRe matches one Go-quoted string.
 var strRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")

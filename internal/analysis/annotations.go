@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -11,7 +12,7 @@ import (
 //
 //	//bbvet:<kind> <argument and/or justification>
 //
-// with no space between "//" and "bbvet:". Four kinds exist:
+// with no space between "//" and "bbvet:". Five kinds exist:
 //
 //	//bbvet:wallclock <why>        file header: exempts the file from the
 //	                               determinism wall-clock/global-rand checks;
@@ -31,8 +32,9 @@ import (
 //	                               verify legitimately precedes admission or
 //	                               dedup there.
 //
-// Every annotation must carry a non-empty justification; the analyzers
-// reject bare escapes.
+// Every annotation must carry a non-empty justification: each analyzer
+// rejects bare escapes of the kinds it reads, and determinism also rejects
+// unknown kinds.
 const (
 	annotationPrefix = "//bbvet:"
 
@@ -46,7 +48,13 @@ const (
 	AnnErrflow = "errflow"
 	// AnnOrdering justifies a verify that precedes admission or dedup.
 	AnnOrdering = "ordering"
+	// AnnUnknown selects, in CheckAnnotations, every comment whose kind is
+	// none of the above.
+	AnnUnknown = "unknown"
 )
+
+// knownKinds is the grammar's vocabulary.
+var knownKinds = []string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnOrdering}
 
 // Annotation is one parsed //bbvet: comment.
 type Annotation struct {
@@ -65,8 +73,8 @@ type FileAnnotations struct {
 	all    []Annotation
 }
 
-// ParseAnnotations extracts every //bbvet: comment of file.
-func ParseAnnotations(fset *token.FileSet, file *ast.File) *FileAnnotations {
+// parseAnnotations extracts every //bbvet: comment of file.
+func parseAnnotations(fset *token.FileSet, file *ast.File) *FileAnnotations {
 	fa := &FileAnnotations{byLine: map[int][]Annotation{}}
 	pkgLine := fset.Position(file.Package).Line
 	for _, cg := range file.Comments {
@@ -92,9 +100,6 @@ func ParseAnnotations(fset *token.FileSet, file *ast.File) *FileAnnotations {
 	return fa
 }
 
-// All returns every annotation in the file, in source order.
-func (fa *FileAnnotations) All() []Annotation { return fa.all }
-
 // FileExempt reports whether the file header carries the given annotation
 // kind (e.g. a //bbvet:wallclock file allowlist).
 func (fa *FileAnnotations) FileExempt(kind string) bool {
@@ -119,22 +124,33 @@ func (fa *FileAnnotations) At(kind string, line int) *Annotation {
 	return nil
 }
 
-// CheckAnnotations reports malformed //bbvet: comments: unknown kinds and
-// annotations without a justification. Called by the determinism analyzer so
-// the grammar is validated exactly once per file.
-func CheckAnnotations(pass *Pass, fa *FileAnnotations) {
-	for _, a := range fa.All() {
-		switch a.Kind {
-		case AnnWallclock, AnnUnordered, AnnErrflow, AnnOrdering:
-			if a.Arg == "" {
-				pass.Reportf(a.Pos, "//bbvet:%s needs a justification: //bbvet:%s <why>", a.Kind, a.Kind)
+// CheckAnnotations reports the malformed //bbvet: comments of the given
+// kinds in the program's non-test files: one without its justification (for
+// bounded-by, its cap), or, under AnnUnknown, one of no known kind. Each
+// analyzer checks the kinds it reads, so any selection of analyzers still
+// rejects its own bare escapes.
+func (p *ProgramPass) CheckAnnotations(kinds ...string) {
+	for _, pkg := range p.Prog.Packages {
+		for _, file := range pkg.Files {
+			if p.Prog.TestFile(file.Pos()) {
+				continue
 			}
-		case AnnBoundedBy:
-			if a.Arg == "" {
-				pass.Reportf(a.Pos, "//bbvet:bounded-by needs a cap: //bbvet:bounded-by <cap> [why]")
+			for _, a := range p.Prog.Annotations(file.Pos()).all {
+				kind := a.Kind
+				if !slices.Contains(knownKinds, kind) {
+					kind = AnnUnknown
+				}
+				switch {
+				case !slices.Contains(kinds, kind):
+				case kind == AnnUnknown:
+					p.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by, errflow or ordering)", a.Kind)
+				case a.Arg != "":
+				case kind == AnnBoundedBy:
+					p.Reportf(a.Pos, "//bbvet:bounded-by needs a cap: //bbvet:bounded-by <cap> [why]")
+				default:
+					p.Reportf(a.Pos, "//bbvet:%s needs a justification: //bbvet:%s <why>", a.Kind, a.Kind)
+				}
 			}
-		default:
-			pass.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by, errflow or ordering)", a.Kind)
 		}
 	}
 }

@@ -1,30 +1,31 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
 
-func parseSrc(t *testing.T, src string) (*token.FileSet, *FileAnnotations, *Pass, *[]Diagnostic) {
+// parseSrc builds a one-file program from src (which must declare no
+// functions: the fixture is not type-checked).
+func parseSrc(t *testing.T, src string) (*FileAnnotations, *ProgramPass, *[]Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prog := BuildProgram([]*Package{{Path: "p", Fset: fset, Files: []*ast.File{file}, TypesInfo: &types.Info{}}})
 	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer: &Analyzer{Name: "test"},
-		Fset:     fset,
-		diags:    &diags,
-	}
-	return fset, ParseAnnotations(fset, file), pass, &diags
+	pass := &ProgramPass{Analyzer: &Analyzer{Name: "test"}, Prog: prog, diags: &diags}
+	return prog.Annotations(file.Pos()), pass, &diags
 }
 
 func TestHeaderVersusLineAnnotations(t *testing.T) {
-	_, fa, _, _ := parseSrc(t, `//bbvet:wallclock whole file measures real time
+	fa, _, _ := parseSrc(t, `//bbvet:wallclock whole file measures real time
 
 package p
 
@@ -52,34 +53,46 @@ func f() {
 }
 
 // TestCheckAnnotations covers the grammar errors: bare escapes without a
-// justification and unknown kinds. (The analysistest fixtures cannot express
-// a bare annotation — the want comment would become its justification — so
-// this is checked white-box.)
+// justification and unknown kinds, each reported only to an analyzer that
+// asks for its kind. (The analysistest fixtures can express a bare
+// annotation only after a block-comment want, so this is checked white-box
+// too.)
 func TestCheckAnnotations(t *testing.T) {
-	_, fa, pass, diags := parseSrc(t, `package p
+	src := `package p
 
 //bbvet:wallclock
 //bbvet:unordered
 //bbvet:bounded-by
 //bbvet:errflow
+//bbvet:ordering
 //bbvet:wallclock justified because reasons
 //bbvet:errflow latched in Store.Err
 //bbvet:nonsense some justification
-`)
-	CheckAnnotations(pass, fa)
-	want := []string{
-		"//bbvet:wallclock needs a justification",
-		"//bbvet:unordered needs a justification",
-		"//bbvet:bounded-by needs a cap",
-		"//bbvet:errflow needs a justification",
-		"unknown annotation //bbvet:nonsense",
-	}
-	if len(*diags) != len(want) {
-		t.Fatalf("got %d diagnostics, want %d: %v", len(*diags), len(want), *diags)
-	}
-	for i, w := range want {
-		if !strings.Contains((*diags)[i].Message, w) {
-			t.Errorf("diagnostic %d = %q, want substring %q", i, (*diags)[i].Message, w)
+`
+	for _, tc := range []struct {
+		kinds []string
+		want  []string
+	}{
+		{[]string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnOrdering, AnnUnknown}, []string{
+			"//bbvet:wallclock needs a justification",
+			"//bbvet:unordered needs a justification",
+			"//bbvet:bounded-by needs a cap",
+			"//bbvet:errflow needs a justification",
+			"//bbvet:ordering needs a justification",
+			"unknown annotation //bbvet:nonsense",
+		}},
+		{[]string{AnnOrdering}, []string{"//bbvet:ordering needs a justification"}},
+		{[]string{AnnUnknown}, []string{"unknown annotation //bbvet:nonsense"}},
+	} {
+		_, pass, diags := parseSrc(t, src)
+		pass.CheckAnnotations(tc.kinds...)
+		if len(*diags) != len(tc.want) {
+			t.Fatalf("kinds %v: got %d diagnostics, want %d: %v", tc.kinds, len(*diags), len(tc.want), *diags)
+		}
+		for i, w := range tc.want {
+			if !strings.Contains((*diags)[i].Message, w) {
+				t.Errorf("kinds %v: diagnostic %d = %q, want substring %q", tc.kinds, i, (*diags)[i].Message, w)
+			}
 		}
 	}
 }

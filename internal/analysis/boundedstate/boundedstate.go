@@ -35,25 +35,33 @@ var RegisteredCaps = []struct{ Struct, Field, Cap string }{
 
 // Analyzer is the bounded-state pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "boundedstate",
-	Doc:  "require every map-typed field of an internal/core struct to be capped (caps table or //bbvet:bounded-by)",
-	Run:  run,
+	Name:       "boundedstate",
+	Doc:        "require every map-typed field of an internal/core struct to be capped (caps table or //bbvet:bounded-by)",
+	RunProgram: run,
 }
 
-func run(pass *analysis.Pass) error {
-	if !strings.HasSuffix(pass.Pkg.Path(), corePathSuffix) {
-		return nil
+func run(pass *analysis.ProgramPass) error {
+	pass.CheckAnnotations(analysis.AnnBoundedBy)
+	for _, pkg := range pass.Prog.Packages {
+		if strings.HasSuffix(pkg.Path, corePathSuffix) {
+			checkPackage(pass, pkg)
+		}
 	}
+	return nil
+}
+
+func checkPackage(pass *analysis.ProgramPass, pkg *analysis.Package) {
 	registered := map[string]string{} // "Struct.field" -> cap
+	var rows []string                 // "Struct.field (cap Cap)"
 	for _, rc := range RegisteredCaps {
 		registered[rc.Struct+"."+rc.Field] = rc.Cap
+		rows = append(rows, rc.Struct+"."+rc.Field+" (cap "+rc.Cap+")")
 	}
 	seen := map[string]bool{} // registered keys found in source
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+	for _, file := range pkg.Files {
+		if pass.Prog.TestFile(file.Pos()) {
 			continue
 		}
-		ann := analysis.ParseAnnotations(pass.Fset, file)
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -68,20 +76,20 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				checkStruct(pass, ann, ts.Name.Name, st, registered, seen)
+				checkStruct(pass, pkg.Types, ts.Name.Name, st, registered, seen)
 			}
 		}
 	}
-	for key, cap := range registered {
-		structName := key[:strings.IndexByte(key, '.')]
-		if !seen[key] && pass.Pkg.Scope().Lookup(structName) != nil {
-			pass.Reportf(pass.Files[0].Package, "caps table is stale: registered field %s (cap %s) no longer exists; update boundedstate.RegisteredCaps", key, cap)
-		}
-	}
-	return nil
+	// Only rows whose struct the package declares are checked, so a fixture
+	// posing as core may declare a subset of the tables.
+	pass.CheckTable(pkg.Files[0].Package, "caps table is stale: registered field %s no longer exists; update boundedstate.RegisteredCaps", rows, func(row string) bool {
+		key, _, _ := strings.Cut(row, " ")
+		structName, _, _ := strings.Cut(key, ".")
+		return seen[key] || pkg.Types.Scope().Lookup(structName) == nil
+	})
 }
 
-func checkStruct(pass *analysis.Pass, ann *analysis.FileAnnotations, structName string, st *ast.StructType, registered map[string]string, seen map[string]bool) {
+func checkStruct(pass *analysis.ProgramPass, pkg *types.Package, structName string, st *ast.StructType, registered map[string]string, seen map[string]bool) {
 	for _, field := range st.Fields.List {
 		if !containsMap(field.Type) {
 			continue
@@ -94,21 +102,21 @@ func checkStruct(pass *analysis.Pass, ann *analysis.FileAnnotations, structName 
 			key := structName + "." + name.Name
 			if cap, ok := registered[key]; ok {
 				seen[key] = true
-				if !configHasField(pass.Pkg, cap) {
+				if !configHasField(pkg, cap) {
 					pass.Reportf(name.Pos(), "map field %s is registered against Config.%s, but that cap field does not exist", key, cap)
 				}
 				continue
 			}
-			a := fieldAnnotation(pass, ann, field)
+			a := fieldAnnotation(pass.Prog, field)
 			if a == nil {
 				pass.Reportf(name.Pos(), "map field %s is unbounded state: register it in the caps table (MaxNeighbors/MaxStore/MaxMissing/MaxReqSeen) or annotate //bbvet:bounded-by <cap>", key)
 				continue
 			}
 			capName, _, _ := strings.Cut(a.Arg, " ")
 			if capName == "" {
-				continue // CheckAnnotations (determinism pass) reports the bare annotation
+				continue // CheckAnnotations reports the bare annotation
 			}
-			if !configHasField(pass.Pkg, capName) && pass.Pkg.Scope().Lookup(capName) == nil {
+			if !configHasField(pkg, capName) && pkg.Scope().Lookup(capName) == nil {
 				pass.Reportf(a.Pos, "//bbvet:bounded-by %s: no such Config field or package-level constant", capName)
 			}
 		}
@@ -117,15 +125,12 @@ func checkStruct(pass *analysis.Pass, ann *analysis.FileAnnotations, structName 
 
 // fieldAnnotation finds a bounded-by annotation in the field's doc comment,
 // line comment, or on/above the field's line.
-func fieldAnnotation(pass *analysis.Pass, ann *analysis.FileAnnotations, field *ast.Field) *analysis.Annotation {
-	line := pass.Fset.Position(field.Pos()).Line
-	if a := ann.At(analysis.AnnBoundedBy, line); a != nil {
+func fieldAnnotation(prog *analysis.Program, field *ast.Field) *analysis.Annotation {
+	if a := prog.AnnotationAt(analysis.AnnBoundedBy, field.Pos()); a != nil {
 		return a
 	}
 	if field.Comment != nil { // trailing comment may sit on the same line already covered above
-		if a := ann.At(analysis.AnnBoundedBy, pass.Fset.Position(field.Comment.Pos()).Line); a != nil {
-			return a
-		}
+		return prog.AnnotationAt(analysis.AnnBoundedBy, field.Comment.Pos())
 	}
 	return nil
 }

@@ -10,23 +10,22 @@ import (
 
 // This file is the interprocedural layer: a project-wide static call graph
 // over every loaded package, plus a deterministic taint-propagation engine on
-// top of it. Per-package analyzers see one package at a time through Pass;
-// whole-program analyzers (detflow, ordering, errflow) see all of them at
-// once through ProgramPass and can follow a fact across call boundaries —
-// a time.Now() one helper away, a crypto verify reachable before admission,
-// a dropped write error returned through three frames.
+// top of it. Every analyzer sees all packages at once through ProgramPass and
+// can follow a fact across call boundaries — a time.Now() one helper away, a
+// crypto verify reachable before admission, a dropped write error returned
+// through three frames.
 //
 // Resolution is static and best-effort: direct calls to package functions
 // and methods resolve exactly; calls through an interface resolve to the
 // interface method itself (a useful sink anchor — e.g. sig.Scheme.Verify —
 // but not a path into its implementations); calls through function values
 // do not resolve. Function literals are attributed to their enclosing named
-// function, matching how the per-package analyzers scope closures.
+// function.
 
-// Program is the whole-program view handed to RunProgram analyzers: every
-// loaded package, every function body, and the static call graph between
-// them. All packages must share one token.FileSet (Load and LoadDirs
-// guarantee this).
+// Program is the whole-program view handed to analyzers: every loaded
+// package, every function body, the static call graph between them, and
+// each file's //bbvet: annotations. All packages must share one
+// token.FileSet (Load and LoadDirs guarantee this).
 type Program struct {
 	Packages []*Package
 	Fset     *token.FileSet
@@ -36,6 +35,7 @@ type Program struct {
 	// nodes holds the same functions in deterministic source order
 	// (file name, then position), the iteration order of EachFunc.
 	nodes []*FuncNode
+	anns  map[*token.File]*FileAnnotations
 }
 
 // FuncNode is one analyzed function with its resolved outgoing calls.
@@ -47,7 +47,7 @@ type FuncNode struct {
 	// closures included (attributed to this function).
 	Calls []CallSite
 	// TestFile marks functions defined in _test.go files; contract
-	// analyzers usually skip them, matching the per-package passes.
+	// analyzers usually skip them.
 	TestFile bool
 }
 
@@ -59,16 +59,18 @@ type CallSite struct {
 	Call   *ast.CallExpr
 }
 
-// BuildProgram constructs the call graph over pkgs. It is pure analysis —
-// no diagnostics — so several program analyzers share one build.
+// BuildProgram constructs the call graph over pkgs and parses each file's
+// annotations. It is pure analysis — no diagnostics — so every analyzer
+// shares one build.
 func BuildProgram(pkgs []*Package) *Program {
-	prog := &Program{Packages: pkgs, Funcs: map[*types.Func]*FuncNode{}}
+	prog := &Program{Packages: pkgs, Funcs: map[*types.Func]*FuncNode{}, anns: map[*token.File]*FileAnnotations{}}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			testFile := strings.HasSuffix(pkg.Fset.Position(file.Pos()).Filename, "_test.go")
+			prog.anns[prog.Fset.File(file.Pos())] = parseAnnotations(prog.Fset, file)
+			testFile := prog.TestFile(file.Pos())
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -112,6 +114,22 @@ func (prog *Program) EachFunc(fn func(*FuncNode)) {
 	}
 }
 
+// TestFile reports whether pos lies in a _test.go file.
+func (prog *Program) TestFile(pos token.Pos) bool {
+	return strings.HasSuffix(prog.Fset.File(pos).Name(), "_test.go")
+}
+
+// Annotations returns the //bbvet: comments of the loaded file holding pos.
+func (prog *Program) Annotations(pos token.Pos) *FileAnnotations {
+	return prog.anns[prog.Fset.File(pos)]
+}
+
+// AnnotationAt returns the annotation of the given kind that governs the
+// line of pos (see FileAnnotations.At), or nil.
+func (prog *Program) AnnotationAt(kind string, pos token.Pos) *Annotation {
+	return prog.Annotations(pos).At(kind, prog.Fset.Position(pos).Line)
+}
+
 // CalleeOf resolves a call expression to its static callee: a package-level
 // function, a concrete method, or an interface method. Calls through
 // function values, builtins, and type conversions return nil.
@@ -140,10 +158,8 @@ func (p *Package) CalleeOf(call *ast.CallExpr) *types.Func {
 
 // Taint is one function's path to a sink. Pos is the expression inside the
 // function that takes the next step: the sink expression itself when Next is
-// nil, or the call into Next otherwise. Kind is analyzer-defined (detflow
-// uses it to match the annotation that may excuse a call site).
+// nil, or the call into Next otherwise.
 type Taint struct {
-	Kind string
 	Desc string // sink description, e.g. "time.Now" or "unordered map range"
 	Pos  token.Pos
 	Next *types.Func
@@ -177,7 +193,6 @@ func (prog *Program) Propagate(direct map[*types.Func]*Taint, through func(*Func
 					continue
 				}
 				round[node.Fn] = &Taint{
-					Kind: t.Kind,
 					Desc: t.Desc,
 					Pos:  cs.Call.Pos(),
 					Next: cs.Callee,
@@ -219,6 +234,15 @@ func (prog *Program) Chain(t *Taint, taints map[*types.Func]*Taint) string {
 // FuncDisplayName renders fn compactly for diagnostics: "pkg.Func" or
 // "pkg.Recv.Method" with pointer stars stripped.
 func FuncDisplayName(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return LocalName(fn)
+	}
+	return pathTail(fn.Pkg().Path()) + "." + LocalName(fn)
+}
+
+// LocalName renders fn without its package: "Func" or "Recv.Method", with
+// pointer stars and type arguments stripped.
+func LocalName(fn *types.Func) string {
 	name := fn.Name()
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 		rt := recv.Type()
@@ -228,9 +252,6 @@ func FuncDisplayName(fn *types.Func) string {
 		if named, ok := rt.(*types.Named); ok {
 			name = named.Obj().Name() + "." + name
 		}
-	}
-	if fn.Pkg() != nil {
-		name = pathTail(fn.Pkg().Path()) + "." + name
 	}
 	return name
 }

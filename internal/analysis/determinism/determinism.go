@@ -5,20 +5,32 @@
 // built without sorting). PR 3's bit-identical serial/parallel replay relies
 // on this; the analyzer turns the convention into a build error.
 //
-// Scope:
+// Sources are calls to wall-clock entry points (time.Now, time.Since,
+// timers) or the global math/rand functions, and map ranges whose loop body
+// has order-dependent effects (appends to a slice, sends on a channel, calls
+// anything non-pure) unless every appended slice is sorted later in the same
+// function. A source with //bbvet:wallclock or //bbvet:unordered <why> on
+// or above its line is reviewed and counts for nothing.
 //
-//   - In every package under internal/, wall-clock sources (time.Now,
-//     time.Since, timers) and the global math/rand functions are forbidden.
-//     Files that are wall-clock by nature (the UDP transport, wall
-//     benchmarks) declare it with //bbvet:wallclock <why> in the
-//     file header; a single expression can be exempted with the same
-//     annotation on or above its line.
-//   - In the simulation-deterministic package set (DetPackages), ranging
-//     over a map is additionally checked: if the loop body has
-//     order-dependent effects (appends to a slice, sends on a channel, calls
-//     anything non-pure), the analyzer requires either that every appended
-//     slice is sorted later in the same function, or a //bbvet:unordered
-//     <why> annotation on the range statement.
+// A source in code held to its rule is a finding of chain length zero:
+//
+//   - a wall-clock or global-rand call anywhere in a package under
+//     internal/, unless the file is wall-clock by nature (the UDP transport,
+//     wall benchmarks) and says so with a //bbvet:wallclock <why> file
+//     header;
+//   - a leaking map range in the simulation-deterministic package set
+//     (DetPackages), which has no file-level escape.
+//
+// Every other source — in an exempt file, outside internal/, or a map range
+// in an internal package outside DetPackages — taints its function, and the
+// taint climbs the call graph until it reaches a function held to the rule
+// (a DetPackages function, in a non-exempt file for the wall-clock rule).
+// The finding lands on that frontier call site with the chain printed
+// ("obsv.Wrapped → obsv.Stamp → time.Now"), so a det-package function cannot
+// launder nondeterminism through a helper; the frontier never taints its own
+// callers, so each boundary crossing yields one finding. Calls through
+// interfaces (env.Clock.Now) or function values do not propagate: injected
+// interfaces are the sanctioned seam for nondeterminism.
 package determinism
 
 import (
@@ -77,7 +89,8 @@ var forbiddenRand = map[string]bool{
 }
 
 // sortFuncs recognize "the collected result is sorted in the same function":
-// package sort / slices functions whose first argument is the slice.
+// package sort / slices functions (by import path) whose first argument is
+// the slice.
 var sortFuncs = map[string]map[string]bool{
 	"sort": {
 		"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
@@ -95,187 +108,168 @@ var pureBuiltins = map[string]bool{
 
 // Analyzer is the determinism pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "forbid wall-clock time, global math/rand and order-leaking map iteration in simulation-deterministic packages",
-	Run:  run,
+	Name:       "determinism",
+	Doc:        "forbid wall-clock time, global math/rand and order-leaking map iteration in simulation-deterministic packages, directly or through a call chain",
+	RunProgram: run,
 }
 
-func run(pass *analysis.Pass) error {
-	path := pass.Pkg.Path()
-	inInternal := strings.Contains(path, "internal/")
-	inDetSet := DetPackages[path]
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
-		}
-		ann := analysis.ParseAnnotations(pass.Fset, file)
-		analysis.CheckAnnotations(pass, ann)
-		if !inInternal {
-			continue
-		}
-		wallclockFile := ann.FileExempt(analysis.AnnWallclock)
-		if !wallclockFile {
-			checkWallClock(pass, file, ann)
-		}
-		if inDetSet {
-			checkMapRanges(pass, file, ann)
+func run(pass *analysis.ProgramPass) error {
+	prog := pass.Prog
+	pass.CheckAnnotations(analysis.AnnWallclock, analysis.AnnUnordered, analysis.AnnUnknown)
+	exempt := func(pos token.Pos) bool { return prog.Annotations(pos).FileExempt(analysis.AnnWallclock) }
+
+	// Wall-clock sources: a file walk, because code outside any function
+	// (a package-level var initializer) has no call-graph node.
+	wall := map[*types.Func]*analysis.Taint{}
+	for _, pkg := range prog.Packages {
+		internal := strings.Contains(pkg.Path, "internal/")
+		for _, file := range pkg.Files {
+			if prog.TestFile(file.Pos()) {
+				continue
+			}
+			held := internal && !exempt(file.Pos())
+			for _, decl := range file.Decls {
+				var fn *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					fn, _ = pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					callee := pkg.CalleeOf(call)
+					if callee == nil || wallClock(callee) == "" || prog.AnnotationAt(analysis.AnnWallclock, call.Pos()) != nil {
+						return true
+					}
+					switch {
+					case held:
+						pass.Reportf(call.Pos(), "%s (or annotate //bbvet:wallclock <why>)", wallClock(callee))
+					case fn != nil && wall[fn] == nil:
+						wall[fn] = &analysis.Taint{Desc: analysis.FuncDisplayName(callee), Pos: call.Pos()}
+					}
+					return true
+				})
+			}
 		}
 	}
+
+	// Map-range sources.
+	unordered := map[*types.Func]*analysis.Taint{}
+	prog.EachFunc(func(n *analysis.FuncNode) {
+		if n.TestFile || !strings.Contains(n.Pkg.Path, "internal/") {
+			return
+		}
+		for _, r := range leakyRanges(prog, n.Pkg, n.Decl.Body) {
+			switch {
+			case DetPackages[n.Pkg.Path] && r.badAppend != nil:
+				pass.Reportf(r.pos, "range over map has order-dependent effects (appends to %s, never sorted in this function); sort the keys first, sort the result, or annotate //bbvet:unordered <why>", r.badAppend.Name())
+			case DetPackages[n.Pkg.Path]:
+				pass.Reportf(r.pos, "range over map has order-dependent effects (%s at %s); iterate sorted keys or annotate //bbvet:unordered <why>",
+					r.effect, prog.Fset.Position(r.effectPos))
+			case unordered[n.Fn] == nil:
+				unordered[n.Fn] = &analysis.Taint{Desc: "order-dependent map range (" + r.describe() + ")", Pos: r.pos}
+			}
+		}
+	})
+
+	inDet := func(n *analysis.FuncNode) bool { return DetPackages[n.Pkg.Path] && !n.TestFile }
+	reportChains(pass, wall, analysis.AnnWallclock, func(n *analysis.FuncNode) bool { return inDet(n) && !exempt(n.Decl.Pos()) },
+		func(t *analysis.Taint, chain string) string {
+			return fmt.Sprintf("call chain reaches %s: %s; deterministic code takes time from the injected env.Clock and randomness from the seeded *rand.Rand (or annotate //bbvet:wallclock <why>)", t.Desc, chain)
+		})
+	reportChains(pass, unordered, analysis.AnnUnordered, inDet,
+		func(_ *analysis.Taint, chain string) string {
+			return fmt.Sprintf("call chain leaks map iteration order: %s; sort at the source or annotate //bbvet:unordered <why>", chain)
+		})
 	return nil
 }
 
-// checkWallClock reports calls into the forbidden time / global-rand surface.
-func checkWallClock(pass *analysis.Pass, file *ast.File, ann *analysis.FileAnnotations) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// reportChains propagates direct taints up the call graph and reports every
+// call from a frontier function into tainted code, unless an annotation of
+// kind excuses the call site. Frontier functions never carry taint further.
+func reportChains(pass *analysis.ProgramPass, direct map[*types.Func]*analysis.Taint, kind string, frontier func(*analysis.FuncNode) bool, message func(*analysis.Taint, string) string) {
+	prog := pass.Prog
+	taints := prog.Propagate(direct, func(n *analysis.FuncNode) bool { return !frontier(n) })
+	prog.EachFunc(func(n *analysis.FuncNode) {
+		if !frontier(n) {
+			return
 		}
-		pkgPath, name := calledPackageFunc(pass.TypesInfo, call)
-		var bad string
-		switch {
-		case pkgPath == "time" && forbiddenTime[name]:
-			bad = fmt.Sprintf("time.%s is wall clock; deterministic code takes time from the injected env.Clock", name)
-		case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && forbiddenRand[name]:
-			bad = fmt.Sprintf("global %s.%s is process-shared and unseeded; use the node's injected *rand.Rand", pathBase(pkgPath), name)
-		default:
-			return true
+		for _, cs := range n.Calls {
+			if t := taints[cs.Callee]; t != nil && prog.AnnotationAt(kind, cs.Call.Pos()) == nil {
+				pass.Reportf(cs.Call.Pos(), "%s", message(t, prog.Chain(&analysis.Taint{Next: cs.Callee}, taints)))
+			}
 		}
-		if ann.At(analysis.AnnWallclock, pass.Fset.Position(call.Pos()).Line) != nil {
-			return true
-		}
-		pass.Reportf(call.Pos(), "%s (or annotate //bbvet:wallclock <why>)", bad)
-		return true
 	})
 }
 
-// WallClockFunc reports whether fn is on the forbidden wall-clock/global-rand
-// surface, naming it for a diagnostic ("time.Now", "rand.IntN"). The detflow
-// pass uses this to seed transitive taint from resolved callees, so the
-// intraprocedural ban above and the interprocedural one can never drift apart.
-func WallClockFunc(fn *types.Func) (string, bool) {
-	if fn.Pkg() == nil {
-		return "", false
+// wallClock returns the diagnostic for a call to fn when fn is on the
+// forbidden wall-clock/global-rand surface, or "".
+func wallClock(fn *types.Func) string {
+	if fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return ""
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return "", false
-	}
-	path := fn.Pkg().Path()
-	switch {
+	switch path := fn.Pkg().Path(); {
 	case path == "time" && forbiddenTime[fn.Name()]:
-		return "time." + fn.Name(), true
+		return analysis.FuncDisplayName(fn) + " is wall clock; deterministic code takes time from the injected env.Clock"
 	case (path == "math/rand" || path == "math/rand/v2") && forbiddenRand[fn.Name()]:
-		return pathBase(path) + "." + fn.Name(), true
+		return "global " + analysis.FuncDisplayName(fn) + " is process-shared and unseeded; use the node's injected *rand.Rand"
 	}
-	return "", false
+	return ""
 }
 
-// calledPackageFunc resolves call to (package path, function name) when the
-// callee is a qualified identifier like time.Now; otherwise ("", "").
-func calledPackageFunc(info *types.Info, call *ast.CallExpr) (string, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", ""
-	}
-	pn, ok := info.Uses[ident].(*types.PkgName)
-	if !ok {
-		return "", ""
-	}
-	return pn.Imported().Path(), sel.Sel.Name
-}
-
-func pathBase(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-// checkMapRanges walks every function in file and flags map iterations whose
-// body has order-dependent effects.
-func checkMapRanges(pass *analysis.Pass, file *ast.File, ann *analysis.FileAnnotations) {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		checkFuncMapRanges(pass, fd.Body, ann)
-	}
-}
-
-// checkFuncMapRanges inspects one function body. fnBody is the scope searched
-// for "sorted later"; nested function literals are scanned as their own
-// scopes (a sort in the outer function cannot vouch for an append inside a
-// closure that may run later).
-func checkFuncMapRanges(pass *analysis.Pass, fnBody *ast.BlockStmt, ann *analysis.FileAnnotations) {
-	ast.Inspect(fnBody, func(n ast.Node) bool {
+// leakyRanges returns, in source order, the map ranges in body that have an
+// order-dependent effect and no //bbvet:unordered annotation. body is the
+// scope searched for "sorted later"; nested function literals are scanned as
+// their own scopes (a sort in the outer function cannot vouch for an append
+// inside a closure that may run later).
+func leakyRanges(prog *analysis.Program, pkg *analysis.Package, body *ast.BlockStmt) []*rangeEffect {
+	var out []*rangeEffect
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkFuncMapRanges(pass, n.Body, ann)
+			out = append(out, leakyRanges(prog, pkg, n.Body)...)
 			return false
 		case *ast.RangeStmt:
-			if _, isMap := pass.TypesInfo.TypeOf(n.X).Underlying().(*types.Map); !isMap {
+			if tv := pkg.TypesInfo.TypeOf(n.X); tv == nil {
+				return true
+			} else if _, isMap := tv.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if ann.At(analysis.AnnUnordered, pass.Fset.Position(n.For).Line) != nil {
+			if prog.AnnotationAt(analysis.AnnUnordered, n.For) != nil {
 				return true
 			}
-			reportMapRange(pass, n, fnBody)
+			if f := findRangeEffect(pkg, n, body); f != nil {
+				out = append(out, f)
+			}
 		}
 		return true
 	})
+	return out
 }
 
-// reportMapRange flags n if its body has an effect that leaks iteration
-// order out of the loop.
-func reportMapRange(pass *analysis.Pass, n *ast.RangeStmt, fnBody *ast.BlockStmt) {
-	f := findRangeEffect(pass.TypesInfo, n, fnBody)
-	if f == nil {
-		return
-	}
-	if f.badAppend != nil {
-		pass.Reportf(n.For, "range over map has order-dependent effects (appends to %s, never sorted in this function); sort the keys first, sort the result, or annotate //bbvet:unordered <why>", f.badAppend.Name())
-		return
-	}
-	pass.Reportf(n.For, "range over map has order-dependent effects (%s at %s); iterate sorted keys or annotate //bbvet:unordered <why>",
-		f.effect, pass.Fset.Position(f.effectPos))
-}
-
-// RangeEffect describes the order-dependent effect of the map-range statement
-// n, or "" when the loop is order-insensitive by the same heuristic the
-// per-package pass applies. fnBody is the enclosing function scope searched
-// for an after-the-loop sort. The detflow pass uses this to treat effectful
-// map ranges in packages outside DetPackages as taint sources, so a
-// det-package function cannot launder iteration order through a helper
-// package the direct check does not cover.
-func RangeEffect(info *types.Info, n *ast.RangeStmt, fnBody *ast.BlockStmt) string {
-	f := findRangeEffect(info, n, fnBody)
-	switch {
-	case f == nil:
-		return ""
-	case f.badAppend != nil:
-		return fmt.Sprintf("appends to %s without sorting", f.badAppend.Name())
-	default:
-		return f.effect
-	}
-}
-
-// rangeEffect is one order-dependent effect found inside a map-range body:
-// either an append whose target is never sorted (badAppend) or a directly
-// leaking statement (effect + position).
+// rangeEffect is the order-dependent effect of the map range at pos: either
+// an append whose target is never sorted (badAppend) or a directly leaking
+// statement (effect + position).
 type rangeEffect struct {
+	pos       token.Pos
 	effect    string
 	effectPos token.Pos
 	badAppend types.Object
 }
 
+// describe names the effect for a call-chain diagnostic.
+func (f *rangeEffect) describe() string {
+	if f.badAppend != nil {
+		return fmt.Sprintf("appends to %s without sorting", f.badAppend.Name())
+	}
+	return f.effect
+}
+
 // findRangeEffect runs the order-leak heuristic over n's body and returns the
 // first effect that leaks iteration order, or nil if the loop is clean.
-func findRangeEffect(info *types.Info, n *ast.RangeStmt, fnBody *ast.BlockStmt) *rangeEffect {
+func findRangeEffect(pkg *analysis.Package, n *ast.RangeStmt, fnBody *ast.BlockStmt) *rangeEffect {
+	info := pkg.TypesInfo
 	var firstEffect string
 	var effectPos token.Pos
 	appendTargets := map[types.Object]token.Pos{}
@@ -336,19 +330,19 @@ func findRangeEffect(info *types.Info, n *ast.RangeStmt, fnBody *ast.BlockStmt) 
 	// Appends are fine if every target is sorted after the loop in the same
 	// function scope.
 	for obj := range appendTargets {
-		if !sortedAfter(info, fnBody, n.End(), obj) {
-			return &rangeEffect{badAppend: obj}
+		if !sortedAfter(pkg, fnBody, n.End(), obj) {
+			return &rangeEffect{pos: n.For, badAppend: obj}
 		}
 	}
 	if firstEffect != "" {
-		return &rangeEffect{effect: firstEffect, effectPos: effectPos}
+		return &rangeEffect{pos: n.For, effect: firstEffect, effectPos: effectPos}
 	}
 	return nil
 }
 
 // sortedAfter reports whether obj is passed to a sort function after pos
 // inside scope.
-func sortedAfter(info *types.Info, scope *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
+func sortedAfter(pkg *analysis.Package, scope *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
 	found := false
 	ast.Inspect(scope, func(n ast.Node) bool {
 		if found {
@@ -358,12 +352,11 @@ func sortedAfter(info *types.Info, scope *ast.BlockStmt, pos token.Pos, obj type
 		if !ok || call.Pos() < pos || len(call.Args) == 0 {
 			return true
 		}
-		pkgPath, name := calledPackageFunc(info, call)
-		base := pathBase(pkgPath)
-		if fns, ok := sortFuncs[base]; !ok || !fns[name] {
+		fn := pkg.CalleeOf(call)
+		if fn == nil || fn.Pkg() == nil || !sortFuncs[fn.Pkg().Path()][fn.Name()] {
 			return true
 		}
-		if id, ok := call.Args[0].(*ast.Ident); ok && info.ObjectOf(id) == obj {
+		if id, ok := call.Args[0].(*ast.Ident); ok && pkg.TypesInfo.ObjectOf(id) == obj {
 			found = true
 		}
 		return true

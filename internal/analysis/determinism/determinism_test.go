@@ -3,6 +3,7 @@ package determinism_test
 import (
 	"testing"
 
+	"bbcast/internal/analysis"
 	"bbcast/internal/analysis/analysistest"
 	"bbcast/internal/analysis/determinism"
 )
@@ -25,4 +26,14 @@ func TestWallclockFileAllowlist(t *testing.T) {
 // ban while their //bbvet: comments are still grammar-checked.
 func TestOutsideInternal(t *testing.T) {
 	analysistest.Run(t, "testdata/outside", "bbcast/cmd/fixture", determinism.Analyzer)
+}
+
+// TestCallChains covers the transitive rule over a two-package fixture: a
+// helper posing as bbcast/internal/obsv (outside DetPackages) and a caller
+// posing as bbcast/internal/sim (a reporting frontier).
+func TestCallChains(t *testing.T) {
+	analysistest.RunDirs(t, []analysis.DirSpec{
+		{Dir: "testdata/flowhelper", ImportPath: "bbcast/internal/obsv"},
+		{Dir: "testdata/flowdet", ImportPath: "bbcast/internal/sim"},
+	}, determinism.Analyzer)
 }

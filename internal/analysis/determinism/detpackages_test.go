@@ -17,7 +17,7 @@ var detExemptions = map[string]string{
 	"bbcast/internal/baseline":  "reference implementations compared against the protocol; scored by the harness, not part of the replayed state machine",
 	"bbcast/internal/invariant": "read-only checkers over snapshots; they observe state, they never advance it",
 	"bbcast/internal/metrics":   "aggregation sinks; output ordering is normalized at render time, not consumed by the protocol",
-	"bbcast/internal/obsv":      "observability taps (wall-clock stamps are its job); detflow guards the boundary back into det packages",
+	"bbcast/internal/obsv":      "observability taps (wall-clock stamps are its job); determinism's call-chain rule guards the boundary back into det packages",
 	"bbcast/internal/sig":       "pure crypto over explicit inputs; no clocks, no global randomness, nothing to schedule",
 	"bbcast/internal/trace":     "post-hoc lineage recording; consumed by forensics tooling after the run completes",
 	"bbcast/internal/viz":       "rendering only; emits artifacts for humans, never feeds results back into the run",

@@ -9,6 +9,8 @@ import (
 	"time"
 )
 
+var bootTime = time.Now() // want `time\.Now is wall clock`
+
 func wallClock() time.Duration {
 	now := time.Now()      // want `time\.Now is wall clock`
 	return time.Since(now) // want `time\.Since is wall clock`

@@ -1,5 +1,5 @@
 // Package sim poses as a DetPackages member: every call chain out of a
-// non-test, non-exempt function here is a detflow reporting frontier.
+// non-test, non-exempt function here is a determinism reporting frontier.
 package sim
 
 import "bbcast/internal/obsv"

@@ -4,7 +4,7 @@ import "sort"
 
 // Emit leaks map iteration order through a channel send. This package poses
 // as bbcast/internal/obsv — outside DetPackages — so the direct map-range
-// check never fires here; detflow treats it as a taint source instead.
+// check never fires here; determinism treats it as a taint source instead.
 func Emit(m map[int]int, ch chan int) {
 	for _, v := range m {
 		ch <- v

@@ -5,7 +5,7 @@ package obsv
 import "time"
 
 // Stamp's direct diagnostic is suppressed by the file exemption, so it is a
-// taint source for detflow.
+// taint source for determinism.
 func Stamp() int64 { return time.Now().UnixNano() }
 
 // Wrapped carries the taint one call further.

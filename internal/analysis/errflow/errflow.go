@@ -76,6 +76,7 @@ func returnsError(sig *types.Signature) bool {
 
 func run(pass *analysis.ProgramPass) error {
 	prog := pass.Prog
+	pass.CheckAnnotations(analysis.AnnErrflow)
 
 	// Seed taint at every resolved watched call, then grow the watched set
 	// through error-returning wrappers.
@@ -84,7 +85,6 @@ func run(pass *analysis.ProgramPass) error {
 		for _, cs := range n.Calls {
 			if isSeed(cs.Callee) {
 				direct[cs.Callee] = &analysis.Taint{
-					Kind: analysis.AnnErrflow,
 					Desc: analysis.FuncDisplayName(cs.Callee),
 					Pos:  cs.Call.Pos(),
 				}
@@ -96,24 +96,17 @@ func run(pass *analysis.ProgramPass) error {
 		return ok && returnsError(sig)
 	})
 
-	anns := map[string]*analysis.FileAnnotations{}
-	for _, pkg := range prog.Packages {
-		for _, file := range pkg.Files {
-			anns[pkg.Fset.Position(file.Pos()).Filename] = analysis.ParseAnnotations(pkg.Fset, file)
-		}
-	}
-
 	prog.EachFunc(func(n *analysis.FuncNode) {
 		if n.TestFile {
 			return
 		}
-		checkFunc(pass, n, taints, anns[prog.Fset.Position(n.Decl.Pos()).Filename])
+		checkFunc(pass, n, taints)
 	})
 	return nil
 }
 
 // checkFunc flags the four bad shapes around watched calls in one function.
-func checkFunc(pass *analysis.ProgramPass, n *analysis.FuncNode, taints map[*types.Func]*analysis.Taint, ann *analysis.FileAnnotations) {
+func checkFunc(pass *analysis.ProgramPass, n *analysis.FuncNode, taints map[*types.Func]*analysis.Taint) {
 	prog := pass.Prog
 	info := n.Pkg.TypesInfo
 	body := n.Decl.Body
@@ -130,7 +123,7 @@ func checkFunc(pass *analysis.ProgramPass, n *analysis.FuncNode, taints map[*typ
 		return callee, true
 	}
 	excused := func(pos token.Pos) bool {
-		return ann != nil && ann.At(analysis.AnnErrflow, prog.Fset.Position(pos).Line) != nil
+		return prog.AnnotationAt(analysis.AnnErrflow, pos) != nil
 	}
 	// wraps names the raw write a propagated wrapper reaches, "" for seeds.
 	wraps := func(callee *types.Func) string {

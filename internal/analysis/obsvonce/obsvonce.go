@@ -12,6 +12,10 @@
 //     (fan-out composites and adapter wrappers forward events without
 //     emitting new ones);
 //   - package obsv itself and _test.go files.
+//
+// The table is drift-checked: a row naming a function its loaded package no
+// longer defines is reported, since it would permit emissions from any
+// future function that takes the name.
 package obsvonce
 
 import (
@@ -77,19 +81,13 @@ var EmissionSources = map[string][]string{
 
 // Analyzer is the exactly-once emission pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "obsvonce",
-	Doc:  "report obsv.Observer method calls outside their designated emission source",
-	Run:  run,
+	Name:       "obsvonce",
+	Doc:        "report obsv.Observer method calls outside their designated emission source",
+	RunProgram: run,
 }
 
-func run(pass *analysis.Pass) error {
-	if strings.HasSuffix(pass.Pkg.Path(), obsvPathSuffix) {
-		return nil // the package defining Observer composes freely
-	}
-	iface := observerInterface(pass.Pkg)
-	if iface == nil {
-		return nil // obsv not in the import graph: nothing can emit
-	}
+func run(pass *analysis.ProgramPass) error {
+	prog := pass.Prog
 	allowed := map[string]map[string]bool{}
 	for method, funcs := range EmissionSources {
 		allowed[method] = map[string]bool{}
@@ -97,35 +95,57 @@ func run(pass *analysis.Pass) error {
 			allowed[method][f] = true
 		}
 	}
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue
+	ifaces := map[*analysis.Package]*types.Interface{}
+	for _, pkg := range prog.Packages {
+		// The package defining Observer composes freely; a package without
+		// obsv in its import graph cannot emit.
+		if !strings.HasSuffix(pkg.Path, obsvPathSuffix) {
+			ifaces[pkg] = observerInterface(pkg.Types)
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	}
+	defined := map[string]bool{}
+	prog.EachFunc(func(n *analysis.FuncNode) {
+		if n.TestFile {
+			return
+		}
+		defined[qualifiedName(n.Fn)] = true
+		if iface := ifaces[n.Pkg]; iface != nil {
+			checkFunc(pass, n, iface, allowed)
+		}
+	})
+	for _, pkg := range prog.Packages {
+		var rows []string
+		for _, funcs := range EmissionSources {
+			for _, f := range funcs {
+				if strings.HasPrefix(f, pkg.Path+".") {
+					rows = append(rows, f)
+				}
 			}
-			checkFunc(pass, fd, iface, allowed)
 		}
+		pass.CheckTable(pkg.Files[0].Name.Pos(), "emission table drift: source %s no longer exists; update obsvonce.EmissionSources", rows, func(f string) bool { return defined[f] })
 	}
 	return nil
 }
 
-// checkFunc reports stray Observer emissions inside fd (closures included).
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, iface *types.Interface, allowed map[string]map[string]bool) {
-	qualified := pass.Pkg.Path() + "." + funcName(fd)
+// qualifiedName renders fn as the emission table spells it.
+func qualifiedName(fn *types.Func) string {
+	return fn.Pkg().Path() + "." + analysis.LocalName(fn)
+}
+
+// checkFunc reports stray Observer emissions inside n (closures included).
+func checkFunc(pass *analysis.ProgramPass, n *analysis.FuncNode, iface *types.Interface, allowed map[string]map[string]bool) {
+	qualified := qualifiedName(n.Fn)
 	// A method named like an Observer method on a type that itself
 	// implements Observer is a forwarder (Multi, SkipAccepts, adapters):
 	// calls to the same method are fan-out, not emission.
 	forwards := ""
-	if _, isObserverMethod := allowed[fd.Name.Name]; isObserverMethod && fd.Recv != nil {
-		if recv := receiverType(pass, fd); recv != nil && implementsObserver(recv, iface) {
-			forwards = fd.Name.Name
+	if _, isObserverMethod := allowed[n.Fn.Name()]; isObserverMethod {
+		if recv := n.Fn.Type().(*types.Signature).Recv(); recv != nil && implementsObserver(recv.Type(), iface) {
+			forwards = n.Fn.Name()
 		}
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
+		call, ok := nd.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
@@ -138,7 +158,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, iface *types.Interface, al
 		if !isObserverMethod {
 			return true
 		}
-		selection, ok := pass.TypesInfo.Selections[sel]
+		selection, ok := n.Pkg.TypesInfo.Selections[sel]
 		if !ok || selection.Kind() != types.MethodVal {
 			return true
 		}
@@ -152,36 +172,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, iface *types.Interface, al
 			method, strings.Join(EmissionSources[method], ", "))
 		return true
 	})
-}
-
-// funcName renders fd as Func or Recv.Method (pointer stars stripped).
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name + "." + fd.Name.Name
-		default:
-			return fd.Name.Name
-		}
-	}
-}
-
-// receiverType returns the (possibly pointer) receiver type of fd.
-func receiverType(pass *analysis.Pass, fd *ast.FuncDecl) types.Type {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	return pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
 }
 
 // implementsObserver reports whether t (or *t) satisfies the Observer

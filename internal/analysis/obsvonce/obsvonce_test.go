@@ -14,3 +14,9 @@ import (
 func TestEmissionTable(t *testing.T) {
 	analysistest.Run(t, "testdata/core", "bbcast/internal/core", obsvonce.Analyzer)
 }
+
+// TestEmissionTableDrift checks that a table row whose function its loaded
+// package no longer defines is reported, exactly once.
+func TestEmissionTableDrift(t *testing.T) {
+	analysistest.Run(t, "testdata/runner", "bbcast/internal/runner", obsvonce.Analyzer)
+}

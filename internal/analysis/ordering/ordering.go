@@ -23,14 +23,16 @@
 //
 // The tables themselves are drift-checked: if a named function disappears
 // (renamed, split), the pass reports it rather than silently proving nothing,
-// the same pattern boundedstate uses for its field table. A reviewed
-// exception is spelled //bbvet:ordering <why> on the crypto-reaching line.
+// through the ProgramPass.CheckTable helper boundedstate and obsvonce share.
+// A reviewed exception is spelled //bbvet:ordering <why> on the
+// crypto-reaching line.
 package ordering
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"bbcast/internal/analysis"
@@ -70,6 +72,7 @@ var dedupGuards = map[string][]string{
 
 func run(pass *analysis.ProgramPass) error {
 	prog := pass.Prog
+	pass.CheckAnnotations(analysis.AnnOrdering)
 
 	// Seed crypto taint at every resolved call to a sig Verify method and
 	// spread it through every caller (no frontier: "reaches crypto" is a
@@ -78,46 +81,37 @@ func run(pass *analysis.ProgramPass) error {
 	prog.EachFunc(func(n *analysis.FuncNode) {
 		for _, cs := range n.Calls {
 			if isCryptoVerify(cs.Callee) {
-				direct[cs.Callee] = &analysis.Taint{Kind: "crypto", Desc: analysis.FuncDisplayName(cs.Callee)}
+				direct[cs.Callee] = &analysis.Taint{Desc: analysis.FuncDisplayName(cs.Callee)}
 			}
 		}
 	})
 	taints := prog.Propagate(direct, nil)
 
-	// Index the core package's functions and per-file annotations.
+	// Index the core package's functions.
 	nodes := map[string]*analysis.FuncNode{}
-	anns := map[string]*analysis.FileAnnotations{}
 	var corePos token.Pos
 	for _, pkg := range prog.Packages {
-		if !strings.HasSuffix(pkg.Path, corePathSuffix) {
-			continue
-		}
-		if corePos == token.NoPos && len(pkg.Files) > 0 {
+		if corePos == token.NoPos && strings.HasSuffix(pkg.Path, corePathSuffix) && len(pkg.Files) > 0 {
 			corePos = pkg.Files[0].Name.Pos()
-		}
-		for _, file := range pkg.Files {
-			anns[pkg.Fset.Position(file.Pos()).Filename] = analysis.ParseAnnotations(pkg.Fset, file)
 		}
 	}
 	prog.EachFunc(func(n *analysis.FuncNode) {
 		if strings.HasSuffix(n.Pkg.Path, corePathSuffix) && !n.TestFile {
-			nodes[localName(n.Fn)] = n
+			nodes[analysis.LocalName(n.Fn)] = n
 		}
 	})
 	if corePos == token.NoPos {
 		return nil // no core package in this load; nothing to prove
 	}
-	excused := func(n *analysis.FuncNode, pos token.Pos) bool {
-		ann := anns[prog.Fset.Position(n.Decl.Pos()).Filename]
-		return ann != nil && ann.At(analysis.AnnOrdering, prog.Fset.Position(pos).Line) != nil
-	}
+	excused := func(pos token.Pos) bool { return prog.AnnotationAt(analysis.AnnOrdering, pos) != nil }
 
-	// Drift check: a renamed table function silently proves nothing.
-	for _, name := range tableNames() {
-		if nodes[name] == nil {
-			pass.Reportf(corePos, "ordering table drift: %s not found in %s; update the analyzer tables to the renamed ingress path", name, corePathSuffix)
-		}
+	handlers := make([]string, 0, len(dedupGuards))
+	for name := range dedupGuards {
+		handlers = append(handlers, name)
 	}
+	slices.Sort(handlers)
+	pass.CheckTable(corePos, "ordering table drift: %s not found in "+corePathSuffix+"; update the analyzer tables to the renamed ingress path",
+		append([]string{ingressRoot}, handlers...), func(name string) bool { return nodes[name] != nil })
 
 	// Rule 1: admission before crypto in the ingress root.
 	if root := nodes[ingressRoot]; root != nil {
@@ -126,11 +120,11 @@ func run(pass *analysis.ProgramPass) error {
 			guardPos := admissionGuardPos(root)
 			switch {
 			case guardPos == token.NoPos:
-				if !excused(root, cryptoPos) {
+				if !excused(cryptoPos) {
 					pass.Reportf(cryptoPos, "%s reaches crypto (%s) with no `if !%s { return }` admission guard; token-bucket shedding must precede signature work", ingressRoot, chain, admissionGuard)
 				}
 			case cryptoPos < guardPos:
-				if !excused(root, cryptoPos) {
+				if !excused(cryptoPos) {
 					pass.Reportf(cryptoPos, "%s reaches crypto (%s) before the %s admission guard; a flooding sender must be shed before any signature work", ingressRoot, chain, admissionGuard)
 				}
 			}
@@ -138,7 +132,7 @@ func run(pass *analysis.ProgramPass) error {
 	}
 
 	// Rule 2: dedup lookup before crypto in each table handler.
-	for _, name := range sortedKeys(dedupGuards) {
+	for _, name := range handlers {
 		n := nodes[name]
 		if n == nil {
 			continue // drift already reported
@@ -149,7 +143,7 @@ func run(pass *analysis.ProgramPass) error {
 		}
 		for _, field := range dedupGuards[name] {
 			if p := firstConsult(prog, n, field, taints); p == token.NoPos || p > cryptoPos {
-				if !excused(n, cryptoPos) {
+				if !excused(cryptoPos) {
 					pass.Reportf(cryptoPos, "%s reaches crypto (%s) before consulting the %s dedup table; a replayed frame must cost a lookup, not a verify", name, chain, field)
 				}
 			}
@@ -161,11 +155,11 @@ func run(pass *analysis.ProgramPass) error {
 		if !strings.HasSuffix(n.Pkg.Path, corePathSuffix) || n.TestFile {
 			return
 		}
-		name := localName(n.Fn)
+		name := analysis.LocalName(n.Fn)
 		if name == ingressRoot || !ast.IsExported(n.Fn.Name()) || !takesPacket(n.Fn) {
 			return
 		}
-		if cryptoPos, chain := firstCrypto(prog, n, taints); cryptoPos != token.NoPos && !excused(n, cryptoPos) {
+		if cryptoPos, chain := firstCrypto(prog, n, taints); cryptoPos != token.NoPos && !excused(cryptoPos) {
 			pass.Reportf(cryptoPos, "exported packet entry point %s reaches crypto (%s) outside %s, bypassing the admission bucket", name, chain, ingressRoot)
 		}
 	})
@@ -295,38 +289,4 @@ func takesPacket(fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-// localName renders fn without its package: "Func" or "Recv.Method".
-func localName(fn *types.Func) string {
-	name := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		rt := recv.Type()
-		if ptr, ok := rt.(*types.Pointer); ok {
-			rt = ptr.Elem()
-		}
-		if named, ok := rt.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	return name
-}
-
-// tableNames returns every function the tables expect, sorted.
-func tableNames() []string {
-	names := sortedKeys(dedupGuards)
-	return append([]string{ingressRoot}, names...)
-}
-
-func sortedKeys(m map[string][]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
