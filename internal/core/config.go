@@ -8,7 +8,8 @@
 // broadcast function and a deterministic random stream, so the same code runs
 // in the discrete-event simulator and over a real datagram transport.
 // A Protocol instance is not safe for concurrent use; hosts must serialize
-// calls (the simulator is single-threaded, the UDP transport uses a mutex).
+// calls (the simulator is single-threaded, and each live node's one owner
+// goroutine serializes the calls on a live transport).
 package core
 
 import (

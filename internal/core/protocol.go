@@ -255,11 +255,10 @@ type Protocol struct {
 	// gossip scheduler re-reads it every round.
 	gossipPeriod time.Duration
 
-	role        overlay.Role
-	roleCand    overlay.Role
-	roleRun     int
-	roleChanges uint64
-	maint       overlay.Maintainer
+	role     overlay.Role
+	roleCand overlay.Role
+	roleRun  int
+	maint    overlay.Maintainer
 
 	mute    *fd.Mute
 	verbose *fd.Verbose

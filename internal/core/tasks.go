@@ -443,12 +443,7 @@ func (p *Protocol) overlayNeighbors() []wire.NodeID {
 func (p *Protocol) applyRole(next overlay.Role) {
 	p.role = next
 	p.roleRun = 0
-	p.roleChanges++
 	if p.deps.Obs != nil {
 		p.deps.Obs.OnRoleChange(p.deps.Clock.Now(), p.deps.ID, next)
 	}
 }
-
-// RoleChanges reports how many times the node's role changed (a measure of
-// overlay churn).
-func (p *Protocol) RoleChanges() uint64 { return p.roleChanges }

@@ -48,7 +48,6 @@ const (
 	// Heal removes the current partition.
 	Heal Kind = "heal"
 	// DegradeRadio adds LossFactor per-reception loss for Duration.
-	// Overlapping windows stack (independent drop chances).
 	DegradeRadio Kind = "degrade-radio"
 	// SwapBehavior replaces Node's behaviour with Behavior, a name in
 	// byzantine.Make's vocabulary.
@@ -69,6 +68,20 @@ const (
 	AsymDegrade Kind = "asym-degrade"
 )
 
+// Windowed reports whether k impairs the channel for a Duration:
+// degrade-radio, burst-loss, jitter, duplicate and asym-degrade. Windows of
+// any of these kinds compose however they overlap, and each expiry removes
+// exactly its own window: extra loss, duplication and asymmetric severity
+// combine as independent chances, jitter takes the largest active bound, and
+// the burst model is that of the latest window still active.
+func (k Kind) Windowed() bool {
+	switch k {
+	case DegradeRadio, BurstLoss, Jitter, Duplicate, AsymDegrade:
+		return true
+	}
+	return false
+}
+
 // Event is one scheduled fault.
 type Event struct {
 	// At is the virtual time the event fires.
@@ -83,8 +96,7 @@ type Event struct {
 	// bad-state loss probability for burst-loss, and the severity for
 	// asym-degrade.
 	LossFactor float64
-	// Duration is how long a windowed event (degrade-radio, burst-loss,
-	// jitter, duplicate, asym-degrade) lasts.
+	// Duration is how long a windowed event (Kind.Windowed) lasts.
 	Duration time.Duration
 	// Behavior names the new behaviour for swap-behavior events.
 	Behavior string
@@ -398,9 +410,6 @@ func (p *Plan) Validate(n int) error {
 			if e.LossFactor <= 0 || e.LossFactor >= 1 {
 				return fmt.Errorf("faultplan: event %d: lossFactor %.3f outside (0,1)", i, e.LossFactor)
 			}
-			if e.Duration <= 0 {
-				return fmt.Errorf("faultplan: event %d: degrade-radio needs a positive duration", i)
-			}
 		case BurstLoss:
 			if e.LossFactor <= 0 || e.LossFactor > 1 {
 				return fmt.Errorf("faultplan: event %d: burst-loss lossFactor %.3f outside (0,1]", i, e.LossFactor)
@@ -408,32 +417,23 @@ func (p *Plan) Validate(n int) error {
 			if e.MeanBad <= 0 || e.MeanGood <= 0 {
 				return fmt.Errorf("faultplan: event %d: burst-loss needs positive meanBad and meanGood dwell times", i)
 			}
-			if e.Duration <= 0 {
-				return fmt.Errorf("faultplan: event %d: burst-loss needs a positive duration", i)
-			}
 		case Jitter:
 			if e.MaxJitter <= 0 {
 				return fmt.Errorf("faultplan: event %d: jitter needs a positive maxJitter", i)
-			}
-			if e.Duration <= 0 {
-				return fmt.Errorf("faultplan: event %d: jitter needs a positive duration", i)
 			}
 		case Duplicate:
 			if e.DupProb <= 0 || e.DupProb >= 1 {
 				return fmt.Errorf("faultplan: event %d: dupProb %.3f outside (0,1)", i, e.DupProb)
 			}
-			if e.Duration <= 0 {
-				return fmt.Errorf("faultplan: event %d: duplicate needs a positive duration", i)
-			}
 		case AsymDegrade:
 			if e.LossFactor <= 0 || e.LossFactor >= 1 {
 				return fmt.Errorf("faultplan: event %d: asym-degrade severity %.3f outside (0,1)", i, e.LossFactor)
 			}
-			if e.Duration <= 0 {
-				return fmt.Errorf("faultplan: event %d: asym-degrade needs a positive duration", i)
-			}
 		default:
 			return fmt.Errorf("faultplan: event %d: unknown kind %q", i, e.Kind)
+		}
+		if e.Kind.Windowed() && e.Duration <= 0 {
+			return fmt.Errorf("faultplan: event %d: %s needs a positive duration", i, e.Kind)
 		}
 		if e.Kind == SwapBehavior && !byzantine.Known(e.Behavior) {
 			return fmt.Errorf("faultplan: event %d: unknown behaviour %q", i, e.Behavior)

@@ -137,8 +137,8 @@ const (
 // Observer receives protocol and transport events. Implementations must be
 // cheap and must not call back into the protocol; hot-path methods (tx, rx,
 // sig verify) must not allocate. All methods are invoked synchronously from
-// the emitting goroutine: single-threaded under simulation, under the node
-// lock on a live transport.
+// the emitting goroutine: single-threaded under simulation, and on a live
+// transport each node's one owner goroutine serializes the calls.
 type Observer interface {
 	// OnPacketTx is one frame put on the air by node. meta carries the
 	// frame's causal metadata: its frame id, the reception that caused it,

@@ -8,43 +8,102 @@ import (
 )
 
 // TestOverlappingDegradationsCompose is the regression test for the
-// last-writer-wins SetExtraLoss bug: a second degrade window's expiry used to
+// last-writer-wins extra-loss bug: a second degrade window's expiry used to
 // restore the channel to nominal even while the first window was still
 // active. Stacked windows must compose and pop independently.
 func TestOverlappingDegradationsCompose(t *testing.T) {
 	_, m := lineNetwork(t, 100, 2, idealConfig())
-	popA := m.PushDegradation(0.5)
-	popB := m.PushDegradation(0.5)
-	if got := m.ExtraLoss(); got < 0.74 || got > 0.76 {
+	popA := m.Impair(Impairment{Loss: 0.5})
+	popB := m.Impair(Impairment{Loss: 0.5})
+	if got := m.Impairment().Loss; got != 0.75 {
 		t.Fatalf("two 0.5 windows compose to %v, want 0.75", got)
 	}
 	popB() // second window expires first
-	if got := m.ExtraLoss(); got != 0.5 {
-		t.Fatalf("after inner pop ExtraLoss = %v, want 0.5 (first window still active)", got)
+	if got := m.Impairment().Loss; got != 0.5 {
+		t.Fatalf("after inner pop Loss = %v, want 0.5 (first window still active)", got)
 	}
 	popB() // idempotent
-	if got := m.ExtraLoss(); got != 0.5 {
-		t.Fatalf("double pop changed ExtraLoss to %v", got)
+	if got := m.Impairment().Loss; got != 0.5 {
+		t.Fatalf("double pop changed Loss to %v", got)
 	}
 	popA()
-	if got := m.ExtraLoss(); got != 0 {
-		t.Fatalf("all windows popped, ExtraLoss = %v, want 0", got)
+	if got := m.Impairment().Loss; got != 0 {
+		t.Fatalf("all windows popped, Loss = %v, want 0", got)
 	}
 }
 
-// TestDegradationStacksOnBaseExtraLoss: the legacy scalar and pushed windows
-// compose as independent drop chances.
-func TestDegradationStacksOnBaseExtraLoss(t *testing.T) {
-	_, m := lineNetwork(t, 100, 2, idealConfig())
-	m.SetExtraLoss(0.5)
-	pop := m.PushDegradation(0.5)
-	if got := m.ExtraLoss(); got < 0.74 || got > 0.76 {
-		t.Fatalf("base 0.5 + window 0.5 = %v, want 0.75", got)
+// TestOverlappingImpairmentsCompose states the composition rules kind by
+// kind, for an outer window with an inner one pushed and popped inside it:
+// one window reads exactly its own values; loss, duplication and asymmetric
+// severity combine as independent chances; jitter takes the largest bound;
+// the burst model is the latest active one, and the Gilbert–Elliott link
+// states reset only when the composed model changes; restores are idempotent.
+func TestOverlappingImpairmentsCompose(t *testing.T) {
+	burstA := BurstConfig{Loss: 0.8, MeanBad: 100 * time.Millisecond, MeanGood: 300 * time.Millisecond}
+	burstB := BurstConfig{Loss: 0.5, MeanBad: 50 * time.Millisecond, MeanGood: 200 * time.Millisecond}
+	cases := []struct {
+		name         string
+		outer, inner Impairment
+		both         Impairment // the composition while both windows are active
+		resets       bool       // the inner window's push and pop reset the link states
+	}{
+		{"loss", Impairment{Loss: 0.5}, Impairment{Loss: 0.5}, Impairment{Loss: 0.75}, false},
+		{"dup", Impairment{Dup: 0.5}, Impairment{Dup: 0.25}, Impairment{Dup: 0.625}, false},
+		{"asym", Impairment{Asym: 0.25}, Impairment{Asym: 0.5}, Impairment{Asym: 0.625}, false},
+		{"jitter-outer-larger", Impairment{Jitter: 80 * time.Millisecond}, Impairment{Jitter: 20 * time.Millisecond},
+			Impairment{Jitter: 80 * time.Millisecond}, false},
+		{"jitter-inner-larger", Impairment{Jitter: 20 * time.Millisecond}, Impairment{Jitter: 80 * time.Millisecond},
+			Impairment{Jitter: 80 * time.Millisecond}, false},
+		{"burst-latest", Impairment{Burst: burstA}, Impairment{Burst: burstB}, Impairment{Burst: burstB}, true},
+		{"burst-same-model", Impairment{Burst: burstA}, Impairment{Burst: burstA}, Impairment{Burst: burstA}, false},
+		{"burst-then-jitter", Impairment{Burst: burstA}, Impairment{Jitter: 20 * time.Millisecond},
+			Impairment{Burst: burstA, Jitter: 20 * time.Millisecond}, false},
+		{"jitter-then-burst", Impairment{Jitter: 20 * time.Millisecond}, Impairment{Burst: burstA},
+			Impairment{Burst: burstA, Jitter: 20 * time.Millisecond}, false},
 	}
-	pop()
-	m.SetExtraLoss(0)
-	if got := m.ExtraLoss(); got != 0 {
-		t.Fatalf("ExtraLoss = %v, want 0", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, m := lineNetwork(t, 100, 2, idealConfig())
+			want := func(when string, w Impairment) {
+				t.Helper()
+				if got := m.Impairment(); got != w {
+					t.Fatalf("%s: Impairment() = %+v, want %+v", when, got, w)
+				}
+				if (m.burstLinks != nil) != w.Burst.Enabled() {
+					t.Fatalf("%s: link states present = %v with burst model %+v", when, m.burstLinks != nil, w.Burst)
+				}
+			}
+			// A marker link state planted before a step survives it exactly
+			// when the step does not reset the Gilbert–Elliott states.
+			step := func(when string, do func()) {
+				t.Helper()
+				const marker = 1<<63 | 1
+				before := m.burstLinks
+				if before != nil {
+					before[marker] = &geLink{}
+				}
+				do()
+				if before != nil && m.burstLinks != nil {
+					if _, kept := m.burstLinks[marker]; kept == tc.resets {
+						t.Fatalf("%s: link states kept = %v, want %v", when, kept, !tc.resets)
+					}
+				}
+			}
+
+			restoreOuter := m.Impair(tc.outer)
+			want("outer alone", tc.outer)
+			var restoreInner func()
+			step("inner pushed", func() { restoreInner = m.Impair(tc.inner) })
+			want("both", tc.both)
+			step("inner restored", restoreInner)
+			want("inner restored", tc.outer)
+			restoreInner()
+			want("inner restored twice", tc.outer)
+			restoreOuter()
+			want("all restored", Impairment{})
+			restoreOuter()
+			want("all restored twice", Impairment{})
+		})
 	}
 }
 
@@ -55,8 +114,8 @@ func TestActiveDegradationBlocksDelivery(t *testing.T) {
 	eng, m := lineNetwork(t, 100, 2, idealConfig())
 	var got int
 	m.Attach(1, func(*wire.Packet) { got++ })
-	popOuter := m.PushDegradation(0.999)
-	popInner := m.PushDegradation(0.3)
+	popOuter := m.Impair(Impairment{Loss: 0.999})
+	popInner := m.Impair(Impairment{Loss: 0.3})
 	popInner() // the overlapping inner window expires; outer must keep biting
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
@@ -84,7 +143,7 @@ func TestBurstLossIsBursty(t *testing.T) {
 	eng, m := lineNetwork(t, 100, 2, idealConfig())
 	var times []time.Duration
 	m.Attach(1, func(*wire.Packet) { times = append(times, eng.Now()) })
-	m.SetBurst(BurstConfig{Loss: 1, MeanBad: 200 * time.Millisecond, MeanGood: 200 * time.Millisecond})
+	m.Impair(Impairment{Burst: BurstConfig{Loss: 1, MeanBad: 200 * time.Millisecond, MeanGood: 200 * time.Millisecond}})
 	const trials = 1000
 	for i := 0; i < trials; i++ {
 		at := time.Duration(i) * 5 * time.Millisecond
@@ -134,10 +193,12 @@ func TestBurstLossReplaysBitIdentical(t *testing.T) {
 		eng, m := lineNetwork(t, 100, 2, idealConfig())
 		var times []time.Duration
 		m.Attach(1, func(*wire.Packet) { times = append(times, eng.Now()) })
-		m.SetBurst(BurstConfig{Loss: 0.9, MeanBad: 50 * time.Millisecond, MeanGood: 100 * time.Millisecond})
-		m.SetJitter(2 * time.Millisecond)
-		m.SetDuplication(0.2)
-		m.SetAsymLoss(0.5)
+		m.Impair(Impairment{
+			Burst:  BurstConfig{Loss: 0.9, MeanBad: 50 * time.Millisecond, MeanGood: 100 * time.Millisecond},
+			Jitter: 2 * time.Millisecond,
+			Dup:    0.2,
+			Asym:   0.5,
+		})
 		for i := 0; i < 300; i++ {
 			at := time.Duration(i) * 5 * time.Millisecond
 			eng.At(at, func() { m.Broadcast(0, dataPkt(0)) })
@@ -161,7 +222,7 @@ func TestBurstLossReplaysBitIdentical(t *testing.T) {
 func TestJitterDefersDeliveryWithinBound(t *testing.T) {
 	eng, m := lineNetwork(t, 100, 2, idealConfig())
 	const maxJitter = 10 * time.Millisecond
-	m.SetJitter(maxJitter)
+	m.Impair(Impairment{Jitter: maxJitter})
 	var at []time.Duration
 	m.Attach(1, func(*wire.Packet) { at = append(at, eng.Now()) })
 	nominal := m.cfg.PropDelay + m.Airtime(dataPkt(0).AirSize())
@@ -194,7 +255,7 @@ func TestJitterDefersDeliveryWithinBound(t *testing.T) {
 // deliveries and accounts every extra frame in DupFrames.
 func TestDuplicationDeliversTwiceAndCounts(t *testing.T) {
 	eng, m := lineNetwork(t, 100, 2, idealConfig())
-	m.SetDuplication(1) // clamped to 0.999
+	m.Impair(Impairment{Dup: 1}) // clamped to 0.999
 	var got int
 	m.Attach(1, func(*wire.Packet) { got++ })
 	const trials = 200
@@ -224,7 +285,7 @@ func TestAsymmetricDegradationIsDirectional(t *testing.T) {
 	if h < 0 || h >= 1 {
 		t.Fatalf("hash01 = %v outside [0,1)", h)
 	}
-	m.SetAsymLoss(1)
+	m.Impair(Impairment{Asym: 1})
 	var fwd, rev int
 	m.Attach(0, func(*wire.Packet) { rev++ })
 	m.Attach(1, func(*wire.Packet) { fwd++ })
@@ -266,12 +327,13 @@ func TestHostileChannelConservation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m.Attach(wire.NodeID(i), func(*wire.Packet) {})
 	}
-	m.SetBurst(BurstConfig{Loss: 0.8, MeanBad: 40 * time.Millisecond, MeanGood: 80 * time.Millisecond})
-	m.SetJitter(3 * time.Millisecond)
-	m.SetDuplication(0.3)
-	m.SetAsymLoss(0.6)
-	pop := m.PushDegradation(0.2)
-	defer pop()
+	m.Impair(Impairment{
+		Loss:   0.2,
+		Burst:  BurstConfig{Loss: 0.8, MeanBad: 40 * time.Millisecond, MeanGood: 80 * time.Millisecond},
+		Jitter: 3 * time.Millisecond,
+		Dup:    0.3,
+		Asym:   0.6,
+	})
 
 	// Node layout: 0 at 0m, 1 at 187m, 2 at 374m. Range 250: links 0↔1 and
 	// 1↔2 only, so each broadcast from 0 or 2 schedules one reception and a

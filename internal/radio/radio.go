@@ -112,6 +112,27 @@ func (b BurstConfig) Enabled() bool {
 	return b.Loss > 0 && b.MeanBad > 0 && b.MeanGood > 0
 }
 
+// Impairment describes a hostile channel: one timed window of it, or the
+// composition of every active window. The zero value impairs nothing.
+type Impairment struct {
+	// Loss is an extra per-reception loss probability, modelling a degraded
+	// radio environment (jamming, weather).
+	Loss float64
+	// Burst is the per-link Gilbert–Elliott bursty-loss model.
+	Burst BurstConfig
+	// Jitter is the maximum extra delivery latency: each successful reception
+	// is deferred by a uniform draw in [0,Jitter).
+	Jitter time.Duration
+	// Dup is the probability that a successful reception is delivered twice,
+	// modelling MAC-level retransmit duplicates.
+	Dup float64
+	// Asym is the severity of asymmetric link degradation: each ordered link
+	// (a,b) gets a static extra loss probability Asym·h(a,b), where h is a
+	// per-link hash in [0,1) derived from the engine seed — so a→b and b→a
+	// degrade differently, deterministically.
+	Asym float64
+}
+
 // geLink is the Gilbert–Elliott state of one ordered link.
 type geLink struct {
 	bad  bool
@@ -169,24 +190,15 @@ type Medium struct {
 	// group is the partition group per node; nil means no partition. Frames
 	// cross only between nodes of the same group.
 	group []int
-	// extraLoss is an additional per-reception loss probability in [0,1),
-	// modelling a degraded radio environment (jamming, weather).
-	extraLoss float64
-	// degs are stacked degradation windows pushed by PushDegradation.
-	// Overlapping windows compose: the effective loss probability is
-	// 1 - Π(1-p_i) over the base extraLoss and every active window, so one
-	// window ending never silently cancels another that is still active.
-	degs      []degradation
-	nextDegID uint64
 
-	// Hostile-link models. All draws happen only when the corresponding
-	// feature is active, so enabling none of them leaves the RNG stream —
-	// and therefore every existing trace golden — untouched.
-	burst      BurstConfig
+	// Hostile-link models. windows are the active Impair windows in push
+	// order; imp is their composition, recomputed on every push and pop so
+	// the reception path reads plain fields. All draws happen only when the
+	// corresponding feature is active, so enabling none of them leaves the
+	// RNG stream — and therefore every existing trace golden — untouched.
+	windows    []*Impairment
+	imp        Impairment
 	burstLinks map[uint64]*geLink // ordered link (from<<32|dst) → GE state; keyed access only
-	jitter     time.Duration      // max extra delivery latency, uniform in [0,jitter)
-	dupProb    float64            // probability of duplicating a successful reception
-	asymLoss   float64            // severity of asymmetric per-link degradation
 
 	// OnTransmit, if non-nil, observes every frame put on the air.
 	OnTransmit func(from wire.NodeID, pkt *wire.Packet)
@@ -303,12 +315,6 @@ func (m *Medium) SetPartition(groups [][]wire.NodeID) {
 // Heal removes any installed partition mask.
 func (m *Medium) Heal() { m.group = nil }
 
-// degradation is one active PushDegradation window.
-type degradation struct {
-	id uint64
-	p  float64
-}
-
 // clampLoss clamps a loss probability to [0, 0.999].
 func clampLoss(p float64) float64 {
 	if p < 0 {
@@ -320,92 +326,61 @@ func clampLoss(p float64) float64 {
 	return p
 }
 
-// SetExtraLoss sets the base additional per-reception loss probability
-// (clamped to [0,1)), modelling a degraded radio environment. Zero restores
-// the nominal channel. Windowed degradations stack on top via
-// PushDegradation.
-func (m *Medium) SetExtraLoss(p float64) {
-	m.extraLoss = clampLoss(p)
-}
-
-// PushDegradation adds an independent degradation source with per-reception
-// loss probability p and returns a pop function that removes exactly that
-// source. Active sources compose as independent drop chances
-// (1 - Π(1-p_i)), so overlapping degrade-radio windows no longer clobber
-// each other the way last-writer-wins SetExtraLoss calls did. Pop is
-// idempotent.
-func (m *Medium) PushDegradation(p float64) (pop func()) {
-	id := m.nextDegID
-	m.nextDegID++
-	m.degs = append(m.degs, degradation{id: id, p: clampLoss(p)})
+// Impair opens an impairment window and returns a restore function that
+// closes exactly that window; calling restore again does nothing. Active
+// windows compose, so one window ending never cancels another that is still
+// active:
+//   - Loss, Dup and Asym (each clamped to [0,1)) combine as independent
+//     chances, e + p − e·p folded from zero, so one window yields exactly
+//     its own value;
+//   - Jitter is the largest active bound;
+//   - Burst is the enabled model of the latest window still active.
+//
+// The Gilbert–Elliott link states reset only when the composed burst model
+// changes; links re-enter the chain at its stationary distribution on first
+// use.
+func (m *Medium) Impair(w Impairment) (restore func()) {
+	w.Loss, w.Dup, w.Asym = clampLoss(w.Loss), clampLoss(w.Dup), clampLoss(w.Asym)
+	win := &w
+	m.windows = append(m.windows, win)
+	m.recompose()
 	return func() {
-		for i, d := range m.degs {
-			if d.id == id {
-				m.degs = append(m.degs[:i], m.degs[i+1:]...)
-				return
-			}
+		if i := slices.Index(m.windows, win); i >= 0 {
+			m.windows = slices.Delete(m.windows, i, i+1)
+			m.recompose()
 		}
 	}
 }
 
-// ExtraLoss reports the effective additional loss probability: the base
-// SetExtraLoss value composed with every active PushDegradation window.
-func (m *Medium) ExtraLoss() float64 {
-	keep := 1 - m.extraLoss
-	for _, d := range m.degs {
-		keep *= 1 - d.p
-	}
-	return 1 - keep
+// Impairment reports the composition of every active Impair window.
+func (m *Medium) Impairment() Impairment { return m.imp }
+
+// either composes two independent chances: the probability that at least
+// one of them fires.
+func either(e, p float64) float64 {
+	return e + p - e*p
 }
 
-// SetBurst installs (or, with a zero config, removes) the per-link
-// Gilbert–Elliott bursty-loss model. Installing a config resets all link
-// states; links re-enter the chain at its stationary distribution on first
-// use.
-func (m *Medium) SetBurst(cfg BurstConfig) {
-	m.burst = cfg
-	if cfg.Enabled() {
-		m.burstLinks = make(map[uint64]*geLink)
-	} else {
+// recompose folds the active windows into m.imp.
+func (m *Medium) recompose() {
+	var c Impairment
+	for _, w := range m.windows {
+		c.Loss = either(c.Loss, w.Loss)
+		c.Dup = either(c.Dup, w.Dup)
+		c.Asym = either(c.Asym, w.Asym)
+		c.Jitter = max(c.Jitter, w.Jitter)
+		if w.Burst.Enabled() {
+			c.Burst = w.Burst
+		}
+	}
+	if c.Burst != m.imp.Burst {
 		m.burstLinks = nil
+		if c.Burst.Enabled() {
+			m.burstLinks = make(map[uint64]*geLink)
+		}
 	}
+	m.imp = c
 }
-
-// Burst reports the active bursty-loss configuration.
-func (m *Medium) Burst() BurstConfig { return m.burst }
-
-// SetJitter sets the maximum extra delivery latency: each successful
-// reception is deferred by a uniform draw in [0,d). Zero restores immediate
-// delivery.
-func (m *Medium) SetJitter(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.jitter = d
-}
-
-// Jitter reports the maximum extra delivery latency.
-func (m *Medium) Jitter() time.Duration { return m.jitter }
-
-// SetDuplication sets the probability (clamped to [0,1)) that a successful
-// reception is delivered twice, modelling MAC-level retransmit duplicates.
-func (m *Medium) SetDuplication(p float64) {
-	m.dupProb = clampLoss(p)
-}
-
-// Duplication reports the active duplication probability.
-func (m *Medium) Duplication() float64 { return m.dupProb }
-
-// SetAsymLoss sets the severity of asymmetric link degradation: each ordered
-// link (a,b) gets a static extra loss probability severity·h(a,b), where h
-// is a per-link hash in [0,1) derived from the engine seed — so a→b and b→a
-// degrade differently, deterministically. Zero disables.
-func (m *Medium) SetAsymLoss(severity float64) {
-	m.asymLoss = clampLoss(severity)
-}
-
-// AsymLoss reports the active asymmetric degradation severity.
-func (m *Medium) AsymLoss() float64 { return m.asymLoss }
 
 // linkKey packs an ordered link into a map key.
 func linkKey(from, dst wire.NodeID) uint64 {
@@ -429,8 +404,8 @@ func (m *Medium) hash01(from, dst wire.NodeID) float64 {
 // idle.
 func (m *Medium) burstDrop(from, dst wire.NodeID) bool {
 	rng := m.eng.Rand()
-	lambda := 1 / m.burst.MeanGood.Seconds() // good → bad rate
-	mu := 1 / m.burst.MeanBad.Seconds()      // bad → good rate
+	lambda := 1 / m.imp.Burst.MeanGood.Seconds() // good → bad rate
+	mu := 1 / m.imp.Burst.MeanBad.Seconds()      // bad → good rate
 	piBad := lambda / (lambda + mu)
 	key := linkKey(from, dst)
 	st := m.burstLinks[key]
@@ -448,7 +423,7 @@ func (m *Medium) burstDrop(from, dst wire.NodeID) bool {
 		st.bad = rng.Float64() < pBad
 		st.last = now
 	}
-	return st.bad && rng.Float64() < m.burst.Loss
+	return st.bad && rng.Float64() < m.imp.Burst.Loss
 }
 
 // linkUp reports whether frames can currently cross from a to b: both radios
@@ -687,11 +662,11 @@ func (m *Medium) finishReception(from wire.NodeID, rec *reception, pkt *wire.Pac
 		m.stats.FringeLosses++
 		return
 	}
-	if m.burst.Enabled() && m.burstDrop(from, dst) {
+	if m.imp.Burst.Enabled() && m.burstDrop(from, dst) {
 		m.stats.BurstLosses++
 		return
 	}
-	if m.asymLoss > 0 && m.eng.Rand().Float64() < m.asymLoss*m.hash01(from, dst) {
+	if m.imp.Asym > 0 && m.eng.Rand().Float64() < m.imp.Asym*m.hash01(from, dst) {
 		m.stats.AsymLosses++
 		return
 	}
@@ -700,23 +675,23 @@ func (m *Medium) finishReception(from wire.NodeID, rec *reception, pkt *wire.Pac
 		return
 	}
 	m.deliver(dst, fn, pkt)
-	if m.dupProb > 0 && m.eng.Rand().Float64() < m.dupProb {
+	if m.imp.Dup > 0 && m.eng.Rand().Float64() < m.imp.Dup {
 		m.stats.DupFrames++
 		m.deliver(dst, fn, pkt)
 	}
 }
 
 // deliver hands a successful reception to the receiver — immediately on the
-// nominal channel, or deferred by a deterministic uniform draw in [0,jitter)
+// nominal channel, or deferred by a deterministic uniform draw in [0,Jitter)
 // when latency jitter is active. Frames are immutable once broadcast, so both
 // paths pass the transmitted packet itself; a receiver that goes down while
 // the frame is deferred loses it.
 func (m *Medium) deliver(dst wire.NodeID, fn func(*wire.Packet), pkt *wire.Packet) {
-	if m.jitter <= 0 {
+	if m.imp.Jitter <= 0 {
 		m.handOver(dst, fn, pkt)
 		return
 	}
-	d := time.Duration(m.eng.Rand().Int63n(int64(m.jitter)))
+	d := time.Duration(m.eng.Rand().Int63n(int64(m.imp.Jitter)))
 	m.eng.After(d, func() {
 		if m.IsDown(dst) {
 			return
@@ -737,7 +712,7 @@ func (m *Medium) handOver(dst wire.NodeID, fn func(*wire.Packet), pkt *wire.Pack
 // receives draws the distance-dependent reception outcome.
 func (m *Medium) receives(dist float64) bool {
 	rng := m.eng.Rand()
-	if el := m.ExtraLoss(); el > 0 && rng.Float64() < el {
+	if m.imp.Loss > 0 && rng.Float64() < m.imp.Loss {
 		return false
 	}
 	if m.cfg.BaseLoss > 0 && rng.Float64() < m.cfg.BaseLoss {

@@ -77,7 +77,7 @@ func TestNoDeliveryBeyondRange(t *testing.T) {
 func TestDeliveryHandsOverTheSentFrame(t *testing.T) {
 	for _, jitter := range []time.Duration{0, 5 * time.Millisecond} {
 		eng, m := lineNetwork(t, 100, 3, idealConfig())
-		m.SetJitter(jitter)
+		m.Impair(Impairment{Jitter: jitter})
 		var got []*wire.Packet
 		for i := 1; i < 3; i++ {
 			m.Attach(wire.NodeID(i), func(p *wire.Packet) { got = append(got, p) })
@@ -477,9 +477,9 @@ func TestExtraLossDegradesDelivery(t *testing.T) {
 	eng, m := lineNetwork(t, 100, 2, cfg)
 	var got int
 	m.Attach(1, func(*wire.Packet) { got++ })
-	m.SetExtraLoss(1.0) // clamped just below 1: almost everything drops
-	if m.ExtraLoss() <= 0 || m.ExtraLoss() >= 1 {
-		t.Fatalf("ExtraLoss = %v", m.ExtraLoss())
+	restore := m.Impair(Impairment{Loss: 1.0}) // clamped just below 1: almost everything drops
+	if loss := m.Impairment().Loss; loss <= 0 || loss >= 1 {
+		t.Fatalf("Loss = %v", loss)
 	}
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
@@ -490,7 +490,7 @@ func TestExtraLossDegradesDelivery(t *testing.T) {
 	if degraded > rounds/4 {
 		t.Fatalf("0.999 loss delivered %d/%d", degraded, rounds)
 	}
-	m.SetExtraLoss(0)
+	restore()
 	got = 0
 	for i := 0; i < rounds; i++ {
 		m.Broadcast(0, dataPkt(0))

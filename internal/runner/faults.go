@@ -102,7 +102,9 @@ func buildChecker(sc Scenario, eng *sim.Engine, medium *radio.Medium, protos []b
 // fires as a named epoch ("fault:<name>"), so every observer registered via
 // OnEpoch — the result event log, the invariant checker, the tracer — sees
 // the same timeline. Behaviour construction happens here, at schedule time,
-// so a bad swap name fails the run before it starts.
+// so a bad swap name fails the run before it starts. Node ids need no check
+// here: Run validates the plan against sc.N before expanding it, and churn
+// draws its victims below sc.N.
 func scheduleFaultPlan(sc Scenario, eng *sim.Engine, medium *radio.Medium, protos []broadcaster, devices []*persist.MemDevice, switchables []*byzantine.Switchable, scheme sig.Scheme, chk *invariant.Checker, events []faultplan.Event) error {
 	recoveryChecked := make(map[time.Duration]bool)
 	// amnesiac tracks nodes downed by a crash-amnesia event; their next
@@ -138,23 +140,6 @@ func scheduleFaultPlan(sc Scenario, eng *sim.Engine, medium *radio.Medium, proto
 	}
 	for _, e := range events {
 		e := e
-		// Expanded events are validated against the scenario size here, at
-		// schedule time: an out-of-range id would otherwise silently no-op in
-		// the radio mask, making a typoed plan look like a clean pass.
-		switch e.Kind {
-		case faultplan.Crash, faultplan.CrashAmnesia, faultplan.Recover, faultplan.SwapBehavior:
-			if int(e.Node) >= sc.N {
-				return fmt.Errorf("runner: fault plan: %s at %s: node %d out of range [0,%d)", e.Kind, e.At, e.Node, sc.N)
-			}
-		case faultplan.Partition:
-			for gi, g := range e.Groups {
-				for _, id := range g {
-					if int(id) >= sc.N {
-						return fmt.Errorf("runner: fault plan: partition at %s: groups[%d] node %d out of range [0,%d)", e.At, gi, id, sc.N)
-					}
-				}
-			}
-		}
 		var apply func()
 		topology := false
 		switch e.Kind {
@@ -204,52 +189,14 @@ func scheduleFaultPlan(sc Scenario, eng *sim.Engine, medium *radio.Medium, proto
 					chk.OnPartition(nil, eng.Now())
 				}
 			}
-		case faultplan.DegradeRadio:
+		case faultplan.DegradeRadio, faultplan.BurstLoss, faultplan.Jitter, faultplan.Duplicate, faultplan.AsymDegrade:
+			w, restored := impairment(e)
 			end := e.At + e.Duration
 			apply = func() {
-				// Each window pushes its own degradation and pops exactly it
-				// at expiry: overlapping degrade-radio events compose (their
-				// survival probabilities multiply) instead of the last writer
-				// clobbering the shared scalar and the first expiry clearing
-				// every later window.
-				pop := medium.PushDegradation(e.LossFactor)
-				eng.AtEpoch(end, "fault:radio-restored", pop)
-			}
-		case faultplan.BurstLoss:
-			end := e.At + e.Duration
-			apply = func() {
-				medium.SetBurst(radio.BurstConfig{
-					Loss:     e.LossFactor,
-					MeanBad:  e.MeanBad,
-					MeanGood: e.MeanGood,
-				})
-				eng.AtEpoch(end, "fault:burst-restored", func() {
-					medium.SetBurst(radio.BurstConfig{})
-				})
-			}
-		case faultplan.Jitter:
-			end := e.At + e.Duration
-			apply = func() {
-				medium.SetJitter(e.MaxJitter)
-				eng.AtEpoch(end, "fault:jitter-restored", func() {
-					medium.SetJitter(0)
-				})
-			}
-		case faultplan.Duplicate:
-			end := e.At + e.Duration
-			apply = func() {
-				medium.SetDuplication(e.DupProb)
-				eng.AtEpoch(end, "fault:duplicate-restored", func() {
-					medium.SetDuplication(0)
-				})
-			}
-		case faultplan.AsymDegrade:
-			end := e.At + e.Duration
-			apply = func() {
-				medium.SetAsymLoss(e.LossFactor)
-				eng.AtEpoch(end, "fault:asym-restored", func() {
-					medium.SetAsymLoss(0)
-				})
+				// Each window pushes its own impairment and its expiry pops
+				// exactly that window, so overlapping windows compose and one
+				// expiry never clears a window still open.
+				eng.AtEpoch(end, "fault:"+restored, medium.Impair(w))
 			}
 		case faultplan.SwapBehavior:
 			b, err := byzantine.Make(e.Behavior, e.Node,
@@ -286,6 +233,25 @@ func scheduleFaultPlan(sc Scenario, eng *sim.Engine, medium *radio.Medium, proto
 		}
 	}
 	return nil
+}
+
+// impairment maps a windowed fault to the channel impairment it opens and
+// the name of the epoch that closes it.
+func impairment(e faultplan.Event) (radio.Impairment, string) {
+	switch e.Kind {
+	case faultplan.BurstLoss:
+		return radio.Impairment{Burst: radio.BurstConfig{
+			Loss: e.LossFactor, MeanBad: e.MeanBad, MeanGood: e.MeanGood,
+		}}, "burst-restored"
+	case faultplan.Jitter:
+		return radio.Impairment{Jitter: e.MaxJitter}, "jitter-restored"
+	case faultplan.Duplicate:
+		return radio.Impairment{Dup: e.DupProb}, "duplicate-restored"
+	case faultplan.AsymDegrade:
+		return radio.Impairment{Asym: e.LossFactor}, "asym-restored"
+	default: // faultplan.DegradeRadio
+		return radio.Impairment{Loss: e.LossFactor}, "radio-restored"
+	}
 }
 
 // groupVector flattens partition groups into a per-node group index, with

@@ -146,36 +146,65 @@ func TestSwapBehaviorExcludedFromCorrect(t *testing.T) {
 }
 
 // TestOverlappingDegradeRadioWindowsCompose is the regression test for the
-// last-writer-wins bug: two overlapping degrade-radio events used to share
-// one scalar, so the second event clobbered the first and the first expiry
-// cleared both. Through the fault-plan path, overlapping windows must
-// compose (survival probabilities multiply) and each expiry must remove
-// exactly its own contribution.
+// last-writer-wins bug: two overlapping windows of one kind used to share one
+// setting, so the inner window clobbered the outer one and the inner expiry
+// cleared the channel while the outer window was still open. Through the
+// fault-plan path, overlapping windows of every windowed kind must compose
+// and each expiry must remove exactly its own window.
 func TestOverlappingDegradeRadioWindowsCompose(t *testing.T) {
-	sc := DefaultScenario()
-	sc.N = 4
-	eng := sim.New(1)
-	medium := radio.New(eng, buildMobility(sc), sc.N, sc.Radio)
-	defer medium.Close()
-	events := []faultplan.Event{
-		{At: 10 * time.Second, Kind: faultplan.DegradeRadio, LossFactor: 0.5, Duration: 20 * time.Second}, // 10s–30s
-		{At: 15 * time.Second, Kind: faultplan.DegradeRadio, LossFactor: 0.5, Duration: 5 * time.Second},  // 15s–20s
+	outerBurst := radio.BurstConfig{Loss: 1, MeanBad: 2 * time.Second, MeanGood: 700 * time.Millisecond}
+	innerBurst := radio.BurstConfig{Loss: 0.5, MeanBad: 300 * time.Millisecond, MeanGood: 900 * time.Millisecond}
+	cases := []struct {
+		kind         faultplan.Kind
+		outer, inner faultplan.Event // the kind's fields; times are set below
+		// alone and both are the composed impairment with the outer window
+		// open, alone and with the inner one inside it.
+		alone, both radio.Impairment
+	}{
+		{faultplan.DegradeRadio,
+			faultplan.Event{LossFactor: 0.5}, faultplan.Event{LossFactor: 0.5},
+			radio.Impairment{Loss: 0.5}, radio.Impairment{Loss: 0.75}},
+		{faultplan.BurstLoss,
+			faultplan.Event{LossFactor: 1, MeanBad: outerBurst.MeanBad, MeanGood: outerBurst.MeanGood},
+			faultplan.Event{LossFactor: 0.5, MeanBad: innerBurst.MeanBad, MeanGood: innerBurst.MeanGood},
+			radio.Impairment{Burst: outerBurst}, radio.Impairment{Burst: innerBurst}},
+		{faultplan.Jitter,
+			faultplan.Event{MaxJitter: 80 * time.Millisecond}, faultplan.Event{MaxJitter: 20 * time.Millisecond},
+			radio.Impairment{Jitter: 80 * time.Millisecond}, radio.Impairment{Jitter: 80 * time.Millisecond}},
+		{faultplan.Duplicate,
+			faultplan.Event{DupProb: 0.5}, faultplan.Event{DupProb: 0.25},
+			radio.Impairment{Dup: 0.5}, radio.Impairment{Dup: 0.625}},
+		{faultplan.AsymDegrade,
+			faultplan.Event{LossFactor: 0.25}, faultplan.Event{LossFactor: 0.5},
+			radio.Impairment{Asym: 0.25}, radio.Impairment{Asym: 0.625}},
 	}
-	if err := scheduleFaultPlan(sc, eng, medium, nil, nil, nil, nil, nil, events); err != nil {
-		t.Fatal(err)
-	}
-	probe := func(at time.Duration, lo, hi float64) {
-		eng.At(at, func() {
-			if got := medium.ExtraLoss(); got < lo || got > hi {
-				t.Errorf("at %s: ExtraLoss = %v, want in [%v, %v]", at, got, lo, hi)
+	for _, tc := range cases {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			sc := DefaultScenario()
+			sc.N = 4
+			eng := sim.New(1)
+			medium := radio.New(eng, buildMobility(sc), sc.N, sc.Radio)
+			defer medium.Close()
+			outer, inner := tc.outer, tc.inner
+			outer.Kind, outer.At, outer.Duration = tc.kind, 10*time.Second, 20*time.Second // 10s–30s
+			inner.Kind, inner.At, inner.Duration = tc.kind, 15*time.Second, 5*time.Second  // 15s–20s
+			if err := scheduleFaultPlan(sc, eng, medium, nil, nil, nil, nil, nil, []faultplan.Event{outer, inner}); err != nil {
+				t.Fatal(err)
 			}
+			probe := func(at time.Duration, want radio.Impairment) {
+				eng.At(at, func() {
+					if got := medium.Impairment(); got != want {
+						t.Errorf("at %s: Impairment() = %+v, want %+v", at, got, want)
+					}
+				})
+			}
+			probe(12*time.Second, tc.alone)           // outer window alone
+			probe(17*time.Second, tc.both)            // both windows open
+			probe(25*time.Second, tc.alone)           // inner expired, outer must survive
+			probe(35*time.Second, radio.Impairment{}) // both expired
+			eng.Run(40 * time.Second)
 		})
 	}
-	probe(12*time.Second, 0.5, 0.5)   // first window alone
-	probe(17*time.Second, 0.74, 0.76) // overlap: 1-(1-0.5)² = 0.75
-	probe(25*time.Second, 0.5, 0.5)   // second expired, first must survive
-	probe(35*time.Second, 0, 0)       // both expired
-	eng.Run(40 * time.Second)
 }
 
 func TestEquivocationFiresAgreement(t *testing.T) {
