@@ -6,13 +6,16 @@
 //	bbtrace lineage -chrome /tmp/run.json /tmp/run.jsonl
 //	bbtrace explain -msg 1/3 -node 42 /tmp/run.jsonl
 //
-// The summary reports per-message propagation times, transmission counts by
-// kind and overlay role churn. The lineage report reconstructs each
-// message's dissemination DAG: phase latencies, hop-count distributions,
-// data-path vs gossip-recovery delivery attribution and loss-site
-// localization. Explain answers "why was this delivery late" / "why did this
-// node never deliver" for one (message, node) pair. The -chrome flag
-// additionally exports the DAGs as Chrome trace-event JSON for
+// Every subcommand reads the trace once, streaming, into one trace.Digest;
+// no subcommand holds the trace's events in memory. The summary reports
+// per-message propagation times (messages with an inject event, in numeric
+// origin/seq order), transmission and reception counts by kind, overlay role
+// churn, suspicion lifecycles and accepts around each fault. The lineage
+// report reconstructs each message's dissemination DAG: phase latencies,
+// hop-count distributions, data-path vs gossip-recovery delivery attribution
+// and loss-site localization. Explain answers "why was this delivery late" /
+// "why did this node never deliver" for one (message, node) pair. The
+// -chrome flag additionally exports the DAGs as Chrome trace-event JSON for
 // about:tracing or Perfetto.
 //
 // Truncated or corrupt traces are reported, not ignored: undecodable lines
@@ -24,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"bbcast/internal/trace"
@@ -56,24 +60,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("%s", usage)
 	}
-	f, err := os.Open(args[0])
+	d, err := load(args[0], stderr)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	analysis, err := trace.Analyze(f)
-	if err != nil {
-		return err
-	}
-	warnDecode(stderr, trace.DecodeStats{
-		Decoded:        analysis.Events,
-		Undecodable:    analysis.Undecodable,
-		FirstBadOffset: analysis.FirstBadOffset,
-	})
-	if analysis.Events == 0 {
-		return fmt.Errorf("%s: no decodable events", args[0])
-	}
-	fmt.Fprint(stdout, analysis.Summary())
+	fmt.Fprint(stdout, d.Summary())
 	return nil
 }
 
@@ -87,17 +78,17 @@ func runLineage(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("%s", usage)
 	}
-	l, err := loadLineage(fs.Arg(0), stderr)
+	d, err := load(fs.Arg(0), stderr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, l.Report())
+	fmt.Fprint(stdout, d.Report())
 	if *chrome != "" {
 		out, err := os.Create(*chrome)
 		if err != nil {
 			return err
 		}
-		if err := l.ChromeTrace(out); err != nil {
+		if err := d.ChromeTrace(out); err != nil {
 			out.Close()
 			return err
 		}
@@ -113,54 +104,42 @@ func runExplain(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	msg := fs.String("msg", "", "message id as origin/seq (required)")
-	node := fs.Uint("node", 0, "node id (required)")
+	node := fs.Int64("node", -1, "node id (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 || *msg == "" {
+	// Unset leaves -1. Node ids are 32-bit, so a larger value would silently
+	// wrap to another node.
+	if fs.NArg() != 1 || *msg == "" || *node < 0 || *node > math.MaxUint32 {
 		return fmt.Errorf("%s", usage)
 	}
-	nodeSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "node" {
-			nodeSet = true
-		}
-	})
-	if !nodeSet {
-		return fmt.Errorf("%s", usage)
-	}
-	l, err := loadLineage(fs.Arg(0), stderr)
+	d, err := load(fs.Arg(0), stderr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, l.Explain(*msg, wire.NodeID(*node)))
+	fmt.Fprint(stdout, d.Explain(*msg, wire.NodeID(*node)))
 	return nil
 }
 
-// loadLineage decodes a trace file and builds its lineage, enforcing the
-// decode-health contract shared by every subcommand.
-func loadLineage(path string, stderr io.Writer) (*trace.Lineage, error) {
+// load digests a trace file, enforcing the decode-health contract shared by
+// every subcommand: lossy decodes are surfaced on stderr so a truncated trace
+// is never mistaken for a quiet run, and zero decodable events is an error.
+func load(path string, stderr io.Writer) (*trace.Digest, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	events, stats, err := trace.Decode(f)
+	d, err := trace.Read(f)
 	if err != nil {
 		return nil, err
 	}
-	warnDecode(stderr, stats)
-	if stats.Decoded == 0 {
+	if d.Undecodable > 0 {
+		fmt.Fprintf(stderr, "bbtrace: warning: %d undecodable line(s), first at byte offset %d (truncated or corrupt trace?)\n",
+			d.Undecodable, d.FirstBadOffset)
+	}
+	if d.Decoded == 0 {
 		return nil, fmt.Errorf("%s: no decodable events", path)
 	}
-	return trace.BuildLineage(events, stats), nil
-}
-
-// warnDecode surfaces lossy decodes on stderr so a truncated trace is never
-// mistaken for a quiet run.
-func warnDecode(stderr io.Writer, stats trace.DecodeStats) {
-	if stats.Undecodable > 0 {
-		fmt.Fprintf(stderr, "bbtrace: warning: %d undecodable line(s), first at byte offset %d (truncated or corrupt trace?)\n",
-			stats.Undecodable, stats.FirstBadOffset)
-	}
+	return d, nil
 }

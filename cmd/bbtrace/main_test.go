@@ -38,6 +38,11 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"explain", "-msg", "1/1", "/nope"}, &out, &errb); err == nil {
 		t.Fatal("explain without -node accepted")
 	}
+	// 2^32 + 42 would wrap to node 42 in the 32-bit id.
+	wrap := []string{"explain", "-msg", "1/1", "-node", "4294967338", filepath.Join("testdata", "truncated.jsonl")}
+	if err := run(wrap, &out, &errb); err == nil || !strings.Contains(err.Error(), "usage") {
+		t.Fatalf("explain -node past 32 bits: err = %v, want the usage error", err)
+	}
 }
 
 // truncatedOffset computes where the mid-line-truncated final line of the

@@ -1,0 +1,60 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"bbcast/internal/loadgen"
+	"bbcast/internal/runner"
+	"bbcast/internal/trace"
+	"bbcast/internal/wire"
+)
+
+// TestKneePerOriginDeliverySpread holds E16's quick knee cell (16 msg/s,
+// Poisson) to an even delivery across origins: each origin's mean delivery,
+// (accepts-1)/(nodes-1) over its messages, read from the run's trace, may
+// differ from any other origin's by at most 0.02.
+func TestKneePerOriginDeliverySpread(t *testing.T) {
+	t.Skip("known failure, ROADMAP item 1 (gossip advertises a fixed id prefix): at seed 1 the spread is 0.241; " +
+		"origin:mean 0:0.998 1:1.000 2:1.000 3:1.000 4:1.000 5:0.998 6:0.902 7:0.996 8:0.994 9:0.949 " +
+		"10:0.972 11:0.981 12:0.970 13:0.976 14:0.863 15:0.959 16:0.759 17:0.891 18:0.958 19:0.902")
+	c := Config{Quick: true, Seed: 1}.kneeCell(16, loadgen.Poisson)
+	var buf bytes.Buffer
+	c.sc.Trace = &buf
+	if _, err := runner.Run(c.sc); err != nil {
+		t.Fatal(err)
+	}
+	d, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := map[wire.NodeID]float64{}
+	count := map[wire.NodeID]int{}
+	for _, m := range d.Messages {
+		if m.Injected {
+			sum[m.Origin] += float64(m.Accepts-1) / float64(d.Nodes-1)
+			count[m.Origin]++
+		}
+	}
+	if len(count) < 2 {
+		t.Fatalf("trace holds %d origins, want the cell's senders", len(count))
+	}
+	origins := make([]wire.NodeID, 0, len(count))
+	for o := range count {
+		origins = append(origins, o)
+	}
+	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
+	lo, hi := 1.0, 0.0
+	var table []string
+	for _, o := range origins {
+		mean := sum[o] / float64(count[o])
+		lo, hi = min(lo, mean), max(hi, mean)
+		table = append(table, fmt.Sprintf("%d:%.3f", o, mean))
+	}
+	if hi-lo > 0.02 {
+		t.Fatalf("per-origin delivery spread %.3f > 0.02 (origin:mean %s)", hi-lo, strings.Join(table, " "))
+	}
+}

@@ -10,18 +10,18 @@ import (
 	"bbcast/internal/trace"
 )
 
-// lineageReport decodes a raw trace and renders its lineage report, failing
+// lineageReport reads a raw trace and renders its lineage report, failing
 // on any decode damage (golden traces must be complete).
 func lineageReport(t *testing.T, name string, raw []byte) string {
 	t.Helper()
-	events, stats, err := trace.Decode(bytes.NewReader(raw))
+	d, err := trace.Read(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("%s: decode: %v", name, err)
+		t.Fatalf("%s: read: %v", name, err)
 	}
-	if stats.Undecodable != 0 {
-		t.Fatalf("%s: %d undecodable lines in a fresh trace", name, stats.Undecodable)
+	if d.Undecodable != 0 {
+		t.Fatalf("%s: %d undecodable lines in a fresh trace", name, d.Undecodable)
 	}
-	return trace.BuildLineage(events, stats).Report()
+	return d.Report()
 }
 
 // failSink accepts a fixed number of writes, then fails every subsequent one.

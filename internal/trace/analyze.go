@@ -8,20 +8,9 @@ import (
 	"sort"
 	"strings"
 	"time"
-)
 
-// MessageStats summarizes one message's propagation through a trace.
-type MessageStats struct {
-	Msg      string
-	Injected time.Duration
-	Accepts  int
-	// TimeTo50 and TimeTo95 are the delays until half / 95% of the final
-	// acceptance count was reached.
-	TimeTo50 time.Duration
-	TimeTo95 time.Duration
-	// Last is the delay of the final acceptance.
-	Last time.Duration
-}
+	"bbcast/internal/wire"
+)
 
 // FaultStat is one fault-plan event with the acceptance rate around it, so
 // a delivery dip can be read off next to the fault that caused it.
@@ -47,33 +36,10 @@ type SuspicionStats struct {
 	// MeanDuration is the mean raise-to-clear time over completed
 	// lifecycles (zero when none completed).
 	MeanDuration time.Duration
-}
 
-// Analysis is the digest of a whole trace.
-type Analysis struct {
-	Events   int
-	TxByKind map[string]int
-	// RxByKind counts frames delivered to protocols, per kind. One
-	// transmission reaches many receivers, so RxByKind[k]/TxByKind[k] is the
-	// mean receivers-per-transmission; see Reach.
-	RxByKind map[string]int
-	// Reach is RxByKind/TxByKind per kind. All kinds share one radio, so a
-	// kind reaching fewer receivers per transmission than its peers is being
-	// lost preferentially (larger frames collide and fade more) — the
-	// per-kind asymmetry is a loss estimator without ground truth.
-	Reach    map[string]float64
-	Messages []MessageStats
-	// RoleChanges counts committed role transitions per node id.
-	RoleChanges map[string]int
-	// Suspicions aggregates suspicion lifecycles per detector
-	// ("mute", "verbose", "trust").
-	Suspicions map[string]SuspicionStats
-	// Faults lists fault-plan events with accept counts around each.
-	Faults []FaultStat
-	// Undecodable counts lines that failed to decode; FirstBadOffset is the
-	// byte offset of the first such line (-1 when every line decoded).
-	Undecodable    int
-	FirstBadOffset int64
+	// held is the total hold time of the done completed lifecycles.
+	held time.Duration
+	done int
 }
 
 // DecodeStats reports trace decoding health: how many lines decoded, how
@@ -86,12 +52,60 @@ type DecodeStats struct {
 	FirstBadOffset int64
 }
 
-// decodeLines scans a JSONL trace, invoking fn for every decoded event.
-// Undecodable lines are counted, and the byte offset of the first one is
-// retained, so callers can report a truncated or corrupt trace instead of
-// silently producing an empty digest.
-func decodeLines(r io.Reader, fn func(Event)) (DecodeStats, error) {
-	st := DecodeStats{FirstBadOffset: -1}
+// Digest is what one pass over a trace learns: the network-wide counters
+// the summary prints, and the per-message lineage that the lineage report,
+// Explain and the Chrome export render. Read builds it.
+type Digest struct {
+	DecodeStats
+	TxByKind map[string]int
+	// RxByKind counts frames delivered to protocols, per kind. One
+	// transmission reaches many receivers, so RxByKind[k]/TxByKind[k] is the
+	// mean receivers-per-transmission; see Reach.
+	RxByKind map[string]int
+	// Reach is RxByKind/TxByKind per kind. All kinds share one radio, so a
+	// kind reaching fewer receivers per transmission than its peers is being
+	// lost preferentially (larger frames collide and fade more) — the
+	// per-kind asymmetry is a loss estimator without ground truth.
+	Reach map[string]float64
+	// RoleChanges counts committed role transitions per node.
+	RoleChanges map[wire.NodeID]int
+	// Suspicions aggregates suspicion lifecycles per detector
+	// ("mute", "verbose", "trust").
+	Suspicions map[string]SuspicionStats
+	// Faults lists fault-plan events with accept counts around each.
+	Faults []FaultStat
+
+	// Messages holds one dissemination DAG per message any tx/rx/accept/
+	// suppress/inject event names, ordered by numeric origin/seq, so the
+	// rendered reports over a deterministic trace are byte-stable.
+	Messages []*MsgLineage
+	// Nodes is the number of distinct nodes observed anywhere in the trace
+	// (the coverage denominator for loss-site localization).
+	Nodes int
+
+	byMsg       map[string]*MsgLineage
+	nodes       map[wire.NodeID]bool
+	acceptTimes []time.Duration
+	suspStart   map[suspKey]time.Duration
+}
+
+type suspKey struct {
+	node, peer wire.NodeID
+	detector   string
+}
+
+var (
+	kindData    = wire.KindData.String()
+	kindRequest = wire.KindRequest.String()
+	kindFind    = wire.KindFindMissing.String()
+)
+
+// Read digests a JSONL trace in one streaming pass; no more than one event is
+// held at a time. Undecodable lines are counted, and the byte offset of the
+// first one is kept, so callers can report a truncated or corrupt trace
+// instead of silently producing an empty digest.
+func Read(r io.Reader) (*Digest, error) {
+	d := newDigest()
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var offset int64
@@ -104,143 +118,189 @@ func decodeLines(r io.Reader, fn func(Event)) (DecodeStats, error) {
 		}
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			st.Undecodable++
-			if st.FirstBadOffset < 0 {
-				st.FirstBadOffset = lineStart
+			d.Undecodable++
+			if d.FirstBadOffset < 0 {
+				d.FirstBadOffset = lineStart
 			}
 			continue
 		}
-		st.Decoded++
-		fn(ev)
+		d.Decoded++
+		d.add(ev)
 	}
 	if err := scanner.Err(); err != nil {
-		return st, fmt.Errorf("trace: scan: %w", err)
+		return nil, fmt.Errorf("trace: scan: %w", err)
 	}
-	return st, nil
+	d.finish()
+	return d, nil
 }
 
-// Decode reads a whole JSONL trace into memory. Undecodable lines are
-// reported through DecodeStats rather than failing the read.
-func Decode(r io.Reader) ([]Event, DecodeStats, error) {
-	var evs []Event
-	st, err := decodeLines(r, func(ev Event) { evs = append(evs, ev) })
-	return evs, st, err
-}
-
-// Analyze reads a JSONL trace and digests it. Unparseable lines are counted
-// (with the first one's byte offset) but otherwise skipped.
-func Analyze(r io.Reader) (Analysis, error) {
-	a := Analysis{
+func newDigest() *Digest {
+	return &Digest{
+		DecodeStats: DecodeStats{FirstBadOffset: -1},
 		TxByKind:    make(map[string]int),
 		RxByKind:    make(map[string]int),
 		Reach:       make(map[string]float64),
-		RoleChanges: make(map[string]int),
+		RoleChanges: make(map[wire.NodeID]int),
 		Suspicions:  make(map[string]SuspicionStats),
+		byMsg:       make(map[string]*MsgLineage),
+		nodes:       make(map[wire.NodeID]bool),
+		suspStart:   make(map[suspKey]time.Duration),
 	}
-	injected := map[string]time.Duration{}
-	accepts := map[string][]time.Duration{}
-	var acceptTimes []time.Duration
-	type suspKey struct {
-		node, peer uint32
-		detector   string
-	}
-	suspStart := map[suspKey]time.Duration{}
-	suspSum := map[string]time.Duration{}
-	suspDone := map[string]int{}
+}
 
-	dec, scanErr := decodeLines(r, func(ev Event) {
-		a.Events++
-		switch ev.Type {
-		case TypeTx:
-			a.TxByKind[ev.Kind]++
-		case TypeRx:
-			a.RxByKind[ev.Kind]++
-		case TypeSuspect:
-			detector, raised, ok := parseSuspectDetail(ev.Detail)
-			if !ok {
-				break
-			}
-			st := a.Suspicions[detector]
-			key := suspKey{node: uint32(ev.Node), peer: uint32(ev.Peer), detector: detector}
-			if raised {
-				st.Raised++
-				if _, dup := suspStart[key]; !dup {
-					suspStart[key] = time.Duration(ev.T)
-				}
-			} else {
-				st.Cleared++
-				if start, active := suspStart[key]; active {
-					suspSum[detector] += time.Duration(ev.T) - start
-					suspDone[detector]++
-					delete(suspStart, key)
-				}
-			}
-			a.Suspicions[detector] = st
-		case TypeInject:
-			injected[ev.Msg] = time.Duration(ev.T)
-		case TypeAccept:
-			accepts[ev.Msg] = append(accepts[ev.Msg], time.Duration(ev.T))
-			acceptTimes = append(acceptTimes, time.Duration(ev.T))
-		case TypeRole:
-			a.RoleChanges[fmt.Sprintf("%d", ev.Node)]++
-		case TypeFault:
-			a.Faults = append(a.Faults, FaultStat{
-				At: time.Duration(ev.T), Name: ev.Detail,
-			})
+// add folds one decoded event into the counters and the lineage.
+func (d *Digest) add(ev Event) {
+	at := time.Duration(ev.T)
+	switch ev.Type {
+	case TypeInject, TypeTx, TypeRx, TypeAccept, TypeSuppress, TypeRole:
+		d.nodes[ev.Node] = true
+	}
+	switch ev.Type {
+	case TypeInject:
+		if m := d.message(ev.Msg); m != nil {
+			m.Origin, m.Injected, m.InjectedAt = ev.Node, true, at
 		}
+	case TypeTx:
+		d.TxByKind[ev.Kind]++
+		switch ev.Kind {
+		case kindData:
+			if m := d.message(ev.Msg); m != nil {
+				fn := &FrameNode{
+					Frame: ev.Frame, Parent: ev.Parent, Node: ev.Node,
+					At: at, Cause: ev.Cause, Hops: ev.Hops, Rec: ev.Rec,
+				}
+				m.Frames = append(m.Frames, fn)
+				if ev.Frame != 0 {
+					m.frameByID[ev.Frame] = fn
+				}
+			}
+		case kindRequest, kindFind:
+			if m := d.message(ev.Msg); m != nil {
+				m.reqTxBy[ev.Node] = append(m.reqTxBy[ev.Node], at)
+			}
+		}
+	case TypeRx:
+		d.RxByKind[ev.Kind]++
+		if ev.Kind != kindData {
+			break
+		}
+		if m := d.message(ev.Msg); m != nil {
+			m.dataRxBy[ev.Node]++
+			rx := m.frameRx[ev.Frame]
+			rx.count++
+			rx.last = max(rx.last, at)
+			m.frameRx[ev.Frame] = rx
+		}
+	case TypeAccept:
+		// Fault correlation counts every accept event; the lineage keeps
+		// each node's first.
+		d.acceptTimes = append(d.acceptTimes, at)
+		if m := d.message(ev.Msg); m != nil {
+			if _, dup := m.acceptBy[ev.Node]; !dup {
+				m.acceptBy[ev.Node] = acceptRec{at: at, frame: ev.Frame, hops: ev.Hops, rec: ev.Rec}
+			}
+		}
+	case TypeSuppress:
+		if m := d.message(ev.Msg); m != nil {
+			m.Suppressed++
+		}
+	case TypeRole:
+		d.RoleChanges[ev.Node]++
+	case TypeSuspect:
+		detector, raised, ok := parseSuspectDetail(ev.Detail)
+		if !ok {
+			break
+		}
+		st := d.Suspicions[detector]
+		key := suspKey{node: ev.Node, peer: ev.Peer, detector: detector}
+		if raised {
+			st.Raised++
+			if _, dup := d.suspStart[key]; !dup {
+				d.suspStart[key] = at
+			}
+		} else {
+			st.Cleared++
+			if start, active := d.suspStart[key]; active {
+				st.held += at - start
+				st.done++
+				delete(d.suspStart, key)
+			}
+		}
+		d.Suspicions[detector] = st
+	case TypeFault:
+		d.Faults = append(d.Faults, FaultStat{At: at, Name: ev.Detail})
+	}
+}
+
+// message returns the lineage of msg, created on first mention, or nil for
+// an event that names no message.
+func (d *Digest) message(msg string) *MsgLineage {
+	if msg == "" {
+		return nil
+	}
+	m := d.byMsg[msg]
+	if m == nil {
+		m = &MsgLineage{
+			Msg:       msg,
+			HopDist:   make(map[uint32]int),
+			frameByID: make(map[uint64]*FrameNode),
+			frameRx:   make(map[uint64]rxTally),
+			acceptBy:  make(map[wire.NodeID]acceptRec),
+			dataRxBy:  make(map[wire.NodeID]int),
+			reqTxBy:   make(map[wire.NodeID][]time.Duration),
+		}
+		d.byMsg[msg] = m
+	}
+	return m
+}
+
+// finish derives everything that needs the whole trace.
+func (d *Digest) finish() {
+	d.Nodes = len(d.nodes)
+	for _, m := range d.byMsg {
+		m.finish(d.nodes)
+		d.Messages = append(d.Messages, m)
+	}
+	sort.Slice(d.Messages, func(i, j int) bool {
+		return msgLess(d.Messages[i].Msg, d.Messages[j].Msg)
 	})
-	a.Undecodable = dec.Undecodable
-	a.FirstBadOffset = dec.FirstBadOffset
-	if scanErr != nil {
-		return a, scanErr
-	}
-
-	msgs := make([]string, 0, len(injected))
-	for m := range injected {
-		msgs = append(msgs, m)
-	}
-	sort.Strings(msgs)
-	for _, m := range msgs {
-		at := injected[m]
-		times := accepts[m]
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		st := MessageStats{Msg: m, Injected: at, Accepts: len(times)}
-		if len(times) > 0 {
-			st.TimeTo50 = times[(len(times)-1)/2] - at
-			st.TimeTo95 = times[(len(times)-1)*95/100] - at
-			st.Last = times[len(times)-1] - at
-		}
-		a.Messages = append(a.Messages, st)
-	}
-	sort.Slice(acceptTimes, func(i, j int) bool { return acceptTimes[i] < acceptTimes[j] })
+	sort.Slice(d.acceptTimes, func(i, j int) bool { return d.acceptTimes[i] < d.acceptTimes[j] })
 	countBetween := func(from, to time.Duration) int {
-		lo := sort.Search(len(acceptTimes), func(i int) bool { return acceptTimes[i] >= from })
-		hi := sort.Search(len(acceptTimes), func(i int) bool { return acceptTimes[i] >= to })
+		lo := sort.Search(len(d.acceptTimes), func(i int) bool { return d.acceptTimes[i] >= from })
+		hi := sort.Search(len(d.acceptTimes), func(i int) bool { return d.acceptTimes[i] >= to })
 		return hi - lo
 	}
-	for i := range a.Faults {
-		f := &a.Faults[i]
+	for i := range d.Faults {
+		f := &d.Faults[i]
 		f.AcceptsBefore = countBetween(f.At-faultWindow, f.At)
 		f.AcceptsAfter = countBetween(f.At, f.At+faultWindow)
 	}
-	for kind, rx := range a.RxByKind {
-		if tx := a.TxByKind[kind]; tx > 0 {
-			a.Reach[kind] = float64(rx) / float64(tx)
+	for kind, rx := range d.RxByKind {
+		if tx := d.TxByKind[kind]; tx > 0 {
+			d.Reach[kind] = float64(rx) / float64(tx)
 		}
 	}
-	for key := range suspStart {
-		st := a.Suspicions[key.detector]
+	for key := range d.suspStart {
+		st := d.Suspicions[key.detector]
 		st.Active++
-		a.Suspicions[key.detector] = st
+		d.Suspicions[key.detector] = st
 	}
-	for detector, done := range suspDone {
-		if done > 0 {
-			st := a.Suspicions[detector]
-			st.MeanDuration = suspSum[detector] / time.Duration(done)
-			a.Suspicions[detector] = st
+	for detector, st := range d.Suspicions {
+		if st.done > 0 {
+			st.MeanDuration = st.held / time.Duration(st.done)
+			d.Suspicions[detector] = st
 		}
 	}
-	return a, nil
+}
+
+// sortedKeys returns a map's keys in order, so renderings are deterministic.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // parseSuspectDetail splits a suspect event's "<detector>:raised" /
@@ -260,35 +320,29 @@ func parseSuspectDetail(detail string) (detector string, raised, ok bool) {
 	}
 }
 
-// Summary renders the analysis as text.
-func (a Analysis) Summary() string {
+// Summary renders the network-wide digest as text. Its message table lists
+// only messages with an inject event (the workload); messages that reached
+// the air without one, such as flooder and forger spam, appear in the
+// lineage report alone.
+func (d *Digest) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events: %d\n", a.Events)
-	kinds := make([]string, 0, len(a.TxByKind))
-	for k := range a.TxByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	fmt.Fprintf(&b, "events: %d\n", d.Decoded)
 	b.WriteString("transmissions:")
-	for _, k := range kinds {
-		fmt.Fprintf(&b, " %s=%d", k, a.TxByKind[k])
+	for _, k := range sortedKeys(d.TxByKind) {
+		fmt.Fprintf(&b, " %s=%d", k, d.TxByKind[k])
 	}
 	b.WriteByte('\n')
-	if len(a.RxByKind) > 0 {
-		rxKinds := make([]string, 0, len(a.RxByKind))
-		for k := range a.RxByKind {
-			rxKinds = append(rxKinds, k)
-		}
-		sort.Strings(rxKinds)
+	if len(d.RxByKind) > 0 {
+		rxKinds := sortedKeys(d.RxByKind)
 		b.WriteString("receptions:")
 		for _, k := range rxKinds {
-			fmt.Fprintf(&b, " %s=%d", k, a.RxByKind[k])
+			fmt.Fprintf(&b, " %s=%d", k, d.RxByKind[k])
 		}
 		b.WriteByte('\n')
 		// Reach is mean receivers per transmission; the kind with the best
 		// reach is the baseline, shortfalls estimate preferential loss.
 		best := 0.0
-		for _, r := range a.Reach {
+		for _, r := range d.Reach {
 			if r > best {
 				best = r
 			}
@@ -296,7 +350,7 @@ func (a Analysis) Summary() string {
 		if best > 0 {
 			b.WriteString("reach (rx/tx):")
 			for _, k := range rxKinds {
-				r, ok := a.Reach[k]
+				r, ok := d.Reach[k]
 				if !ok {
 					continue
 				}
@@ -308,38 +362,39 @@ func (a Analysis) Summary() string {
 			b.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(&b, "messages: %d\n", len(a.Messages))
-	if len(a.Messages) > 0 {
+	var injected []*MsgLineage
+	for _, m := range d.Messages {
+		if m.Injected {
+			injected = append(injected, m)
+		}
+	}
+	fmt.Fprintf(&b, "messages: %d\n", len(injected))
+	if len(injected) > 0 {
 		fmt.Fprintf(&b, "%-10s %-10s %-8s %-12s %-12s %-12s\n",
 			"msg", "inject", "accepts", "t50", "t95", "last")
-		for _, m := range a.Messages {
+		for _, m := range injected {
 			fmt.Fprintf(&b, "%-10s %-10s %-8d %-12s %-12s %-12s\n",
-				m.Msg, m.Injected.Round(time.Millisecond), m.Accepts,
-				m.TimeTo50.Round(time.Millisecond), m.TimeTo95.Round(time.Millisecond),
+				m.Msg, m.InjectedAt.Round(time.Millisecond), m.Accepts,
+				m.T50.Round(time.Millisecond), m.T95.Round(time.Millisecond),
 				m.Last.Round(time.Millisecond))
 		}
 	}
 	churn := 0
-	for _, c := range a.RoleChanges {
+	for _, c := range d.RoleChanges {
 		churn += c
 	}
-	fmt.Fprintf(&b, "role changes: %d across %d nodes\n", churn, len(a.RoleChanges))
-	if len(a.Suspicions) > 0 {
-		detectors := make([]string, 0, len(a.Suspicions))
-		for d := range a.Suspicions {
-			detectors = append(detectors, d)
-		}
-		sort.Strings(detectors)
+	fmt.Fprintf(&b, "role changes: %d across %d nodes\n", churn, len(d.RoleChanges))
+	if len(d.Suspicions) > 0 {
 		b.WriteString("suspicions:\n")
-		for _, d := range detectors {
-			s := a.Suspicions[d]
+		for _, det := range sortedKeys(d.Suspicions) {
+			s := d.Suspicions[det]
 			fmt.Fprintf(&b, "  %-8s raised=%-5d cleared=%-5d active=%-5d mean-held=%s\n",
-				d, s.Raised, s.Cleared, s.Active, s.MeanDuration.Round(time.Millisecond))
+				det, s.Raised, s.Cleared, s.Active, s.MeanDuration.Round(time.Millisecond))
 		}
 	}
-	if len(a.Faults) > 0 {
-		fmt.Fprintf(&b, "faults: %d (accepts ±%s around each)\n", len(a.Faults), faultWindow)
-		for _, f := range a.Faults {
+	if len(d.Faults) > 0 {
+		fmt.Fprintf(&b, "faults: %d (accepts ±%s around each)\n", len(d.Faults), faultWindow)
+		for _, f := range d.Faults {
 			fmt.Fprintf(&b, "  %-10s %-24s before=%-6d after=%d\n",
 				f.At.Round(time.Millisecond), f.Name, f.AcceptsBefore, f.AcceptsAfter)
 		}

@@ -40,7 +40,7 @@ func lossTrace(t *testing.T) string {
 }
 
 func TestAnalyzeReachEstimatesLoss(t *testing.T) {
-	a, err := Analyze(strings.NewReader(lossTrace(t)))
+	a, err := Read(strings.NewReader(lossTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAnalyzeReachEstimatesLoss(t *testing.T) {
 }
 
 func TestAnalyzeSuspicionLifecycles(t *testing.T) {
-	a, err := Analyze(strings.NewReader(lossTrace(t)))
+	a, err := Read(strings.NewReader(lossTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAnalyzeDuplicateRaiseKeepsFirstStart(t *testing.T) {
 	w.Emit(Event{T: At(5 * time.Second), Node: 1, Peer: 7, Type: TypeSuspect, Detail: "mute:raised"})
 	w.Emit(Event{T: At(11 * time.Second), Node: 1, Peer: 7, Type: TypeSuspect, Detail: "mute:cleared"})
 	w.Emit(Event{T: At(12 * time.Second), Node: 1, Peer: 7, Type: TypeSuspect, Detail: "mute:cleared"})
-	a, err := Analyze(strings.NewReader(b.String()))
+	a, err := Read(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ func sampleTrace(t *testing.T) string {
 }
 
 func TestAnalyzeCounts(t *testing.T) {
-	a, err := Analyze(strings.NewReader(sampleTrace(t)))
+	a, err := Read(strings.NewReader(sampleTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != 8 {
-		t.Fatalf("events = %d", a.Events)
+	if a.Decoded != 8 {
+		t.Fatalf("events = %d", a.Decoded)
 	}
 	if a.TxByKind["data"] != 1 || a.TxByKind["gossip"] != 1 {
 		t.Fatalf("tx = %v", a.TxByKind)
@@ -40,30 +40,30 @@ func TestAnalyzeCounts(t *testing.T) {
 	if m.Msg != "0/1" || m.Accepts != 3 {
 		t.Fatalf("message = %+v", m)
 	}
-	if m.TimeTo50 != 200*time.Millisecond {
-		t.Fatalf("t50 = %v", m.TimeTo50)
+	if m.T50 != 200*time.Millisecond {
+		t.Fatalf("t50 = %v", m.T50)
 	}
 	if m.Last != 900*time.Millisecond {
 		t.Fatalf("last = %v", m.Last)
 	}
-	if a.RoleChanges["5"] != 2 {
+	if a.RoleChanges[5] != 2 {
 		t.Fatalf("role changes = %v", a.RoleChanges)
 	}
 }
 
 func TestAnalyzeSkipsGarbageLines(t *testing.T) {
 	in := sampleTrace(t) + "not json\n{\"broken\n"
-	a, err := Analyze(strings.NewReader(in))
+	a, err := Read(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != 8 {
-		t.Fatalf("garbage lines counted as events: %d", a.Events)
+	if a.Decoded != 8 || a.Undecodable != 2 {
+		t.Fatalf("decoded/undecodable = %d/%d, want 8/2", a.Decoded, a.Undecodable)
 	}
 }
 
 func TestSummaryRenders(t *testing.T) {
-	a, err := Analyze(strings.NewReader(sampleTrace(t)))
+	a, err := Read(strings.NewReader(sampleTrace(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestSummaryRenders(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	a, err := Analyze(strings.NewReader(""))
+	a, err := Read(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != 0 || len(a.Messages) != 0 {
+	if a.Decoded != 0 || len(a.Messages) != 0 {
 		t.Fatalf("empty trace produced %+v", a)
 	}
 	if !strings.Contains(a.Summary(), "events: 0") {
@@ -97,7 +97,7 @@ func TestAnalyzeFaultCorrelation(t *testing.T) {
 	}
 	fmt.Fprintf(&lines, `{"t":%d,"type":"fault","detail":"crash(7)"}`+"\n", 30*sec)
 	fmt.Fprintf(&lines, `{"t":%d,"type":"fault","detail":"heal"}`+"\n", 60*sec)
-	a, err := Analyze(strings.NewReader(lines.String()))
+	a, err := Read(strings.NewReader(lines.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +117,54 @@ func TestAnalyzeFaultCorrelation(t *testing.T) {
 	out := a.Summary()
 	if !strings.Contains(out, "faults: 2") || !strings.Contains(out, "crash(7)") {
 		t.Fatalf("summary missing fault section:\n%s", out)
+	}
+}
+
+// TestSummaryOrdersMessagesNumerically pins the one message order: origin
+// then sequence number, as numbers, so 0/2 comes before 0/10.
+func TestSummaryOrdersMessagesNumerically(t *testing.T) {
+	var b strings.Builder
+	w := NewWriter(&b)
+	for _, msg := range []string{"0/10", "1/1", "0/2", "0/1"} {
+		w.Emit(Event{T: At(time.Second), Node: 0, Type: TypeInject, Msg: msg})
+	}
+	a, err := Read(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(a.Summary(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && strings.Contains(f[0], "/") {
+			rows = append(rows, f[0])
+		}
+	}
+	if got, want := strings.Join(rows, " "), "0/1 0/2 0/10 1/1"; got != want {
+		t.Fatalf("summary rows = %s, want %s", got, want)
+	}
+}
+
+// TestSummaryTableListsOnlyInjectedMessages pins the table's filter: a
+// message that reached the air without an inject event (flooder or forger
+// spam) has a lineage but no row and no share of the "messages:" count.
+func TestSummaryTableListsOnlyInjectedMessages(t *testing.T) {
+	in := sampleTrace(t)
+	var b strings.Builder
+	w := NewWriter(&b)
+	w.Emit(Event{T: At(time.Second), Node: 9, Type: TypeTx, Kind: "data", Msg: "9/7", Frame: 40})
+	w.Emit(Event{T: At(time.Second), Node: 1, Type: TypeRx, Kind: "data", Msg: "9/7", Frame: 40})
+	w.Emit(Event{T: At(time.Second), Node: 1, Type: TypeAccept, Msg: "9/7", Frame: 40})
+	a, err := Read(strings.NewReader(in + b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := a.Message("9/7"); m == nil || m.Injected || m.Accepts != 1 {
+		t.Fatalf("spam lineage = %+v", m)
+	}
+	if !strings.Contains(a.Report(), "msg 9/7 ") {
+		t.Fatalf("lineage report lost the spam message:\n%s", a.Report())
+	}
+	out := a.Summary()
+	if !strings.Contains(out, "messages: 1\n") || strings.Contains(out, "9/7") {
+		t.Fatalf("summary table lists a message without an inject:\n%s", out)
 	}
 }

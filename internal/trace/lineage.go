@@ -12,30 +12,18 @@ import (
 	"bbcast/internal/wire"
 )
 
-// Lineage is the causal digest of a trace: one dissemination DAG per
-// injected message, reconstructed from frame ids and parent links on
-// tx/rx/accept/suppress events. Everything is ordered deterministically
-// (messages by numeric origin/seq, frames by frame id, nodes by id), so the
-// rendered report over a deterministic trace is byte-stable.
-type Lineage struct {
-	Messages []*MsgLineage
-	// Nodes is the number of distinct nodes observed anywhere in the trace
-	// (the coverage denominator for loss-site localization).
-	Nodes int
-	// Undecodable / FirstBadOffset mirror DecodeStats for the source trace.
-	Undecodable    int
-	FirstBadOffset int64
-
-	byMsg map[string]*MsgLineage
-}
-
-// MsgLineage is one message's dissemination DAG and phase breakdown.
+// MsgLineage is one message's dissemination DAG and phase breakdown,
+// reconstructed from frame ids and parent links on tx/rx/accept/suppress
+// events. Everything is ordered deterministically (frames by frame id,
+// nodes by id), never by event arrival order.
 type MsgLineage struct {
 	Msg    string
 	Origin wire.NodeID
-	// Injected is the absolute injection time; all phase fields below are
-	// relative to it.
-	Injected time.Duration
+	// Injected marks a message with an inject event: the workload's, not
+	// spam that reached the air some other way. InjectedAt is the absolute
+	// injection time; all phase fields below are relative to it.
+	Injected   bool
+	InjectedAt time.Duration
 
 	// FirstRelay is the delay until the first data transmission by a node
 	// other than the origin (zero when nothing was ever relayed).
@@ -69,9 +57,13 @@ type MsgLineage struct {
 	Losses []LossSite
 
 	frameByID map[uint64]*FrameNode
+	frameRx   map[uint64]rxTally
 	acceptBy  map[wire.NodeID]acceptRec
-	dataRxBy  map[wire.NodeID][]rxRec
+	dataRxBy  map[wire.NodeID]int
 	reqTxBy   map[wire.NodeID][]time.Duration
+	// lastHolder transmitted the payload last, at lastHolderAt.
+	lastHolder   wire.NodeID
+	lastHolderAt time.Duration
 }
 
 // FrameNode is one data-frame transmission in a message's dissemination DAG.
@@ -110,105 +102,20 @@ type acceptRec struct {
 	frame uint64
 	hops  uint32
 	rec   bool
-	cause string
 }
 
-type rxRec struct {
-	at    time.Duration
-	frame uint64
+// rxTally is what the data receptions of one frame id add up to.
+type rxTally struct {
+	count int
+	last  time.Duration
 }
 
-// BuildLineage reconstructs per-message dissemination DAGs from decoded
-// events. Events may be in any order; stats carries the decode health of the
-// source trace (pass a zero DecodeStats with FirstBadOffset -1 when the
-// events did not come from Decode).
-func BuildLineage(events []Event, stats DecodeStats) *Lineage {
-	l := &Lineage{
-		Undecodable:    stats.Undecodable,
-		FirstBadOffset: stats.FirstBadOffset,
-		byMsg:          make(map[string]*MsgLineage),
-	}
-	nodes := make(map[wire.NodeID]bool)
-	kindData := wire.KindData.String()
-	kindRequest := wire.KindRequest.String()
-	kindFind := wire.KindFindMissing.String()
+// rank is the index of the pct-th percentile of n sorted values: the one
+// rule behind every t50, t95 and hop p50 a digest reports.
+func rank(n, pct int) int { return (n - 1) * pct / 100 }
 
-	get := func(msg string) *MsgLineage {
-		m := l.byMsg[msg]
-		if m == nil {
-			m = &MsgLineage{
-				Msg:       msg,
-				HopDist:   make(map[uint32]int),
-				frameByID: make(map[uint64]*FrameNode),
-				acceptBy:  make(map[wire.NodeID]acceptRec),
-				dataRxBy:  make(map[wire.NodeID][]rxRec),
-				reqTxBy:   make(map[wire.NodeID][]time.Duration),
-			}
-			l.byMsg[msg] = m
-			l.Messages = append(l.Messages, m)
-		}
-		return m
-	}
-
-	for _, ev := range events {
-		switch ev.Type {
-		case TypeInject, TypeTx, TypeRx, TypeAccept, TypeSuppress, TypeRole:
-			nodes[ev.Node] = true
-		}
-		if ev.Msg == "" {
-			continue
-		}
-		at := time.Duration(ev.T)
-		switch ev.Type {
-		case TypeInject:
-			m := get(ev.Msg)
-			m.Origin = ev.Node
-			m.Injected = at
-		case TypeTx:
-			switch ev.Kind {
-			case kindData:
-				m := get(ev.Msg)
-				fn := &FrameNode{
-					Frame: ev.Frame, Parent: ev.Parent, Node: ev.Node,
-					At: at, Cause: ev.Cause, Hops: ev.Hops, Rec: ev.Rec,
-				}
-				m.Frames = append(m.Frames, fn)
-				if ev.Frame != 0 {
-					m.frameByID[ev.Frame] = fn
-				}
-			case kindRequest, kindFind:
-				m := get(ev.Msg)
-				m.reqTxBy[ev.Node] = append(m.reqTxBy[ev.Node], at)
-			}
-		case TypeRx:
-			if ev.Kind == kindData {
-				m := get(ev.Msg)
-				m.dataRxBy[ev.Node] = append(m.dataRxBy[ev.Node], rxRec{at: at, frame: ev.Frame})
-			}
-		case TypeAccept:
-			m := get(ev.Msg)
-			if _, dup := m.acceptBy[ev.Node]; !dup {
-				m.acceptBy[ev.Node] = acceptRec{
-					at: at, frame: ev.Frame, hops: ev.Hops, rec: ev.Rec, cause: ev.Cause,
-				}
-			}
-		case TypeSuppress:
-			get(ev.Msg).Suppressed++
-		}
-	}
-	l.Nodes = len(nodes)
-
-	for _, m := range l.Messages {
-		finishMessage(m, nodes)
-	}
-	sort.Slice(l.Messages, func(i, j int) bool {
-		return msgLess(l.Messages[i].Msg, l.Messages[j].Msg)
-	})
-	return l
-}
-
-// finishMessage derives the per-message summaries once all events are in.
-func finishMessage(m *MsgLineage, universe map[wire.NodeID]bool) {
+// finish derives the per-message summaries once all events are in.
+func (m *MsgLineage) finish(universe map[wire.NodeID]bool) {
 	sort.Slice(m.Frames, func(i, j int) bool {
 		a, b := m.Frames[i], m.Frames[j]
 		if a.Frame != b.Frame {
@@ -220,11 +127,9 @@ func finishMessage(m *MsgLineage, universe map[wire.NodeID]bool) {
 		return a.Node < b.Node
 	})
 	// Receiver and delivery counts per frame.
-	for _, rxs := range m.dataRxBy {
-		for _, rx := range rxs {
-			if fn := m.frameByID[rx.frame]; fn != nil {
-				fn.RxCount++
-			}
+	for frame, rx := range m.frameRx {
+		if fn := m.frameByID[frame]; fn != nil {
+			fn.RxCount = rx.count
 		}
 	}
 	for _, acc := range m.acceptBy {
@@ -233,8 +138,7 @@ func finishMessage(m *MsgLineage, universe map[wire.NodeID]bool) {
 		}
 	}
 
-	// Phase breakdown. Acceptance times sorted; t50/t95 are against the
-	// final acceptance count, matching Analyze's message table.
+	// Phase breakdown: t50/t95 are against the final acceptance count.
 	var times []time.Duration
 	var hops []uint32
 	for node, acc := range m.acceptBy {
@@ -255,30 +159,28 @@ func finishMessage(m *MsgLineage, universe map[wire.NodeID]bool) {
 	m.Accepts = len(times)
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	if len(times) > 0 {
-		m.T50 = times[(len(times)-1)/2] - m.Injected
-		m.T95 = times[(len(times)-1)*95/100] - m.Injected
-		m.Last = times[len(times)-1] - m.Injected
+		m.T50 = times[rank(len(times), 50)] - m.InjectedAt
+		m.T95 = times[rank(len(times), 95)] - m.InjectedAt
+		m.Last = times[len(times)-1] - m.InjectedAt
 	}
 	// m.Frames is frame-id ordered (transmission order under the simulator),
 	// but scan all frames for the earliest relay to stay order-independent.
 	for _, fn := range m.Frames {
-		if fn.Node != m.Origin && (m.FirstRelay == 0 || fn.At-m.Injected < m.FirstRelay) {
-			m.FirstRelay = fn.At - m.Injected
+		if fn.Node != m.Origin && (m.FirstRelay == 0 || fn.At-m.InjectedAt < m.FirstRelay) {
+			m.FirstRelay = fn.At - m.InjectedAt
 		}
 	}
 	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
 	if len(hops) > 0 {
-		m.HopP50 = hops[(len(hops)-1)/2]
+		m.HopP50 = hops[rank(len(hops), 50)]
 		m.HopMax = hops[len(hops)-1]
 	}
 
 	// Loss-site localization: the last transmitter of the payload is the
 	// closest copy every non-deliverer missed.
-	var lastHolder wire.NodeID
-	var lastHolderAt time.Duration
 	for _, fn := range m.Frames {
-		if fn.At >= lastHolderAt {
-			lastHolder, lastHolderAt = fn.Node, fn.At
+		if fn.At >= m.lastHolderAt {
+			m.lastHolder, m.lastHolderAt = fn.Node, fn.At
 		}
 	}
 	var missing []wire.NodeID
@@ -291,10 +193,10 @@ func finishMessage(m *MsgLineage, universe map[wire.NodeID]bool) {
 	for _, node := range missing {
 		m.Losses = append(m.Losses, LossSite{
 			Node:         node,
-			DataRx:       len(m.dataRxBy[node]),
+			DataRx:       m.dataRxBy[node],
 			Requests:     len(m.reqTxBy[node]),
-			LastHolder:   lastHolder,
-			LastHolderAt: lastHolderAt,
+			LastHolder:   m.lastHolder,
+			LastHolderAt: m.lastHolderAt,
 		})
 	}
 }
@@ -324,22 +226,22 @@ func parseMsg(s string) (origin, seq uint64, ok bool) {
 }
 
 // Message returns the lineage for one message id, or nil.
-func (l *Lineage) Message(msg string) *MsgLineage {
-	return l.byMsg[msg]
+func (d *Digest) Message(msg string) *MsgLineage {
+	return d.byMsg[msg]
 }
 
-// Report renders the lineage as text.
-func (l *Lineage) Report() string {
+// Report renders the lineage of every message as text.
+func (d *Digest) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "lineage: %d messages across %d nodes\n", len(l.Messages), l.Nodes)
-	for _, m := range l.Messages {
+	fmt.Fprintf(&b, "lineage: %d messages across %d nodes\n", len(d.Messages), d.Nodes)
+	for _, m := range d.Messages {
 		fmt.Fprintf(&b, "msg %s origin=%d injected=%s\n",
-			m.Msg, m.Origin, m.Injected.Round(time.Millisecond))
+			m.Msg, m.Origin, m.InjectedAt.Round(time.Millisecond))
 		fmt.Fprintf(&b, "  phases: first-relay=%s t50=%s t95=%s last=%s\n",
 			m.FirstRelay.Round(time.Millisecond), m.T50.Round(time.Millisecond),
 			m.T95.Round(time.Millisecond), m.Last.Round(time.Millisecond))
-		fmt.Fprintf(&b, "  coverage: %d/%d accepted", m.Accepts, l.Nodes)
-		if never := l.Nodes - m.Accepts; never > 0 {
+		fmt.Fprintf(&b, "  coverage: %d/%d accepted", m.Accepts, d.Nodes)
+		if never := d.Nodes - m.Accepts; never > 0 {
 			fmt.Fprintf(&b, " (%d never)", never)
 		}
 		b.WriteByte('\n')
@@ -369,9 +271,9 @@ func (l *Lineage) Report() string {
 				ls.LastHolderAt.Round(time.Millisecond))
 		}
 	}
-	if l.Undecodable > 0 {
+	if d.Undecodable > 0 {
 		fmt.Fprintf(&b, "warning: %d undecodable line(s), first at byte offset %d\n",
-			l.Undecodable, l.FirstBadOffset)
+			d.Undecodable, d.FirstBadOffset)
 	}
 	return b.String()
 }
@@ -380,8 +282,8 @@ func (l *Lineage) Report() string {
 // nodes it walks the accepting frame's parent chain back to the origin; for
 // non-deliverers it reports what the node heard and where the closest copy
 // died.
-func (l *Lineage) Explain(msg string, node wire.NodeID) string {
-	m := l.byMsg[msg]
+func (d *Digest) Explain(msg string, node wire.NodeID) string {
+	m := d.byMsg[msg]
 	if m == nil {
 		return fmt.Sprintf("msg %s: not present in trace\n", msg)
 	}
@@ -389,10 +291,10 @@ func (l *Lineage) Explain(msg string, node wire.NodeID) string {
 	acc, delivered := m.acceptBy[node]
 	if !delivered {
 		fmt.Fprintf(&b, "msg %s at node %d: never delivered\n", msg, node)
-		if len(m.dataRxBy[node]) == 0 && len(m.reqTxBy[node]) == 0 {
+		if m.dataRxBy[node] == 0 && len(m.reqTxBy[node]) == 0 {
 			fmt.Fprintf(&b, "  dead air: node saw no data frame and sent no recovery request\n")
 		}
-		if n := len(m.dataRxBy[node]); n > 0 {
+		if n := m.dataRxBy[node]; n > 0 {
 			fmt.Fprintf(&b, "  received %d data frame(s) without delivering (rejected payload or signature)\n", n)
 		}
 		if reqs := m.reqTxBy[node]; len(reqs) > 0 {
@@ -400,21 +302,14 @@ func (l *Lineage) Explain(msg string, node wire.NodeID) string {
 				len(reqs), reqs[0].Round(time.Millisecond),
 				reqs[len(reqs)-1].Round(time.Millisecond))
 		}
-		var lastHolder wire.NodeID
-		var lastHolderAt time.Duration
-		for _, fn := range m.Frames {
-			if fn.At >= lastHolderAt {
-				lastHolder, lastHolderAt = fn.Node, fn.At
-			}
-		}
-		if lastHolderAt > 0 || len(m.Frames) > 0 {
+		if len(m.Frames) > 0 {
 			fmt.Fprintf(&b, "  last holder to transmit: node %d @ %s\n",
-				lastHolder, lastHolderAt.Round(time.Millisecond))
+				m.lastHolder, m.lastHolderAt.Round(time.Millisecond))
 		}
 		return b.String()
 	}
 
-	delay := acc.at - m.Injected
+	delay := acc.at - m.InjectedAt
 	fmt.Fprintf(&b, "msg %s at node %d: delivered @ %s (+%s after inject)\n",
 		msg, node, acc.at.Round(time.Millisecond), delay.Round(time.Millisecond))
 	verdict := "on the fast path"
@@ -480,33 +375,22 @@ type chromeEvent struct {
 // per message, one thread per node, a slice per data frame (spanning tx to
 // the frame's last reception), flow arrows along parent links, and instant
 // events for deliveries. Load the output in about:tracing or Perfetto.
-func (l *Lineage) ChromeTrace(w io.Writer) error {
-	usec := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+func (d *Digest) ChromeTrace(w io.Writer) error {
+	usec := func(t time.Duration) float64 { return float64(t) / float64(time.Microsecond) }
 	var evs []chromeEvent
-	for pi, m := range l.Messages {
+	for pi, m := range d.Messages {
 		pid := pi + 1
 		evs = append(evs, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": "msg " + m.Msg},
 		})
-		// Last-rx time per frame bounds each slice.
-		lastRx := make(map[uint64]time.Duration)
-		nodeRx := make(map[wire.NodeID]bool)
-		for node, rxs := range m.dataRxBy {
-			nodeRx[node] = true
-			for _, rx := range rxs {
-				if rx.at > lastRx[rx.frame] {
-					lastRx[rx.frame] = rx.at
-				}
-			}
-		}
 		for _, fn := range m.Frames {
 			cause := fn.Cause
 			if cause == "" {
 				cause = "data"
 			}
-			end := lastRx[fn.Frame]
-			dur := usec(end - fn.At)
+			// The frame's last reception bounds its slice.
+			dur := usec(m.frameRx[fn.Frame].last - fn.At)
 			if dur < 1 {
 				dur = 1
 			}

@@ -29,8 +29,23 @@ func sampleEvents() []Event {
 	}
 }
 
-func TestBuildLineagePhasesAndAttribution(t *testing.T) {
-	l := BuildLineage(sampleEvents(), DecodeStats{FirstBadOffset: -1})
+// readEvents writes events as a JSONL trace and reads it back.
+func readEvents(t *testing.T, evs []Event) *Digest {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, ev := range evs {
+		w.Emit(ev)
+	}
+	d, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestLineagePhasesAndAttribution(t *testing.T) {
+	l := readEvents(t, sampleEvents())
 	if l.Nodes != 4 {
 		t.Fatalf("Nodes = %d, want 4", l.Nodes)
 	}
@@ -38,8 +53,8 @@ func TestBuildLineagePhasesAndAttribution(t *testing.T) {
 	if m == nil {
 		t.Fatal("message 1/1 missing")
 	}
-	if m.Origin != 1 || m.Injected != 10*time.Millisecond {
-		t.Fatalf("origin/inject = %d/%s", m.Origin, m.Injected)
+	if m.Origin != 1 || !m.Injected || m.InjectedAt != 10*time.Millisecond {
+		t.Fatalf("origin/inject = %d/%v/%s", m.Origin, m.Injected, m.InjectedAt)
 	}
 	if m.FirstRelay != 15*time.Millisecond {
 		t.Fatalf("FirstRelay = %s, want 15ms (frame 2 at 25ms - inject 10ms)", m.FirstRelay)
@@ -79,20 +94,20 @@ func TestBuildLineagePhasesAndAttribution(t *testing.T) {
 
 func TestLineageReportOrderIndependent(t *testing.T) {
 	evs := sampleEvents()
-	l1 := BuildLineage(evs, DecodeStats{FirstBadOffset: -1})
+	l1 := readEvents(t, evs)
 	// Reverse the event order: the report must not change.
 	rev := make([]Event, len(evs))
 	for i, ev := range evs {
 		rev[len(evs)-1-i] = ev
 	}
-	l2 := BuildLineage(rev, DecodeStats{FirstBadOffset: -1})
+	l2 := readEvents(t, rev)
 	if l1.Report() != l2.Report() {
 		t.Fatalf("report depends on event order:\n--- forward:\n%s--- reversed:\n%s", l1.Report(), l2.Report())
 	}
 }
 
 func TestLineageExplain(t *testing.T) {
-	l := BuildLineage(sampleEvents(), DecodeStats{FirstBadOffset: -1})
+	l := readEvents(t, sampleEvents())
 	got := l.Explain("1/1", 3)
 	if !strings.Contains(got, "delivered") || !strings.Contains(got, "gossip recovery") {
 		t.Fatalf("explain delivered:\n%s", got)
@@ -113,7 +128,7 @@ func TestLineageExplain(t *testing.T) {
 }
 
 func TestLineageChromeTraceDeterministic(t *testing.T) {
-	l := BuildLineage(sampleEvents(), DecodeStats{FirstBadOffset: -1})
+	l := readEvents(t, sampleEvents())
 	var a, b bytes.Buffer
 	if err := l.ChromeTrace(&a); err != nil {
 		t.Fatal(err)
@@ -141,19 +156,18 @@ func TestLineageDegradesOnTruncatedTrace(t *testing.T) {
 	full := buf.Bytes()
 	// Cut inside the final line.
 	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 5
-	events, stats, err := Decode(bytes.NewReader(full[:cut]))
+	d, err := Read(bytes.NewReader(full[:cut]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Undecodable != 1 {
-		t.Fatalf("Undecodable = %d, want 1", stats.Undecodable)
+	if d.Undecodable != 1 || d.Decoded != len(sampleEvents())-1 {
+		t.Fatalf("Decoded/Undecodable = %d/%d, want %d/1", d.Decoded, d.Undecodable, len(sampleEvents())-1)
 	}
 	wantOffset := int64(bytes.LastIndexByte(full[:len(full)-1], '\n') + 1)
-	if stats.FirstBadOffset != wantOffset {
-		t.Fatalf("FirstBadOffset = %d, want %d", stats.FirstBadOffset, wantOffset)
+	if d.FirstBadOffset != wantOffset {
+		t.Fatalf("FirstBadOffset = %d, want %d", d.FirstBadOffset, wantOffset)
 	}
-	l := BuildLineage(events, stats)
-	rep := l.Report()
+	rep := d.Report()
 	if !strings.Contains(rep, "msg 1/1") {
 		t.Fatalf("truncated lineage lost the message:\n%s", rep)
 	}
