@@ -132,7 +132,9 @@ func dumpScenario(sc bbcast.Scenario) string {
 // bbsim line in README, ci.yml, this file and the package comment, plus a few
 // that reach the remaining flags, each with the %+v of the Scenario it built.
 // (The capture predates the removal of Core.ForwardJitter and
-// Verbose.MinSpacing, both zero in every line; they were cut from the text.)
+// Verbose.MinSpacing, both zero in every line, and of Core's stability-purge
+// and piggyback-state switches, false and true in every line; they were cut
+// from the text.)
 func TestArgvParsesToTheScenarioItAlwaysDid(t *testing.T) {
 	data, err := os.ReadFile("testdata/argv_scenarios.jsonl")
 	if err != nil {

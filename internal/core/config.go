@@ -53,27 +53,18 @@ type Config struct {
 	// bypasses a Byzantine overlay hop (ablation).
 	EnableFindMissing bool
 
-	// PurgeTimeout is how long message payloads are retained for recovery.
+	// PurgeTimeout is how long message payloads are retained for recovery
+	// (§3.2.2's timeout purge, the only purge rule implemented).
 	PurgeTimeout time.Duration
 	// PurgeInterval is how often the purge task runs.
 	PurgeInterval time.Duration
-	// StabilityPurge enables the paper's alternative purging mechanism
-	// (§3.2.2): a payload may be dropped before PurgeTimeout once enough
-	// distinct neighbours have advertised the message in their gossip —
-	// they all hold it, so this node no longer needs to serve it. "Enough"
-	// is half the current neighbour count and at least three, and a message
-	// is kept for two gossip rounds whatever its confirmations.
-	StabilityPurge bool
 
 	// MaintenanceInterval is the overlay computation-step period, randomized
-	// like the gossip period.
+	// like the gossip period. The state record it computes rides on the next
+	// gossip packet.
 	MaintenanceInterval time.Duration
 	// NeighborTTL expires neighbours not heard from.
 	NeighborTTL time.Duration
-	// PiggybackState attaches the overlay-state record to gossip packets
-	// instead of sending dedicated maintenance packets (§3: "most overlay
-	// maintenance messages can be piggybacked on gossip messages").
-	PiggybackState bool
 	// Overlay selects the maintenance protocol (CDS or MIS+B).
 	Overlay overlay.Kind
 
@@ -177,7 +168,6 @@ func DefaultConfig() Config {
 
 		MaintenanceInterval: 1 * time.Second,
 		NeighborTTL:         5 * time.Second,
-		PiggybackState:      true,
 		Overlay:             overlay.MISB,
 
 		// Adaptive timing on by default: under clean channels the estimator

@@ -1,7 +1,7 @@
 package core
 
 // Tests for configuration paths not exercised by the main protocol tests:
-// dedicated maintenance packets, gossip batching limits, retention windows.
+// gossip batching limits, retention windows.
 
 import (
 	"reflect"
@@ -10,29 +10,6 @@ import (
 
 	"bbcast/internal/wire"
 )
-
-func TestDedicatedStatePacketsWhenNotPiggybacking(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PiggybackState = false
-	h := newHarness(t, 0, cfg)
-	h.run(cfg.MaintenanceInterval + 100*time.Millisecond)
-	states := h.sentOfKind(wire.KindOverlayState)
-	if len(states) == 0 {
-		t.Fatal("no dedicated overlay-state packet sent")
-	}
-	if states[0].State == nil || len(states[0].StateSig) == 0 {
-		t.Fatal("state packet unsigned or empty")
-	}
-	// Gossip packets must not carry state in this mode.
-	h.sent = nil
-	h.p.Broadcast([]byte("x"))
-	h.run(cfg.GossipInterval + 100*time.Millisecond)
-	for _, g := range h.sentOfKind(wire.KindGossip) {
-		if g.State != nil {
-			t.Fatal("gossip carried state despite PiggybackState=false")
-		}
-	}
-}
 
 func TestGossipMaxEntriesCapsBatch(t *testing.T) {
 	cfg := DefaultConfig()
@@ -126,13 +103,15 @@ func TestAbandonedMissingEntriesReaped(t *testing.T) {
 	}
 }
 
-// TestConfigFieldCeiling holds Config at the 30 fields it had once every knob
+// TestConfigFieldCeiling holds Config at the 28 fields it has once every knob
 // nothing outside this package's tests had ever moved was worked out by the
-// code. Each field multiplies the configurations tests, experiments and the
+// code (30), and the two switches only tests flipped, the stability purge and
+// the dedicated state packet, went with the code paths they reached (28).
+// Each field multiplies the configurations tests, experiments and the
 // benchmark have to cover: a new one must replace an old one.
 func TestConfigFieldCeiling(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n > 30 {
-		t.Fatalf("Config has %d fields, want <= 30", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n > 28 {
+		t.Fatalf("Config has %d fields, want <= 28", n)
 	}
 }
 

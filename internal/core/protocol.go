@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"time"
 
 	"bbcast/internal/env"
@@ -85,7 +84,7 @@ func (d *Deps) ObserveSuppressed(id wire.MsgID, meta wire.Meta) {
 	}
 }
 
-// msgState tracks one known message. The layout is kept within the 144-byte
+// msgState tracks one known message. The layout is kept within the 128-byte
 // allocation size class (TestMsgStateSize).
 type msgState struct {
 	id        wire.MsgID
@@ -97,12 +96,6 @@ type msgState struct {
 	at time.Duration
 	// prev and next thread the entry into the store's held or tombstone list.
 	prev, next *msgState
-	// holders are the distinct neighbours seen advertising this message
-	// (stability detection input), ascending. A handful of ids per message: a
-	// sorted slice is smaller and cheaper to probe than a map, and behind a
-	// pointer it costs the runs without StabilityPurge one word.
-	//bbvet:bounded-by maxHolders noteHolder refuses growth past the cap; total is maxHolders×MaxStore
-	holders *[]wire.NodeID
 
 	// Causal lineage of the local copy: the frame it arrived on, its
 	// data-path hop count, whether gossip recovery repaired any hop of its
@@ -119,10 +112,6 @@ type msgState struct {
 // capped protocol tables, so the product with the table's own cap bounds the
 // total state an adversary can grow.
 const (
-	// maxHolders caps the distinct advertisers tracked per stored message.
-	// Stability purging needs only "enough distinct confirmations", so
-	// dropping the excess loses nothing.
-	maxHolders = 64
 	// maxMissGossipers caps the distinct gossipers tracked (and asked) per
 	// missing message. Later gossip rounds retry recovery naturally, so
 	// refusing to track a 65th avenue costs only latency under an absurdly
@@ -133,20 +122,6 @@ const (
 	// indictment needs repeat offenders, which by definition are counted.
 	maxReqCounters = 64
 )
-
-// noteHolder records that `from` advertised the message.
-func (st *msgState) noteHolder(from wire.NodeID) {
-	if st.holders == nil {
-		// Room for a typical neighbourhood up front instead of growing
-		// through 1, 2 and 4.
-		st.holders = new([]wire.NodeID)
-		*st.holders = make([]wire.NodeID, 0, 8)
-	}
-	i, found := slices.BinarySearch(*st.holders, from)
-	if !found && len(*st.holders) < maxHolders {
-		*st.holders = slices.Insert(*st.holders, i, from)
-	}
-}
 
 // pendingMiss tracks a message known (from gossip) but not yet received.
 // Every distinct gossiper is asked once (after RequestDelay); beyond that, a
@@ -630,7 +605,8 @@ func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 	case wire.KindSyncResp:
 		p.handleSyncResp(pkt)
 	case wire.KindOverlayState:
-		// State already processed above.
+		// State already processed above. This node piggybacks its own record
+		// on gossip, but a peer may send it standalone.
 	default:
 		// Unknown kind from a valid codec never happens; ignore defensively.
 	}
@@ -683,10 +659,8 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		return
 	}
 
-	heardGossipBefore := false
 	miss := p.missing[id]
 	if miss != nil {
-		heardGossipBefore = true
 		for _, cancel := range miss.cancels {
 			cancel()
 		}
@@ -739,8 +713,8 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 	// (re)register it with the lazycast so the next periodic gossip
 	// advertises it — others that heard the same gossip may still be
 	// missing the data.
-	if heardGossipBefore && miss != nil {
-		p.registerGossip(id, st, miss.headerSig)
+	if miss != nil {
+		p.registerGossip(st, miss.headerSig)
 	}
 }
 
@@ -798,14 +772,9 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 		}
 		if st != nil {
 			// Lines 35–37: register it with the lazycast (if not already
-			// advertised) so the periodic gossip passes it onward. The
-			// gossiper is also a confirmed holder, which only stability
-			// detection reads.
+			// advertised) so the periodic gossip passes it onward.
 			if !st.purged {
-				p.registerGossip(entry.ID, st, entry.Sig)
-				if p.cfg.StabilityPurge {
-					st.noteHolder(pkt.Sender)
-				}
+				p.registerGossip(st, entry.Sig)
 			}
 			continue
 		}

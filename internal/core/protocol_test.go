@@ -542,7 +542,7 @@ func TestGossipTickAdvertisesHeldMessages(t *testing.T) {
 	if len(gossips[0].Gossip) != 2 {
 		t.Fatalf("gossip entries = %d, want 2", len(gossips[0].Gossip))
 	}
-	if cfg.PiggybackState && gossips[0].State == nil {
+	if gossips[0].State == nil {
 		t.Fatal("overlay state not piggybacked on gossip")
 	}
 }

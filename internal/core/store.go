@@ -93,7 +93,7 @@ func (s *msgStore) hold(st *msgState, now time.Duration) {
 // tombstone purged now.
 func (s *msgStore) entomb(st *msgState, now time.Duration) {
 	s.held.unlink(st)
-	st.payload, st.dataSig, st.headerSig, st.holders = nil, nil, nil, nil
+	st.payload, st.dataSig, st.headerSig = nil, nil, nil
 	st.purged, st.at = true, now
 	s.tombs.push(st)
 }

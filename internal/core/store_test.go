@@ -11,12 +11,12 @@ import (
 	"bbcast/internal/wire"
 )
 
-// TestMsgStateSize holds msgState inside the 144-byte allocation size class
-// it occupied before it carried its id and list links: one more word and
-// every stored message costs 160 bytes.
+// TestMsgStateSize holds msgState inside the 128-byte allocation size class
+// it dropped into when the stability purge's per-message advertiser list
+// went: one more word and every stored message costs 144 bytes again.
 func TestMsgStateSize(t *testing.T) {
-	if size := unsafe.Sizeof(msgState{}); size > 144 {
-		t.Fatalf("msgState is %d bytes, want <= 144", size)
+	if size := unsafe.Sizeof(msgState{}); size > 128 {
+		t.Fatalf("msgState is %d bytes, want <= 128", size)
 	}
 }
 
@@ -34,7 +34,6 @@ type refEntry struct {
 	purged               bool
 	receivedAt, purgedAt time.Duration
 	hasSig               bool // a header signature is known
-	holders              map[wire.NodeID]bool
 }
 
 // victim is enforceStoreCap's minimum scan: tombstones before held entries,
@@ -103,9 +102,8 @@ func (r *refStore) gossip(now time.Duration) []wire.MsgID {
 	return out
 }
 
-// purge is purgeTick's walk over the sorted ids of the whole table, by a node
-// with the given number of neighbours.
-func (r *refStore) purge(now time.Duration, neighbours int) {
+// purge is purgeTick's walk over the sorted ids of the whole table.
+func (r *refStore) purge(now time.Duration) {
 	ids := make([]wire.MsgID, 0, len(r.m))
 	for id := range r.m {
 		ids = append(ids, id)
@@ -119,12 +117,7 @@ func (r *refStore) purge(now time.Duration, neighbours int) {
 			}
 			continue
 		}
-		age := now - e.receivedAt
-		expired := age > r.cfg.PurgeTimeout
-		if !expired && r.cfg.StabilityPurge {
-			expired = age >= 2*r.cfg.GossipInterval && len(e.holders) >= max(3, neighbours/2)
-		}
-		if expired {
+		if now-e.receivedAt > r.cfg.PurgeTimeout {
 			*e = refEntry{purged: true, purgedAt: now, receivedAt: e.receivedAt}
 		}
 	}
@@ -168,13 +161,9 @@ func (r *refStore) check(t *testing.T, p *Protocol, step int, op string) {
 				fail("%v is %v old and not in the gossip window", id, now-at)
 			}
 		}
-		holders := 0
-		if st.holders != nil {
-			holders = len(*st.holders)
-		}
-		if st.id != id || st.purged != e.purged || st.at != at || (st.headerSig != nil) != e.hasSig || holders != len(e.holders) {
-			fail("%v: store has purged=%v at=%v sig=%v holders=%d, reference purged=%v at=%v sig=%v holders=%d",
-				id, st.purged, st.at, st.headerSig != nil, holders, e.purged, at, e.hasSig, len(e.holders))
+		if st.id != id || st.purged != e.purged || st.at != at || (st.headerSig != nil) != e.hasSig {
+			fail("%v: store has purged=%v at=%v sig=%v, reference purged=%v at=%v sig=%v",
+				id, st.purged, st.at, st.headerSig != nil, e.purged, at, e.hasSig)
 		}
 	}
 	if h, tb := p.StoreSize(); h != held || tb != len(r.m)-held {
@@ -221,8 +210,8 @@ func (r *refStore) check(t *testing.T, p *Protocol, step int, op string) {
 	}
 }
 
-// runStoreOrder decodes data into a store configuration (MaxStore 2–64,
-// stability purging, a durable store) and a sequence of operations on one
+// runStoreOrder decodes data into a store configuration (MaxStore 2–64, a
+// durable store) and a sequence of operations on one
 // protocol instance — accepts, revivals, own broadcasts, gossip, SYNC
 // batches, purge and gossip ticks, rejoins, most of them at the same virtual
 // instant — and checks the store against the reference after every one.
@@ -237,12 +226,13 @@ func runStoreOrder(t *testing.T, data []byte) {
 	}
 	cfg := DefaultConfig()
 	cfg.GossipInterval, cfg.MaintenanceInterval, cfg.PurgeInterval = 0, 0, 0 // ticks are called by hand
-	cfg.AdmitRate, cfg.EnableFDs, cfg.EnableRecovery, cfg.PiggybackState = 0, false, false, false
+	cfg.AdmitRate, cfg.EnableFDs, cfg.EnableRecovery = 0, false, false
 	cfg.GossipRetention, cfg.PurgeTimeout, cfg.StoreQuiescence = 3*time.Second, 6*time.Second, 8*time.Second
 	cfg.GossipMaxEntries = 4
 	cfg.MaxStore = 2 + next()%63
+	// Bit 0 of the flags byte once chose the stability purge. It stays unused,
+	// so older corpus entries still decode to the same operations.
 	flags := next()
-	cfg.StabilityPurge = flags&1 != 0
 	var h *harness
 	if flags&2 != 0 {
 		h, _ = newPersistHarness(t, 0, cfg)
@@ -250,11 +240,6 @@ func runStoreOrder(t *testing.T, data []byte) {
 		h = newHarness(t, 0, cfg)
 	}
 	p := h.p
-	// No task was scheduled above; from here on the gossip interval only says
-	// how long a stable message is kept (two rounds). With at most three
-	// senders below, three confirmations make a message stable.
-	cfg.GossipInterval = 500 * time.Millisecond
-	p.cfg.GossipInterval = cfg.GossipInterval
 	ref := &refStore{cfg: cfg, self: 0, m: map[wire.MsgID]*refEntry{}}
 	payload := []byte("x")
 	dataFor := func(id wire.MsgID, sender wire.NodeID) *wire.Packet {
@@ -298,12 +283,6 @@ func runStoreOrder(t *testing.T, data []byte) {
 			p.HandlePacket(h.gossipFrom(sender, id))
 			if e := ref.m[id]; e != nil && !e.purged {
 				e.hasSig = true
-				if cfg.StabilityPurge {
-					if e.holders == nil {
-						e.holders = map[wire.NodeID]bool{}
-					}
-					e.holders[sender] = true
-				}
 			}
 		case 7:
 			op = "sync batch"
@@ -322,7 +301,7 @@ func runStoreOrder(t *testing.T, data []byte) {
 		case 8, 9:
 			op = "purge tick"
 			p.purgeTick()
-			ref.purge(now, p.NeighborCount())
+			ref.purge(now)
 		case 10:
 			op = "gossip tick"
 			h.sent = nil
@@ -350,7 +329,7 @@ func runStoreOrder(t *testing.T, data []byte) {
 }
 
 // TestStoreOrderMatchesScans drives the differential check with seeded random
-// operation sequences over every MaxStore and both purge modes.
+// operation sequences over every MaxStore, with and without a durable store.
 func TestStoreOrderMatchesScans(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
@@ -360,7 +339,7 @@ func TestStoreOrderMatchesScans(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		data := make([]byte, 600+rng.Intn(1800))
 		rng.Read(data)
-		data[0], data[1] = byte(seed), byte(seed>>2) // MaxStore and mode sweep
+		data[0], data[1] = byte(seed), byte(seed>>2) // MaxStore and durable-store sweep
 		runStoreOrder(t, data)
 	}
 }
@@ -370,7 +349,7 @@ func TestStoreOrderMatchesScans(t *testing.T) {
 func FuzzStoreOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 1, 1, 2, 1, 2, 2, 1, 3, 4, 8, 10})
 	f.Add([]byte{2, 3, 4, 4, 5, 0, 4, 11, 4, 2, 1, 1, 1, 7, 8, 10, 8})
-	f.Add([]byte{1, 1, 2, 1, 1, 6, 1, 1, 1, 6, 2, 1, 1, 6, 0, 1, 1, 1, 2, 8, 10, 1, 7, 9, 2, 1, 1}) // three gossipers make (2,2) stable
+	f.Add([]byte{1, 1, 2, 1, 1, 6, 1, 1, 1, 6, 2, 1, 1, 6, 0, 1, 1, 1, 2, 8, 10, 1, 7, 9, 2, 1, 1}) // three gossipers advertise (2,2)
 	f.Fuzz(runStoreOrder)
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"slices"
-	"time"
 
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
@@ -13,8 +12,10 @@ import (
 
 // gossipTick is the periodic lazycast (§3.2 line 4, §3.2.2 subtask 1): it
 // re-advertises the header signatures of recently received messages,
-// aggregated into as few packets as possible, optionally piggybacking the
-// overlay-state record.
+// aggregated into as few packets as possible, with the overlay-state record
+// riding on the first (§3: "most overlay maintenance messages can be
+// piggybacked on gossip messages"). Every round sends at least one packet,
+// empty of advertisements if need be, so the record goes out every period.
 func (p *Protocol) gossipTick() {
 	// The store keeps the recently received held entries in id order, so the
 	// tick walks its candidates without touching the rest of the table.
@@ -30,34 +31,7 @@ func (p *Protocol) gossipTick() {
 		}
 	}
 	p.gossipEntries = entries
-	// The frame owns its entries from here on (receivers may retain them), so
-	// it gets an exact-size copy, never the scratch.
-	p.sendGossipWithState(slices.Clone(entries))
-}
-
-// headerProof returns st's gossip proof, the origin's signature over its
-// header. A node signs the headers of its own messages here, when one is
-// first advertised or served, not at Broadcast: that keeps a signature off
-// the origin's latency path, and nobody can hold the proof before this node
-// hands it out. It returns nil for another origin's message held without one.
-func (p *Protocol) headerProof(st *msgState) []byte {
-	if st.headerSig == nil && st.id.Origin == p.deps.ID {
-		st.headerSig = p.signHeader(st.id)
-	}
-	return st.headerSig
-}
-
-// sendGossipWithState emits the gossip (even when empty, if a state record
-// is due to ride on it) and attaches the overlay state when piggybacking.
-func (p *Protocol) sendGossipWithState(entries []wire.GossipEntry) {
-	var state *wire.OverlayState
-	var stateSig []byte
-	if p.cfg.PiggybackState {
-		state, stateSig = p.buildState()
-	}
-	if len(entries) == 0 && state == nil {
-		return
-	}
+	state, stateSig := p.buildState()
 	if !p.cfg.GossipAggregation && len(entries) > 1 {
 		// Ablation: one advertisement per packet (state on the first).
 		for i, e := range entries {
@@ -80,22 +54,36 @@ func (p *Protocol) sendGossipWithState(entries []wire.GossipEntry) {
 	}
 	p.stats.GossipsSent++
 	p.send(&wire.Packet{
-		Kind:     wire.KindGossip,
-		TTL:      1,
-		Target:   wire.NoNode,
-		Origin:   wire.NoNode,
-		Gossip:   entries,
+		Kind:   wire.KindGossip,
+		TTL:    1,
+		Target: wire.NoNode,
+		Origin: wire.NoNode,
+		// The frame owns its entries from here on (receivers may retain
+		// them), so it gets an exact-size copy, never the scratch.
+		Gossip:   slices.Clone(entries),
 		State:    state,
 		StateSig: stateSig,
 		Meta:     wire.Meta{Cause: wire.CauseGossip},
 	})
 }
 
+// headerProof returns st's gossip proof, the origin's signature over its
+// header. A node signs the headers of its own messages here, when one is
+// first advertised or served, not at Broadcast: that keeps a signature off
+// the origin's latency path, and nobody can hold the proof before this node
+// hands it out. It returns nil for another origin's message held without one.
+func (p *Protocol) headerProof(st *msgState) []byte {
+	if st.headerSig == nil && st.id.Origin == p.deps.ID {
+		st.headerSig = p.signHeader(st.id)
+	}
+	return st.headerSig
+}
+
 // registerGossip records the header signature so the periodic lazycast can
 // advertise the message (the paper's lazycast "initiates periodic
 // broadcasting" — registration, not an immediate transmission; §3.2 lines
 // 20 and 36).
-func (p *Protocol) registerGossip(id wire.MsgID, st *msgState, headerSig []byte) {
+func (p *Protocol) registerGossip(st *msgState, headerSig []byte) {
 	if st.headerSig == nil {
 		st.headerSig = headerSig
 	}
@@ -108,8 +96,8 @@ func (p *Protocol) registerGossip(id wire.MsgID, st *msgState, headerSig []byte)
 const joinDamping = 2
 
 // maintenanceTick is the overlay computation step (§3.3): refresh the
-// neighbour table, recompute the local role, and publish the state record
-// (as its own packet unless it piggybacks on gossip).
+// neighbour table and recompute the local role. The next gossip round
+// publishes the resulting state record.
 func (p *Protocol) maintenanceTick() {
 	p.expireNeighbors()
 	p.adaptTimers()
@@ -138,18 +126,6 @@ func (p *Protocol) maintenanceTick() {
 			p.applyRole(next)
 		}
 	}
-	if !p.cfg.PiggybackState {
-		state, stateSig := p.buildState()
-		p.send(&wire.Packet{
-			Kind:     wire.KindOverlayState,
-			TTL:      1,
-			Target:   wire.NoNode,
-			Origin:   wire.NoNode,
-			State:    state,
-			StateSig: stateSig,
-			Meta:     wire.Meta{Cause: wire.CauseState},
-		})
-	}
 	p.sampleQueues()
 }
 
@@ -169,10 +145,9 @@ func (p *Protocol) sampleQueues() {
 	obs.OnQueueDepth(at, id, obsv.QueueLinkQual, len(p.linkQual))
 }
 
-// purgeTick drops payloads past the retention window — or, with stability
-// purging on, as soon as enough distinct neighbours have advertised the
-// message — leaving tombstones so duplicates are still filtered (§3.2.2).
-// Tombstones themselves are deleted once quiescent for StoreQuiescence, and
+// purgeTick drops payloads past the retention window (§3.2.2's timeout
+// purge), leaving tombstones so duplicates are still filtered. Tombstones
+// themselves are deleted once quiescent for StoreQuiescence, and
 // request-count records expire after PurgeTimeout, so every table this task
 // feeds shrinks back to zero under silence.
 func (p *Protocol) purgeTick() {
@@ -206,17 +181,9 @@ func (p *Protocol) purgeTick() {
 			p.observeAdmission(obsv.AdmitStoreEvict)
 		}
 	}
-	for st := p.store.held.head; st != nil; {
-		next, age := st.next, now-st.at
-		if age > p.cfg.PurgeTimeout || p.cfg.StabilityPurge && p.stable(st, age) {
-			p.store.entomb(st, now)
-			delete(p.reqSeen, st.id)
-		} else if !p.cfg.StabilityPurge {
-			break
-		}
-		// Stability is unrelated to age, so that mode visits every held entry;
-		// unlinking one mid-list costs the same as at the head.
-		st = next
+	for st := p.store.held.head; st != nil && now-st.at > p.cfg.PurgeTimeout; st = p.store.held.head {
+		p.store.entomb(st, now)
+		delete(p.reqSeen, st.id)
 	}
 	if ttl := p.cfg.PurgeTimeout; ttl > 0 {
 		p.msgIDs = sortedMsgIDs(p.msgIDs, p.reqSeen)
@@ -239,15 +206,6 @@ func sortedMsgIDs[V any](buf []wire.MsgID, m map[wire.MsgID]V) []wire.MsgID {
 	}
 	slices.SortFunc(buf, wire.MsgID.Compare)
 	return buf
-}
-
-// stable reports whether enough distinct neighbours advertised the message
-// for it to be safely dropped early.
-func (p *Protocol) stable(st *msgState, age time.Duration) bool {
-	if age < 2*p.cfg.GossipInterval {
-		return false
-	}
-	return st.holders != nil && len(*st.holders) >= max(3, len(p.neighbors)/2)
 }
 
 func (p *Protocol) touchNeighbor(id wire.NodeID) *neighborState {

@@ -105,7 +105,6 @@ func TestFramesAreImmutableOnceSent(t *testing.T) {
 		edit func(*runner.Scenario)
 	}{
 		{"default", func(*runner.Scenario) {}},
-		{"standalone-state", func(sc *runner.Scenario) { sc.Core.PiggybackState = false }},
 		{"jitter-and-duplication", func(sc *runner.Scenario) {
 			// Deferred deliveries outlive the batch, and duplicated ones hand
 			// a receiver the same frame twice.

@@ -113,52 +113,6 @@ func TestTombstonesRetainDuplicateFilter(t *testing.T) {
 	}
 }
 
-func TestStabilityPurgeShrinksBuffersEndToEnd(t *testing.T) {
-	// With stability detection on, buffers shrink well before PurgeTimeout:
-	// total held payloads across nodes must be well below the timeout-only
-	// run's.
-	base := quickScenario()
-	base.N = 50
-	base.Core.PurgeTimeout = time.Hour // isolate the stability mechanism
-	base.Workload.End = 50 * time.Second
-	base.Duration = 60 * time.Second
-
-	heldWith, heldWithout := 0, 0
-	sum := func(protos []*core.Protocol) int {
-		total := 0
-		for _, p := range protos {
-			h, _ := p.StoreSize()
-			total += h
-		}
-		return total
-	}
-	sc := base
-	sc.Core.StabilityPurge = true
-	if _, err := RunInspect(sc, func(ps []*core.Protocol) { heldWith = sum(ps) }); err != nil {
-		t.Fatal(err)
-	}
-	sc = base
-	if _, err := RunInspect(sc, func(ps []*core.Protocol) { heldWithout = sum(ps) }); err != nil {
-		t.Fatal(err)
-	}
-	if heldWith >= heldWithout {
-		t.Fatalf("stability purging did not shrink buffers: %d vs %d", heldWith, heldWithout)
-	}
-}
-
-func TestStabilityPurgeKeepsDelivery(t *testing.T) {
-	sc := quickScenario()
-	sc.N = 50
-	sc.Core.StabilityPurge = true
-	res, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DeliveryRatio < 0.99 {
-		t.Fatalf("delivery with stability purging = %.3f", res.DeliveryRatio)
-	}
-}
-
 func TestPoissonWorkloadDelivers(t *testing.T) {
 	sc := quickScenario()
 	sc.N = 50

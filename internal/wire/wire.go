@@ -14,7 +14,7 @@
 //
 // Any packet may piggyback an OverlayState record, which is how maintenance
 // traffic rides on gossip packets (§3 "most overlay maintenance messages can
-// be piggybacked on gossip messages").
+// be piggybacked on gossip messages"); it is the only way nodes here send it.
 package wire
 
 import (
@@ -64,7 +64,7 @@ const (
 	KindGossip                       // aggregated message advertisements
 	KindRequest                      // REQUEST_MSG: ask for a missing message
 	KindFindMissing                  // FIND_MISSING_MSG: overlay-level search
-	KindOverlayState                 // overlay maintenance record
+	KindOverlayState                 // standalone overlay maintenance record: valid input, but no node in this tree sends one
 	KindSyncReq                      // SYNC-REQ: catch-up request with a compact store summary
 	KindSyncResp                     // SYNC-RESP: bulk transfer of entries the requester is missing
 )
@@ -174,7 +174,7 @@ const (
 	CauseGossip               // periodic gossip advertisement round
 	CauseRequest              // first REQUEST_MSG for a gossip-advertised gap
 	CauseFind                 // FIND_MISSING_MSG overlay search (dispatch or relay)
-	CauseState                // standalone overlay-maintenance record
+	CauseState                // standalone overlay-maintenance record (no node in this tree sends one)
 	CauseSyncReq              // rejoiner's catch-up SYNC-REQ
 	CauseSyncResp             // neighbour's SYNC-RESP bulk transfer
 )
