@@ -8,8 +8,6 @@
 //	              source functions (the PR 2 emission table)
 //	boundedstate  every map-typed field in internal/core is capped or
 //	              //bbvet:bounded-by annotated (the PR 4 caps table)
-//	ordering      internal/core packet ingress hits token-bucket admission
-//	              and dedup before any sig verify (the PR 4 contract)
 //	errflow       no dropped, discarded or overwritten errors from persist
 //	              and transport writes (the PR 9 latch discipline)
 //
@@ -38,14 +36,12 @@ import (
 	"bbcast/internal/analysis/determinism"
 	"bbcast/internal/analysis/errflow"
 	"bbcast/internal/analysis/obsvonce"
-	"bbcast/internal/analysis/ordering"
 )
 
 var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	obsvonce.Analyzer,
 	boundedstate.Analyzer,
-	ordering.Analyzer,
 	errflow.Analyzer,
 }
 

@@ -11,8 +11,10 @@
 // under analysis.
 //
 // The project-specific analyzers live in the subpackages determinism,
-// obsvonce, boundedstate, ordering and errflow; cmd/bbvet is the
-// multichecker binary that runs them over the tree.
+// obsvonce, boundedstate and errflow; cmd/bbvet is the multichecker binary
+// that runs them over the tree. The ingress contract (admission and dedup
+// before any signature check) needs no pass: internal/core's admitted and
+// looked types hold it at compile time.
 package analysis
 
 import (

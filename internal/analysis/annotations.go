@@ -12,7 +12,7 @@ import (
 //
 //	//bbvet:<kind> <argument and/or justification>
 //
-// with no space between "//" and "bbvet:". Five kinds exist:
+// with no space between "//" and "bbvet:". Four kinds exist:
 //
 //	//bbvet:wallclock <why>        file header: exempts the file from the
 //	                               determinism wall-clock/global-rand checks;
@@ -27,10 +27,6 @@ import (
 //	                               whose error is deliberately dropped:
 //	                               asserts the loss is by design (latched in
 //	                               Store.Err, or best-effort datagrams).
-//	//bbvet:ordering <why>         on or above a crypto-reaching call in an
-//	                               internal/core ingress handler: asserts the
-//	                               verify legitimately precedes admission or
-//	                               dedup there.
 //
 // Every annotation must carry a non-empty justification: each analyzer
 // rejects bare escapes of the kinds it reads, and determinism also rejects
@@ -46,15 +42,13 @@ const (
 	AnnBoundedBy = "bounded-by"
 	// AnnErrflow justifies a deliberately dropped write error.
 	AnnErrflow = "errflow"
-	// AnnOrdering justifies a verify that precedes admission or dedup.
-	AnnOrdering = "ordering"
 	// AnnUnknown selects, in CheckAnnotations, every comment whose kind is
 	// none of the above.
 	AnnUnknown = "unknown"
 )
 
 // knownKinds is the grammar's vocabulary.
-var knownKinds = []string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnOrdering}
+var knownKinds = []string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow}
 
 // Annotation is one parsed //bbvet: comment.
 type Annotation struct {
@@ -143,7 +137,7 @@ func (p *ProgramPass) CheckAnnotations(kinds ...string) {
 				switch {
 				case !slices.Contains(kinds, kind):
 				case kind == AnnUnknown:
-					p.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by, errflow or ordering)", a.Kind)
+					p.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by or errflow)", a.Kind)
 				case a.Arg != "":
 				case kind == AnnBoundedBy:
 					p.Reportf(a.Pos, "//bbvet:bounded-by needs a cap: //bbvet:bounded-by <cap> [why]")

@@ -64,7 +64,6 @@ func TestCheckAnnotations(t *testing.T) {
 //bbvet:unordered
 //bbvet:bounded-by
 //bbvet:errflow
-//bbvet:ordering
 //bbvet:wallclock justified because reasons
 //bbvet:errflow latched in Store.Err
 //bbvet:nonsense some justification
@@ -73,15 +72,14 @@ func TestCheckAnnotations(t *testing.T) {
 		kinds []string
 		want  []string
 	}{
-		{[]string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnOrdering, AnnUnknown}, []string{
+		{[]string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnUnknown}, []string{
 			"//bbvet:wallclock needs a justification",
 			"//bbvet:unordered needs a justification",
 			"//bbvet:bounded-by needs a cap",
 			"//bbvet:errflow needs a justification",
-			"//bbvet:ordering needs a justification",
-			"unknown annotation //bbvet:nonsense",
+			"unknown annotation //bbvet:nonsense (want wallclock, unordered, bounded-by or errflow)",
 		}},
-		{[]string{AnnOrdering}, []string{"//bbvet:ordering needs a justification"}},
+		{[]string{AnnErrflow}, []string{"//bbvet:errflow needs a justification"}},
 		{[]string{AnnUnknown}, []string{"unknown annotation //bbvet:nonsense"}},
 	} {
 		_, pass, diags := parseSrc(t, src)

@@ -12,13 +12,12 @@ import (
 // over every loaded package, plus a deterministic taint-propagation engine on
 // top of it. Every analyzer sees all packages at once through ProgramPass and
 // can follow a fact across call boundaries — a time.Now() one helper away, a
-// crypto verify reachable before admission, a dropped write error returned
-// through three frames.
+// dropped write error returned through three frames.
 //
 // Resolution is static and best-effort: direct calls to package functions
 // and methods resolve exactly; calls through an interface resolve to the
-// interface method itself (a useful sink anchor — e.g. sig.Scheme.Verify —
-// but not a path into its implementations); calls through function values
+// interface method itself (a useful sink anchor — e.g. persist.Device.AppendLog
+// — but not a path into its implementations); calls through function values
 // do not resolve. Function literals are attributed to their enclosing named
 // function.
 
@@ -167,8 +166,8 @@ type Taint struct {
 
 // Propagate spreads direct taints up the call graph to a fixpoint: a
 // function that calls a tainted function becomes tainted through that call.
-// through gates which functions may carry taint upward (return false to
-// make a node a reporting frontier that never taints its own callers).
+// through gates which functions may carry taint upward: returning false
+// makes a node a reporting frontier that never taints its own callers.
 // Chains are shortest-first and deterministic: propagation runs in rounds,
 // visiting functions in source order and picking each function's earliest
 // call site into the previous round.
@@ -184,7 +183,7 @@ func (prog *Program) Propagate(direct map[*types.Func]*Taint, through func(*Func
 			if taints[node.Fn] != nil || round[node.Fn] != nil {
 				continue
 			}
-			if through != nil && !through(node) {
+			if !through(node) {
 				continue
 			}
 			for _, cs := range node.Calls {

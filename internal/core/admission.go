@@ -30,13 +30,26 @@ func (p *Protocol) observeAdmission(event obsv.AdmissionEvent) {
 	}
 }
 
-// admit refills the sender's token bucket and charges one token for the
-// packet. Buckets live in neighborState, so the limiter's memory is bounded
-// by MaxNeighbors. Rate limiting is disabled when AdmitRate <= 0.
-func (p *Protocol) admit(nb *neighborState) bool {
+// admitted is a received packet that passed its sender's token bucket. admit
+// is its only maker and every packet handler takes one, so a dispatch that
+// skips the bucket does not compile. TestIngressProofsHaveOneMaker holds the
+// makers of both proof types.
+type admitted struct{ *wire.Packet }
+
+// looked proves that the dedup table holding what a verify site already
+// verified was consulted. Only lookupMsg, lookupNeighbor and knownHeaderSig
+// return one, and verifyData, verifyHeader and verifyState each take one, so
+// a verify before its lookup does not compile.
+type looked struct{}
+
+// admit refills the sender's token bucket and charges one token for pkt,
+// returning it admitted. Buckets live in neighborState, so the limiter's
+// memory is bounded by MaxNeighbors. Rate limiting is disabled when
+// AdmitRate <= 0.
+func (p *Protocol) admit(nb *neighborState, pkt *wire.Packet) (admitted, bool) {
 	rate := p.cfg.AdmitRate
 	if rate <= 0 {
-		return true
+		return admitted{pkt}, true
 	}
 	burst := p.cfg.AdmitBurst
 	if burst <= 0 {
@@ -51,10 +64,10 @@ func (p *Protocol) admit(nb *neighborState) bool {
 	}
 	nb.lastRefill = now
 	if nb.tokens < 1 {
-		return false
+		return admitted{}, false
 	}
 	nb.tokens--
-	return true
+	return admitted{pkt}, true
 }
 
 // enforceStoreCap makes room for one store insertion when MaxStore is set:

@@ -62,14 +62,18 @@ func TestHandleStateDoesNotAllocate(t *testing.T) {
 	tag := h.scheme.Sign(15, wire.StateSigBytes(15, state))
 	other := &wire.OverlayState{Active: true, Neighbors: []wire.NodeID{0, 7}}
 	otherTag := h.scheme.Sign(15, wire.StateSigBytes(15, other))
-	// Alternating two records makes every call a full verification; the
-	// byte-equal reuse of a repeated record is a strict subset of that work.
+	// Node 15 is already a neighbour, as it is whenever HandlePacket reaches
+	// handleState. Alternating two records makes every call a full
+	// verification; the byte-equal reuse of a repeated record is a strict
+	// subset of that work.
+	first := admitted{&wire.Packet{Sender: 15, State: other, StateSig: otherTag}}
+	second := admitted{&wire.Packet{Sender: 15, State: state, StateSig: tag}}
 	turn := false
 	alternate := func() {
 		if turn = !turn; turn {
-			h.p.handleState(15, other, otherTag)
+			h.p.handleState(first)
 		} else {
-			h.p.handleState(15, state, tag)
+			h.p.handleState(second)
 		}
 	}
 	alternate()

@@ -506,20 +506,24 @@ func (p *Protocol) signHeader(id wire.MsgID) []byte {
 	return p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 }
 
-// verifyData checks an originator's signature over a data message.
-func (p *Protocol) verifyData(id wire.MsgID, payload, tag []byte) bool {
+// verifyData checks an originator's signature over a data message, once the
+// store has been looked up (lookupMsg).
+func (p *Protocol) verifyData(_ looked, id wire.MsgID, payload, tag []byte) bool {
 	p.sigBuf = wire.AppendDataSigBytes(p.sigBuf[:0], id, payload)
 	return p.verify(uint32(id.Origin), p.sigBuf, tag)
 }
 
-// verifyHeader checks an originator's signature over a gossip advertisement.
-func (p *Protocol) verifyHeader(id wire.MsgID, tag []byte) bool {
+// verifyHeader checks an originator's signature over a gossip advertisement,
+// once knownHeaderSig has found no byte-equal copy. checkHeader is its only
+// caller.
+func (p *Protocol) verifyHeader(_ looked, id wire.MsgID, tag []byte) bool {
 	p.sigBuf = wire.AppendHeaderSigBytes(p.sigBuf[:0], id)
 	return p.verify(uint32(id.Origin), p.sigBuf, tag)
 }
 
-// verifyState checks a neighbour's signature over its state record.
-func (p *Protocol) verifyState(from wire.NodeID, state *wire.OverlayState, tag []byte) bool {
+// verifyState checks a neighbour's signature over its state record, once the
+// sender's neighbour entry has been looked up (lookupNeighbor).
+func (p *Protocol) verifyState(_ looked, from wire.NodeID, state *wire.OverlayState, tag []byte) bool {
 	p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], from, state)
 	return p.verify(uint32(from), p.sigBuf, tag)
 }
@@ -546,12 +550,37 @@ func (p *Protocol) verify(signer uint32, msg, tag []byte) bool {
 // Only successes are remembered: a tag that matches nothing is verified in
 // full every time it arrives. The store entry (nil when absent) is returned
 // too, so a caller that goes on to use it pays for one lookup.
-func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool) {
+func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool, looked) {
 	if st := p.store.byID[id]; st != nil {
-		return st, st.headerSig != nil && bytes.Equal(tag, st.headerSig)
+		return st, st.headerSig != nil && bytes.Equal(tag, st.headerSig), looked{}
 	}
 	miss := p.missing[id]
-	return nil, miss != nil && bytes.Equal(tag, miss.headerSig)
+	return nil, miss != nil && bytes.Equal(tag, miss.headerSig), looked{}
+}
+
+// checkHeader checks a header signature for id: a tag byte-equal to one this
+// node already verified costs a comparison (knownHeaderSig), any other tag a
+// verification. It returns the store entry the lookup found (nil when absent)
+// and whether the tag is good; counting a bad one is the caller's business.
+func (p *Protocol) checkHeader(id wire.MsgID, tag []byte) (*msgState, bool) {
+	st, known, seen := p.knownHeaderSig(id, tag)
+	if known {
+		p.noteDedupSkip()
+		return st, true
+	}
+	return st, p.verifyHeader(seen, id, tag)
+}
+
+// lookupMsg returns the store entry for id, nil when absent: the dedup lookup
+// that must precede verifyData.
+func (p *Protocol) lookupMsg(id wire.MsgID) (*msgState, looked) {
+	return p.store.byID[id], looked{}
+}
+
+// lookupNeighbor returns the neighbour entry for id, nil when absent: the
+// dedup lookup that must precede verifyState.
+func (p *Protocol) lookupNeighbor(id wire.NodeID) (*neighborState, looked) {
+	return p.neighbors[id], looked{}
 }
 
 // noteDedupSkip counts one signature verification avoided by byte-equal
@@ -583,27 +612,28 @@ func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 	}
 	p.deps.ObserveRx(pkt)
 	nb := p.touchNeighbor(pkt.Sender)
-	if !p.admit(nb) {
+	in, ok := p.admit(nb, pkt)
+	if !ok {
 		p.stats.RateLimited++
 		p.observeAdmission(obsv.AdmitRateLimit)
 		return
 	}
-	if pkt.State != nil {
-		p.handleState(pkt.Sender, pkt.State, pkt.StateSig)
+	if in.State != nil {
+		p.handleState(in)
 	}
-	switch pkt.Kind {
+	switch in.Kind {
 	case wire.KindData:
-		p.handleData(pkt)
+		p.handleData(in)
 	case wire.KindGossip:
-		p.handleGossip(pkt)
+		p.handleGossip(in)
 	case wire.KindRequest:
-		p.handleRequest(pkt)
+		p.handleRequest(in)
 	case wire.KindFindMissing:
-		p.handleFindMissing(pkt)
+		p.handleFindMissing(in)
 	case wire.KindSyncReq:
-		p.handleSyncReq(pkt)
+		p.handleSyncReq(in)
 	case wire.KindSyncResp:
-		p.handleSyncResp(pkt)
+		p.handleSyncResp(in)
 	case wire.KindOverlayState:
 		// State already processed above. This node piggybacks its own record
 		// on gossip, but a peer may send it standalone.
@@ -613,9 +643,9 @@ func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 }
 
 // handleData implements §3.2 lines 5–25.
-func (p *Protocol) handleData(pkt *wire.Packet) {
+func (p *Protocol) handleData(pkt admitted) {
 	id := pkt.ID()
-	st := p.store.byID[id]
+	st, seen := p.lookupMsg(id)
 	if st != nil && !st.purged {
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
@@ -630,13 +660,13 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 			if bytes.Equal(pkt.Sig, st.dataSig) && bytes.Equal(pkt.Payload, st.payload) {
 				p.noteDedupSkip()
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
-			} else if p.verifyData(id, pkt.Payload, pkt.Sig) {
+			} else if p.verifyData(seen, id, pkt.Payload, pkt.Sig) {
 				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
 			}
 		}
 		return
 	}
-	if !p.verifyData(id, pkt.Payload, pkt.Sig) {
+	if !p.verifyData(seen, id, pkt.Payload, pkt.Sig) {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
@@ -650,7 +680,7 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		st.viaFrame = pkt.Meta.Frame
 		st.viaHops = pkt.Meta.Hops
 		st.viaRecovered = pkt.Meta.Recovered
-		st.digest = dataDigest(pkt)
+		st.digest = dataDigest(pkt.Packet)
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
 		if p.cfg.EnableFDs {
@@ -674,7 +704,7 @@ func (p *Protocol) handleData(pkt *wire.Packet) {
 		viaFrame:     pkt.Meta.Frame,
 		viaHops:      pkt.Meta.Hops,
 		viaRecovered: pkt.Meta.Recovered,
-		digest:       dataDigest(pkt),
+		digest:       dataDigest(pkt.Packet),
 	}
 	p.enforceStoreCap()
 	p.store.hold(st, p.deps.Clock.Now())
@@ -752,8 +782,8 @@ func dataDigest(pkt *wire.Packet) uint64 {
 // handleGossip implements §3.2 lines 26–41, batched. Two admission guards
 // bound the work one datagram can buy: the entry count is capped, and an
 // advertisement whose signature byte-matches one we already verified
-// (knownHeaderSig) skips re-verification entirely.
-func (p *Protocol) handleGossip(pkt *wire.Packet) {
+// (checkHeader) skips re-verification entirely.
+func (p *Protocol) handleGossip(pkt admitted) {
 	p.noteGossipArrival(pkt.Sender)
 	entries := pkt.Gossip
 	if max := 2 * p.cfg.GossipMaxEntries; max > 0 && len(entries) > max {
@@ -762,10 +792,8 @@ func (p *Protocol) handleGossip(pkt *wire.Packet) {
 	}
 	for i := range entries {
 		entry := entries[i]
-		st, known := p.knownHeaderSig(entry.ID, entry.Sig)
-		if known {
-			p.noteDedupSkip()
-		} else if !p.verifyHeader(entry.ID, entry.Sig) {
+		st, ok := p.checkHeader(entry.ID, entry.Sig)
+		if !ok {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			continue
@@ -865,12 +893,10 @@ func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wi
 }
 
 // handleRequest implements Figure 4 lines 42–61.
-func (p *Protocol) handleRequest(pkt *wire.Packet) {
+func (p *Protocol) handleRequest(pkt admitted) {
 	id := pkt.ID()
-	st, known := p.knownHeaderSig(id, pkt.Sig)
-	if known {
-		p.noteDedupSkip()
-	} else if !p.verifyHeader(id, pkt.Sig) {
+	st, ok := p.checkHeader(id, pkt.Sig)
+	if !ok {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return
@@ -925,12 +951,10 @@ func (p *Protocol) handleRequest(pkt *wire.Packet) {
 }
 
 // handleFindMissing implements Figure 4 lines 62–81.
-func (p *Protocol) handleFindMissing(pkt *wire.Packet) {
+func (p *Protocol) handleFindMissing(pkt admitted) {
 	id := pkt.ID()
-	st, known := p.knownHeaderSig(id, pkt.Sig)
-	if known {
-		p.noteDedupSkip()
-	} else if !p.verifyHeader(id, pkt.Sig) {
+	st, ok := p.checkHeader(id, pkt.Sig)
+	if !ok {
 		p.stats.BadSignatures++
 		p.suspect(pkt.Sender, fd.ReasonBadSignature)
 		return

@@ -223,7 +223,7 @@ func (p *Protocol) syncTarget() wire.NodeID {
 // requester without the tokens for the batch is dropped (it retries after its
 // bucket refills). An empty response is still sent — it tells the requester
 // it is caught up.
-func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
+func (p *Protocol) handleSyncReq(pkt admitted) {
 	if pkt.Target != p.deps.ID {
 		return
 	}
@@ -285,7 +285,7 @@ func (p *Protocol) handleSyncReq(pkt *wire.Packet) {
 // disseminated it; only this node was behind). A full batch means more may
 // remain, so the attempt counter resets and the next round continues; a short
 // batch means the serving neighbour had nothing else — caught up.
-func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
+func (p *Protocol) handleSyncResp(pkt admitted) {
 	if pkt.Target != p.deps.ID || !p.syncArmed {
 		return
 	}
@@ -293,10 +293,11 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 	applied := 0
 	for i := range pkt.SyncEntries {
 		e := pkt.SyncEntries[i]
-		if _, ok := p.store.byID[e.ID]; ok {
+		held, seen := p.lookupMsg(e.ID)
+		if held != nil {
 			continue // held or tombstoned: already delivered
 		}
-		if !p.verifyData(e.ID, e.Payload, e.Sig) {
+		if !p.verifyData(seen, e.ID, e.Payload, e.Sig) {
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			break // poisoned batch: discard the rest
@@ -314,10 +315,7 @@ func (p *Protocol) handleSyncResp(pkt *wire.Packet) {
 		// a corrupt one can never be re-advertised under our name. The payload
 		// above already proved itself independently.
 		if len(e.HeaderSig) > 0 {
-			if _, known := p.knownHeaderSig(e.ID, e.HeaderSig); known {
-				p.noteDedupSkip()
-				st.headerSig = e.HeaderSig
-			} else if p.verifyHeader(e.ID, e.HeaderSig) {
+			if _, ok := p.checkHeader(e.ID, e.HeaderSig); ok {
 				st.headerSig = e.HeaderSig
 			}
 		}

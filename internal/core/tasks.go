@@ -255,24 +255,19 @@ func (p *Protocol) expireNeighbors() {
 // (pointer-equal on the simulator's shared frames, field-equal on decoded
 // ones) under the same signature from the same signer. Signature equality
 // alone proves nothing, the comparison never crosses senders, and a failed
-// verification is never remembered.
-func (p *Protocol) handleState(from wire.NodeID, state *wire.OverlayState, stateSig []byte) {
-	nb := p.neighbors[from]
-	if nb != nil && nb.state != nil && bytes.Equal(stateSig, nb.stateSig) &&
+// verification is never remembered. HandlePacket has already created and
+// touched the sender's entry.
+func (p *Protocol) handleState(pkt admitted) {
+	from, state, stateSig := pkt.Sender, pkt.State, pkt.StateSig
+	nb, seen := p.lookupNeighbor(from)
+	if nb.state != nil && bytes.Equal(stateSig, nb.stateSig) &&
 		(state == nb.state || sameState(state, nb.state)) {
 		p.noteDedupSkip()
-	} else if !p.verifyState(from, state, stateSig) {
+	} else if !p.verifyState(seen, from, state, stateSig) {
 		p.stats.BadSignatures++
 		p.suspect(from, fd.ReasonBadSignature)
 		return
 	}
-	if nb == nil {
-		// handleState is only reached through HandlePacket, which already
-		// created the entry via touchNeighbor; this branch guards direct
-		// callers (tests) only.
-		nb = p.touchNeighbor(from)
-	}
-	nb.lastHeard = p.deps.Clock.Now()
 	nb.state = state
 	nb.stateSig = stateSig
 	if p.cfg.EnableFDs {
