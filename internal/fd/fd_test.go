@@ -85,6 +85,29 @@ func TestMuteExpectAllIndividual(t *testing.T) {
 	}
 }
 
+// TestMuteExpectListIsASet: a node listed twice takes one miss, a node
+// fulfilling an ALL expectation clears only itself whatever its position in
+// the caller's list, and the caller's slice is neither kept nor reordered.
+func TestMuteExpectListIsASet(t *testing.T) {
+	c := &fakeClock{}
+	cfg := muteCfg()
+	cfg.Threshold = 2
+	m := NewMute(c.NowFunc(), cfg)
+	nodes := []wire.NodeID{7, 3, 7, 5}
+	m.Expect(key(1, 1), nodes, ExpectAll)
+	nodes[0] = 9
+	m.Fulfill(key(1, 1), 5)
+	c.Advance(150 * time.Millisecond)
+	for id, want := range map[wire.NodeID]int{3: 1, 5: 0, 7: 1, 9: 0} {
+		if got := m.Misses(id); got != want {
+			t.Errorf("node %d: %d misses, want %d", id, got, want)
+		}
+	}
+	if nodes[1] != 3 || nodes[2] != 7 || nodes[3] != 5 {
+		t.Errorf("Expect reordered the caller's slice: %v", nodes)
+	}
+}
+
 func TestMuteFulfillWrongKeyIgnored(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())

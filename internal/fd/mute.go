@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"time"
 
 	"bbcast/internal/wire"
@@ -25,10 +26,10 @@ type expectation struct {
 	key      ExpectKey
 	mode     ExpectMode
 	deadline time.Duration
-	// waiting is the set of nodes still on the hook. For ExpectAny a single
-	// fulfilment clears the whole expectation; for ExpectAll nodes clear
-	// individually.
-	waiting map[wire.NodeID]bool
+	// waiting is the set of nodes still on the hook, ascending and without
+	// repeats. For ExpectAny a single fulfilment clears the whole
+	// expectation; for ExpectAll nodes clear individually.
+	waiting []wire.NodeID
 }
 
 // Mute is the MUTE failure detector: it suspects nodes that failed to send
@@ -37,8 +38,7 @@ type Mute struct {
 	now     Now
 	cfg     MuteConfig
 	set     *counterSet
-	pending []*expectation
-	keys    []wire.NodeID // sortedKeys scratch for sweep
+	pending []expectation
 
 	// OnSuspect, if non-nil, observes suspicion transitions.
 	OnSuspect func(id wire.NodeID, suspected bool)
@@ -67,15 +67,13 @@ func (m *Mute) Expect(key ExpectKey, nodes []wire.NodeID, mode ExpectMode) {
 	if len(nodes) == 0 {
 		return
 	}
-	waiting := make(map[wire.NodeID]bool, len(nodes))
-	for _, id := range nodes {
-		waiting[id] = true
-	}
-	m.pending = append(m.pending, &expectation{
+	waiting := slices.Clone(nodes)
+	slices.Sort(waiting)
+	m.pending = append(m.pending, expectation{
 		key:      key,
 		mode:     mode,
 		deadline: m.now() + m.cfg.Timeout,
-		waiting:  waiting,
+		waiting:  slices.Compact(waiting),
 	})
 }
 
@@ -98,13 +96,15 @@ func (m *Mute) Fulfill(key ExpectKey, from wire.NodeID) {
 	m.sweep()
 	kept := m.pending[:0]
 	for _, e := range m.pending {
-		if e.key == key && e.waiting[from] {
-			if e.mode == ExpectAny {
-				continue // fully satisfied; drop
-			}
-			delete(e.waiting, from)
-			if len(e.waiting) == 0 {
-				continue
+		if e.key == key {
+			if i, ok := slices.BinarySearch(e.waiting, from); ok {
+				if e.mode == ExpectAny {
+					continue // fully satisfied; drop
+				}
+				e.waiting = slices.Delete(e.waiting, i, i+1)
+				if len(e.waiting) == 0 {
+					continue
+				}
 			}
 		}
 		kept = append(kept, e)
@@ -125,11 +125,9 @@ func (m *Mute) sweep() {
 		// this matches the paper's Lemma 3.7 flavour — if none of the
 		// overlay neighbours forwarded, they are all suspected (only
 		// genuinely mute nodes stay suspected once good ones fulfil later
-		// expectations and counters age).
-		// Sorted: bump can raise a suspicion, and the OnSuspect emissions
-		// must not depend on map iteration order.
-		m.keys = sortedKeys(m.keys, e.waiting)
-		for _, id := range m.keys {
+		// expectations and counters age). Ascending: bump can raise a
+		// suspicion, and the OnSuspect emissions must come in id order.
+		for _, id := range e.waiting {
 			m.set.bump(id, 1)
 		}
 	}
