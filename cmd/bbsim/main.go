@@ -145,9 +145,9 @@ func run(args []string) error {
 		fmt.Println(res.Results.KindBreakdown())
 		fmt.Printf("phys: collisions=%d fringe-losses=%d half-duplex-drops=%d bytes=%d\n",
 			res.Phys.Collisions, res.Phys.FringeLosses, res.Phys.HalfDuplexDrop, res.Phys.BytesOnAir)
-		fmt.Printf("node: forwarded=%d gossips=%d requests=%d finds=%d served=%d bad-sigs=%d\n",
+		fmt.Printf("node: forwarded=%d gossips=%d requests=%d finds=%d served=%d suppressed=%d bad-sigs=%d\n",
 			res.Node.Forwarded, res.Node.GossipsSent, res.Node.RequestsSent,
-			res.Node.FindsSent, res.Node.RecoveredByData, res.Node.BadSignatures)
+			res.Node.FindsSent, res.Node.RecoveredByData, res.Node.RepliesSuppressed, res.Node.BadSignatures)
 		if len(sc.Adversaries) > 0 {
 			fmt.Printf("adversaries detected by correct nodes: %d\n", res.AdversariesDetected)
 		}

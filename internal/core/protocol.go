@@ -176,6 +176,10 @@ type Stats struct {
 	Adaptations      uint64 // committed adaptive-timer changes
 	RetriesSent      uint64 // explicit retransmissions of missing-message requests
 	RetriesAbandoned uint64 // retransmission chains that hit the attempt cap
+	// RepliesSuppressed counts deferred recovery replies cancelled because
+	// the data they would have sent or sought was heard first, or because a
+	// request naming this node made it reply at once.
+	RepliesSuppressed uint64
 
 	Rejoins            uint64 // amnesiac re-initializations (Rejoin calls)
 	SyncReqsSent       uint64 // catch-up SYNC-REQ packets sent
@@ -190,7 +194,7 @@ func (s *Stats) counters() []*uint64 {
 		&s.Accepted, &s.Duplicates, &s.BadSignatures, &s.Forwarded,
 		&s.GossipsSent, &s.RequestsSent, &s.FindsSent, &s.RecoveredByData,
 		&s.RateLimited, &s.DedupSkips, &s.Evictions, &s.Adaptations,
-		&s.RetriesSent, &s.RetriesAbandoned,
+		&s.RetriesSent, &s.RetriesAbandoned, &s.RepliesSuppressed,
 		&s.Rejoins, &s.SyncReqsSent, &s.SyncEntriesServed,
 		&s.SyncEntriesApplied, &s.SyncAbandoned,
 	}
@@ -240,6 +244,10 @@ type Protocol struct {
 	trust   *fd.Trust
 
 	reqSeen map[wire.MsgID]*reqRecord // request counts per requester, TTL-bound
+	// replies holds the cancel of each deferred recovery reply (reply), at
+	// most one per id.
+	//bbvet:bounded-by MaxReqSeen reply answers at once rather than add an entry past the cap, and a firing or cancelled reply deletes its own
+	replies map[wire.MsgID]func()
 
 	// Catch-up sync state: syncArmed is set from rejoin (or a restored-state
 	// start) until the node is caught up or gives up; syncAttempts counts
@@ -291,6 +299,7 @@ func New(cfg Config, deps Deps) *Protocol {
 		role:         overlay.Passive,
 		maint:        overlay.New(cfg.Overlay),
 		reqSeen:      make(map[wire.MsgID]*reqRecord),
+		replies:      make(map[wire.MsgID]func()),
 	}
 	p.distrusts = func(id wire.NodeID) bool { return p.level(id) == fd.Untrusted }
 	p.initDetectors()
@@ -649,21 +658,27 @@ func (p *Protocol) handleData(pkt admitted) {
 	if st != nil && !st.purged {
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
-		// A duplicate still proves the sender transmitted the expected
-		// header: without this, expectations armed after the first copy
-		// arrived could never be fulfilled and correct overlay neighbours
-		// would accumulate false suspicions. A byte-identical copy of the
-		// stored payload and signature is as convincing as re-verifying —
-		// those exact bytes verified when first accepted — so replayed
-		// duplicates cost a comparison, not a signature check.
-		if p.cfg.EnableFDs {
-			if bytes.Equal(pkt.Sig, st.dataSig) && bytes.Equal(pkt.Payload, st.payload) {
-				p.noteDedupSkip()
-				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
-			} else if p.verifyData(seen, id, pkt.Payload, pkt.Sig) {
-				p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
-			}
+		// A genuine duplicate still proves the sender transmitted the
+		// expected header: without this, expectations armed after the first
+		// copy arrived could never be fulfilled and correct overlay
+		// neighbours would accumulate false suspicions. It is also the frame
+		// a deferred reply for id would send, so the neighbourhood has it
+		// and the reply is dropped. A byte-identical copy of the stored
+		// payload and signature is as convincing as re-verifying — those
+		// exact bytes verified when first accepted — so replayed duplicates
+		// cost a comparison, not a signature check.
+		if _, pending := p.replies[id]; !p.cfg.EnableFDs && !pending {
+			return
 		}
+		if bytes.Equal(pkt.Sig, st.dataSig) && bytes.Equal(pkt.Payload, st.payload) {
+			p.noteDedupSkip()
+		} else if !p.verifyData(seen, id, pkt.Payload, pkt.Sig) {
+			return
+		}
+		if p.cfg.EnableFDs {
+			p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
+		}
+		p.cancelReply(id)
 		return
 	}
 	if !p.verifyData(seen, id, pkt.Payload, pkt.Sig) {
@@ -686,6 +701,7 @@ func (p *Protocol) handleData(pkt admitted) {
 		if p.cfg.EnableFDs {
 			p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
 		}
+		p.cancelReply(id)
 		return
 	}
 
@@ -709,8 +725,10 @@ func (p *Protocol) handleData(pkt admitted) {
 	p.enforceStoreCap()
 	p.store.hold(st, p.deps.Clock.Now())
 	// A fresh acceptance closes any request cycle for the id: the record is
-	// satisfied, so its per-requester counts need not be retained.
+	// satisfied, so its per-requester counts need not be retained, and a
+	// search this node deferred for it has found it.
 	delete(p.reqSeen, id)
+	p.cancelReply(id)
 	p.stats.Accepted++
 	acceptMeta := pkt.Meta
 	acceptMeta.Digest = st.digest
@@ -922,8 +940,12 @@ func (p *Protocol) handleRequest(pkt admitted) {
 				p.verbose.Indict(requester)
 			}
 		}
-		p.stats.RecoveredByData++
-		p.forwardData(id, st, 1, requester, wire.CauseGossipRecovery) // line 48
+		p.reply(pkt, func() {
+			if st := p.store.byID[id]; st != nil && !st.purged {
+				p.stats.RecoveredByData++
+				p.forwardData(id, st, 1, requester, wire.CauseGossipRecovery) // line 48
+			}
+		})
 		return
 	}
 
@@ -937,15 +959,20 @@ func (p *Protocol) handleRequest(pkt admitted) {
 	}
 	if p.InOverlay() && p.cfg.EnableFindMissing {
 		// Line 52: search two overlay hops out, bypassing one Byzantine hop.
-		p.stats.FindsSent++
-		p.send(&wire.Packet{
-			Kind:   wire.KindFindMissing,
-			TTL:    2,
-			Target: gossiper,
-			Origin: id.Origin,
-			Seq:    id.Seq,
-			Sig:    pkt.Sig,
-			Meta:   wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind},
+		p.reply(pkt, func() {
+			if p.Holds(id) {
+				return
+			}
+			p.stats.FindsSent++
+			p.send(&wire.Packet{
+				Kind:   wire.KindFindMissing,
+				TTL:    2,
+				Target: gossiper,
+				Origin: id.Origin,
+				Seq:    id.Seq,
+				Sig:    pkt.Sig,
+				Meta:   wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind},
+			})
 		})
 	}
 }
@@ -965,10 +992,15 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 	if st == nil || st.purged {
 		// Lines 63–66: relay the search one more hop.
 		if pkt.TTL >= 2 {
-			fwd := pkt.Clone()
-			fwd.TTL = pkt.TTL - 1
-			fwd.Meta = wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind}
-			p.send(fwd)
+			p.reply(pkt, func() {
+				if p.Holds(id) {
+					return
+				}
+				fwd := pkt.Clone()
+				fwd.TTL = pkt.TTL - 1
+				fwd.Meta = wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind}
+				p.send(fwd)
+			})
 		}
 		return
 	}
@@ -976,6 +1008,7 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 	if !p.InOverlay() && p.deps.ID != pkt.Target {
 		return
 	}
+	ttl := uint8(2) // line 75: an unknown asker is reached through a relay
 	if nb := p.neighbors[pkt.Sender]; nb != nil && nb.admitted() {
 		if p.InOverlay() && p.cfg.EnableFDs {
 			// Line 71: a direct neighbour should have had it already.
@@ -983,10 +1016,71 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 				p.verbose.Indict(pkt.Sender)
 			}
 		}
-		p.forwardData(id, st, 1, pkt.Sender, wire.CauseGossipRecovery) // line 73
-	} else {
-		p.forwardData(id, st, 2, pkt.Sender, wire.CauseGossipRecovery) // line 75
+		ttl = 1 // line 73
 	}
+	p.reply(pkt, func() {
+		if st := p.store.byID[id]; st != nil && !st.purged {
+			p.forwardData(id, st, ttl, pkt.Sender, wire.CauseGossipRecovery)
+		}
+	})
+}
+
+// reply sends one recovery reply to pkt (DESIGN deviation 11). The node pkt
+// names (pkt.Target) replies at once. Any other node's reply waits
+// replyBackoff and is dropped if data for the id is heard first
+// (cancelReply): the named node's answer is a one-hop broadcast that serves
+// every asker in range, while a mute one sends nothing to overhear. One reply
+// per id waits at a time; at the MaxReqSeen cap the node replies at once.
+// send re-checks, when it runs, that the reply still makes sense: an answer
+// that the id is still held, a search that it is still missing.
+func (p *Protocol) reply(pkt admitted, send func()) {
+	id := pkt.ID()
+	if pkt.Target != p.deps.ID {
+		if _, pending := p.replies[id]; pending {
+			return
+		}
+		if max := p.cfg.MaxReqSeen; max <= 0 || len(p.replies) < max {
+			p.replies[id] = p.deps.Clock.After(p.replyBackoff(id), func() {
+				if !p.stopped {
+					delete(p.replies, id)
+					send()
+				}
+			})
+			return
+		}
+	}
+	p.cancelReply(id) // replying now makes a waiting reply redundant
+	send()
+}
+
+// cancelReply drops the deferred reply for id, if any. Only a data frame for
+// id that verified (or byte-equals the verified copy) and this node's own
+// reply call it, so a forged frame cannot silence a reply.
+func (p *Protocol) cancelReply(id wire.MsgID) {
+	if cancel, pending := p.replies[id]; pending {
+		cancel()
+		delete(p.replies, id)
+		p.stats.RepliesSuppressed++
+	}
+}
+
+// replyBackoff is how long a deferred reply waits: uniform over
+// [RequestDelay/8, RequestDelay/4], 50–100 ms at the defaults. The low end
+// sits past the MAC's queueing tail, so the addressed node's answer reaches
+// the air first. The draw is a hash of (node, id), not Deps.Rand, so deferring
+// a reply moves no other timer's draw.
+func (p *Protocol) replyBackoff(id wire.MsgID) time.Duration {
+	lo := p.cfg.RequestDelay / 8
+	h := mix64(mix64(uint64(p.deps.ID)<<32|uint64(id.Origin)) ^ uint64(id.Seq))
+	return lo + time.Duration(h%uint64(lo+1))
+}
+
+// mix64 is SplitMix64's finalizer: a bijection whose every output bit
+// depends on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 func (p *Protocol) suspect(id wire.NodeID, reason fd.Reason) {

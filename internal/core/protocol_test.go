@@ -359,7 +359,8 @@ func TestMuteSuspectsUnresponsiveGossiper(t *testing.T) {
 }
 
 func TestRequestServedFromStore(t *testing.T) {
-	h := newHarness(t, 5, DefaultConfig())
+	cfg := DefaultConfig()
+	h := newHarness(t, 5, cfg)
 	h.makeOverlay()
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m")))
 	h.sent = nil
@@ -369,6 +370,7 @@ func TestRequestServedFromStore(t *testing.T) {
 		Sig: h.scheme.Sign(1, wire.HeaderSigBytes(wire.MsgID{Origin: 1, Seq: 1})),
 	}
 	h.p.HandlePacket(req)
+	h.run(cfg.RequestDelay / 4) // addressed to 2: this overlay node's answer waits
 	resp := h.sentOfKind(wire.KindData)
 	if len(resp) != 1 {
 		t.Fatalf("responses = %d, want 1", len(resp))
@@ -405,7 +407,8 @@ func TestRequestIgnoredByNonOverlayNonTarget(t *testing.T) {
 func TestRequestUnknownEscalatesFindMissing(t *testing.T) {
 	// Figure 4 line 52: an overlay node lacking the message searches two
 	// hops out to bypass a Byzantine overlay neighbour.
-	h := newHarness(t, 5, DefaultConfig())
+	cfg := DefaultConfig()
+	h := newHarness(t, 5, cfg)
 	h.makeOverlay()
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	req := &wire.Packet{
@@ -414,6 +417,7 @@ func TestRequestUnknownEscalatesFindMissing(t *testing.T) {
 		Sig: h.scheme.Sign(1, wire.HeaderSigBytes(id)),
 	}
 	h.p.HandlePacket(req)
+	h.run(cfg.RequestDelay / 4) // the search waits for gossiper 2's answer
 	finds := h.sentOfKind(wire.KindFindMissing)
 	if len(finds) != 1 {
 		t.Fatalf("find-missing = %d, want 1", len(finds))
@@ -468,7 +472,8 @@ func TestRepeatedRequestsIndictVerbose(t *testing.T) {
 
 func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 	// Figure 4 lines 63–66.
-	h := newHarness(t, 0, DefaultConfig())
+	cfg := DefaultConfig()
+	h := newHarness(t, 0, cfg)
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	find := &wire.Packet{
 		Kind: wire.KindFindMissing, Sender: 4, TTL: 2, Target: 2,
@@ -476,6 +481,7 @@ func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 		Sig: h.scheme.Sign(1, wire.HeaderSigBytes(id)),
 	}
 	h.p.HandlePacket(find)
+	h.run(cfg.RequestDelay / 4) // addressed to 2: the relay waits
 	relayed := h.sentOfKind(wire.KindFindMissing)
 	if len(relayed) != 1 || relayed[0].TTL != 1 {
 		t.Fatalf("relay = %v", relayed)
@@ -485,6 +491,7 @@ func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 	find2 := find.Clone()
 	find2.TTL = 1
 	h.p.HandlePacket(find2)
+	h.run(cfg.RequestDelay / 4)
 	if len(h.sentOfKind(wire.KindFindMissing)) != 0 {
 		t.Fatal("TTL-1 find-missing relayed")
 	}
@@ -493,7 +500,8 @@ func TestFindMissingRelayedWhenUnknown(t *testing.T) {
 func TestFindMissingServedByHolder(t *testing.T) {
 	// Figure 4 lines 67–78: an overlay holder responds; a neighbour sender
 	// gets a TTL-1 response, an unknown (non-neighbour) sender TTL-2.
-	h := newHarness(t, 5, DefaultConfig())
+	cfg := DefaultConfig()
+	h := newHarness(t, 5, cfg)
 	h.makeOverlay()
 	h.p.HandlePacket(h.dataFrom(1, 1, []byte("m"))) // sender 1 becomes a neighbour
 	h.sent = nil
@@ -503,7 +511,8 @@ func TestFindMissingServedByHolder(t *testing.T) {
 		Origin: 1, Seq: 1,
 		Sig: h.scheme.Sign(1, wire.HeaderSigBytes(id)),
 	}
-	h.p.HandlePacket(find) // 9 is not a known neighbour
+	h.p.HandlePacket(find)      // 9 is not a known neighbour
+	h.run(cfg.RequestDelay / 4) // addressed to 2: this holder's answer waits
 	resp := h.sentOfKind(wire.KindData)
 	if len(resp) != 1 || resp[0].TTL != 2 {
 		t.Fatalf("response to unknown sender = %+v, want TTL 2", resp)
@@ -616,6 +625,7 @@ func TestFindMissingDisabledAblation(t *testing.T) {
 		Sig: h.scheme.Sign(1, wire.HeaderSigBytes(id)),
 	}
 	h.p.HandlePacket(req)
+	h.run(cfg.RequestDelay / 4)
 	if len(h.sentOfKind(wire.KindFindMissing)) != 0 {
 		t.Fatal("find-missing disabled but escalation sent")
 	}

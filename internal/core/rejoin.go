@@ -42,13 +42,18 @@ func (p *Protocol) Rejoin() {
 	if p.stopped {
 		return
 	}
-	// Cancel outstanding recovery timers (sorted walk: cancellation order
-	// must not depend on map iteration, for replayable runs).
+	// Cancel outstanding recovery timers and deferred replies (sorted walks:
+	// cancellation order must not depend on map iteration, for replayable
+	// runs).
 	p.msgIDs = sortedMsgIDs(p.msgIDs, p.missing)
 	for _, id := range p.msgIDs {
 		for _, cancel := range p.missing[id].cancels {
 			cancel()
 		}
+	}
+	p.msgIDs = sortedMsgIDs(p.msgIDs, p.replies)
+	for _, id := range p.msgIDs {
+		p.replies[id]()
 	}
 	p.seq = 0
 	p.store = msgStore{byID: make(map[wire.MsgID]*msgState)}
@@ -57,6 +62,7 @@ func (p *Protocol) Rejoin() {
 	p.nodeIDs = p.nodeIDs[:0]
 	p.linkQual = make(map[wire.NodeID]*linkEstimate)
 	p.reqSeen = make(map[wire.MsgID]*reqRecord)
+	p.replies = make(map[wire.MsgID]func())
 	p.gossipPeriod = p.cfg.GossipInterval
 	p.roleCand = overlay.Passive
 	p.roleRun = 0

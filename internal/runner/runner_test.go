@@ -101,27 +101,42 @@ func TestMuteAdversariesDoNotStopDissemination(t *testing.T) {
 func TestFDsReduceLatencyUnderMuteFailures(t *testing.T) {
 	// With the detectors on, mute overlay nodes are evicted and traffic
 	// returns to the overlay fast path; without them every affected message
-	// pays the gossip-recovery latency (§4's mute-failure experiments).
-	run := func(fds bool) Result {
-		sc := quickScenario()
-		sc.Adversaries = []Adversaries{{Kind: AdvMute, Count: 10}}
-		sc.Placement = PlaceDominators
-		sc.Core.EnableFDs = fds
-		sc.Workload.End = 75 * time.Second
-		sc.Duration = 90 * time.Second
-		res, err := Run(sc)
+	// pays the gossip-recovery latency (§4's mute-failure experiments). The
+	// claim is about the mean over seeds: on any one seed a few slow
+	// recoveries on either side can reverse it.
+	const seeds = 10
+	run := func(fds bool) []Result {
+		scs := make([]Scenario, seeds)
+		for i := range scs {
+			sc := quickScenario()
+			sc.Seed = int64(i + 1)
+			sc.Adversaries = []Adversaries{{Kind: AdvMute, Count: 10}}
+			sc.Placement = PlaceDominators
+			sc.Core.EnableFDs = fds
+			sc.Workload.End = 75 * time.Second
+			sc.Duration = 90 * time.Second
+			scs[i] = sc
+		}
+		rs, err := Pool{}.RunAll(scs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rs
 	}
-	with := run(true)
-	without := run(false)
-	if with.DeliveryRatio < 0.97 || without.DeliveryRatio < 0.97 {
-		t.Fatalf("delivery dropped: with=%.3f without=%.3f", with.DeliveryRatio, without.DeliveryRatio)
+	with, without := run(true), run(false)
+	ahead := 0
+	for i := range with {
+		if with[i].DeliveryRatio < 0.97 || without[i].DeliveryRatio < 0.97 {
+			t.Fatalf("seed %d: delivery dropped: with=%.3f without=%.3f", i+1, with[i].DeliveryRatio, without[i].DeliveryRatio)
+		}
+		if with[i].LatMean < without[i].LatMean {
+			ahead++
+		}
 	}
-	if with.LatMean >= without.LatMean {
-		t.Errorf("FDs did not reduce mean latency: with=%v without=%v", with.LatMean, without.LatMean)
+	w, wo := Average(with).LatMean, Average(without).LatMean
+	t.Logf("mean latency over %d seeds: with FDs %v, without %v; FDs ahead on %d", seeds, w, wo, ahead)
+	if w >= wo {
+		t.Errorf("FDs did not reduce mean latency: with=%v without=%v", w, wo)
 	}
 }
 

@@ -136,14 +136,16 @@ func TestVerifyMemoIsTransparent(t *testing.T) {
 }
 
 // TestEd25519InnerVerifyCeiling counts what the memo lets through to the
-// keyring on the hostile-shaped run: 556 of the 5 841 verifications the nodes
-// made (9.5 %), of which 544 refused the forger's junk and 12 passed, against
-// 549 signatures made (0.022 passed per signature: Sign files each signature
+// keyring on the hostile-shaped run: 555 of the 5 225 verifications the nodes
+// made (10.6 %), of which 549 refused the forger's junk and 6 passed, against
+// 477 signatures made (0.013 passed per signature: Sign files each signature
 // as valid, so an honest record reaches the keyring only after another has
 // taken its slot). Without the memo the first ratio is 1 and the second 7.99;
 // with a memo that only remembered verdicts, 0.178 and 0.90. Both are pure
 // functions of code and seed; the first ceiling leaves a tenth, the second
-// room for about fifteen more evicted records.
+// room for about fifteen more evicted records. The keyring's count tracks the
+// forged records; the nodes' count tracks the recovery frames they hear, so
+// fewer of those raise the first ratio without a single extra keyring call.
 func TestEd25519InnerVerifyCeiling(t *testing.T) {
 	var inner *countedScheme
 	nodes := &sigCounter{}
@@ -164,7 +166,7 @@ func TestEd25519InnerVerifyCeiling(t *testing.T) {
 	perSign := float64(inner.verifies-inner.refused) / float64(inner.signs)
 	t.Logf("%d keyring verifications (%d refused): %.3f of the nodes' %d; %.3f passed per each of %d signatures",
 		inner.verifies, inner.refused, perEvent, nodes.verifies, perSign, inner.signs)
-	const eventCeiling, signCeiling = 0.105, 0.05
+	const eventCeiling, signCeiling = 0.117, 0.05
 	if perEvent > eventCeiling {
 		t.Errorf("%.3f of the nodes' verifications reached the keyring, ceiling is %v", perEvent, eventCeiling)
 	}
