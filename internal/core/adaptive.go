@@ -221,15 +221,8 @@ func (p *Protocol) armRetries(id wire.MsgID, miss *pendingMiss) {
 func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
 	backoff := retryBackoff(miss.attempts)
 	delay := backoff + time.Duration(p.deps.Rand.Int63n(int64(backoff/4)+1))
-	cancel := p.deps.Clock.After(delay, func() {
-		if p.stopped {
-			return
-		}
-		if cur, ok := p.missing[id]; !ok || cur != miss {
-			return
-		}
-		if st, held := p.store.byID[id]; held && !st.purged {
-			delete(p.missing, id)
+	p.deps.Clock.After(delay, func() {
+		if !p.stillMissing(id, miss) {
 			return
 		}
 		if miss.attempts >= p.cfg.RetryMaxAttempts {
@@ -246,21 +239,10 @@ func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
 			return
 		}
 		miss.attempts++
-		miss.gossipers[target]++
-		p.stats.RequestsSent++
 		p.observeRetry(id, miss.attempts, false)
-		p.send(&wire.Packet{
-			Kind:   wire.KindRequest,
-			TTL:    1,
-			Target: target,
-			Origin: id.Origin,
-			Seq:    id.Seq,
-			Sig:    miss.headerSig,
-			Meta:   wire.Meta{Parent: miss.srcFrame, Cause: wire.CauseRetry},
-		})
+		p.request(id, miss, target, wire.CauseRetry)
 		p.scheduleRetryStep(id, miss)
 	})
-	miss.cancels = append(miss.cancels, cancel)
 }
 
 // retryTarget picks the least-asked known gossiper (ties to the lowest id),

@@ -73,6 +73,43 @@ func TestRetryStopsWhenDataArrives(t *testing.T) {
 	}
 }
 
+// TestRetryTimerOfReapedEntryStaysSilent: an entry abandoned at PurgeTimeout
+// leaves its retry timer armed, and the same id is then advertised again by
+// another gossiper. The old timer fires while the new entry holds the id and
+// must send nothing: the guard compares entries, not ids.
+func TestRetryTimerOfReapedEntryStaysSilent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PurgeTimeout = time.Second
+	cfg.PurgeInterval = time.Second
+	// A long chain that no tolerance cuts short: only the reap ends it.
+	cfg.RetryMaxAttempts = 10
+	cfg.RequestTolerance = 100
+	h := newHarness(t, 0, cfg)
+	id := wire.MsgID{Origin: 1, Seq: 7}
+	h.p.HandlePacket(h.gossipFrom(2, id))
+	// First request at RequestDelay, the first retry about 1 s later; the
+	// purge tick at 2 s reaps the entry with the second retry still armed.
+	h.run(2*time.Second + time.Millisecond)
+	if h.p.MissingCount() != 0 {
+		t.Fatalf("MissingCount = %d, want the entry reaped", h.p.MissingCount())
+	}
+	before := len(h.sentOfKind(wire.KindRequest))
+	if before != 2 {
+		t.Fatalf("requests before the reap = %d, want the first and one retry", before)
+	}
+	h.p.HandlePacket(h.gossipFrom(3, id))
+	h.run(time.Minute)
+	after := h.sentOfKind(wire.KindRequest)[before:]
+	if len(after) == 0 {
+		t.Fatal("the new entry sent no request")
+	}
+	for _, r := range after {
+		if r.Target != 3 {
+			t.Fatalf("request to %d after the reap: the old entry's chain fired for the new one", r.Target)
+		}
+	}
+}
+
 // TestRetryRespectsRequestTolerance: with a single gossiper, the chain stops
 // once that target has been asked RequestTolerance times in total — one more
 // request would get this node indicted as VERBOSE by a correct server.

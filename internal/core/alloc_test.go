@@ -45,7 +45,7 @@ func TestGossipTickAllocationCeiling(t *testing.T) {
 	// Retained tombstones are most of a loaded store; the tick must not even
 	// visit them.
 	for seq := wire.Seq(1); seq <= 2000; seq++ {
-		h.p.store.restore(wire.MsgID{Origin: 20, Seq: seq}, 0, h.p.deps.Clock.Now())
+		h.p.store.restore(wire.MsgID{Origin: 20, Seq: seq}, h.p.deps.Clock.Now())
 	}
 	h.p.gossipTick() // size the scratch
 	alloctest.AtMost(t, 2, h.p.gossipTick)

@@ -133,7 +133,6 @@ type pendingMiss struct {
 	headerSig []byte
 	//bbvet:bounded-by maxMissGossipers noteMissing refuses growth past the cap; total is maxMissGossipers×MaxMissing
 	gossipers  map[wire.NodeID]int // advertiser → requests sent to it so far
-	cancels    []func()
 	firstHeard time.Duration
 	attempts   int  // retransmissions sent so far (first requests excluded)
 	retryArmed bool // the retransmission chain has been started
@@ -281,7 +280,6 @@ type Protocol struct {
 	linkQuals []float64
 
 	stats   Stats
-	stops   []func()
 	stopped bool
 }
 
@@ -373,14 +371,10 @@ func (p *Protocol) snapshotTick() {
 	}
 }
 
-// Stop halts all periodic tasks. The protocol must not be used afterwards.
-func (p *Protocol) Stop() {
-	p.stopped = true
-	for _, stop := range p.stops {
-		stop()
-	}
-	p.stops = nil
-}
+// Stop halts the node: every armed timer still fires once, finds the node
+// stopped and does nothing, so no task runs or reschedules afterwards. The
+// protocol must not be used afterwards.
+func (p *Protocol) Stop() { p.stopped = true }
 
 // ID returns the node identifier.
 func (p *Protocol) ID() wire.NodeID { return p.deps.ID }
@@ -439,33 +433,26 @@ func (p *Protocol) schedulePeriodic(period, jitter time.Duration, fn func()) {
 }
 
 // schedulePeriodicFunc is schedulePeriodic with the period re-read each
-// round, so adaptive timers take effect from the next reschedule.
+// round, so adaptive timers take effect from the next reschedule. A stopped
+// node's tick returns without rescheduling, so the task needs no cancel.
 func (p *Protocol) schedulePeriodicFunc(period func() time.Duration, jitter time.Duration, fn func()) {
-	stopped := false
-	var cancel func()
 	var tick func()
 	schedule := func() {
 		d := period()
 		if jitter > 0 {
 			d += time.Duration(p.deps.Rand.Int63n(int64(2*jitter))) - jitter
 		}
-		cancel = p.deps.Clock.After(d, tick)
+		p.deps.Clock.After(d, tick)
 	}
 	// One closure serves every round, so rescheduling costs only the timer.
 	tick = func() {
-		if stopped || p.stopped {
+		if p.stopped {
 			return
 		}
 		fn()
 		schedule()
 	}
 	schedule()
-	p.stops = append(p.stops, func() {
-		stopped = true
-		if cancel != nil {
-			cancel()
-		}
-	})
 }
 
 // Broadcast originates a new application message (§3.2 lines 1–4): sign it,
@@ -676,7 +663,7 @@ func (p *Protocol) handleData(pkt admitted) {
 			return
 		}
 		if p.cfg.EnableFDs {
-			p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
+			p.mute.Fulfill(id, pkt.Sender)
 		}
 		p.cancelReply(id)
 		return
@@ -699,18 +686,10 @@ func (p *Protocol) handleData(pkt admitted) {
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
 		if p.cfg.EnableFDs {
-			p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
+			p.mute.Fulfill(id, pkt.Sender)
 		}
 		p.cancelReply(id)
 		return
-	}
-
-	miss := p.missing[id]
-	if miss != nil {
-		for _, cancel := range miss.cancels {
-			cancel()
-		}
-		delete(p.missing, id)
 	}
 
 	st = &msgState{
@@ -722,26 +701,19 @@ func (p *Protocol) handleData(pkt admitted) {
 		viaRecovered: pkt.Meta.Recovered,
 		digest:       dataDigest(pkt.Packet),
 	}
-	p.enforceStoreCap()
-	p.store.hold(st, p.deps.Clock.Now())
-	// A fresh acceptance closes any request cycle for the id: the record is
-	// satisfied, so its per-requester counts need not be retained, and a
-	// search this node deferred for it has found it.
-	delete(p.reqSeen, id)
+	miss := p.accept(st, pkt.Meta)
+	// The neighbourhood heard this frame, so a search this node deferred for
+	// the id has found it.
 	p.cancelReply(id)
-	p.stats.Accepted++
-	acceptMeta := pkt.Meta
-	acceptMeta.Digest = st.digest
-	p.deps.Accept(id, pkt.Payload, acceptMeta)
 
 	if p.cfg.EnableFDs {
 		// Any pending expectation for this data is satisfied by this sender.
-		p.mute.Fulfill(fd.ExpectKey{Kind: wire.KindData, ID: id}, pkt.Sender)
+		p.mute.Fulfill(id, pkt.Sender)
 		// §3.2 lines 8–11: received from a non-overlay node that is not the
 		// originator — the overlay neighbours should (also) forward it.
 		if pkt.Sender != id.Origin && !p.isOverlayNeighbor(pkt.Sender) {
 			if ol := p.overlayNeighbors(); len(ol) > 0 {
-				p.mute.Expect(fd.ExpectKey{Kind: wire.KindData, ID: id}, ol, fd.ExpectAny)
+				p.mute.Expect(id, ol)
 			}
 		}
 	}
@@ -764,6 +736,23 @@ func (p *Protocol) handleData(pkt admitted) {
 	if miss != nil {
 		p.registerGossip(st, miss.headerSig)
 	}
+}
+
+// accept files st, a message this node has not delivered, and delivers it. It
+// drops the id's recovery entry, which it returns (nil if there was none), and
+// closes the id's request cycle: the record is satisfied, so its per-requester
+// counts need not be retained. meta is the completing frame's lineage; its
+// digest is st's.
+func (p *Protocol) accept(st *msgState, meta wire.Meta) *pendingMiss {
+	miss := p.missing[st.id]
+	delete(p.missing, st.id)
+	p.enforceStoreCap()
+	p.store.hold(st, p.deps.Clock.Now())
+	delete(p.reqSeen, st.id)
+	p.stats.Accepted++
+	meta.Digest = st.digest
+	p.deps.Accept(st.id, st.payload, meta)
+	return miss
 }
 
 func (p *Protocol) forwardData(id wire.MsgID, st *msgState, ttl uint8, target wire.NodeID, cause wire.Cause) {
@@ -863,7 +852,7 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 	miss.gossipers[gossiper] = 0
 	if p.cfg.EnableFDs {
 		// Line 28: the gossiper must be able to supply the message.
-		p.mute.Expect(fd.ExpectKey{Kind: wire.KindData, ID: id}, []wire.NodeID{gossiper}, fd.ExpectAny)
+		p.mute.Expect(id, []wire.NodeID{gossiper})
 	}
 	delay := p.cfg.RequestDelay
 	if gossiper == id.Origin {
@@ -875,39 +864,48 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 		// avenue of last resort. See DESIGN.md ("deviations").
 		delay *= 2
 	}
-	p.scheduleRequest(id, miss, gossiper, delay)
-}
-
-func (p *Protocol) scheduleRequest(id wire.MsgID, miss *pendingMiss, gossiper wire.NodeID, delay time.Duration) {
-	cancel := p.deps.Clock.After(delay, func() {
-		if p.stopped {
+	p.deps.Clock.After(delay, func() {
+		if !p.stillMissing(id, miss) {
 			return
 		}
-		if cur, ok := p.missing[id]; !ok || cur != miss {
-			return
-		}
-		if st, held := p.store.byID[id]; held && !st.purged {
-			delete(p.missing, id)
-			return
-		}
-		p.stats.RequestsSent++
-		miss.gossipers[gossiper]++
-		// Line 32: one-hop request addressed to the gossiper; overlay
-		// neighbours answer too.
-		p.send(&wire.Packet{
-			Kind:   wire.KindRequest,
-			TTL:    1,
-			Target: gossiper,
-			Origin: id.Origin,
-			Seq:    id.Seq,
-			Sig:    miss.headerSig,
-			Meta:   wire.Meta{Parent: miss.srcFrame, Cause: wire.CauseRequest},
-		})
+		p.request(id, miss, gossiper, wire.CauseRequest)
 		// The data did not arrive by itself: beyond the per-gossiper first
 		// requests, start the bounded retransmission chain (once per entry).
 		p.armRetries(id, miss)
 	})
-	miss.cancels = append(miss.cancels, cancel)
+}
+
+// stillMissing is the fire-time guard of every recovery timer: it reports
+// whether miss is still id's recovery entry on a running node. A timer whose
+// entry was accepted, abandoned or wiped by Rejoin since it was armed finds
+// another entry or none and does nothing, so no teardown cancels timers. An
+// entry whose message is held by now is dropped.
+func (p *Protocol) stillMissing(id wire.MsgID, miss *pendingMiss) bool {
+	if p.stopped || p.missing[id] != miss {
+		return false
+	}
+	if st, held := p.store.byID[id]; held && !st.purged {
+		delete(p.missing, id)
+		return false
+	}
+	return true
+}
+
+// request sends one REQUEST for id to target, a first request or a retry
+// (cause), citing the gossip frame that advertised the gap (Figure 3 line 32:
+// one hop, addressed to the gossiper; overlay neighbours answer too).
+func (p *Protocol) request(id wire.MsgID, miss *pendingMiss, target wire.NodeID, cause wire.Cause) {
+	p.stats.RequestsSent++
+	miss.gossipers[target]++
+	p.send(&wire.Packet{
+		Kind:   wire.KindRequest,
+		TTL:    1,
+		Target: target,
+		Origin: id.Origin,
+		Seq:    id.Seq,
+		Sig:    miss.headerSig,
+		Meta:   wire.Meta{Parent: miss.srcFrame, Cause: cause},
+	})
 }
 
 // handleRequest implements Figure 4 lines 42–61.

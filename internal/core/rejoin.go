@@ -42,15 +42,9 @@ func (p *Protocol) Rejoin() {
 	if p.stopped {
 		return
 	}
-	// Cancel outstanding recovery timers and deferred replies (sorted walks:
-	// cancellation order must not depend on map iteration, for replayable
-	// runs).
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.missing)
-	for _, id := range p.msgIDs {
-		for _, cancel := range p.missing[id].cancels {
-			cancel()
-		}
-	}
+	// Cancel deferred replies (a sorted walk: cancellation order must not
+	// depend on map iteration, for replayable runs). Recovery timers need no
+	// cancelling: their entries go with the old table (stillMissing).
 	p.msgIDs = sortedMsgIDs(p.msgIDs, p.replies)
 	for _, id := range p.msgIDs {
 		p.replies[id]()
@@ -114,8 +108,7 @@ func (p *Protocol) restoreDurable() int {
 		if max := p.cfg.MaxStore; max > 0 && len(p.store.byID) >= max {
 			break
 		}
-		rec, _ := store.Delivered(id)
-		p.store.restore(id, rec.Digest, now)
+		p.store.restore(id, now)
 		restored++
 	}
 	for _, s := range store.SuspicionsSorted() {
@@ -295,7 +288,6 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 	if pkt.Target != p.deps.ID || !p.syncArmed {
 		return
 	}
-	now := p.deps.Clock.Now()
 	applied := 0
 	for i := range pkt.SyncEntries {
 		e := pkt.SyncEntries[i]
@@ -325,22 +317,9 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 				st.headerSig = e.HeaderSig
 			}
 		}
-		if miss := p.missing[e.ID]; miss != nil {
-			for _, cancel := range miss.cancels {
-				cancel()
-			}
-			delete(p.missing, e.ID)
-		}
-		p.enforceStoreCap()
-		p.store.hold(st, now)
-		delete(p.reqSeen, e.ID)
-		p.stats.Accepted++
-		p.deps.Accept(e.ID, e.Payload, wire.Meta{
-			Frame:     pkt.Meta.Frame,
-			Cause:     wire.CauseSyncResp,
-			Digest:    st.digest,
-			Recovered: true,
-		})
+		// Unicast: the neighbourhood did not overhear it, so deferred
+		// replies for the id stay armed.
+		p.accept(st, wire.Meta{Frame: pkt.Meta.Frame, Cause: wire.CauseSyncResp, Recovered: true})
 		applied++
 	}
 	p.observeSync(obsv.SyncApplied, pkt.Sender, applied, 0)

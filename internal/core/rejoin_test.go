@@ -75,6 +75,37 @@ func TestRejoinWithoutStoreIsAmnesiac(t *testing.T) {
 	}
 }
 
+// TestRejoinSilencesArmedRequests: a first request and a retry are armed when
+// the node rejoins, and the same id is advertised again afterwards by a third
+// gossiper. Only the new entry's requests go out: the old timers find their
+// entry gone with the old table.
+func TestRejoinSilencesArmedRequests(t *testing.T) {
+	cfg := DefaultConfig()
+	h := newHarness(t, 0, cfg)
+	id := wire.MsgID{Origin: 1, Seq: 7}
+	h.p.HandlePacket(h.gossipFrom(2, id))
+	h.run(cfg.RequestDelay + 50*time.Millisecond) // request to 2 sent, retry armed
+	h.p.HandlePacket(h.gossipFrom(3, id))         // request to 3 armed
+	if got := len(h.sentOfKind(wire.KindRequest)); got != 1 {
+		t.Fatalf("requests before rejoin = %d, want 1", got)
+	}
+	h.p.Rejoin()
+	h.sent = nil
+	h.p.HandlePacket(h.gossipFrom(4, id))
+	h.run(2 * time.Minute)
+
+	// The new entry asks gossiper 4 until it reaches RequestTolerance.
+	reqs := h.sentOfKind(wire.KindRequest)
+	if len(reqs) != cfg.RequestTolerance {
+		t.Fatalf("requests after rejoin = %d, want the new entry's %d", len(reqs), cfg.RequestTolerance)
+	}
+	for _, r := range reqs {
+		if r.Target != 4 {
+			t.Fatalf("request to %d after rejoin: a timer armed before it fired", r.Target)
+		}
+	}
+}
+
 func TestSyncReqServedWithMissingEntries(t *testing.T) {
 	h := newHarness(t, 0, DefaultConfig())
 	held := h.p.Broadcast([]byte("you missed this"))

@@ -99,8 +99,10 @@ func (s *msgStore) entomb(st *msgState, now time.Duration) {
 }
 
 // restore files the tombstone of a delivery remembered by the durable store.
-func (s *msgStore) restore(id wire.MsgID, digest uint64, now time.Duration) {
-	st := &msgState{id: id, purged: true, at: now, digest: digest}
+// Its digest stays zero: nothing reads a tombstone's digest, and a tombstone
+// revived by a data frame takes the frame's.
+func (s *msgStore) restore(id wire.MsgID, now time.Duration) {
+	st := &msgState{id: id, purged: true, at: now}
 	s.byID[id] = st
 	s.tombs.push(st)
 }

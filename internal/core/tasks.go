@@ -152,20 +152,12 @@ func (p *Protocol) sampleQueues() {
 // feeds shrinks back to zero under silence.
 func (p *Protocol) purgeTick() {
 	now := p.deps.Clock.Now()
-	// The map walks below go in sorted id order: purging cancels timers and
-	// emits admission events, and neither may happen in Go's randomized map
-	// iteration order or serial and parallel replays of the same seed would
-	// diverge.
-	//
 	// A message advertised but never received is abandoned once its
-	// recovery window passes (everyone else will have purged it too).
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.missing)
-	for _, id := range p.msgIDs {
-		miss := p.missing[id]
+	// recovery window passes (everyone else will have purged it too). Its
+	// timers find the entry gone when they fire (stillMissing), so the walk
+	// only deletes and may go in map order.
+	for id, miss := range p.missing {
 		if now-miss.firstHeard > p.cfg.PurgeTimeout {
-			for _, cancel := range miss.cancels {
-				cancel()
-			}
 			delete(p.missing, id)
 		}
 	}
@@ -185,6 +177,9 @@ func (p *Protocol) purgeTick() {
 		p.store.entomb(st, now)
 		delete(p.reqSeen, st.id)
 	}
+	// This walk emits admission events, so it goes in sorted id order: Go's
+	// randomized map order would make serial and parallel replays of the same
+	// seed diverge.
 	if ttl := p.cfg.PurgeTimeout; ttl > 0 {
 		p.msgIDs = sortedMsgIDs(p.msgIDs, p.reqSeen)
 		for _, id := range p.msgIDs {

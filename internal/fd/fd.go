@@ -1,9 +1,10 @@
 // Package fd implements the paper's three failure detectors (§2.2, §3.1):
 //
 //   - MUTE detects nodes that fail to send a message with an expected
-//     header. The protocol arms it with Expect(header, nodes, ONE|ALL); a
-//     node that misses its deadline accumulates a miss and, past a
-//     threshold, is suspected for a suspicion interval.
+//     header. The protocol arms it with Expect(header, nodes), the paper's
+//     expect(header, nodes, ONE); a node that misses its deadline
+//     accumulates a miss and, past a threshold, is suspected for a
+//     suspicion interval.
 //   - VERBOSE detects nodes that send too many messages. The protocol
 //     indicts offenders; past a threshold they are suspected.
 //   - TRUST aggregates MUTE, VERBOSE, locally observed deviations (bad
@@ -42,26 +43,7 @@ const (
 	ReasonMute         Reason = "mute"
 	ReasonVerbose      Reason = "verbose"
 	ReasonBadSignature Reason = "bad-signature"
-	ReasonProtocol     Reason = "protocol-deviation"
 )
-
-// ExpectMode says whether all listed nodes must send the expected message or
-// any one of them suffices (the ONE|ALL parameter of MUTE.expect).
-type ExpectMode int
-
-// Expect modes.
-const (
-	ExpectAny ExpectMode = iota + 1
-	ExpectAll
-)
-
-// ExpectKey identifies an anticipated message header: its kind and the
-// message id it concerns. Wildcards are not needed by the protocol — every
-// expectation it arms names a concrete message.
-type ExpectKey struct {
-	Kind wire.Kind
-	ID   wire.MsgID
-}
 
 // agingCounter is a per-node miss counter with linear decay.
 type agingCounter struct {

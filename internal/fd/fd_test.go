@@ -13,8 +13,8 @@ type fakeClock struct{ t time.Duration }
 func (c *fakeClock) Now() time.Duration      { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t += d }
 func (c *fakeClock) NowFunc() Now            { return c.Now }
-func key(origin, seq uint32) ExpectKey {
-	return ExpectKey{Kind: wire.KindData, ID: wire.MsgID{Origin: wire.NodeID(origin), Seq: wire.Seq(seq)}}
+func key(origin, seq uint32) wire.MsgID {
+	return wire.MsgID{Origin: wire.NodeID(origin), Seq: wire.Seq(seq)}
 }
 
 func muteCfg() MuteConfig {
@@ -29,7 +29,7 @@ func muteCfg() MuteConfig {
 func TestMuteFulfilledNotSuspected(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(50 * time.Millisecond)
 	m.Fulfill(key(1, 1), 5)
 	c.Advance(200 * time.Millisecond)
@@ -41,7 +41,7 @@ func TestMuteFulfilledNotSuspected(t *testing.T) {
 func TestMuteTimeoutSuspects(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("missed expectation not suspected (completeness violated)")
@@ -51,7 +51,7 @@ func TestMuteTimeoutSuspects(t *testing.T) {
 func TestMuteExpectAnySatisfiedByOne(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{2, 3, 4}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{2, 3, 4})
 	m.Fulfill(key(1, 1), 3)
 	c.Advance(time.Second)
 	for _, id := range []wire.NodeID{2, 3, 4} {
@@ -64,41 +64,25 @@ func TestMuteExpectAnySatisfiedByOne(t *testing.T) {
 func TestMuteExpectAnyTimeoutSuspectsAll(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{2, 3}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{2, 3})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(2) || !m.Suspected(3) {
 		t.Fatal("unfulfilled ANY expectation should suspect all listed nodes")
 	}
 }
 
-func TestMuteExpectAllIndividual(t *testing.T) {
-	c := &fakeClock{}
-	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{2, 3}, ExpectAll)
-	m.Fulfill(key(1, 1), 2)
-	c.Advance(150 * time.Millisecond)
-	if m.Suspected(2) {
-		t.Fatal("node 2 sent and is still suspected")
-	}
-	if !m.Suspected(3) {
-		t.Fatal("node 3 never sent and is not suspected")
-	}
-}
-
-// TestMuteExpectListIsASet: a node listed twice takes one miss, a node
-// fulfilling an ALL expectation clears only itself whatever its position in
-// the caller's list, and the caller's slice is neither kept nor reordered.
+// TestMuteExpectListIsASet: a node listed twice takes one miss, and the
+// caller's slice is neither kept nor reordered.
 func TestMuteExpectListIsASet(t *testing.T) {
 	c := &fakeClock{}
 	cfg := muteCfg()
 	cfg.Threshold = 2
 	m := NewMute(c.NowFunc(), cfg)
 	nodes := []wire.NodeID{7, 3, 7, 5}
-	m.Expect(key(1, 1), nodes, ExpectAll)
+	m.Expect(key(1, 1), nodes)
 	nodes[0] = 9
-	m.Fulfill(key(1, 1), 5)
 	c.Advance(150 * time.Millisecond)
-	for id, want := range map[wire.NodeID]int{3: 1, 5: 0, 7: 1, 9: 0} {
+	for id, want := range map[wire.NodeID]int{3: 1, 5: 1, 7: 1, 9: 0} {
 		if got := m.Misses(id); got != want {
 			t.Errorf("node %d: %d misses, want %d", id, got, want)
 		}
@@ -111,7 +95,7 @@ func TestMuteExpectListIsASet(t *testing.T) {
 func TestMuteFulfillWrongKeyIgnored(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	m.Fulfill(key(1, 2), 5) // different message
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
@@ -122,7 +106,7 @@ func TestMuteFulfillWrongKeyIgnored(t *testing.T) {
 func TestMuteFulfillFromUnlistedNodeIgnored(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	m.Fulfill(key(1, 1), 9)
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
@@ -133,7 +117,7 @@ func TestMuteFulfillFromUnlistedNodeIgnored(t *testing.T) {
 func TestMuteSuspicionExpires(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg()) // suspicion TTL 1s
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("not suspected")
@@ -151,13 +135,13 @@ func TestMuteThresholdRequiresRepeatedMisses(t *testing.T) {
 	cfg.AgeInterval = 0
 	m := NewMute(c.NowFunc(), cfg)
 	for i := 0; i < 2; i++ {
-		m.Expect(key(1, uint32(i)), []wire.NodeID{5}, ExpectAny)
+		m.Expect(key(1, uint32(i)), []wire.NodeID{5})
 		c.Advance(150 * time.Millisecond)
 	}
 	if m.Suspected(5) {
 		t.Fatal("suspected below threshold")
 	}
-	m.Expect(key(1, 9), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 9), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("not suspected at threshold")
@@ -170,7 +154,7 @@ func TestMuteCounterAging(t *testing.T) {
 	cfg.Threshold = 2
 	cfg.AgeInterval = 300 * time.Millisecond
 	m := NewMute(c.NowFunc(), cfg)
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if got := m.Misses(5); got != 1 {
 		t.Fatalf("Misses = %d, want 1", got)
@@ -181,7 +165,7 @@ func TestMuteCounterAging(t *testing.T) {
 	if got := m.Misses(5); got != 0 {
 		t.Fatalf("Misses after aging = %d, want 0", got)
 	}
-	m.Expect(key(1, 2), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 2), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if m.Suspected(5) {
 		t.Fatal("aged counter should prevent suspicion from isolated misses")
@@ -193,7 +177,7 @@ func TestMuteOnSuspectCallback(t *testing.T) {
 	m := NewMute(c.NowFunc(), muteCfg())
 	var events []bool
 	m.OnSuspect = func(id wire.NodeID, s bool) { events = append(events, s) }
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	m.Suspected(5) // trigger sweep
 	c.Advance(2 * time.Second)
@@ -207,7 +191,7 @@ func TestMutePendingCleanup(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
 	for i := 0; i < 10; i++ {
-		m.Expect(key(1, uint32(i)), []wire.NodeID{5}, ExpectAny)
+		m.Expect(key(1, uint32(i)), []wire.NodeID{5})
 	}
 	if got := m.PendingExpectations(); got != 10 {
 		t.Fatalf("pending = %d", got)
@@ -221,7 +205,7 @@ func TestMutePendingCleanup(t *testing.T) {
 func TestMuteEmptyExpectNoop(t *testing.T) {
 	c := &fakeClock{}
 	m := NewMute(c.NowFunc(), muteCfg())
-	m.Expect(key(1, 1), nil, ExpectAny)
+	m.Expect(key(1, 1), nil)
 	c.Advance(time.Second)
 	if len(m.Suspects()) != 0 {
 		t.Fatal("empty expectation produced suspects")
@@ -300,7 +284,7 @@ func TestTrustConsultsMuteAndVerbose(t *testing.T) {
 	m := NewMute(c.NowFunc(), muteCfg())
 	v := NewVerbose(c.NowFunc(), verboseCfg())
 	tr := NewTrust(c.NowFunc(), trustCfg(), m, v)
-	m.Expect(key(1, 1), []wire.NodeID{8}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{8})
 	c.Advance(150 * time.Millisecond)
 	if tr.Level(8) != Untrusted {
 		t.Fatal("mute suspicion not reflected in trust")
@@ -359,7 +343,7 @@ func TestTrustSuspectsAggregates(t *testing.T) {
 	v := NewVerbose(c.NowFunc(), verboseCfg())
 	tr := NewTrust(c.NowFunc(), trustCfg(), m, v)
 	tr.Suspect(1, ReasonBadSignature)
-	m.Expect(key(9, 9), []wire.NodeID{2}, ExpectAny)
+	m.Expect(key(9, 9), []wire.NodeID{2})
 	c.Advance(150 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		v.Indict(3)
@@ -394,7 +378,7 @@ func TestForeverSuspicionWithZeroTTL(t *testing.T) {
 	cfg.SuspicionTTL = 0
 	cfg.AgeInterval = 0
 	m := NewMute(c.NowFunc(), cfg)
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("not suspected")
@@ -414,7 +398,7 @@ func TestMuteHealFiresOnChangeExactlyOnce(t *testing.T) {
 	}
 	var events []ev
 	m.OnSuspect = func(id wire.NodeID, s bool) { events = append(events, ev{id, s}) }
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("not suspected after miss")
@@ -443,7 +427,7 @@ func TestMuteDecayAcrossMultipleAgeIntervals(t *testing.T) {
 	cfg.AgeInterval = 200 * time.Millisecond
 	m := NewMute(c.NowFunc(), cfg)
 	for i := 0; i < 5; i++ {
-		m.Expect(key(1, uint32(i)), []wire.NodeID{5}, ExpectAny)
+		m.Expect(key(1, uint32(i)), []wire.NodeID{5})
 	}
 	c.Advance(150 * time.Millisecond)
 	if got := m.Misses(5); got != 5 {
@@ -460,7 +444,7 @@ func TestMuteDecayAcrossMultipleAgeIntervals(t *testing.T) {
 		t.Fatalf("counter did not drain to 0: %d", got)
 	}
 	// Draining past zero must not go negative (a fresh miss still counts).
-	m.Expect(key(1, 99), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 99), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if got := m.Misses(5); got != 1 {
 		t.Fatalf("Misses after drain+miss = %d, want 1", got)
@@ -475,7 +459,7 @@ func TestMuteReSuspicionAfterHeal(t *testing.T) {
 	var events []bool
 	m.OnSuspect = func(id wire.NodeID, s bool) { events = append(events, s) }
 
-	m.Expect(key(1, 1), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 1), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("first suspicion missing")
@@ -486,7 +470,7 @@ func TestMuteReSuspicionAfterHeal(t *testing.T) {
 	}
 	// The node misbehaves again after healing: a fresh suspicion must open
 	// with a fresh TTL and a fresh onChange(true).
-	m.Expect(key(1, 2), []wire.NodeID{5}, ExpectAny)
+	m.Expect(key(1, 2), []wire.NodeID{5})
 	c.Advance(150 * time.Millisecond)
 	if !m.Suspected(5) {
 		t.Fatal("re-suspicion missing")

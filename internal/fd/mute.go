@@ -23,12 +23,10 @@ type MuteConfig struct {
 
 // expectation is one armed Expect call.
 type expectation struct {
-	key      ExpectKey
-	mode     ExpectMode
+	id       wire.MsgID
 	deadline time.Duration
-	// waiting is the set of nodes still on the hook, ascending and without
-	// repeats. For ExpectAny a single fulfilment clears the whole
-	// expectation; for ExpectAll nodes clear individually.
+	// waiting is the set of nodes on the hook, ascending and without repeats.
+	// One fulfilment by any of them clears the whole expectation.
 	waiting []wire.NodeID
 }
 
@@ -59,10 +57,10 @@ func NewMute(now Now, cfg MuteConfig) *Mute {
 	return m
 }
 
-// Expect arms the detector: one of (ExpectAny) or each of (ExpectAll) the
-// nodes must send a message matching key within the configured timeout.
+// Expect arms the detector: one of the nodes must send the data of message id
+// within the configured timeout (the paper's expect(header, nodes, ONE)).
 // Arming with no nodes is a no-op.
-func (m *Mute) Expect(key ExpectKey, nodes []wire.NodeID, mode ExpectMode) {
+func (m *Mute) Expect(id wire.MsgID, nodes []wire.NodeID) {
 	m.sweep()
 	if len(nodes) == 0 {
 		return
@@ -70,8 +68,7 @@ func (m *Mute) Expect(key ExpectKey, nodes []wire.NodeID, mode ExpectMode) {
 	waiting := slices.Clone(nodes)
 	slices.Sort(waiting)
 	m.pending = append(m.pending, expectation{
-		key:      key,
-		mode:     mode,
+		id:       id,
 		deadline: m.now() + m.cfg.Timeout,
 		waiting:  slices.Compact(waiting),
 	})
@@ -89,22 +86,15 @@ func (m *Mute) SetTimeout(d time.Duration) {
 // Timeout reports the expectation timeout applied to future Expect calls.
 func (m *Mute) Timeout() time.Duration { return m.cfg.Timeout }
 
-// Fulfill records that `from` sent a message matching key. It clears every
-// matching ExpectAny expectation that listed `from`, and removes `from` from
-// matching ExpectAll expectations.
-func (m *Mute) Fulfill(key ExpectKey, from wire.NodeID) {
+// Fulfill records that `from` sent the data of message id. It clears every
+// expectation for id that listed `from`.
+func (m *Mute) Fulfill(id wire.MsgID, from wire.NodeID) {
 	m.sweep()
 	kept := m.pending[:0]
 	for _, e := range m.pending {
-		if e.key == key {
-			if i, ok := slices.BinarySearch(e.waiting, from); ok {
-				if e.mode == ExpectAny {
-					continue // fully satisfied; drop
-				}
-				e.waiting = slices.Delete(e.waiting, i, i+1)
-				if len(e.waiting) == 0 {
-					continue
-				}
+		if e.id == id {
+			if _, ok := slices.BinarySearch(e.waiting, from); ok {
+				continue // satisfied; drop
 			}
 		}
 		kept = append(kept, e)
@@ -121,12 +111,12 @@ func (m *Mute) sweep() {
 			kept = append(kept, e)
 			continue
 		}
-		// Missed: every still-waiting node takes a miss. Under ExpectAny
-		// this matches the paper's Lemma 3.7 flavour — if none of the
-		// overlay neighbours forwarded, they are all suspected (only
-		// genuinely mute nodes stay suspected once good ones fulfil later
-		// expectations and counters age). Ascending: bump can raise a
-		// suspicion, and the OnSuspect emissions must come in id order.
+		// Missed: every listed node takes a miss. This matches the paper's
+		// Lemma 3.7 flavour — if none of the overlay neighbours forwarded,
+		// they are all suspected (only genuinely mute nodes stay suspected
+		// once good ones fulfil later expectations and counters age).
+		// Ascending: bump can raise a suspicion, and the OnSuspect emissions
+		// must come in id order.
 		for _, id := range e.waiting {
 			m.set.bump(id, 1)
 		}
