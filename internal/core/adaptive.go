@@ -252,19 +252,13 @@ func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
 // requester never crosses the line where a correct server would indict it as
 // VERBOSE. Returns NoNode when every gossiper is exhausted (limit > 0).
 func (m *pendingMiss) retryTarget(limit int) wire.NodeID {
-	ids := make([]wire.NodeID, 0, len(m.gossipers))
-	for id := range m.gossipers {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	best, bestAsked := wire.NoNode, -1
-	for _, id := range ids {
-		asked := m.gossipers[id]
-		if limit > 0 && asked >= limit {
+	for _, g := range m.gossipers {
+		if limit > 0 && g.n >= limit {
 			continue
 		}
-		if bestAsked == -1 || asked < bestAsked {
-			best, bestAsked = id, asked
+		if bestAsked == -1 || g.n < bestAsked {
+			best, bestAsked = g.node, g.n
 		}
 	}
 	return best

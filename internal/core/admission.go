@@ -15,11 +15,11 @@ import (
 // not an HMAC.
 
 // reqRecord tracks how often each requester asked for one message, with a
-// touch time so idle records can expire (the old map[wire.NodeID]int grew
-// forever; see ISSUE 4 satellite b).
+// touch time so idle records can expire.
 type reqRecord struct {
 	//bbvet:bounded-by maxReqCounters bumpRequestCount stops admitting new requesters past the cap; total is maxReqCounters×MaxReqSeen
-	counts  map[wire.NodeID]int
+	counts  counts
+	inline  [2]nodeCount
 	touched time.Duration
 }
 
@@ -128,18 +128,18 @@ func (p *Protocol) bumpRequestCount(id wire.MsgID, from wire.NodeID) int {
 		if max := p.cfg.MaxReqSeen; max > 0 && len(p.reqSeen) >= max {
 			p.evictOldestReqSeen()
 		}
-		rec = &reqRecord{counts: make(map[wire.NodeID]int, 2)}
+		rec = &reqRecord{}
+		rec.counts = rec.inline[:0]
 		p.reqSeen[id] = rec
 	}
 	rec.touched = now
-	if _, tracked := rec.counts[from]; !tracked && len(rec.counts) >= maxReqCounters {
-		// Cap the per-record requester map: an untracked requester past the
+	if _, tracked := rec.counts.find(from); !tracked && len(rec.counts) >= maxReqCounters {
+		// Cap the per-record requester tally: an untracked requester past the
 		// cap is served as a first-time asker but not remembered. Repeat
 		// offenders are by definition already tracked.
 		return 1
 	}
-	rec.counts[from]++
-	return rec.counts[from]
+	return rec.counts.bump(from)
 }
 
 // evictOldestReqSeen removes the least recently touched request record.

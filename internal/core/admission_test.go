@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,6 +192,75 @@ func TestMissingTableRejectsAtCap(t *testing.T) {
 	}
 	if st := h.p.Stats(); st.Evictions != 2 {
 		t.Fatalf("evictions=%d, want 2 rejected advertisements", st.Evictions)
+	}
+}
+
+// ascending fails t unless c's nodes rise strictly: one entry per node, in
+// order.
+func ascending(t *testing.T, c counts) {
+	t.Helper()
+	for i := 1; i < len(c); i++ {
+		if c[i-1].node >= c[i].node {
+			t.Fatalf("entries %d and %d are %d then %d, want strictly ascending", i-1, i, c[i-1].node, c[i].node)
+		}
+	}
+}
+
+// TestMissingTableTracksAtMostMaxGossipers: each advertiser of a missing id
+// is tracked once, in node order, up to maxMissGossipers, and every tracked
+// one is asked once.
+func TestMissingTableTracksAtMostMaxGossipers(t *testing.T) {
+	cfg := admitTestConfig()
+	h := newHarness(t, 0, cfg)
+	id := wire.MsgID{Origin: 1, Seq: 1}
+	for g := wire.NodeID(100 + maxMissGossipers + 6); g > 100; g-- {
+		h.p.HandlePacket(h.gossipFrom(g, id))
+		h.p.HandlePacket(h.gossipFrom(g, id)) // a repeat adds no entry
+	}
+	miss := h.p.missing[id]
+	if miss == nil {
+		t.Fatal("no recovery entry for the advertised id")
+	}
+	if n := len(miss.gossipers); n != maxMissGossipers {
+		t.Fatalf("%d gossipers tracked, want %d", n, maxMissGossipers)
+	}
+	ascending(t, miss.gossipers)
+	if lo := miss.gossipers[0].node; lo != 107 {
+		t.Fatalf("lowest tracked gossiper is %d, want 107: the first %d to advertise", lo, maxMissGossipers)
+	}
+	h.run(cfg.RequestDelay + time.Millisecond)
+	if got := len(h.sentOfKind(wire.KindRequest)); got != maxMissGossipers {
+		t.Fatalf("%d requests, want one per tracked gossiper (%d)", got, maxMissGossipers)
+	}
+}
+
+// TestReqSeenCountsEachRequesterOnce: a request record counts each requester
+// in one entry, in node order, and a requester past maxReqCounters is served
+// as a first-time asker but not remembered.
+func TestReqSeenCountsEachRequesterOnce(t *testing.T) {
+	h := newHarness(t, 0, admitTestConfig())
+	id := wire.MsgID{Origin: 1, Seq: 1}
+	for _, from := range []wire.NodeID{9, 3, 9, 5, 3, 9} {
+		h.p.bumpRequestCount(id, from)
+	}
+	rec := h.p.reqSeen[id]
+	if want := (counts{{3, 2}, {5, 1}, {9, 3}}); !slices.Equal(rec.counts, want) {
+		t.Fatalf("counts = %v, want %v", rec.counts, want)
+	}
+	for from := wire.NodeID(100 + maxReqCounters); len(rec.counts) < maxReqCounters; from-- {
+		h.p.bumpRequestCount(id, from)
+	}
+	ascending(t, rec.counts)
+	for i := 0; i < 3; i++ {
+		if n := h.p.bumpRequestCount(id, 1000); n != 1 {
+			t.Fatalf("requester past the cap counted %d, want 1 every time", n)
+		}
+	}
+	if n := h.p.bumpRequestCount(id, 9); n != 4 {
+		t.Fatalf("a tracked requester at the cap counted %d, want 4", n)
+	}
+	if len(rec.counts) != maxReqCounters {
+		t.Fatalf("%d requesters remembered, cap %d", len(rec.counts), maxReqCounters)
 	}
 }
 

@@ -83,3 +83,46 @@ func TestHandleStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("not every record was verified: %d bad, %d reused", h.p.stats.BadSignatures, h.p.stats.DedupSkips-skips)
 	}
 }
+
+// TestRecoveryAllocationCeiling: answering a request allocates what leaves
+// the protocol (the data frame) or what waits for the air to clear (the
+// deferred reply's fire closure), and nothing per request record. FDs are
+// off so a repeated requester is never indicted and silenced.
+func TestRecoveryAllocationCeiling(t *testing.T) {
+	cfg := admitTestConfig()
+	cfg.EnableFDs = false
+	h := replyRig(t, replyCases[0], cfg)
+	sent := 0
+	h.p.deps.Send = func(*wire.Packet) { sent++ }
+	// Warm the engine's free list: each deferred reply below takes an event
+	// record and leaves it queued.
+	for i := 0; i < 200; i++ {
+		h.eng.After(0, func() {})
+	}
+	h.run(0)
+	addressed := h.ask(replyCases[0], replyID, 5)
+	unaddressed := h.ask(replyCases[0], replyID, 2)
+	overheard := forwardedBy(h.dataFrom(1, 1, []byte("m")), 2)
+
+	t.Run("addressed", func(t *testing.T) {
+		before := sent
+		alloctest.AtMost(t, 1, func() { h.p.HandlePacket(addressed) })
+		if sent-before != 101 {
+			t.Fatalf("%d answers for 101 addressed requests", sent-before)
+		}
+	})
+	t.Run("unaddressed", func(t *testing.T) {
+		before := h.p.stats.RepliesSuppressed
+		alloctest.AtMost(t, 1, func() {
+			h.p.HandlePacket(unaddressed)
+			h.p.HandlePacket(overheard)
+		})
+		if n := h.p.stats.RepliesSuppressed - before; n != 101 {
+			t.Fatalf("%d replies deferred and dropped, want 101", n)
+		}
+	})
+	t.Run("repeat requester", func(t *testing.T) {
+		h.p.bumpRequestCount(replyID, 3)
+		alloctest.AtMost(t, 0, func() { h.p.bumpRequestCount(replyID, 3) })
+	})
+}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bbcast/internal/env"
@@ -108,7 +110,7 @@ type msgState struct {
 	purged       bool // payload dropped; id retained as duplicate-filter tombstone
 }
 
-// Per-entry side-table caps. These small maps hang off entries of the
+// Per-entry side-table caps. These small tallies hang off entries of the
 // capped protocol tables, so the product with the table's own cap bounds the
 // total state an adversary can grow.
 const (
@@ -123,6 +125,36 @@ const (
 	maxReqCounters = 64
 )
 
+// nodeCount is one node's tally in a counts.
+type nodeCount struct {
+	node wire.NodeID
+	n    int
+}
+
+// counts is a small per-node tally, ascending by node with one entry per
+// node. Records start it on an inline two-entry array, which covers the
+// common one or two nodes without a second allocation.
+type counts []nodeCount
+
+// find returns the index of node's entry, or where it belongs, and whether
+// it is there.
+func (c counts) find(node wire.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(c, node, func(e nodeCount, node wire.NodeID) int {
+		return cmp.Compare(e.node, node)
+	})
+}
+
+// bump adds one to node's tally, entering it at zero if absent, and returns
+// the new tally.
+func (c *counts) bump(node wire.NodeID) int {
+	i, ok := c.find(node)
+	if !ok {
+		*c = slices.Insert(*c, i, nodeCount{node: node})
+	}
+	(*c)[i].n++
+	return (*c)[i].n
+}
+
 // pendingMiss tracks a message known (from gossip) but not yet received.
 // Every distinct gossiper is asked once (after RequestDelay); beyond that, a
 // bounded retransmission chain re-requests with exponential backoff up to
@@ -132,7 +164,8 @@ const (
 type pendingMiss struct {
 	headerSig []byte
 	//bbvet:bounded-by maxMissGossipers noteMissing refuses growth past the cap; total is maxMissGossipers×MaxMissing
-	gossipers  map[wire.NodeID]int // advertiser → requests sent to it so far
+	gossipers  counts // advertiser → requests sent to it so far
+	inline     [2]nodeCount
 	firstHeard time.Duration
 	attempts   int  // retransmissions sent so far (first requests excluded)
 	retryArmed bool // the retransmission chain has been started
@@ -175,7 +208,7 @@ type Stats struct {
 	Adaptations      uint64 // committed adaptive-timer changes
 	RetriesSent      uint64 // explicit retransmissions of missing-message requests
 	RetriesAbandoned uint64 // retransmission chains that hit the attempt cap
-	// RepliesSuppressed counts deferred recovery replies cancelled because
+	// RepliesSuppressed counts deferred recovery replies dropped because
 	// the data they would have sent or sought was heard first, or because a
 	// request naming this node made it reply at once.
 	RepliesSuppressed uint64
@@ -243,10 +276,12 @@ type Protocol struct {
 	trust   *fd.Trust
 
 	reqSeen map[wire.MsgID]*reqRecord // request counts per requester, TTL-bound
-	// replies holds the cancel of each deferred recovery reply (reply), at
-	// most one per id.
-	//bbvet:bounded-by MaxReqSeen reply answers at once rather than add an entry past the cap, and a firing or cancelled reply deletes its own
-	replies map[wire.MsgID]func()
+	// replies holds each deferred recovery reply (reply), at most one per id.
+	//bbvet:bounded-by MaxReqSeen reply answers at once rather than add an entry past the cap, and a firing or dropped reply deletes its own entry
+	replies map[wire.MsgID]pendingReply
+	// replyTokens numbers deferred replies, so a timer sends only the entry
+	// it was armed for. It is never reset, not even by Rejoin.
+	replyTokens uint64
 
 	// Catch-up sync state: syncArmed is set from rejoin (or a restored-state
 	// start) until the node is caught up or gives up; syncAttempts counts
@@ -297,7 +332,7 @@ func New(cfg Config, deps Deps) *Protocol {
 		role:         overlay.Passive,
 		maint:        overlay.New(cfg.Overlay),
 		reqSeen:      make(map[wire.MsgID]*reqRecord),
-		replies:      make(map[wire.MsgID]func()),
+		replies:      make(map[wire.MsgID]pendingReply),
 	}
 	p.distrusts = func(id wire.NodeID) bool { return p.level(id) == fd.Untrusted }
 	p.initDetectors()
@@ -836,20 +871,21 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 		}
 		miss = &pendingMiss{
 			headerSig:  headerSig,
-			gossipers:  make(map[wire.NodeID]int, 4),
 			firstHeard: p.deps.Clock.Now(),
 			srcFrame:   srcFrame,
 		}
+		miss.gossipers = miss.inline[:0]
 		p.missing[id] = miss
 	}
-	if _, tracked := miss.gossipers[gossiper]; tracked {
+	i, tracked := miss.gossipers.find(gossiper)
+	if tracked {
 		return // already being recovered via this gossiper
 	}
 	if len(miss.gossipers) >= maxMissGossipers {
 		// Enough recovery avenues tracked; later gossip rounds retry anyway.
 		return
 	}
-	miss.gossipers[gossiper] = 0
+	miss.gossipers = slices.Insert(miss.gossipers, i, nodeCount{node: gossiper})
 	if p.cfg.EnableFDs {
 		// Line 28: the gossiper must be able to supply the message.
 		p.mute.Expect(id, []wire.NodeID{gossiper})
@@ -896,7 +932,7 @@ func (p *Protocol) stillMissing(id wire.MsgID, miss *pendingMiss) bool {
 // one hop, addressed to the gossiper; overlay neighbours answer too).
 func (p *Protocol) request(id wire.MsgID, miss *pendingMiss, target wire.NodeID, cause wire.Cause) {
 	p.stats.RequestsSent++
-	miss.gossipers[target]++
+	miss.gossipers.bump(target)
 	p.send(&wire.Packet{
 		Kind:   wire.KindRequest,
 		TTL:    1,
@@ -938,12 +974,7 @@ func (p *Protocol) handleRequest(pkt admitted) {
 				p.verbose.Indict(requester)
 			}
 		}
-		p.reply(pkt, func() {
-			if st := p.store.byID[id]; st != nil && !st.purged {
-				p.stats.RecoveredByData++
-				p.forwardData(id, st, 1, requester, wire.CauseGossipRecovery) // line 48
-			}
-		})
+		p.reply(pkt, pendingReply{kind: replyAnswer, ttl: 1})
 		return
 	}
 
@@ -957,21 +988,7 @@ func (p *Protocol) handleRequest(pkt admitted) {
 	}
 	if p.InOverlay() && p.cfg.EnableFindMissing {
 		// Line 52: search two overlay hops out, bypassing one Byzantine hop.
-		p.reply(pkt, func() {
-			if p.Holds(id) {
-				return
-			}
-			p.stats.FindsSent++
-			p.send(&wire.Packet{
-				Kind:   wire.KindFindMissing,
-				TTL:    2,
-				Target: gossiper,
-				Origin: id.Origin,
-				Seq:    id.Seq,
-				Sig:    pkt.Sig,
-				Meta:   wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind},
-			})
-		})
+		p.reply(pkt, pendingReply{kind: replyFind})
 	}
 }
 
@@ -990,15 +1007,7 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 	if st == nil || st.purged {
 		// Lines 63–66: relay the search one more hop.
 		if pkt.TTL >= 2 {
-			p.reply(pkt, func() {
-				if p.Holds(id) {
-					return
-				}
-				fwd := pkt.Clone()
-				fwd.TTL = pkt.TTL - 1
-				fwd.Meta = wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseFind}
-				p.send(fwd)
-			})
+			p.reply(pkt, pendingReply{kind: replyRelay})
 		}
 		return
 	}
@@ -1016,11 +1025,27 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 		}
 		ttl = 1 // line 73
 	}
-	p.reply(pkt, func() {
-		if st := p.store.byID[id]; st != nil && !st.purged {
-			p.forwardData(id, st, ttl, pkt.Sender, wire.CauseGossipRecovery)
-		}
-	})
+	p.reply(pkt, pendingReply{kind: replyServe, ttl: ttl})
+}
+
+// replyKind is what a recovery reply sends (Figure 4).
+type replyKind uint8
+
+const (
+	replyAnswer replyKind = iota // the data, to a requester (line 48)
+	replyFind                    // a FIND_MISSING for the named gossiper (line 52)
+	replyRelay                   // the search, one hop on (lines 63–66)
+	replyServe                   // the data, to a searcher (lines 73/75)
+)
+
+// pendingReply is one recovery reply: its kind, the TTL of the data it
+// sends, the frame that asked for it, and, once deferred, the token its timer
+// must find on the id's entry.
+type pendingReply struct {
+	kind  replyKind
+	ttl   uint8
+	ask   *wire.Packet
+	token uint64
 }
 
 // reply sends one recovery reply to pkt (DESIGN deviation 11). The node pkt
@@ -1029,34 +1054,74 @@ func (p *Protocol) handleFindMissing(pkt admitted) {
 // (cancelReply): the named node's answer is a one-hop broadcast that serves
 // every asker in range, while a mute one sends nothing to overhear. One reply
 // per id waits at a time; at the MaxReqSeen cap the node replies at once.
-// send re-checks, when it runs, that the reply still makes sense: an answer
-// that the id is still held, a search that it is still missing.
-func (p *Protocol) reply(pkt admitted, send func()) {
+// The timer sends the entry only if it still carries the timer's token: a
+// dropped reply's timer finds no entry, or a later reply's, and does nothing.
+func (p *Protocol) reply(pkt admitted, r pendingReply) {
 	id := pkt.ID()
+	r.ask = pkt.Packet
 	if pkt.Target != p.deps.ID {
 		if _, pending := p.replies[id]; pending {
 			return
 		}
 		if max := p.cfg.MaxReqSeen; max <= 0 || len(p.replies) < max {
-			p.replies[id] = p.deps.Clock.After(p.replyBackoff(id), func() {
-				if !p.stopped {
+			p.replyTokens++
+			token := p.replyTokens
+			r.token = token
+			p.replies[id] = r
+			p.deps.Clock.After(p.replyBackoff(id), func() {
+				if cur, ok := p.replies[id]; ok && cur.token == token && !p.stopped {
 					delete(p.replies, id)
-					send()
+					p.sendReply(id, cur)
 				}
 			})
 			return
 		}
 	}
 	p.cancelReply(id) // replying now makes a waiting reply redundant
-	send()
+	p.sendReply(id, r)
 }
 
-// cancelReply drops the deferred reply for id, if any. Only a data frame for
-// id that verified (or byte-equals the verified copy) and this node's own
-// reply call it, so a forged frame cannot silence a reply.
+// sendReply sends r for id, re-checking that it still makes sense: an answer
+// that the id is still held, a search that it is still missing.
+func (p *Protocol) sendReply(id wire.MsgID, r pendingReply) {
+	ask := r.ask
+	switch r.kind {
+	case replyAnswer, replyServe:
+		if st := p.store.byID[id]; st != nil && !st.purged {
+			if r.kind == replyAnswer {
+				p.stats.RecoveredByData++
+			}
+			p.forwardData(id, st, r.ttl, ask.Sender, wire.CauseGossipRecovery)
+		}
+	case replyFind:
+		if !p.Holds(id) {
+			p.stats.FindsSent++
+			p.send(&wire.Packet{
+				Kind:   wire.KindFindMissing,
+				TTL:    2,
+				Target: ask.Target,
+				Origin: id.Origin,
+				Seq:    id.Seq,
+				Sig:    ask.Sig,
+				Meta:   wire.Meta{Parent: ask.Meta.Frame, Cause: wire.CauseFind},
+			})
+		}
+	case replyRelay:
+		if !p.Holds(id) {
+			fwd := ask.Clone()
+			fwd.TTL = ask.TTL - 1
+			fwd.Meta = wire.Meta{Parent: ask.Meta.Frame, Cause: wire.CauseFind}
+			p.send(fwd)
+		}
+	}
+}
+
+// cancelReply drops the deferred reply for id, if any; its timer will find no
+// entry of its own. Only a data frame for id that verified (or byte-equals
+// the verified copy) and this node's own reply call it, so a forged frame
+// cannot silence a reply.
 func (p *Protocol) cancelReply(id wire.MsgID) {
-	if cancel, pending := p.replies[id]; pending {
-		cancel()
+	if _, pending := p.replies[id]; pending {
 		delete(p.replies, id)
 		p.stats.RepliesSuppressed++
 	}

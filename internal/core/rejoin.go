@@ -42,13 +42,9 @@ func (p *Protocol) Rejoin() {
 	if p.stopped {
 		return
 	}
-	// Cancel deferred replies (a sorted walk: cancellation order must not
-	// depend on map iteration, for replayable runs). Recovery timers need no
-	// cancelling: their entries go with the old table (stillMissing).
-	p.msgIDs = sortedMsgIDs(p.msgIDs, p.replies)
-	for _, id := range p.msgIDs {
-		p.replies[id]()
-	}
+	// No timer needs cancelling: recovery timers' entries go with the old
+	// table (stillMissing), and a deferred reply's timer finds no entry of
+	// its own in the new one (reply).
 	p.seq = 0
 	p.store = msgStore{byID: make(map[wire.MsgID]*msgState)}
 	p.missing = make(map[wire.MsgID]*pendingMiss)
@@ -56,7 +52,7 @@ func (p *Protocol) Rejoin() {
 	p.nodeIDs = p.nodeIDs[:0]
 	p.linkQual = make(map[wire.NodeID]*linkEstimate)
 	p.reqSeen = make(map[wire.MsgID]*reqRecord)
-	p.replies = make(map[wire.MsgID]func())
+	p.replies = make(map[wire.MsgID]pendingReply)
 	p.gossipPeriod = p.cfg.GossipInterval
 	p.roleCand = overlay.Passive
 	p.roleRun = 0

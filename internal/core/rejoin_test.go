@@ -211,3 +211,20 @@ func TestSyncRespWithBadSignatureRejected(t *testing.T) {
 		t.Fatal("forged sync entry stored")
 	}
 }
+
+// TestRejoinDropsDeferredReplies: a FIND dispatch deferred before Rejoin
+// never goes out, though the rejoined node still lacks the message.
+func TestRejoinDropsDeferredReplies(t *testing.T) {
+	cfg := DefaultConfig()
+	c := replyCases[1] // find-dispatch
+	h := replyRig(t, c, cfg)
+	h.p.HandlePacket(h.ask(c, replyID, 2))
+	h.p.Rejoin()
+	h.run(cfg.RequestDelay / 4)
+	if h.p.Holds(replyID) {
+		t.Fatal("the rejoined node holds the message")
+	}
+	if got := h.sentOfKind(wire.KindFindMissing); len(got) != 0 {
+		t.Fatalf("a search deferred before Rejoin went out after it: %v", got)
+	}
+}

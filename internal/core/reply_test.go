@@ -218,3 +218,29 @@ func TestDeferredReplyAtCapAnswersAtOnce(t *testing.T) {
 		t.Fatalf("%d answers after the backoff, want 3", len(got))
 	}
 }
+
+// TestDeferredReplyTimerFindsOnlyItsOwnEntry: a dropped reply's timer still
+// fires, and must not send a later reply deferred for the same id before that
+// reply's own deadline.
+func TestDeferredReplyTimerFindsOnlyItsOwnEntry(t *testing.T) {
+	cfg := DefaultConfig()
+	c := replyCases[0]
+	h := replyRig(t, c, cfg)
+	backoff := h.p.replyBackoff(replyID)
+	first := h.ask(c, replyID, 2)
+	h.p.HandlePacket(first)
+	h.run(backoff / 4)
+	h.p.HandlePacket(forwardedBy(h.dataFrom(1, 1, []byte("m")), 2))
+	h.run(backoff / 4)
+	second := first.Clone()
+	second.Sender = 4
+	h.p.HandlePacket(second) // deadline 2·backoff/4 after the first's
+	h.run(backoff/2 + time.Nanosecond)
+	if got := h.sentOfKind(c.want); len(got) != 0 {
+		t.Fatalf("the dropped reply's timer sent %d answers at its own deadline", len(got))
+	}
+	h.run(backoff / 2)
+	if got := h.sentOfKind(c.want); len(got) != 1 || got[0].Target != 4 {
+		t.Fatalf("sent %v at the second reply's deadline, want one answer to 4", got)
+	}
+}

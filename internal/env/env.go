@@ -13,8 +13,11 @@ import (
 type Clock interface {
 	// Now returns the current time as an offset from an arbitrary epoch.
 	Now() time.Duration
-	// After runs fn once after d. The returned function cancels the timer;
-	// cancelling a fired timer is a no-op.
+	// After runs fn once after d. Timers cannot be cancelled: a callback
+	// re-checks its own precondition when it fires and does nothing if the
+	// state that armed it has moved on. The result is nil; it stays in the
+	// signature only until the benchmark's wrapping clock stops returning
+	// it.
 	After(d time.Duration, fn func()) (cancel func())
 }
 
@@ -30,8 +33,9 @@ var _ Clock = SimClock{}
 // Now implements Clock.
 func (c SimClock) Now() time.Duration { return c.Eng.Now() }
 
-// After implements Clock.
+// After implements Clock. It schedules fn on the engine and allocates
+// nothing once the engine's free list is warm.
 func (c SimClock) After(d time.Duration, fn func()) func() {
-	t := c.Eng.After(d, fn)
-	return func() { t.Stop() }
+	c.Eng.After(d, fn)
+	return nil
 }

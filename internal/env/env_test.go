@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/alloctest"
 	"bbcast/internal/sim"
 )
 
@@ -24,14 +25,18 @@ func TestSimClock(t *testing.T) {
 	}
 }
 
-func TestSimClockCancel(t *testing.T) {
+// TestSimClockAfterDoesNotAllocate: a timer costs the engine's recycled
+// event record and nothing else, and After hands back no cancel.
+func TestSimClockAfterDoesNotAllocate(t *testing.T) {
 	eng := sim.New(1)
 	var c Clock = SimClock{Eng: eng}
-	fired := false
-	cancel := c.After(10*time.Millisecond, func() { fired = true })
-	cancel()
-	eng.RunAll()
-	if fired {
-		t.Fatal("cancelled sim timer fired")
+	fn := func() {}
+	if cancel := c.After(time.Millisecond, fn); cancel != nil {
+		t.Fatal("After returned a cancel function")
 	}
+	eng.RunAll() // warm the free list
+	alloctest.AtMost(t, 0, func() {
+		c.After(time.Millisecond, fn)
+		eng.RunAll()
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"bbcast/internal/env"
 	"bbcast/internal/obsv"
 	"bbcast/internal/sig"
+	"bbcast/internal/sim"
 	"bbcast/internal/wire"
 )
 
@@ -58,11 +59,12 @@ func TestLoopTimersFireInDeadlineThenArmOrder(t *testing.T) {
 		for i := 0; i < timers; i++ {
 			arm(i, t0+20*time.Millisecond+time.Duration(3-i%4)*5*time.Millisecond, nil)
 		}
-		// At the second deadline: a canceller armed before its victim.
+		// At the second deadline: a canceller armed before its victim. The
+		// protocol's clock cannot cancel, so the pair goes on the engine.
 		mid := t0 + 25*time.Millisecond
-		var cancelVictim func()
-		arm(timers, mid, func() { cancelVictim() })
-		cancelVictim = clock.After(mid-t0, func() { victimRan = true })
+		var victim sim.Timer
+		arm(timers, mid, func() { victim.Stop() })
+		victim = n.eng.After(mid-t0, func() { victimRan = true })
 	})
 	select {
 	case <-done:
