@@ -212,37 +212,40 @@ func (p *Protocol) armRetries(id wire.MsgID, miss *pendingMiss) {
 	p.scheduleRetryStep(id, miss)
 }
 
-// scheduleRetryStep schedules the next retransmission for miss after the
-// current backoff plus a deterministic jitter (co-located recoverers must not
-// re-collide every attempt). At fire time: if the entry resolved, stop; if
-// the attempt cap is reached, give up explicitly (the entry stays — later
-// gossip rounds still retry recovery naturally); otherwise re-request from
-// the next known gossiper, round-robin over the sorted set.
+// scheduleRetryStep arms the next retransmission for miss after the current
+// backoff plus a deterministic jitter (co-located recoverers must not
+// re-collide every attempt).
 func (p *Protocol) scheduleRetryStep(id wire.MsgID, miss *pendingMiss) {
 	backoff := retryBackoff(miss.attempts)
 	delay := backoff + time.Duration(p.deps.Rand.Int63n(int64(backoff/4)+1))
-	p.deps.Clock.After(delay, func() {
-		if !p.stillMissing(id, miss) {
-			return
-		}
-		if miss.attempts >= p.cfg.RetryMaxAttempts {
-			p.observeRetry(id, miss.attempts, true)
-			return
-		}
-		target := miss.retryTarget(p.cfg.RequestTolerance)
-		if target == wire.NoNode {
-			// Every known gossiper has already been asked up to the
-			// server-side RequestTolerance: one more request would get this
-			// node indicted as VERBOSE and cut off from recovery entirely,
-			// which is far worse than waiting for the next gossip round.
-			p.observeRetry(id, miss.attempts, true)
-			return
-		}
-		miss.attempts++
-		p.observeRetry(id, miss.attempts, false)
-		p.request(id, miss, target, wire.CauseRetry)
-		p.scheduleRetryStep(id, miss)
-	})
+	p.after(delay, timer{kind: timerRetry, id: id, miss: miss})
+}
+
+// retryStep is a retransmission timer firing: if the entry resolved, stop; if
+// the attempt cap is reached, give up explicitly (the entry stays — later
+// gossip rounds still retry recovery naturally); otherwise re-request from
+// the next known gossiper, round-robin over the sorted set.
+func (p *Protocol) retryStep(id wire.MsgID, miss *pendingMiss) {
+	if !p.stillMissing(id, miss) {
+		return
+	}
+	if miss.attempts >= p.cfg.RetryMaxAttempts {
+		p.observeRetry(id, miss.attempts, true)
+		return
+	}
+	target := miss.retryTarget(p.cfg.RequestTolerance)
+	if target == wire.NoNode {
+		// Every known gossiper has already been asked up to the server-side
+		// RequestTolerance: one more request would get this node indicted as
+		// VERBOSE and cut off from recovery entirely, which is far worse than
+		// waiting for the next gossip round.
+		p.observeRetry(id, miss.attempts, true)
+		return
+	}
+	miss.attempts++
+	p.observeRetry(id, miss.attempts, false)
+	p.request(id, miss, target, wire.CauseRetry)
+	p.scheduleRetryStep(id, miss)
 }
 
 // retryTarget picks the least-asked known gossiper (ties to the lowest id),

@@ -128,7 +128,7 @@ func (p *Protocol) bumpRequestCount(id wire.MsgID, from wire.NodeID) int {
 		if max := p.cfg.MaxReqSeen; max > 0 && len(p.reqSeen) >= max {
 			p.evictOldestReqSeen()
 		}
-		rec = &reqRecord{}
+		rec = p.reqs.new()
 		rec.counts = rec.inline[:0]
 		p.reqSeen[id] = rec
 	}

@@ -84,10 +84,11 @@ func TestHandleStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestRecoveryAllocationCeiling: answering a request allocates what leaves
-// the protocol (the data frame) or what waits for the air to clear (the
-// deferred reply's fire closure), and nothing per request record. FDs are
-// off so a repeated requester is never indicted and silenced.
+// TestRecoveryAllocationCeiling: answering a request allocates at most what
+// leaves the protocol (the data frame, a quarter of a frame chunk), and
+// deferring a reply nothing: its timer is a value in the protocol's heap. No
+// request record allocates. FDs are off so a repeated requester is never
+// indicted and silenced.
 func TestRecoveryAllocationCeiling(t *testing.T) {
 	cfg := admitTestConfig()
 	cfg.EnableFDs = false
@@ -113,7 +114,7 @@ func TestRecoveryAllocationCeiling(t *testing.T) {
 	})
 	t.Run("unaddressed", func(t *testing.T) {
 		before := h.p.stats.RepliesSuppressed
-		alloctest.AtMost(t, 1, func() {
+		alloctest.AtMost(t, 0, func() {
 			h.p.HandlePacket(unaddressed)
 			h.p.HandlePacket(overheard)
 		})
@@ -125,4 +126,38 @@ func TestRecoveryAllocationCeiling(t *testing.T) {
 		h.p.bumpRequestCount(replyID, 3)
 		alloctest.AtMost(t, 0, func() { h.p.bumpRequestCount(replyID, 3) })
 	})
+}
+
+// TestAcceptAndForwardAllocationCeiling: an overlay node accepting and
+// forwarding new data allocates its store entries and its frames a chunk
+// array at a time (eight entries, four frames to an array), not one object
+// per message: 100 frames cost 37.5 arrays, with room for the store's map and
+// window to grow.
+func TestAcceptAndForwardAllocationCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AdmitRate = 0
+	h := newHarness(t, 0, cfg)
+	h.makeOverlay()
+	forwarded := 0
+	h.p.deps.Send = func(pkt *wire.Packet) {
+		if pkt.Kind == wire.KindData {
+			forwarded++
+		}
+	}
+	h.p.deps.Deliver = nil
+	const perRun, runs = 100, 101 // AtMost calls fn once to warm up, then 100 times
+	pkts := make([]*wire.Packet, perRun*runs)
+	for i := range pkts {
+		pkts[i] = h.dataFrom(1, wire.Seq(i+1), []byte("payload"))
+	}
+	next := 0
+	alloctest.AtMost(t, 40, func() {
+		for _, pkt := range pkts[next : next+perRun] {
+			h.p.HandlePacket(pkt)
+		}
+		next += perRun
+	})
+	if forwarded != len(pkts) {
+		t.Fatalf("forwarded %d of %d new frames", forwarded, len(pkts))
+	}
 }

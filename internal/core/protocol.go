@@ -283,6 +283,22 @@ type Protocol struct {
 	// it was armed for. It is never reset, not even by Rejoin.
 	replyTokens uint64
 
+	// timers holds the armed recovery timers (first requests, retry steps,
+	// deferred replies) as values, by (due, arm order); fire, the method
+	// value fireTimer bound once in New, pops the head each time the clock
+	// calls it. The heap is never dropped or replaced, not even by Rejoin:
+	// each entry leaves when its own clock event fires.
+	//bbvet:bounded-by MaxMissing an entry lives no longer than the longest recovery delay (retryBackoffMax plus a quarter); the live ones are at most maxMissGossipers first requests and one retry step per missing entry and one reply per replies entry (MaxReqSeen), the rest stale ones of records resolved or wiped within that delay
+	timers   timerHeap
+	timerSeq uint64
+	fire     func()
+
+	// Per-node chunks (chunk) for the records created once per message, per
+	// recovered id and per sent frame.
+	frames chunk[wire.Packet]
+	misses chunk[pendingMiss]
+	reqs   chunk[reqRecord]
+
 	// Catch-up sync state: syncArmed is set from rejoin (or a restored-state
 	// start) until the node is caught up or gives up; syncAttempts counts
 	// rounds without progress toward the syncMaxAttempts cap.
@@ -291,7 +307,8 @@ type Protocol struct {
 
 	// Scratch reused by the per-packet and periodic paths, so work repeated
 	// every tick does not allocate. None of it ever leaves the protocol:
-	// frames handed to Send and published state records get fresh memory.
+	// frames handed to Send take a frames slot, which is never handed out
+	// twice, and published state records get fresh memory.
 	sigBuf []byte // signed-bytes buffer for one Sign/Verify call
 	//bbvet:bounded-by MaxStore holds the keys of one protocol table at a time (store, missing or reqSeen)
 	msgIDs []wire.MsgID
@@ -335,6 +352,7 @@ func New(cfg Config, deps Deps) *Protocol {
 		replies:      make(map[wire.MsgID]pendingReply),
 	}
 	p.distrusts = func(id wire.NodeID) bool { return p.level(id) == fd.Untrusted }
+	p.fire = p.fireTimer
 	p.initDetectors()
 	if restored := p.restoreDurable(); restored > 0 && cfg.CatchUpSync {
 		// A daemon restarting over a non-empty durable store missed traffic
@@ -508,13 +526,10 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	dataSig := p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 	digest := wire.Digest(body)
 	p.enforceStoreCap()
-	p.store.hold(&msgState{
-		id:      id,
-		payload: body,
-		dataSig: dataSig,
-		digest:  digest,
-	}, p.deps.Clock.Now())
-	p.send(&wire.Packet{
+	st := p.store.entries.new()
+	*st = msgState{id: id, payload: body, dataSig: dataSig, digest: digest}
+	p.store.hold(st, p.deps.Clock.Now())
+	p.send(wire.Packet{
 		Kind:    wire.KindData,
 		TTL:     1,
 		Target:  wire.NoNode,
@@ -622,10 +637,14 @@ func (p *Protocol) noteDedupSkip() {
 	p.observeAdmission(obsv.AdmitDedup)
 }
 
-// send stamps the sender and hands the packet to the host.
-func (p *Protocol) send(pkt *wire.Packet) {
-	pkt.Sender = p.deps.ID
-	p.deps.Send(pkt)
+// send copies pkt into a frame of its own, stamps the sender and hands the
+// frame to the host. Frames come from the node's frame chunk, four to an
+// array.
+func (p *Protocol) send(pkt wire.Packet) {
+	frame := p.frames.new()
+	*frame = pkt
+	frame.Sender = p.deps.ID
+	p.deps.Send(frame)
 }
 
 // HandlePacket processes one received packet. Hosts call it for every frame
@@ -636,7 +655,7 @@ func (p *Protocol) send(pkt *wire.Packet) {
 // pkt is shared with the sender and every other receiver of the frame. The
 // protocol retains parts of it (payload, signatures, the state record) and
 // never modifies it; the one frame it relays edited (a FIND_MISSING with a
-// lower TTL) goes out as a Clone.
+// lower TTL) goes out as a copy of the frame's fields.
 func (p *Protocol) HandlePacket(pkt *wire.Packet) {
 	if p.stopped || pkt.Sender == p.deps.ID {
 		return
@@ -727,7 +746,8 @@ func (p *Protocol) handleData(pkt admitted) {
 		return
 	}
 
-	st = &msgState{
+	st = p.store.entries.new()
+	*st = msgState{
 		id:           id,
 		payload:      pkt.Payload,
 		dataSig:      pkt.Sig,
@@ -791,7 +811,7 @@ func (p *Protocol) accept(st *msgState, meta wire.Meta) *pendingMiss {
 }
 
 func (p *Protocol) forwardData(id wire.MsgID, st *msgState, ttl uint8, target wire.NodeID, cause wire.Cause) {
-	p.send(&wire.Packet{
+	p.send(wire.Packet{
 		Kind:    wire.KindData,
 		TTL:     ttl,
 		Target:  target,
@@ -869,7 +889,8 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 			p.observeAdmission(obsv.AdmitMissingReject)
 			return
 		}
-		miss = &pendingMiss{
+		miss = p.misses.new()
+		*miss = pendingMiss{
 			headerSig:  headerSig,
 			firstHeard: p.deps.Clock.Now(),
 			srcFrame:   srcFrame,
@@ -900,15 +921,7 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 		// avenue of last resort. See DESIGN.md ("deviations").
 		delay *= 2
 	}
-	p.deps.Clock.After(delay, func() {
-		if !p.stillMissing(id, miss) {
-			return
-		}
-		p.request(id, miss, gossiper, wire.CauseRequest)
-		// The data did not arrive by itself: beyond the per-gossiper first
-		// requests, start the bounded retransmission chain (once per entry).
-		p.armRetries(id, miss)
-	})
+	p.after(delay, timer{kind: timerRequest, id: id, miss: miss, to: gossiper})
 }
 
 // stillMissing is the fire-time guard of every recovery timer: it reports
@@ -933,7 +946,7 @@ func (p *Protocol) stillMissing(id wire.MsgID, miss *pendingMiss) bool {
 func (p *Protocol) request(id wire.MsgID, miss *pendingMiss, target wire.NodeID, cause wire.Cause) {
 	p.stats.RequestsSent++
 	miss.gossipers.bump(target)
-	p.send(&wire.Packet{
+	p.send(wire.Packet{
 		Kind:   wire.KindRequest,
 		TTL:    1,
 		Target: target,
@@ -1065,15 +1078,9 @@ func (p *Protocol) reply(pkt admitted, r pendingReply) {
 		}
 		if max := p.cfg.MaxReqSeen; max <= 0 || len(p.replies) < max {
 			p.replyTokens++
-			token := p.replyTokens
-			r.token = token
+			r.token = p.replyTokens
 			p.replies[id] = r
-			p.deps.Clock.After(p.replyBackoff(id), func() {
-				if cur, ok := p.replies[id]; ok && cur.token == token && !p.stopped {
-					delete(p.replies, id)
-					p.sendReply(id, cur)
-				}
-			})
+			p.after(p.replyBackoff(id), timer{kind: timerReply, id: id, token: r.token})
 			return
 		}
 	}
@@ -1096,7 +1103,7 @@ func (p *Protocol) sendReply(id wire.MsgID, r pendingReply) {
 	case replyFind:
 		if !p.Holds(id) {
 			p.stats.FindsSent++
-			p.send(&wire.Packet{
+			p.send(wire.Packet{
 				Kind:   wire.KindFindMissing,
 				TTL:    2,
 				Target: ask.Target,
@@ -1108,7 +1115,7 @@ func (p *Protocol) sendReply(id wire.MsgID, r pendingReply) {
 		}
 	case replyRelay:
 		if !p.Holds(id) {
-			fwd := ask.Clone()
+			fwd := *ask // shares the asking frame's bytes, which no one writes
 			fwd.TTL = ask.TTL - 1
 			fwd.Meta = wire.Meta{Parent: ask.Meta.Frame, Cause: wire.CauseFind}
 			p.send(fwd)

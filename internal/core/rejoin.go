@@ -42,9 +42,10 @@ func (p *Protocol) Rejoin() {
 	if p.stopped {
 		return
 	}
-	// No timer needs cancelling: recovery timers' entries go with the old
-	// table (stillMissing), and a deferred reply's timer finds no entry of
-	// its own in the new one (reply).
+	// No timer needs cancelling, and the timer heap carries over as it is:
+	// each clock event still armed pops one entry. A request or retry finds
+	// its entry gone with the old table (stillMissing), and a deferred reply
+	// finds no entry with its token in the new one, so each is a no-op.
 	p.seq = 0
 	p.store = msgStore{byID: make(map[wire.MsgID]*msgState)}
 	p.missing = make(map[wire.MsgID]*pendingMiss)
@@ -177,7 +178,7 @@ func (p *Protocol) syncStep() {
 	// The frame owns its summary: a fresh copy, never the scratch.
 	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store.byID)
 	have := slices.Clone(p.msgIDs[:min(len(p.msgIDs), maxSyncHave)])
-	pkt := &wire.Packet{
+	pkt := wire.Packet{
 		Kind:     wire.KindSyncReq,
 		TTL:      1,
 		Target:   target,
@@ -264,7 +265,7 @@ func (p *Protocol) handleSyncReq(pkt admitted) {
 	}
 	p.stats.SyncEntriesServed += uint64(len(entries))
 	p.observeSync(obsv.SyncServed, pkt.Sender, len(entries), nbytes)
-	p.send(&wire.Packet{
+	p.send(wire.Packet{
 		Kind:        wire.KindSyncResp,
 		TTL:         1,
 		Target:      pkt.Sender,
@@ -296,7 +297,8 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			break // poisoned batch: discard the rest
 		}
-		st := &msgState{
+		st := p.store.entries.new()
+		*st = msgState{
 			id:           e.ID,
 			payload:      e.Payload,
 			dataSig:      e.Sig,

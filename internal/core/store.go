@@ -16,6 +16,8 @@ import (
 type msgStore struct {
 	byID        map[wire.MsgID]*msgState
 	held, tombs msgList
+	// entries hands out every entry, eight to an array.
+	entries chunk[msgState]
 	// window is the held entries received within GossipRetention of the last
 	// gossip tick, ascending by id, one slot per id. An entry that leaves the
 	// held list leaves its slot behind, dead (purged is set), until a gossip
@@ -66,12 +68,14 @@ func (l *msgList) unlink(st *msgState) {
 	l.n--
 }
 
-// hold files st as a held entry received now: a new entry, or a tombstone
-// whose payload arrived again.
+// hold files st as a held entry received now: a new entry from entries, or a
+// tombstone whose payload arrived again.
 func (s *msgStore) hold(st *msgState, now time.Duration) {
-	if old := s.byID[st.id]; old != nil {
-		// The tombstone itself — or, a wiped node re-issuing sequence numbers,
-		// the message it first sent under this one, handed back by a neighbour.
+	if old := s.byID[st.id]; old == st {
+		s.unfile(st) // the tombstone itself, re-filed as it is
+	} else if old != nil {
+		// A wiped node re-issuing sequence numbers: the message it first sent
+		// under this one, handed back by a neighbour.
 		s.remove(old)
 	}
 	s.byID[st.id] = st
@@ -102,19 +106,29 @@ func (s *msgStore) entomb(st *msgState, now time.Duration) {
 // Its digest stays zero: nothing reads a tombstone's digest, and a tombstone
 // revived by a data frame takes the frame's.
 func (s *msgStore) restore(id wire.MsgID, now time.Duration) {
-	st := &msgState{id: id, purged: true, at: now}
+	st := s.entries.new()
+	st.id, st.purged, st.at = id, true, now
 	s.byID[id] = st
 	s.tombs.push(st)
 }
 
-// remove deletes st outright.
+// remove deletes st outright and clears it down to the id and the purged
+// mark, which its window slot, if it still has one, reads (dead by purged,
+// found by id). Its chunk array lives on while any other entry in it does,
+// and must not keep this one's payload, signatures or list links — which
+// reach entries of other arrays — alive with it.
 func (s *msgStore) remove(st *msgState) {
+	s.unfile(st)
+	*st = msgState{id: st.id, purged: true}
+}
+
+// unfile takes st out of its list and the id table.
+func (s *msgStore) unfile(st *msgState) {
 	if st.purged {
 		s.tombs.unlink(st)
 	} else {
 		s.held.unlink(st)
 	}
-	st.purged = true // its window slot, if it still has one, is dead
 	delete(s.byID, st.id)
 }
 

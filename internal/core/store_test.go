@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -17,6 +18,43 @@ import (
 func TestMsgStateSize(t *testing.T) {
 	if size := unsafe.Sizeof(msgState{}); size > 128 {
 		t.Fatalf("msgState is %d bytes, want <= 128", size)
+	}
+}
+
+// TestStoreRemoveClearsEntry: a removed entry, held or a tombstone, keeps
+// only its id and the purged mark, which a window slot left behind reads. Its
+// chunk array stays alive while any other entry in it does, and must not keep
+// the removed entry's payload, signatures or the entries its links reach. A
+// tombstone that hold revives is re-filed whole.
+func TestStoreRemoveClearsEntry(t *testing.T) {
+	s := msgStore{byID: make(map[wire.MsgID]*msgState)}
+	add := func(seq wire.Seq, now time.Duration) *msgState {
+		st := s.entries.new()
+		*st = msgState{
+			id: wire.MsgID{Origin: 1, Seq: seq}, payload: []byte("payload"),
+			dataSig: []byte("data"), headerSig: []byte("header"),
+			viaFrame: 9, digest: 7, viaHops: 2, viaRecovered: true,
+		}
+		s.hold(st, now)
+		return st
+	}
+	a, b, c, d := add(1, 0), add(2, 1), add(3, 2), add(4, 3)
+	s.remove(b) // held, linked both ways
+	s.entomb(a, 4)
+	s.entomb(c, 4)
+	s.remove(a)           // a tombstone linked to c
+	reissued := add(4, 5) // d's id handed back to a wiped origin: d goes
+	for _, st := range []*msgState{b, a, d} {
+		if !reflect.DeepEqual(*st, msgState{id: st.id, purged: true}) {
+			t.Errorf("removed entry %v keeps %+v", st.id, *st)
+		}
+	}
+	s.hold(c, 6)
+	if c.purged || c.viaFrame != 9 || c.digest != 7 || c.prev != reissued || s.held.tail != c {
+		t.Errorf("revived tombstone lost its fields or its place: %+v", *c)
+	}
+	if s.held.n != 2 || s.tombs.n != 0 || len(s.byID) != 2 || s.byID[d.id] != reissued {
+		t.Errorf("store holds %d + %d tombstones, %d ids", s.held.n, s.tombs.n, len(s.byID))
 	}
 }
 

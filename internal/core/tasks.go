@@ -35,7 +35,7 @@ func (p *Protocol) gossipTick() {
 	if !p.cfg.GossipAggregation && len(entries) > 1 {
 		// Ablation: one advertisement per packet (state on the first).
 		for i, e := range entries {
-			pkt := &wire.Packet{
+			pkt := wire.Packet{
 				Kind:   wire.KindGossip,
 				TTL:    1,
 				Target: wire.NoNode,
@@ -53,7 +53,7 @@ func (p *Protocol) gossipTick() {
 		return
 	}
 	p.stats.GossipsSent++
-	p.send(&wire.Packet{
+	p.send(wire.Packet{
 		Kind:   wire.KindGossip,
 		TTL:    1,
 		Target: wire.NoNode,

@@ -13,8 +13,12 @@ import (
 type Clock interface {
 	// Now returns the current time as an offset from an arbitrary epoch.
 	Now() time.Duration
-	// After runs fn once after d. Timers cannot be cancelled: a callback
-	// re-checks its own precondition when it fires and does nothing if the
+	// After runs fn once after d, a negative d counting as zero. Timers fire
+	// in deadline order, and timers with equal deadlines in the order they
+	// were armed: core's recovery timers rely on that, passing one shared fn
+	// for every timer and keeping the timers themselves as values in a heap
+	// popped in the same order. Timers cannot be cancelled: the protocol
+	// re-checks a timer's precondition when it fires and does nothing if the
 	// state that armed it has moved on. The result is nil; it stays in the
 	// signature only until the benchmark's wrapping clock stops returning
 	// it.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/alloctest"
 	"bbcast/internal/wire"
 )
 
@@ -209,6 +210,39 @@ func TestMuteEmptyExpectNoop(t *testing.T) {
 	c.Advance(time.Second)
 	if len(m.Suspects()) != 0 {
 		t.Fatal("empty expectation produced suspects")
+	}
+}
+
+// TestMuteExpectDoesNotAllocate: an expectation fills the waiting slice of
+// one that was fulfilled or swept before it.
+func TestMuteExpectDoesNotAllocate(t *testing.T) {
+	c := &fakeClock{}
+	m := NewMute(c.NowFunc(), muteCfg())
+	overlay := []wire.NodeID{9, 4, 7, 4}
+	seq := uint32(0)
+	alloctest.AtMost(t, 0, func() {
+		seq++
+		m.Expect(key(1, seq), overlay)
+		m.Fulfill(key(1, seq), 7)
+		m.Expect(key(2, seq), []wire.NodeID{3})
+		c.Advance(time.Second)
+		m.Suspected(3) // sweeps the second, which 3 missed
+	})
+}
+
+// TestMuteRecycledSliceIsNotShared: a waiting slice goes back to Expect only
+// once its own expectation is gone, so one still pending keeps its nodes.
+func TestMuteRecycledSliceIsNotShared(t *testing.T) {
+	c := &fakeClock{}
+	m := NewMute(c.NowFunc(), muteCfg())
+	m.Expect(key(1, 1), []wire.NodeID{2})
+	m.Expect(key(1, 1), []wire.NodeID{3})
+	m.Fulfill(key(1, 1), 2) // drops the first, keeps the second
+	m.Expect(key(1, 2), []wire.NodeID{4})
+	m.Fulfill(key(1, 2), 4)
+	c.Advance(time.Second)
+	if m.Misses(2) != 0 || m.Misses(3) != 1 || m.Misses(4) != 0 {
+		t.Errorf("misses of 2, 3, 4 = %d, %d, %d; want 0, 1, 0", m.Misses(2), m.Misses(3), m.Misses(4))
 	}
 }
 

@@ -37,6 +37,10 @@ type Mute struct {
 	cfg     MuteConfig
 	set     *counterSet
 	pending []expectation
+	// spare holds the waiting slices of expectations that were fulfilled or
+	// swept, emptied, for Expect to fill again.
+	//bbvet:bounded-by pending a slice moves here only when its expectation leaves pending and back when Expect arms one, so the two together never hold more than the most expectations ever pending at once
+	spare [][]wire.NodeID
 
 	// OnSuspect, if non-nil, observes suspicion transitions.
 	OnSuspect func(id wire.NodeID, suspected bool)
@@ -65,7 +69,13 @@ func (m *Mute) Expect(id wire.MsgID, nodes []wire.NodeID) {
 	if len(nodes) == 0 {
 		return
 	}
-	waiting := slices.Clone(nodes)
+	var waiting []wire.NodeID
+	if n := len(m.spare); n > 0 {
+		waiting = m.spare[n-1]
+		m.spare[n-1] = nil
+		m.spare = m.spare[:n-1]
+	}
+	waiting = append(waiting, nodes...)
 	slices.Sort(waiting)
 	m.pending = append(m.pending, expectation{
 		id:       id,
@@ -94,12 +104,18 @@ func (m *Mute) Fulfill(id wire.MsgID, from wire.NodeID) {
 	for _, e := range m.pending {
 		if e.id == id {
 			if _, ok := slices.BinarySearch(e.waiting, from); ok {
-				continue // satisfied; drop
+				m.retire(e) // satisfied
+				continue
 			}
 		}
 		kept = append(kept, e)
 	}
 	m.pending = kept
+}
+
+// retire hands a dropped expectation's waiting slice, emptied, to spare.
+func (m *Mute) retire(e expectation) {
+	m.spare = append(m.spare, e.waiting[:0])
 }
 
 // sweep folds expired expectations into miss counters.
@@ -120,6 +136,7 @@ func (m *Mute) sweep() {
 		for _, id := range e.waiting {
 			m.set.bump(id, 1)
 		}
+		m.retire(e)
 	}
 	m.pending = kept
 }

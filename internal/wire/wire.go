@@ -489,9 +489,10 @@ func Unmarshal(b []byte) (*Packet, error) {
 // Clone returns a deep copy of the packet. A packet is immutable once it has
 // been handed to a send path, and every receiver of a transmission sees the
 // same *Packet: receivers may retain it and anything it points to, never
-// modify it. Clone before editing — a node that relays a received frame with
-// a new TTL, tampers with a payload or re-sends a harvested frame edits its
-// own copy.
+// modify it. Copy before editing: a node that relays a received frame with a
+// new TTL sends a copy of its fields (the bytes stay shared, as no one writes
+// them), and one that tampers with a payload or re-sends a harvested frame
+// edits a Clone.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	// All byte fields share one arena and all id slices another, so a clone
