@@ -6,8 +6,6 @@
 //	              or through a call chain into helpers (printed)
 //	obsvonce      obsv.Observer events emitted only from their designated
 //	              source functions (the PR 2 emission table)
-//	boundedstate  every map-typed field in internal/core is capped or
-//	              //bbvet:bounded-by annotated (the PR 4 caps table)
 //	errflow       no dropped, discarded or overwritten errors from persist
 //	              and transport writes (the PR 9 latch discipline)
 //
@@ -32,7 +30,6 @@ import (
 	"strings"
 
 	"bbcast/internal/analysis"
-	"bbcast/internal/analysis/boundedstate"
 	"bbcast/internal/analysis/determinism"
 	"bbcast/internal/analysis/errflow"
 	"bbcast/internal/analysis/obsvonce"
@@ -41,7 +38,6 @@ import (
 var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	obsvonce.Analyzer,
-	boundedstate.Analyzer,
 	errflow.Analyzer,
 }
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -21,7 +22,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	keys := bbcast.NewHMACKeyring(nodes+1, 42)
 	cfg := bbcast.DefaultProtocolConfig()
 	cfg.GossipInterval = 200 * time.Millisecond
@@ -41,13 +42,18 @@ func run() error {
 
 	all := make([]*bbcast.Node, 0, nodes+1)
 	addrs := make([]string, 0, nodes+1)
+	// Close every node started, the late joiner too, and report what fails.
+	defer func() {
+		for _, n := range all {
+			err = errors.Join(err, n.Close())
+		}
+	}()
 	for i := 0; i < nodes; i++ {
 		id := bbcast.NodeID(i)
 		n, err := bbcast.NewNode(cfg, id, keys, "127.0.0.1:0", deliver(id))
 		if err != nil {
 			return err
 		}
-		defer n.Close()
 		all = append(all, n)
 		addrs = append(addrs, n.Addr().String())
 	}
@@ -73,7 +79,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer late.Close()
 	all = append(all, late)
 	addrs = append(addrs, late.Addr().String())
 	wirePeers(all, addrs)

@@ -11,10 +11,11 @@
 // under analysis.
 //
 // The project-specific analyzers live in the subpackages determinism,
-// obsvonce, boundedstate and errflow; cmd/bbvet is the multichecker binary
-// that runs them over the tree. The ingress contract (admission and dedup
-// before any signature check) needs no pass: internal/core's admitted and
-// looked types hold it at compile time.
+// obsvonce and errflow; cmd/bbvet is the multichecker binary that runs them
+// over the tree. Two contracts need no pass: the ingress contract (admission
+// and dedup before any signature check) is held at compile time by
+// internal/core's admitted and looked types, and the bound of every core map
+// by a test in that package (TestEveryMapIsBounded).
 package analysis
 
 import (
@@ -61,19 +62,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// CheckTable is the drift check of a table-driven pass: it reports at anchor
-// every name of the pass's table for which exists is false, with the message
-// fmt.Sprintf(format, name). A table row whose function or field was renamed
-// or deleted would otherwise prove nothing, or permit whatever later reuses
-// the name.
-func (p *ProgramPass) CheckTable(anchor token.Pos, format string, names []string, exists func(name string) bool) {
-	for _, name := range names {
-		if !exists(name) {
-			p.Reportf(anchor, format, name)
-		}
-	}
 }
 
 // Run builds the program view of pkgs once, applies each analyzer to it, and

@@ -20,17 +20,19 @@ import (
 //	//bbvet:unordered <why>        on or above a `for range` over a map:
 //	                               asserts iteration order cannot leak into
 //	                               observable output.
-//	//bbvet:bounded-by <cap> <why> on a map-typed struct field in
-//	                               internal/core: names the config field or
-//	                               package constant that bounds the map.
+//	//bbvet:bounded-by <cap> <why> on or above a struct field in
+//	                               internal/core: names the Config field or
+//	                               package constant that bounds it. No pass
+//	                               reads it: core's TestEveryMapIsBounded
+//	                               checks its cap.
 //	//bbvet:errflow <why>          on or above a persist/transport write
 //	                               whose error is deliberately dropped:
 //	                               asserts the loss is by design (latched in
 //	                               Store.Err, or best-effort datagrams).
 //
 // Every annotation must carry a non-empty justification: each analyzer
-// rejects bare escapes of the kinds it reads, and determinism also rejects
-// unknown kinds.
+// rejects bare escapes of the kinds it reads (core's test rejects a
+// bounded-by without a cap), and determinism also rejects unknown kinds.
 const (
 	annotationPrefix = "//bbvet:"
 
@@ -38,7 +40,7 @@ const (
 	AnnWallclock = "wallclock"
 	// AnnUnordered justifies an order-insensitive map iteration.
 	AnnUnordered = "unordered"
-	// AnnBoundedBy names the cap bounding a map-typed struct field.
+	// AnnBoundedBy names the cap bounding a struct field of internal/core.
 	AnnBoundedBy = "bounded-by"
 	// AnnErrflow justifies a deliberately dropped write error.
 	AnnErrflow = "errflow"
@@ -119,10 +121,9 @@ func (fa *FileAnnotations) At(kind string, line int) *Annotation {
 }
 
 // CheckAnnotations reports the malformed //bbvet: comments of the given
-// kinds in the program's non-test files: one without its justification (for
-// bounded-by, its cap), or, under AnnUnknown, one of no known kind. Each
-// analyzer checks the kinds it reads, so any selection of analyzers still
-// rejects its own bare escapes.
+// kinds in the program's non-test files: one without its justification, or,
+// under AnnUnknown, one of no known kind. Each analyzer checks the kinds it
+// reads, so any selection of analyzers still rejects its own bare escapes.
 func (p *ProgramPass) CheckAnnotations(kinds ...string) {
 	for _, pkg := range p.Prog.Packages {
 		for _, file := range pkg.Files {
@@ -139,8 +140,6 @@ func (p *ProgramPass) CheckAnnotations(kinds ...string) {
 				case kind == AnnUnknown:
 					p.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by or errflow)", a.Kind)
 				case a.Arg != "":
-				case kind == AnnBoundedBy:
-					p.Reportf(a.Pos, "//bbvet:bounded-by needs a cap: //bbvet:bounded-by <cap> [why]")
 				default:
 					p.Reportf(a.Pos, "//bbvet:%s needs a justification: //bbvet:%s <why>", a.Kind, a.Kind)
 				}

@@ -54,9 +54,9 @@ func f() {
 
 // TestCheckAnnotations covers the grammar errors: bare escapes without a
 // justification and unknown kinds, each reported only to an analyzer that
-// asks for its kind. (The analysistest fixtures can express a bare
-// annotation only after a block-comment want, so this is checked white-box
-// too.)
+// asks for its kind. A bare bounded-by is a known kind no analyzer reads.
+// (The analysistest fixtures can express a bare annotation only after a
+// block-comment want, so this is checked white-box too.)
 func TestCheckAnnotations(t *testing.T) {
 	src := `package p
 
@@ -72,10 +72,9 @@ func TestCheckAnnotations(t *testing.T) {
 		kinds []string
 		want  []string
 	}{
-		{[]string{AnnWallclock, AnnUnordered, AnnBoundedBy, AnnErrflow, AnnUnknown}, []string{
+		{[]string{AnnWallclock, AnnUnordered, AnnErrflow, AnnUnknown}, []string{
 			"//bbvet:wallclock needs a justification",
 			"//bbvet:unordered needs a justification",
-			"//bbvet:bounded-by needs a cap",
 			"//bbvet:errflow needs a justification",
 			"unknown annotation //bbvet:nonsense (want wallclock, unordered, bounded-by or errflow)",
 		}},

@@ -34,11 +34,14 @@ const (
 	linkQualLow = 0.65
 )
 
-// linkEstimate is one neighbour's link-quality state: the gossip arrivals
-// counted in the current maintenance window and the EWMA quality in [0, 1].
+// linkEstimate is one neighbour's link-quality state, kept in its neighbour
+// entry so it lives and dies with it: the gossip arrivals counted in the
+// current maintenance window and the EWMA quality in [0, 1], from the first
+// gossip heard (started).
 type linkEstimate struct {
-	seen int
-	q    float64
+	seen    int
+	q       float64
+	started bool
 }
 
 // noteGossipArrival counts one gossip packet heard from a neighbour. New
@@ -46,18 +49,14 @@ type linkEstimate struct {
 // proven it can deliver at least one packet, and pessimistic starts would
 // make every join look like a degraded channel.
 func (p *Protocol) noteGossipArrival(from wire.NodeID) {
-	if !p.cfg.AdaptiveTiming {
+	nb := p.neighbors[from]
+	if !p.cfg.AdaptiveTiming || nb == nil {
 		return
 	}
-	le := p.linkQual[from]
-	if le == nil {
-		if p.neighbors[from] == nil {
-			return // estimator entries never outnumber the neighbour table
-		}
-		le = &linkEstimate{q: 1}
-		p.linkQual[from] = le
+	if !nb.link.started {
+		nb.link = linkEstimate{q: 1, started: true}
 	}
-	le.seen++
+	nb.link.seen++
 }
 
 // adaptTimers rolls every link estimator's window and applies one AIMD step
@@ -78,9 +77,9 @@ func (p *Protocol) adaptTimers() {
 		}
 	}
 	qs := p.linkQuals[:0]
-	for id, le := range p.linkQual { //bbvet:unordered per-entry EWMA updates commute and the collected set is sorted below; the loop emits nothing
-		if p.neighbors[id] == nil {
-			delete(p.linkQual, id)
+	for _, id := range p.nodeIDs {
+		le := &p.neighbors[id].link
+		if !le.started {
 			continue
 		}
 		ratio := float64(le.seen) / expected

@@ -14,8 +14,8 @@ import (
 // a flooding sender costs a map lookup and a float comparison per packet,
 // not an HMAC.
 
-// reqRecord tracks how often each requester asked for one message, with a
-// touch time so idle records can expire.
+// reqRecord tracks how often each requester asked for one held message, with
+// a touch time by which the MaxReqSeen cap picks its victim.
 type reqRecord struct {
 	//bbvet:bounded-by maxReqCounters bumpRequestCount stops admitting new requesters past the cap; total is maxReqCounters×MaxReqSeen
 	counts  counts
@@ -73,12 +73,14 @@ func (p *Protocol) admit(nb *neighborState, pkt *wire.Packet) (admitted, bool) {
 // enforceStoreCap makes room for one store insertion when MaxStore is set:
 // tombstones are evicted oldest-purged-first (they are only a duplicate
 // filter), then held entries oldest-received-first — the head of the store's
-// own order, so making room costs the same at the cap as below it.
+// own order, so making room costs the same at the cap as below it. A held
+// entry's request record dies with it, as at purge.
 func (p *Protocol) enforceStoreCap() {
 	for max := p.cfg.MaxStore; max > 0 && len(p.store.byID) >= max; {
 		victim := p.store.tombs.head
 		if victim == nil {
 			victim = p.store.held.head
+			delete(p.reqSeen, victim.id)
 		}
 		p.store.remove(victim)
 		p.stats.Evictions++
@@ -110,7 +112,6 @@ func (p *Protocol) enforceNeighborCap() {
 			return
 		}
 		delete(p.neighbors, victim)
-		delete(p.linkQual, victim)
 		i, _ := slices.BinarySearch(p.nodeIDs, victim)
 		p.nodeIDs = slices.Delete(p.nodeIDs, i, i+1)
 		p.stats.Evictions++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -264,38 +265,99 @@ func TestReqSeenCountsEachRequesterOnce(t *testing.T) {
 	}
 }
 
+// request builds a REQUEST for id from requester, addressed to node 0.
+func (h *harness) request(requester wire.NodeID, id wire.MsgID) *wire.Packet {
+	return headerFrame(wire.KindRequest, requester, id, h.scheme.Sign(uint32(id.Origin), wire.HeaderSigBytes(id)))
+}
+
+// TestReqSeenCapAndTTL: requests for held messages open one record each, up
+// to MaxReqSeen (at the cap the least recently touched goes), and each record
+// dies with its payload at the first purge past PurgeTimeout.
 func TestReqSeenCapAndTTL(t *testing.T) {
 	cfg := admitTestConfig()
 	cfg.MaxReqSeen = 3
-	cfg.PurgeTimeout = 2 * time.Second // request-count records live as long as payloads
+	cfg.PurgeTimeout = 2 * time.Second
 	h := newHarness(t, 0, cfg)
-
-	for i := 1; i <= 5; i++ {
-		h.p.bumpRequestCount(wire.MsgID{Origin: 2, Seq: wire.Seq(i)}, 3)
+	h.makeOverlay()
+	for seq := wire.Seq(1); seq <= 5; seq++ {
+		h.p.HandlePacket(h.dataFrom(1, seq, []byte("m")))
+		h.p.HandlePacket(h.request(3, wire.MsgID{Origin: 1, Seq: seq}))
 		h.run(time.Millisecond) // distinct touch times
 	}
 	if n := h.p.ReqSeenCount(); n != 3 {
 		t.Fatalf("reqSeen has %d records, want cap 3", n)
 	}
-	// Idle records expire on the purge tick once past the TTL.
-	h.run(cfg.PurgeTimeout + cfg.PurgeInterval + time.Second)
+	for seq := wire.Seq(1); seq <= 5; seq++ {
+		if _, kept := h.p.reqSeen[wire.MsgID{Origin: 1, Seq: seq}]; kept != (seq > 2) {
+			t.Fatalf("record for seq %d kept=%v, want only the three most recent", seq, kept)
+		}
+	}
+	h.run(cfg.PurgeTimeout + cfg.PurgeInterval)
 	if n := h.p.ReqSeenCount(); n != 0 {
-		t.Fatalf("reqSeen has %d records after the TTL, want 0", n)
+		t.Fatalf("reqSeen has %d records after the payloads were purged, want 0", n)
 	}
 }
 
+// TestReqSeenClearedOnAccept: the accept that evicts a held entry at MaxStore
+// drops the entry's request record with it.
 func TestReqSeenClearedOnAccept(t *testing.T) {
-	h := newHarness(t, 0, admitTestConfig())
+	cfg := admitTestConfig()
+	cfg.MaxStore = 2
+	h := newHarness(t, 0, cfg)
+	h.makeOverlay()
 	id := wire.MsgID{Origin: 1, Seq: 1}
-	h.p.bumpRequestCount(id, 3)
+	h.p.HandlePacket(h.dataFrom(1, 1, []byte("x")))
+	h.p.HandlePacket(h.request(3, id))
 	if h.p.ReqSeenCount() != 1 {
 		t.Fatal("request record not created")
 	}
-	// Accepting the data satisfies the request cycle; the record is dropped
-	// instead of lingering until the TTL (the ISSUE 4 satellite-b leak).
-	h.p.HandlePacket(h.dataFrom(1, 1, []byte("x")))
+	h.p.HandlePacket(h.dataFrom(1, 2, []byte("y")))
+	h.p.HandlePacket(h.dataFrom(1, 3, []byte("z"))) // evicts the oldest held entry, id
+	if h.p.Holds(id) {
+		t.Fatal("store kept its oldest held entry past MaxStore")
+	}
 	if n := h.p.ReqSeenCount(); n != 0 {
-		t.Fatalf("reqSeen has %d records after the message arrived, want 0", n)
+		t.Fatalf("reqSeen has %d records after its entry was evicted, want 0", n)
+	}
+}
+
+// TestReqSeenKeysAreHeld drives requests and searches for held, purged,
+// evicted and never-seen ids through a small store, with purges between, and
+// checks after every step that each request record is a held entry's.
+func TestReqSeenKeysAreHeld(t *testing.T) {
+	cfg := admitTestConfig()
+	cfg.MaxStore = 4
+	cfg.PurgeTimeout = 2 * time.Second
+	cfg.PurgeInterval = time.Second
+	cfg.StoreQuiescence = time.Second
+	h := newHarness(t, 0, cfg)
+	h.makeOverlay()
+	rng := rand.New(rand.NewPCG(1, 2))
+	seq, records := wire.Seq(0), 0
+	for step := 0; step < 2000; step++ {
+		switch r := rng.IntN(10); {
+		case r < 3:
+			seq++
+			h.p.HandlePacket(h.dataFrom(1, seq, []byte("m")))
+		case r < 9:
+			id := wire.MsgID{Origin: 1, Seq: wire.Seq(rng.IntN(int(seq) + 2))}
+			pkt := h.request(wire.NodeID(10+rng.IntN(40)), id)
+			if r == 8 {
+				pkt.Kind, pkt.TTL = wire.KindFindMissing, 2
+			}
+			h.p.HandlePacket(pkt)
+		default:
+			h.run(time.Duration(rng.IntN(1500)) * time.Millisecond)
+		}
+		records = max(records, h.p.ReqSeenCount())
+		for id := range h.p.reqSeen {
+			if !h.p.Holds(id) {
+				t.Fatalf("step %d: request record for %v, which the node does not hold", step, id)
+			}
+		}
+	}
+	if records < 2 || h.p.Stats().Evictions == 0 {
+		t.Fatalf("the run held at most %d records and evicted %d entries: nothing was tested", records, h.p.Stats().Evictions)
 	}
 }
 

@@ -13,9 +13,11 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"bbcast/internal/fd"
+	"bbcast/internal/obsv"
 	"bbcast/internal/overlay"
 )
 
@@ -95,8 +97,9 @@ type Config struct {
 	// Zero or negative means unbounded.
 	MaxMissing int
 	// MaxReqSeen caps the per-message request-count table; at the cap the
-	// least recently touched record is evicted, and a record not touched for
-	// PurgeTimeout expires. Zero or negative means unbounded.
+	// least recently touched record is evicted. A record exists only for a
+	// held message and dies with its entry (purged after PurgeTimeout, or
+	// evicted at MaxStore). Zero or negative means unbounded.
 	MaxReqSeen int
 
 	// AdaptiveTiming gates the link-quality estimator and the AIMD timer
@@ -208,4 +211,21 @@ func (c *Config) GossipBounds() (min, max time.Duration) {
 // timeout: the nominal timeout to four times it.
 func (c *Config) MuteTimeoutBounds() (min, max time.Duration) {
 	return c.Mute.Timeout, 4 * c.Mute.Timeout
+}
+
+// StateBounds returns the cap of each protocol table the maintenance tick
+// samples, by queue, leaving out a table whose cap is zero or negative
+// (unbounded). The invariant checker's state-bounds probe reads it, and
+// TestEveryMapIsBounded ties each map field of this package to one of its
+// caps or to an annotated one, so the caps table is written here only.
+func (c *Config) StateBounds() map[obsv.Queue]int {
+	b := map[obsv.Queue]int{
+		obsv.QueueStore:     c.MaxStore,
+		obsv.QueueMissing:   c.MaxMissing,
+		obsv.QueueNeighbors: c.MaxNeighbors,
+		obsv.QueueReqSeen:   c.MaxReqSeen,
+		obsv.QueueLinkQual:  c.MaxNeighbors, // one estimate per neighbour entry at most
+	}
+	maps.DeleteFunc(b, func(_ obsv.Queue, cap int) bool { return cap <= 0 })
+	return b
 }

@@ -25,20 +25,9 @@ var proofMakers = map[string][]string{
 // literal, so renaming or splitting one fails here instead of leaving the
 // list stale.
 func TestIngressProofsHaveOneMaker(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
+	fset, files := coreSources(t, 0)
 	made := map[string]bool{} // "type maker" pairs whose maker made a literal
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			var body ast.Node = decl
 			fn := "" // a package-level declaration is no maker
@@ -73,4 +62,26 @@ func TestIngressProofsHaveOneMaker(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coreSources parses the package's non-test files.
+func coreSources(t *testing.T, mode parser.Mode) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return fset, files
 }

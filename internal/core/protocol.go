@@ -185,6 +185,8 @@ type neighborState struct {
 
 	tokens     float64       // admission token bucket (packets)
 	lastRefill time.Duration // last bucket refill instant
+
+	link linkEstimate // adaptive timing's view of this link (adaptive.go)
 }
 
 // admitted reports whether the neighbour has proven itself with more than
@@ -258,10 +260,6 @@ type Protocol struct {
 	missing map[wire.MsgID]*pendingMiss
 
 	neighbors map[wire.NodeID]*neighborState
-	// linkQual is the per-neighbour link-quality estimator; entries are
-	// created only for senders present in the neighbour table and deleted
-	// alongside neighbour expiry/eviction, so the same cap bounds both.
-	linkQual map[wire.NodeID]*linkEstimate
 	// gossipPeriod is the current (possibly adapted) lazycast period; the
 	// gossip scheduler re-reads it every round.
 	gossipPeriod time.Duration
@@ -275,7 +273,7 @@ type Protocol struct {
 	verbose *fd.Verbose
 	trust   *fd.Trust
 
-	reqSeen map[wire.MsgID]*reqRecord // request counts per requester, TTL-bound
+	reqSeen map[wire.MsgID]*reqRecord // request counts per requester, one per held entry at most
 	// replies holds each deferred recovery reply (reply), at most one per id.
 	//bbvet:bounded-by MaxReqSeen reply answers at once rather than add an entry past the cap, and a firing or dropped reply deletes its own entry
 	replies map[wire.MsgID]pendingReply
@@ -310,7 +308,7 @@ type Protocol struct {
 	// frames handed to Send take a frames slot, which is never handed out
 	// twice, and published state records get fresh memory.
 	sigBuf []byte // signed-bytes buffer for one Sign/Verify call
-	//bbvet:bounded-by MaxStore holds the keys of one protocol table at a time (store, missing or reqSeen)
+	//bbvet:bounded-by MaxStore holds the store's keys, sorted, for one sync walk
 	msgIDs []wire.MsgID
 	//bbvet:bounded-by GossipMaxEntries the advertisements of one gossip round, copied into the frame
 	gossipEntries []wire.GossipEntry
@@ -328,7 +326,7 @@ type Protocol struct {
 	published    *wire.OverlayState
 	publishedSig []byte
 	distrusts    func(wire.NodeID) bool // View.Distrusts, built once
-	//bbvet:bounded-by MaxNeighbors one link-quality sample per estimator entry
+	//bbvet:bounded-by MaxNeighbors one link-quality sample per neighbour entry
 	linkQuals []float64
 
 	stats   Stats
@@ -344,7 +342,6 @@ func New(cfg Config, deps Deps) *Protocol {
 		store:        msgStore{byID: make(map[wire.MsgID]*msgState)},
 		missing:      make(map[wire.MsgID]*pendingMiss),
 		neighbors:    make(map[wire.NodeID]*neighborState),
-		linkQual:     make(map[wire.NodeID]*linkEstimate),
 		gossipPeriod: cfg.GossipInterval,
 		role:         overlay.Passive,
 		maint:        overlay.New(cfg.Overlay),
@@ -455,9 +452,17 @@ func (p *Protocol) GossipPeriod() time.Duration { return p.gossipPeriod }
 // timeout.
 func (p *Protocol) MuteTimeout() time.Duration { return p.mute.Timeout() }
 
-// LinkQualCount reports the number of tracked link-quality estimator entries
-// (test and invariant input).
-func (p *Protocol) LinkQualCount() int { return len(p.linkQual) }
+// LinkQualCount reports the number of neighbours with a link-quality
+// estimate (test and invariant input).
+func (p *Protocol) LinkQualCount() int {
+	n := 0
+	for _, id := range p.nodeIDs {
+		if p.neighbors[id].link.started {
+			n++
+		}
+	}
+	return n
+}
 
 // Holds reports whether the node has (unpurged) message id.
 func (p *Protocol) Holds(id wire.MsgID) bool {
@@ -794,16 +799,13 @@ func (p *Protocol) handleData(pkt admitted) {
 }
 
 // accept files st, a message this node has not delivered, and delivers it. It
-// drops the id's recovery entry, which it returns (nil if there was none), and
-// closes the id's request cycle: the record is satisfied, so its per-requester
-// counts need not be retained. meta is the completing frame's lineage; its
-// digest is st's.
+// drops the id's recovery entry, which it returns (nil if there was none).
+// meta is the completing frame's lineage; its digest is st's.
 func (p *Protocol) accept(st *msgState, meta wire.Meta) *pendingMiss {
 	miss := p.missing[st.id]
 	delete(p.missing, st.id)
 	p.enforceStoreCap()
 	p.store.hold(st, p.deps.Clock.Now())
-	delete(p.reqSeen, st.id)
 	p.stats.Accepted++
 	meta.Digest = st.digest
 	p.deps.Accept(st.id, st.payload, meta)

@@ -51,7 +51,6 @@ func (p *Protocol) Rejoin() {
 	p.missing = make(map[wire.MsgID]*pendingMiss)
 	p.neighbors = make(map[wire.NodeID]*neighborState)
 	p.nodeIDs = p.nodeIDs[:0]
-	p.linkQual = make(map[wire.NodeID]*linkEstimate)
 	p.reqSeen = make(map[wire.MsgID]*reqRecord)
 	p.replies = make(map[wire.MsgID]pendingReply)
 	p.gossipPeriod = p.cfg.GossipInterval

@@ -142,14 +142,14 @@ func (p *Protocol) sampleQueues() {
 	obs.OnQueueDepth(at, id, obsv.QueueNeighbors, len(p.neighbors))
 	obs.OnQueueDepth(at, id, obsv.QueueExpectations, p.mute.PendingExpectations())
 	obs.OnQueueDepth(at, id, obsv.QueueReqSeen, len(p.reqSeen))
-	obs.OnQueueDepth(at, id, obsv.QueueLinkQual, len(p.linkQual))
+	obs.OnQueueDepth(at, id, obsv.QueueLinkQual, p.LinkQualCount())
 }
 
 // purgeTick drops payloads past the retention window (§3.2.2's timeout
-// purge), leaving tombstones so duplicates are still filtered. Tombstones
-// themselves are deleted once quiescent for StoreQuiescence, and
-// request-count records expire after PurgeTimeout, so every table this task
-// feeds shrinks back to zero under silence.
+// purge), leaving tombstones so duplicates are still filtered, and with each
+// payload its request-count record. Tombstones themselves are deleted once
+// quiescent for StoreQuiescence, so every table this task feeds shrinks back
+// to zero under silence.
 func (p *Protocol) purgeTick() {
 	now := p.deps.Clock.Now()
 	// A message advertised but never received is abandoned once its
@@ -176,18 +176,6 @@ func (p *Protocol) purgeTick() {
 	for st := p.store.held.head; st != nil && now-st.at > p.cfg.PurgeTimeout; st = p.store.held.head {
 		p.store.entomb(st, now)
 		delete(p.reqSeen, st.id)
-	}
-	// This walk emits admission events, so it goes in sorted id order: Go's
-	// randomized map order would make serial and parallel replays of the same
-	// seed diverge.
-	if ttl := p.cfg.PurgeTimeout; ttl > 0 {
-		p.msgIDs = sortedMsgIDs(p.msgIDs, p.reqSeen)
-		for _, id := range p.msgIDs {
-			if now-p.reqSeen[id].touched > ttl {
-				delete(p.reqSeen, id)
-				p.observeAdmission(obsv.AdmitReqSeenExpire)
-			}
-		}
 	}
 }
 
@@ -235,7 +223,6 @@ func (p *Protocol) expireNeighbors() {
 	for _, id := range p.nodeIDs {
 		if now-p.neighbors[id].lastHeard > p.cfg.NeighborTTL {
 			delete(p.neighbors, id)
-			delete(p.linkQual, id)
 		} else {
 			kept = append(kept, id)
 		}

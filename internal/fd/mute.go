@@ -38,8 +38,10 @@ type Mute struct {
 	set     *counterSet
 	pending []expectation
 	// spare holds the waiting slices of expectations that were fulfilled or
-	// swept, emptied, for Expect to fill again.
-	//bbvet:bounded-by pending a slice moves here only when its expectation leaves pending and back when Expect arms one, so the two together never hold more than the most expectations ever pending at once
+	// swept, emptied, for Expect to fill again. pending bounds it: a slice
+	// moves here only when its expectation leaves pending and back when
+	// Expect arms one, so the two together never hold more than the most
+	// expectations ever pending at once.
 	spare [][]wire.NodeID
 
 	// OnSuspect, if non-nil, observes suspicion transitions.

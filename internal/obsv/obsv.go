@@ -107,8 +107,9 @@ const (
 	// AdmitMissingReject is a new recovery entry refused because the missing
 	// table was full.
 	AdmitMissingReject AdmissionEvent = "missing-reject"
-	// AdmitReqSeenExpire is a request-count record dropped by TTL expiry or
-	// cap eviction.
+	// AdmitReqSeenExpire is a request-count record evicted at the MaxReqSeen
+	// cap. A record that dies with its held entry (purge or store eviction)
+	// is not reported.
 	AdmitReqSeenExpire AdmissionEvent = "reqseen-expire"
 	// AdmitIngressDrop is a datagram dropped at the transport because the
 	// protocol layer was saturated.

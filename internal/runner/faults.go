@@ -50,24 +50,15 @@ func buildChecker(sc Scenario, eng *sim.Engine, medium *radio.Medium, protos []b
 		cp, _ := protos[id].(*core.Protocol)
 		return cp
 	}
-	// State bounds mirror the core config caps; only capped tables get a
-	// bound (zero/negative knobs mean unbounded and are skipped).
+	// State bounds and timer ranges come from the same Config helpers the
+	// protocol's tables and AIMD step are held to, so checker and protocol
+	// cannot drift apart.
 	bounds := make(map[string]int, 5)
 	timerRanges := make(map[string][2]time.Duration, 2)
 	if sc.Protocol == ProtoByzCast {
-		for queue, cap := range map[obsv.Queue]int{
-			obsv.QueueStore:     sc.Core.MaxStore,
-			obsv.QueueMissing:   sc.Core.MaxMissing,
-			obsv.QueueNeighbors: sc.Core.MaxNeighbors,
-			obsv.QueueReqSeen:   sc.Core.MaxReqSeen,
-			obsv.QueueLinkQual:  sc.Core.MaxNeighbors,
-		} {
-			if cap > 0 {
-				bounds[string(queue)] = cap
-			}
+		for queue, cap := range sc.Core.StateBounds() {
+			bounds[string(queue)] = cap
 		}
-		// Timer ranges come from the same Config helpers the protocol's AIMD
-		// step clamps against, so checker and protocol cannot drift apart.
 		gMin, gMax := sc.Core.GossipBounds()
 		mMin, mMax := sc.Core.MuteTimeoutBounds()
 		timerRanges[string(obsv.TimerGossip)] = [2]time.Duration{gMin, gMax}
