@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,25 +21,22 @@ var stateTables = map[obsv.Queue]string{
 	obsv.QueueReqSeen:   "Protocol.reqSeen",
 }
 
-// TestEveryMapIsBounded: stateTables has a row for exactly the queues
-// Config.StateBounds caps, and each row's field exists. Any other struct field
-// whose type contains a map has //bbvet:bounded-by <cap> <why> on or above its
-// line, and every such annotation names a Config field or a constant.
+// TestEveryMapIsBounded holds the package's map fields to the caps table.
+// CapsAndAnnotations: a struct field whose type contains a map is a row of
+// stateTables or has //bbvet:bounded-by <cap> <why> on or above its line, and
+// every such annotation names a Config field or a package-level constant.
+// StaleCapsTable: stateTables has a row for exactly the queues
+// Config.StateBounds caps, and each row's field exists.
 func TestEveryMapIsBounded(t *testing.T) {
 	const ann = "//bbvet:bounded-by"
-	cfg := DefaultConfig()
-	bounds, rows := cfg.StateBounds(), map[string]bool{}
-	if len(bounds) != len(stateTables) {
-		t.Errorf("StateBounds caps %d queues (%v), stateTables has %d rows", len(bounds), bounds, len(stateTables))
-	}
-	for q, field := range stateTables {
-		if bounds[q] <= 0 {
-			t.Errorf("row %s: StateBounds has no cap for queue %s", field, q)
-		}
+	rows := map[string]bool{}
+	for _, field := range stateTables {
 		rows[field] = true
 	}
 	fset, files := coreSources(t, parser.ParseComments)
-	caps, typeName, anns := map[string]bool{}, "", []*ast.Comment(nil)
+	caps, fields, typeName := map[string]bool{}, map[string]bool{}, ""
+	var anns []*ast.Comment
+	var unbounded []string // map fields that are no row and carry no annotation
 	for _, f := range files {
 		covered := map[int]bool{} // the lines an annotation governs
 		for _, cg := range f.Comments {
@@ -65,10 +63,9 @@ func TestEveryMapIsBounded(t *testing.T) {
 					for _, name := range field.Names {
 						key := typeName + "." + name.Name
 						caps[name.Name] = caps[name.Name] || typeName == "Config"
-						if rows[key] {
-							delete(rows, key)
-						} else if strings.Contains(types.ExprString(field.Type), "map[") && !covered[fset.Position(field.Pos()).Line] {
-							t.Errorf("%s: map field %s is no row of stateTables and has no %s", fset.Position(name.Pos()), key, ann)
+						fields[key] = true
+						if !rows[key] && strings.Contains(types.ExprString(field.Type), "map[") && !covered[fset.Position(field.Pos()).Line] {
+							unbounded = append(unbounded, fmt.Sprintf("%s: map field %s", fset.Position(name.Pos()), key))
 						}
 					}
 				}
@@ -77,12 +74,29 @@ func TestEveryMapIsBounded(t *testing.T) {
 			return true
 		})
 	}
-	for _, c := range anns {
-		if cap, _, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(c.Text, ann)), " "); !caps[cap] {
-			t.Errorf("%s: %s %q names no Config field or package-level constant", fset.Position(c.Pos()), ann, cap)
+	t.Run("CapsAndAnnotations", func(t *testing.T) {
+		for _, u := range unbounded {
+			t.Errorf("%s is no row of stateTables and has no %s", u, ann)
 		}
-	}
-	for field := range rows {
-		t.Errorf("stateTables row %s names no struct field", field)
-	}
+		for _, c := range anns {
+			if cap, _, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(c.Text, ann)), " "); !caps[cap] {
+				t.Errorf("%s: %s %q names no Config field or package-level constant", fset.Position(c.Pos()), ann, cap)
+			}
+		}
+	})
+	t.Run("StaleCapsTable", func(t *testing.T) {
+		cfg := DefaultConfig()
+		bounds := cfg.StateBounds()
+		if len(bounds) != len(stateTables) {
+			t.Errorf("StateBounds caps %d queues (%v), stateTables has %d rows", len(bounds), bounds, len(stateTables))
+		}
+		for q, field := range stateTables {
+			if bounds[q] <= 0 {
+				t.Errorf("row %s: StateBounds has no cap for queue %s", field, q)
+			}
+			if !fields[field] {
+				t.Errorf("stateTables row %s names no struct field", field)
+			}
+		}
+	})
 }
