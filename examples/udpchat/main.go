@@ -83,13 +83,18 @@ func run() (err error) {
 	addrs = append(addrs, late.Addr().String())
 	wirePeers(all, addrs)
 
-	ok := waitUntil(10*time.Second, func() bool {
+	// got is read under the lock, by the last check waitUntil makes, and is
+	// what both the verdict and the message use: deliver upcalls may still
+	// be writing the map.
+	var got int
+	waitUntil(10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return received[bbcast.NodeID(nodes)] >= nodes
+		got = received[bbcast.NodeID(nodes)]
+		return got >= nodes
 	})
-	if !ok {
-		return fmt.Errorf("late joiner recovered only %d of %d messages", received[bbcast.NodeID(nodes)], nodes)
+	if got < nodes {
+		return fmt.Errorf("late joiner recovered only %d of %d messages", got, nodes)
 	}
 	fmt.Println("late joiner recovered the full history.")
 	return nil

@@ -263,6 +263,10 @@ type Protocol struct {
 	// gossipPeriod is the current (possibly adapted) lazycast period; the
 	// gossip scheduler re-reads it every round.
 	gossipPeriod time.Duration
+	// gossipCursor is the last id a gossip round advertised when the cap
+	// cut it (gossipCut); the next round starts after it.
+	gossipCursor wire.MsgID
+	gossipCut    bool
 
 	role     overlay.Role
 	roleCand overlay.Role

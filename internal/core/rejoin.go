@@ -48,6 +48,7 @@ func (p *Protocol) Rejoin() {
 	// finds no entry with its token in the new one, so each is a no-op.
 	p.seq = 0
 	p.store = msgStore{byID: make(map[wire.MsgID]*msgState)}
+	p.gossipCut = false
 	p.missing = make(map[wire.MsgID]*pendingMiss)
 	p.neighbors = make(map[wire.NodeID]*neighborState)
 	p.nodeIDs = p.nodeIDs[:0]
@@ -178,12 +179,12 @@ func (p *Protocol) syncStep() {
 	p.msgIDs = sortedMsgIDs(p.msgIDs, p.store.byID)
 	have := slices.Clone(p.msgIDs[:min(len(p.msgIDs), maxSyncHave)])
 	pkt := wire.Packet{
-		Kind:     wire.KindSyncReq,
-		TTL:      1,
-		Target:   target,
-		Origin:   wire.NoNode,
-		SyncHave: have,
-		Meta:     wire.Meta{Cause: wire.CauseSyncReq},
+		Kind:   wire.KindSyncReq,
+		TTL:    1,
+		Target: target,
+		Origin: wire.NoNode,
+		Sync:   &wire.SyncBody{Have: have},
+		Meta:   wire.Meta{Cause: wire.CauseSyncReq},
 	}
 	p.stats.SyncReqsSent++
 	p.observeSync(obsv.SyncReqSent, target, len(have), 8*len(have))
@@ -225,8 +226,8 @@ func (p *Protocol) handleSyncReq(pkt admitted) {
 	if p.cfg.EnableFDs && p.verbose.Suspected(pkt.Sender) {
 		return // §3.1: no reaction amplification for verbose spammers
 	}
-	have := make(map[wire.MsgID]bool, len(pkt.SyncHave))
-	for _, id := range pkt.SyncHave {
+	have := make(map[wire.MsgID]bool, len(pkt.SyncHave()))
+	for _, id := range pkt.SyncHave() {
 		have[id] = true
 	}
 	var entries []wire.SyncEntry
@@ -265,12 +266,12 @@ func (p *Protocol) handleSyncReq(pkt admitted) {
 	p.stats.SyncEntriesServed += uint64(len(entries))
 	p.observeSync(obsv.SyncServed, pkt.Sender, len(entries), nbytes)
 	p.send(wire.Packet{
-		Kind:        wire.KindSyncResp,
-		TTL:         1,
-		Target:      pkt.Sender,
-		Origin:      wire.NoNode,
-		SyncEntries: entries,
-		Meta:        wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseSyncResp},
+		Kind:   wire.KindSyncResp,
+		TTL:    1,
+		Target: pkt.Sender,
+		Origin: wire.NoNode,
+		Sync:   &wire.SyncBody{Entries: entries},
+		Meta:   wire.Meta{Parent: pkt.Meta.Frame, Cause: wire.CauseSyncResp},
 	})
 }
 
@@ -284,9 +285,10 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 	if pkt.Target != p.deps.ID || !p.syncArmed {
 		return
 	}
+	batch := pkt.SyncEntries()
 	applied := 0
-	for i := range pkt.SyncEntries {
-		e := pkt.SyncEntries[i]
+	for i := range batch {
+		e := batch[i]
 		held, seen := p.lookupMsg(e.ID)
 		if held != nil {
 			continue // held or tombstoned: already delivered
@@ -322,9 +324,9 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 	p.observeSync(obsv.SyncApplied, pkt.Sender, applied, 0)
 	p.stats.SyncEntriesApplied += uint64(applied)
 	switch {
-	case len(pkt.SyncEntries) >= syncMaxEntries && applied > 0:
+	case len(batch) >= syncMaxEntries && applied > 0:
 		p.syncAttempts = 0 // full batch applied: likely more remains
-	case len(pkt.SyncEntries) < syncMaxEntries:
+	case len(batch) < syncMaxEntries:
 		p.syncArmed = false // short batch: the neighbour had nothing else
 	}
 }

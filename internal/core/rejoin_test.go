@@ -114,12 +114,12 @@ func TestSyncReqServedWithMissingEntries(t *testing.T) {
 	h.sent = nil
 
 	h.p.HandlePacket(&wire.Packet{
-		Kind:     wire.KindSyncReq,
-		Sender:   5,
-		TTL:      1,
-		Target:   0,
-		Origin:   wire.NoNode,
-		SyncHave: []wire.MsgID{known},
+		Kind:   wire.KindSyncReq,
+		Sender: 5,
+		TTL:    1,
+		Target: 0,
+		Origin: wire.NoNode,
+		Sync:   &wire.SyncBody{Have: []wire.MsgID{known}},
 	})
 	resps := h.sentOfKind(wire.KindSyncResp)
 	if len(resps) != 1 {
@@ -129,10 +129,11 @@ func TestSyncReqServedWithMissingEntries(t *testing.T) {
 	if resp.Target != 5 {
 		t.Fatalf("response targeted %d, want 5", resp.Target)
 	}
-	if len(resp.SyncEntries) != 1 || resp.SyncEntries[0].ID != held {
-		t.Fatalf("response entries %v, want exactly %v", resp.SyncEntries, held)
+	served := resp.SyncEntries()
+	if len(served) != 1 || served[0].ID != held {
+		t.Fatalf("response entries %v, want exactly %v", served, held)
 	}
-	if !h.scheme.Verify(0, wire.DataSigBytes(held, resp.SyncEntries[0].Payload), resp.SyncEntries[0].Sig) {
+	if !h.scheme.Verify(0, wire.DataSigBytes(held, served[0].Payload), served[0].Sig) {
 		t.Fatal("served entry's data signature does not verify")
 	}
 }
@@ -167,12 +168,12 @@ func TestCatchUpSyncRoundTrip(t *testing.T) {
 		TTL:    1,
 		Target: 0,
 		Origin: wire.NoNode,
-		SyncEntries: []wire.SyncEntry{{
+		Sync: &wire.SyncBody{Entries: []wire.SyncEntry{{
 			ID:        id,
 			Payload:   payload,
 			Sig:       h.scheme.Sign(4, wire.DataSigBytes(id, payload)),
 			HeaderSig: h.scheme.Sign(4, wire.HeaderSigBytes(id)),
-		}},
+		}}},
 	})
 	if len(h.delivered) != 1 || h.delivered[0] != id {
 		t.Fatalf("sync response not applied: delivered %v", h.delivered)
@@ -198,11 +199,11 @@ func TestSyncRespWithBadSignatureRejected(t *testing.T) {
 		TTL:    1,
 		Target: 0,
 		Origin: wire.NoNode,
-		SyncEntries: []wire.SyncEntry{{
+		Sync: &wire.SyncBody{Entries: []wire.SyncEntry{{
 			ID:      id,
 			Payload: []byte("forged"),
 			Sig:     []byte("not a signature"),
-		}},
+		}}},
 	})
 	if len(h.delivered) != 0 {
 		t.Fatalf("forged sync entry delivered: %v", h.delivered)

@@ -86,12 +86,15 @@ func (s *msgStore) hold(st *msgState, now time.Duration) {
 		// next gossip tick, so the window only ever grows to twice MaxStore.
 		s.window = slices.DeleteFunc(s.window, func(st *msgState) bool { return st.purged })
 	}
-	i, found := slices.BinarySearchFunc(s.window, st.id, func(e *msgState, id wire.MsgID) int { return e.id.Compare(id) })
+	i, found := slices.BinarySearchFunc(s.window, st.id, compareID)
 	if !found {
 		s.window = slices.Insert(s.window, i, nil)
 	}
 	s.window[i] = st
 }
+
+// compareID orders an entry against an id, for binary searches in the window.
+func compareID(st *msgState, id wire.MsgID) int { return st.id.Compare(id) }
 
 // entomb drops a held entry's payload, keeping its id as a duplicate-filter
 // tombstone purged now.

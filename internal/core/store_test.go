@@ -66,6 +66,10 @@ type refStore struct {
 	cfg  Config
 	self wire.NodeID
 	m    map[wire.MsgID]*refEntry
+	// cursor is the last id a gossip round advertised when the cap cut it
+	// (cut); the next round rotates its candidates to start after it.
+	cursor wire.MsgID
+	cut    bool
 }
 
 type refEntry struct {
@@ -114,7 +118,8 @@ func (r *refStore) accept(id wire.MsgID, now time.Duration, hasSig, revive bool)
 	r.insert(id, &refEntry{receivedAt: now, hasSig: hasSig})
 }
 
-// gossip is gossipTick's scan-and-sort candidate list, cut to the frame.
+// gossip is gossipTick's scan-and-sort candidate list, rotated to start after
+// the cursor when the last round was cut, cut to the frame and sorted again.
 func (r *refStore) gossip(now time.Duration) []wire.MsgID {
 	var ids []wire.MsgID
 	for id, e := range r.m {
@@ -123,8 +128,19 @@ func (r *refStore) gossip(now time.Duration) []wire.MsgID {
 		}
 	}
 	slices.SortFunc(ids, wire.MsgID.Compare)
+	if r.cut {
+		after := slices.IndexFunc(ids, func(id wire.MsgID) bool { return r.cursor.Less(id) })
+		if after > 0 {
+			ids = slices.Concat(ids[after:], ids[:after])
+		}
+	}
+	r.cut = false
 	var out []wire.MsgID
 	for _, id := range ids {
+		if r.cfg.GossipMaxEntries > 0 && len(out) >= r.cfg.GossipMaxEntries {
+			r.cursor, r.cut = out[len(out)-1], true
+			break
+		}
 		e := r.m[id]
 		if !e.hasSig {
 			if id.Origin != r.self {
@@ -133,10 +149,8 @@ func (r *refStore) gossip(now time.Duration) []wire.MsgID {
 			e.hasSig = true
 		}
 		out = append(out, id)
-		if r.cfg.GossipMaxEntries > 0 && len(out) >= r.cfg.GossipMaxEntries {
-			break
-		}
 	}
+	slices.SortFunc(out, wire.MsgID.Compare)
 	return out
 }
 
@@ -164,6 +178,7 @@ func (r *refStore) purge(now time.Duration) {
 // restore is Rejoin's table reset followed by restoreDurable.
 func (r *refStore) restore(delivered []wire.MsgID, now time.Duration) {
 	r.m = map[wire.MsgID]*refEntry{}
+	r.cut = false
 	for _, id := range delivered {
 		if max := r.cfg.MaxStore; max > 0 && len(r.m) >= max {
 			break
@@ -324,14 +339,14 @@ func runStoreOrder(t *testing.T, data []byte) {
 			}
 		case 7:
 			op = "sync batch"
-			pkt := &wire.Packet{Kind: wire.KindSyncResp, Sender: 1, TTL: 1, Target: 0, Origin: wire.NoNode}
+			pkt := &wire.Packet{Kind: wire.KindSyncResp, Sender: 1, TTL: 1, Target: 0, Origin: wire.NoNode, Sync: &wire.SyncBody{}}
 			for n := 1 + next()%6; n > 0; n-- {
 				id, withProof := foreignID(), next()%2 == 0
 				e := wire.SyncEntry{ID: id, Payload: payload, Sig: h.scheme.Sign(uint32(id.Origin), wire.DataSigBytes(id, payload))}
 				if withProof {
 					e.HeaderSig = h.scheme.Sign(uint32(id.Origin), wire.HeaderSigBytes(id))
 				}
-				pkt.SyncEntries = append(pkt.SyncEntries, e)
+				pkt.Sync.Entries = append(pkt.Sync.Entries, e)
 				ref.accept(id, now, withProof, false)
 			}
 			p.syncArmed = true

@@ -18,17 +18,41 @@ import (
 // empty of advertisements if need be, so the record goes out every period.
 func (p *Protocol) gossipTick() {
 	// The store keeps the recently received held entries in id order, so the
-	// tick walks its candidates without touching the rest of the table.
+	// tick walks its candidates without touching the rest of the table. A
+	// round the cap cut is resumed by the next one at the first id after the
+	// last it advertised, wrapping around, so every held id is advertised in
+	// turn (DESIGN deviation 12). A round after one the cap did not cut
+	// starts at 0, so a window that fits the cap is advertised as it always
+	// was.
+	window := p.store.recent(p.deps.Clock.Now(), p.cfg.GossipRetention)
+	start := 0
+	if p.gossipCut {
+		i, found := slices.BinarySearchFunc(window, p.gossipCursor, compareID)
+		if found {
+			i++
+		}
+		if i < len(window) {
+			start = i
+		}
+	}
 	entries := p.gossipEntries[:0]
-	for _, st := range p.store.recent(p.deps.Clock.Now(), p.cfg.GossipRetention) {
+	p.gossipCut = false
+	for k := range window {
+		// The cap is checked before headerProof, so an origin signs only the
+		// headers it advertises.
+		if p.cfg.GossipMaxEntries > 0 && len(entries) >= p.cfg.GossipMaxEntries {
+			p.gossipCut, p.gossipCursor = true, entries[len(entries)-1].ID
+			break
+		}
+		st := window[(start+k)%len(window)]
 		proof := p.headerProof(st)
 		if proof == nil {
 			continue // another origin's data, held without its gossip proof
 		}
 		entries = append(entries, wire.GossipEntry{ID: st.id, Sig: proof})
-		if p.cfg.GossipMaxEntries > 0 && len(entries) >= p.cfg.GossipMaxEntries {
-			break
-		}
+	}
+	if start > 0 {
+		slices.SortFunc(entries, func(a, b wire.GossipEntry) int { return a.ID.Compare(b.ID) })
 	}
 	p.gossipEntries = entries
 	state, stateSig := p.buildState()

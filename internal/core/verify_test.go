@@ -175,7 +175,7 @@ func TestSyncRespHeaderVerifyCeiling(t *testing.T) {
 	}
 	resp := &wire.Packet{
 		Kind: wire.KindSyncResp, Sender: 3, TTL: 1, Target: 0, Origin: wire.NoNode,
-		SyncEntries: []wire.SyncEntry{entry(known), entry(fresh)},
+		Sync: &wire.SyncBody{Entries: []wire.SyncEntry{entry(known), entry(fresh)}},
 	}
 	// Two payload signatures and the one header never seen before; the known
 	// header is a comparison.
@@ -297,7 +297,7 @@ func TestOwnHeaderSignedWhenFirstHandedOut(t *testing.T) {
 				"sync": func() []byte {
 					r.sent = nil
 					r.p.HandlePacket(syncReq)
-					return r.sentOfKind(wire.KindSyncResp)[0].SyncEntries[0].HeaderSig
+					return r.sentOfKind(wire.KindSyncResp)[0].SyncEntries()[0].HeaderSig
 				},
 			}
 			proof := handOut[first]()

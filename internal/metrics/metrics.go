@@ -5,6 +5,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -19,9 +20,18 @@ import (
 type Collector struct {
 	obsv.Nop
 
-	txByKind  map[wire.Kind]uint64
-	injected  map[wire.MsgID]injection
-	delivered map[wire.MsgID]map[wire.NodeID]delivery
+	txByKind map[wire.Kind]uint64
+	// msgs holds one record per message id seen injected or accepted, found
+	// by index; dels holds every first (message, node) acceptance, in
+	// arrival order. Both are flat, so a run of millions of accepts costs a
+	// few slice growths, not a map per message.
+	msgs     []message
+	index    map[wire.MsgID]int32
+	injected int
+	dels     []delivery
+	// highSeen records the accepts of nodes ≥ seenBits, which the message's
+	// bitset has no bit for.
+	highSeen map[nodeAccept]struct{}
 
 	// Crash-recovery accounting: catch-up sync traffic and per-node
 	// rejoin-to-first-accept latency (how long a wiped node stays dark).
@@ -35,15 +45,31 @@ type Collector struct {
 	rejoinLats    []time.Duration
 }
 
-type injection struct {
-	at     time.Duration
-	origin wire.NodeID
+// seenBits is how many node ids a message record's accept bitset covers.
+const seenBits = 128
+
+// message is one message id's record: its injection, if one was seen (a
+// re-injection of the id overwrites it), and which nodes below seenBits have
+// accepted it.
+type message struct {
+	id       wire.MsgID
+	at       time.Duration
+	origin   wire.NodeID
+	injected bool
+	seen     [seenBits / 64]uint64
+}
+
+type nodeAccept struct {
+	msg  int32
+	node wire.NodeID
 }
 
 // delivery is one node's first acceptance of a message, with the lineage of
 // the frame that completed it.
 type delivery struct {
 	at        time.Duration
+	msg       int32 // index into msgs
+	node      wire.NodeID
 	hops      uint32
 	recovered bool
 }
@@ -53,10 +79,10 @@ var _ obsv.Observer = (*Collector)(nil)
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		txByKind:  make(map[wire.Kind]uint64),
-		injected:  make(map[wire.MsgID]injection),
-		delivered: make(map[wire.MsgID]map[wire.NodeID]delivery),
-		rejoinAt:  make(map[wire.NodeID]time.Duration),
+		txByKind: make(map[wire.Kind]uint64),
+		index:    make(map[wire.MsgID]int32),
+		highSeen: make(map[nodeAccept]struct{}),
+		rejoinAt: make(map[wire.NodeID]time.Duration),
 	}
 }
 
@@ -65,9 +91,24 @@ func (c *Collector) OnPacketTx(_ time.Duration, _ wire.NodeID, kind wire.Kind, _
 	c.txByKind[kind]++
 }
 
+// record returns the index of id's record, adding an empty one if need be.
+func (c *Collector) record(id wire.MsgID) int32 {
+	i, ok := c.index[id]
+	if !ok {
+		i = int32(len(c.msgs))
+		c.index[id] = i
+		c.msgs = append(c.msgs, message{id: id})
+	}
+	return i
+}
+
 // OnInject records the origination of message id at node.
 func (c *Collector) OnInject(at time.Duration, node wire.NodeID, id wire.MsgID) {
-	c.injected[id] = injection{at: at, origin: node}
+	m := &c.msgs[c.record(id)]
+	if !m.injected {
+		c.injected++
+	}
+	m.at, m.origin, m.injected = at, node, true
 }
 
 // OnAccept records that node accepted message id at the given time, along
@@ -81,14 +122,21 @@ func (c *Collector) OnAccept(at time.Duration, node wire.NodeID, id wire.MsgID, 
 		c.rejoinLats = append(c.rejoinLats, at-ra)
 		delete(c.rejoinAt, node)
 	}
-	m := c.delivered[id]
-	if m == nil {
-		m = make(map[wire.NodeID]delivery)
-		c.delivered[id] = m
+	i := c.record(id)
+	if node < seenBits {
+		word, bit := &c.msgs[i].seen[node/64], uint64(1)<<(node%64)
+		if *word&bit != 0 {
+			return
+		}
+		*word |= bit
+	} else {
+		k := nodeAccept{msg: i, node: node}
+		if _, ok := c.highSeen[k]; ok {
+			return
+		}
+		c.highSeen[k] = struct{}{}
 	}
-	if _, ok := m[node]; !ok {
-		m[node] = delivery{at: at, hops: meta.Hops, recovered: meta.Recovered}
-	}
+	c.dels = append(c.dels, delivery{at: at, msg: i, node: node, hops: meta.Hops, recovered: meta.Recovered})
 }
 
 // OnSync accumulates catch-up sync traffic counters.
@@ -114,7 +162,7 @@ func (c *Collector) OnRejoin(at time.Duration, node wire.NodeID, _ int) {
 }
 
 // Injected reports the number of originated messages.
-func (c *Collector) Injected() int { return len(c.injected) }
+func (c *Collector) Injected() int { return c.injected }
 
 // Results summarizes a run.
 type Results struct {
@@ -241,7 +289,7 @@ func (c *Collector) Summarize(protocol string, n int, eligible func(origin wire.
 	r := Results{
 		Protocol: protocol,
 		N:        n,
-		Injected: len(c.injected),
+		Injected: c.injected,
 		TxByKind: make(map[wire.Kind]uint64, len(c.txByKind)),
 	}
 	for k, v := range c.txByKind {
@@ -252,39 +300,47 @@ func (c *Collector) Summarize(protocol string, n int, eligible func(origin wire.
 		r.TxPerMessage = float64(r.TotalTx) / float64(r.Injected)
 	}
 
-	ids := make([]wire.MsgID, 0, len(c.injected))
-	for id := range c.injected {
-		ids = append(ids, id)
+	// want is each injected message's eligible receiver count, -1 for a
+	// message never injected; got counts its remote deliveries.
+	want := make([]int, len(c.msgs))
+	got := make([]int, len(c.msgs))
+	lats := make([]time.Duration, 0, len(c.dels))
+	hops := make([]float64, 0, len(c.dels))
+	order := make([]int32, 0, c.injected)
+	for i := range c.msgs {
+		want[i] = -1
+		if c.msgs[i].injected {
+			order = append(order, int32(i))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-
-	var ratioSum float64
-	var lats []time.Duration
-	var hops []float64
+	slices.SortFunc(order, func(a, b int32) int { return c.msgs[a].id.Compare(c.msgs[b].id) })
+	for _, i := range order {
+		want[i] = eligible(c.msgs[i].origin)
+	}
 	var remote uint64
-	for _, id := range ids {
-		inj := c.injected[id]
-		want := eligible(inj.origin)
-		if want <= 0 {
+	for _, d := range c.dels {
+		if want[d.msg] <= 0 || d.node == c.msgs[d.msg].origin {
+			continue
+		}
+		got[d.msg]++
+		lats = append(lats, d.at-c.msgs[d.msg].at)
+		remote++
+		if d.hops > 0 {
+			hops = append(hops, float64(d.hops))
+		}
+		if d.recovered {
+			r.RecoveryDeliveries++
+		}
+	}
+	// The ratios are summed in id order, so the float sum does not depend on
+	// the order accepts arrived in.
+	var ratioSum float64
+	for _, i := range order {
+		if want[i] <= 0 {
 			ratioSum += 1
 			continue
 		}
-		got := 0
-		for node, d := range c.delivered[id] {
-			if node == inj.origin {
-				continue
-			}
-			got++
-			lats = append(lats, d.at-inj.at)
-			remote++
-			if d.hops > 0 {
-				hops = append(hops, float64(d.hops))
-			}
-			if d.recovered {
-				r.RecoveryDeliveries++
-			}
-		}
-		ratioSum += float64(got) / float64(want)
+		ratioSum += float64(got[i]) / float64(want[i])
 	}
 	if r.Injected > 0 {
 		r.DeliveryRatio = ratioSum / float64(r.Injected)
@@ -349,22 +405,23 @@ type Bucket struct {
 // dissemination speed evolves over a run (e.g. the overlay fast path
 // degrading under attack and healing as failure detectors evict offenders).
 func (c *Collector) Timeline(bucket time.Duration) []Bucket {
-	if bucket <= 0 || len(c.injected) == 0 {
+	if bucket <= 0 || c.injected == 0 {
 		return nil
 	}
-	byBucket := make(map[int][]time.Duration)
 	maxIdx := 0
-	for id, inj := range c.injected {
-		idx := int(inj.at / bucket)
-		if idx > maxIdx {
-			maxIdx = idx
+	for _, m := range c.msgs {
+		if m.injected {
+			maxIdx = max(maxIdx, int(m.at/bucket))
 		}
-		for node, d := range c.delivered[id] {
-			if node == inj.origin {
-				continue
-			}
-			byBucket[idx] = append(byBucket[idx], d.at-inj.at)
+	}
+	byBucket := make(map[int][]time.Duration)
+	for _, d := range c.dels {
+		m := &c.msgs[d.msg]
+		if !m.injected || d.node == m.origin {
+			continue
 		}
+		idx := int(m.at / bucket)
+		byBucket[idx] = append(byBucket[idx], d.at-m.at)
 	}
 	out := make([]Bucket, 0, maxIdx+1)
 	for i := 0; i <= maxIdx; i++ {

@@ -69,6 +69,33 @@ func TestRepeatAcceptIgnored(t *testing.T) {
 	}
 }
 
+// TestAcceptBookkeepingEdges covers the accept table's less common paths:
+// node ids past the per-message bitset, an accept that arrives before its
+// message's injection, a re-injected id (the later injection's time and
+// origin win) and accepts of an id never injected (counted nowhere).
+func TestAcceptBookkeepingEdges(t *testing.T) {
+	c := NewCollector()
+	early, id, stray := wire.MsgID{Origin: 5, Seq: 1}, wire.MsgID{Origin: 0, Seq: 1}, wire.MsgID{Origin: 9, Seq: 9}
+	c.OnAccept(time.Second, 300, early, nil, wire.Meta{}) // before its injection
+	c.OnInject(0, 5, early)
+	c.OnInject(0, 1, id)
+	c.OnInject(time.Second, 0, id) // re-injected: at 1 s by node 0
+	for _, node := range []wire.NodeID{1, 127, 128, 200, 200, 127} {
+		c.OnAccept(3*time.Second, node, id, nil, wire.Meta{Hops: 2})
+	}
+	c.OnAccept(4*time.Second, 3, stray, nil, wire.Meta{})
+	if c.Injected() != 2 {
+		t.Fatalf("Injected = %d, want 2", c.Injected())
+	}
+	r := c.Summarize("p", 400, func(wire.NodeID) int { return 4 })
+	if r.RemoteDeliveries != 5 || r.DeliveryRatio != (1.0/4+4.0/4)/2 {
+		t.Fatalf("remote = %d, delivery = %v; want 5 and %v", r.RemoteDeliveries, r.DeliveryRatio, (1.0/4+4.0/4)/2)
+	}
+	if r.LatMax != 2*time.Second || r.HopMax != 2 {
+		t.Fatalf("max latency %v and hops %v, want 2s and 2", r.LatMax, r.HopMax)
+	}
+}
+
 func TestLatencyPercentiles(t *testing.T) {
 	c := NewCollector()
 	id := wire.MsgID{Origin: 0, Seq: 1}

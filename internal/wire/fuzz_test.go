@@ -130,14 +130,14 @@ func fuzzKindSamples() []*Packet {
 		},
 		{
 			Kind: KindSyncReq, Sender: 4, TTL: 1, Target: 9, Origin: NoNode,
-			SyncHave: []MsgID{{Origin: 1, Seq: 2}, {Origin: 3, Seq: 4}},
+			Sync: &SyncBody{Have: []MsgID{{Origin: 1, Seq: 2}, {Origin: 3, Seq: 4}}},
 		},
 		{
 			Kind: KindSyncResp, Sender: 9, TTL: 1, Target: 4, Origin: NoNode,
-			SyncEntries: []SyncEntry{
+			Sync: &SyncBody{Entries: []SyncEntry{
 				{ID: MsgID{Origin: 1, Seq: 5}, Payload: []byte("pay"), Sig: []byte{1, 2}, HeaderSig: []byte{3}},
 				{ID: MsgID{Origin: 2, Seq: 6}, Payload: []byte("load"), Sig: []byte{4}},
-			},
+			}},
 		},
 	}
 }

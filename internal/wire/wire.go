@@ -112,6 +112,31 @@ type SyncEntry struct {
 	HeaderSig []byte // originator signature over HeaderSigBytes(ID); may be empty
 }
 
+// SyncBody is a sync frame's content.
+type SyncBody struct {
+	// Have is the requester's compact store summary (SyncReq only): the
+	// message ids it already holds, so the responder sends only the gap.
+	Have []MsgID
+	// Entries is the responder's bulk transfer (SyncResp only).
+	Entries []SyncEntry
+}
+
+// SyncHave returns the sync summary a SYNC-REQ carries, or nil.
+func (p *Packet) SyncHave() []MsgID {
+	if p.Sync == nil {
+		return nil
+	}
+	return p.Sync.Have
+}
+
+// SyncEntries returns the entries a SYNC-RESP carries, or nil.
+func (p *Packet) SyncEntries() []SyncEntry {
+	if p.Sync == nil {
+		return nil
+	}
+	return p.Sync.Entries
+}
+
 // OverlayState is the record a node publishes for overlay maintenance:
 // whether it considers itself active (in the overlay), who its neighbours
 // are, which of them it believes active, and whom it suspects. The paper's
@@ -218,9 +243,9 @@ func (c Cause) String() string {
 type Meta struct {
 	Frame  uint64 // unique id of this transmission, assigned at tx
 	Parent uint64 // frame id this transmission was caused by, or 0
+	Digest uint64 // data frames: FNV-64a of the payload
 	Hops   uint32 // data frames: path length from the originator (origin tx = 1)
 	Cause  Cause  // why this frame was sent
-	Digest uint64 // data frames: FNV-64a of the payload
 	// Recovered marks a data frame whose payload reached the sender through
 	// gossip recovery at some hop (sticky along the forward chain), so every
 	// delivery downstream of one repair is attributed to recovery.
@@ -260,11 +285,10 @@ type Packet struct {
 	State    *OverlayState // OverlayState, or piggybacked on any kind
 	StateSig []byte        // sender's signature over the state record
 
-	// SyncHave is the requester's compact store summary (SyncReq only): the
-	// message ids it already holds, so the responder sends only the gap.
-	SyncHave []MsgID
-	// SyncEntries is the responder's bulk transfer (SyncResp only).
-	SyncEntries []SyncEntry
+	// Sync is the catch-up content, set only on the two sync kinds; nil reads
+	// as empty. It sits behind a pointer so the fields every other frame
+	// leaves empty cost one word of each sent frame, not six.
+	Sync *SyncBody
 
 	// Meta is in-memory causal metadata (see Meta). Excluded from
 	// Marshal/Unmarshal; receivers under simulation read it off the shared
@@ -373,14 +397,16 @@ func (p *Packet) Marshal() []byte {
 	// kind keeps a byte-identical encoding.
 	switch p.Kind {
 	case KindSyncReq:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.SyncHave)))
-		for _, id := range p.SyncHave {
+		have := p.SyncHave()
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(have)))
+		for _, id := range have {
 			b = binary.LittleEndian.AppendUint32(b, uint32(id.Origin))
 			b = binary.LittleEndian.AppendUint32(b, uint32(id.Seq))
 		}
 	case KindSyncResp:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.SyncEntries)))
-		for _, e := range p.SyncEntries {
+		entries := p.SyncEntries()
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+		for _, e := range entries {
 			b = binary.LittleEndian.AppendUint32(b, uint32(e.ID.Origin))
 			b = binary.LittleEndian.AppendUint32(b, uint32(e.ID.Seq))
 			b = appendBytes(b, e.Payload)
@@ -401,10 +427,10 @@ func (p *Packet) sizeHint() int {
 	}
 	switch p.Kind {
 	case KindSyncReq:
-		n += 4 + 8*len(p.SyncHave)
+		n += 4 + 8*len(p.SyncHave())
 	case KindSyncResp:
 		n += 4
-		for _, e := range p.SyncEntries {
+		for _, e := range p.SyncEntries() {
 			n += 20 + len(e.Payload) + len(e.Sig) + len(e.HeaderSig)
 		}
 	}
@@ -458,14 +484,16 @@ func Unmarshal(b []byte) (*Packet, error) {
 	}
 	switch p.Kind {
 	case KindSyncReq:
-		p.SyncHave = d.msgIDs()
+		if have := d.msgIDs(); have != nil {
+			p.Sync = &SyncBody{Have: have}
+		}
 	case KindSyncResp:
 		ne := d.u32()
 		if d.err == nil && ne > maxSliceLen {
 			return nil, ErrShortPacket
 		}
 		if d.err == nil && ne > 0 {
-			p.SyncEntries = make([]SyncEntry, 0, ne)
+			entries := make([]SyncEntry, 0, ne)
 			for i := uint32(0); i < ne && d.err == nil; i++ {
 				var e SyncEntry
 				e.ID.Origin = NodeID(d.u32())
@@ -473,8 +501,9 @@ func Unmarshal(b []byte) (*Packet, error) {
 				e.Payload = d.bytes()
 				e.Sig = d.bytes()
 				e.HeaderSig = d.bytes()
-				p.SyncEntries = append(p.SyncEntries, e)
+				entries = append(entries, e)
 			}
+			p.Sync = &SyncBody{Entries: entries}
 		}
 	}
 	if d.err != nil {
@@ -504,7 +533,7 @@ func (p *Packet) Clone() *Packet {
 	if p.State != nil {
 		nb += len(p.StateSig)
 	}
-	for _, e := range p.SyncEntries {
+	for _, e := range p.SyncEntries() {
 		nb += len(e.Payload) + len(e.Sig) + len(e.HeaderSig)
 	}
 	var arena []byte
@@ -534,17 +563,20 @@ func (p *Packet) Clone() *Packet {
 		cp.State = p.State.Clone()
 		cp.StateSig = carve(p.StateSig)
 	}
-	if p.SyncHave != nil {
-		cp.SyncHave = append([]MsgID(nil), p.SyncHave...)
-	}
-	if p.SyncEntries != nil {
-		cp.SyncEntries = make([]SyncEntry, len(p.SyncEntries))
-		for i, e := range p.SyncEntries {
-			cp.SyncEntries[i] = SyncEntry{
-				ID:        e.ID,
-				Payload:   carve(e.Payload),
-				Sig:       carve(e.Sig),
-				HeaderSig: carve(e.HeaderSig),
+	if p.Sync != nil {
+		cp.Sync = &SyncBody{}
+		if p.Sync.Have != nil {
+			cp.Sync.Have = append([]MsgID(nil), p.Sync.Have...)
+		}
+		if p.Sync.Entries != nil {
+			cp.Sync.Entries = make([]SyncEntry, len(p.Sync.Entries))
+			for i, e := range p.Sync.Entries {
+				cp.Sync.Entries[i] = SyncEntry{
+					ID:        e.ID,
+					Payload:   carve(e.Payload),
+					Sig:       carve(e.Sig),
+					HeaderSig: carve(e.HeaderSig),
+				}
 			}
 		}
 	}

@@ -6,7 +6,20 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPacketSize holds a Packet at 168 bytes, six to a 1 KiB chunk of sent
+// frames: the sync content sits behind one pointer and Meta packs into 32
+// bytes. One more word and a chunk holds five.
+func TestPacketSize(t *testing.T) {
+	if size := unsafe.Sizeof(Meta{}); size > 32 {
+		t.Errorf("Meta is %d bytes, want <= 32", size)
+	}
+	if size := unsafe.Sizeof(Packet{}); size > 168 {
+		t.Errorf("Packet is %d bytes, want <= 168", size)
+	}
+}
 
 func samplePacket() *Packet {
 	return &Packet{
@@ -310,14 +323,14 @@ func TestQuickBitFlipNoPanic(t *testing.T) {
 func TestRoundTripSync(t *testing.T) {
 	req := &Packet{
 		Kind: KindSyncReq, Sender: 12, TTL: 1, Target: 3, Origin: NoNode,
-		SyncHave: []MsgID{{Origin: 1, Seq: 1}, {Origin: 1, Seq: 2}, {Origin: 7, Seq: 9}},
+		Sync: &SyncBody{Have: []MsgID{{Origin: 1, Seq: 1}, {Origin: 1, Seq: 2}, {Origin: 7, Seq: 9}}},
 	}
 	resp := &Packet{
 		Kind: KindSyncResp, Sender: 3, TTL: 1, Target: 12, Origin: NoNode,
-		SyncEntries: []SyncEntry{
+		Sync: &SyncBody{Entries: []SyncEntry{
 			{ID: MsgID{Origin: 1, Seq: 3}, Payload: []byte("alpha"), Sig: []byte{1, 2, 3}, HeaderSig: []byte{4, 5}},
 			{ID: MsgID{Origin: 7, Seq: 10}, Payload: []byte("beta"), Sig: []byte{6}},
-		},
+		}},
 	}
 	for _, p := range []*Packet{req, resp} {
 		got, err := Unmarshal(p.Marshal())
@@ -332,8 +345,7 @@ func TestRoundTripSync(t *testing.T) {
 	// not reach the wire, so pre-sync decoders stay byte-compatible.
 	data := samplePacket()
 	plain := data.Marshal()
-	data.SyncHave = []MsgID{{Origin: 1, Seq: 1}}
-	data.SyncEntries = []SyncEntry{{ID: MsgID{Origin: 1, Seq: 1}}}
+	data.Sync = &SyncBody{Have: []MsgID{{Origin: 1, Seq: 1}}, Entries: []SyncEntry{{ID: MsgID{Origin: 1, Seq: 1}}}}
 	if !bytes.Equal(data.Marshal(), plain) {
 		t.Fatal("sync fields leaked into a non-sync packet encoding")
 	}
@@ -342,22 +354,27 @@ func TestRoundTripSync(t *testing.T) {
 func TestCloneSyncIsDeep(t *testing.T) {
 	p := &Packet{
 		Kind: KindSyncResp, Sender: 3, TTL: 1, Target: 12, Origin: NoNode,
-		SyncHave: []MsgID{{Origin: 2, Seq: 2}},
-		SyncEntries: []SyncEntry{
-			{ID: MsgID{Origin: 1, Seq: 3}, Payload: []byte("alpha"), Sig: []byte{1, 2}, HeaderSig: []byte{3}},
+		Sync: &SyncBody{
+			Have: []MsgID{{Origin: 2, Seq: 2}},
+			Entries: []SyncEntry{
+				{ID: MsgID{Origin: 1, Seq: 3}, Payload: []byte("alpha"), Sig: []byte{1, 2}, HeaderSig: []byte{3}},
+			},
 		},
 	}
 	c := p.Clone()
 	if !reflect.DeepEqual(p, c) {
 		t.Fatalf("clone mismatch:\n in: %+v\nout: %+v", p, c)
 	}
-	c.SyncHave[0] = MsgID{Origin: 99, Seq: 99}
-	c.SyncEntries[0].Payload[0] = 'X'
-	c.SyncEntries[0].Sig[0] = 0xFF
-	if p.SyncHave[0].Origin == 99 {
+	if c.Sync == p.Sync {
+		t.Fatal("clone shares the sync body")
+	}
+	c.Sync.Have[0] = MsgID{Origin: 99, Seq: 99}
+	c.Sync.Entries[0].Payload[0] = 'X'
+	c.Sync.Entries[0].Sig[0] = 0xFF
+	if p.Sync.Have[0].Origin == 99 {
 		t.Fatal("clone shares SyncHave backing array")
 	}
-	if p.SyncEntries[0].Payload[0] == 'X' || p.SyncEntries[0].Sig[0] == 0xFF {
+	if p.Sync.Entries[0].Payload[0] == 'X' || p.Sync.Entries[0].Sig[0] == 0xFF {
 		t.Fatal("clone shares SyncEntries backing arrays")
 	}
 }
