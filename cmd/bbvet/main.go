@@ -1,18 +1,15 @@
-// Command bbvet runs the repo's project-specific static analyzers over Go
+// Command bbvet runs the repo's project-specific static analyzer over Go
 // package patterns and fails on any finding:
 //
 //	determinism   no wall-clock time, global math/rand or order-leaking map
 //	              iteration in simulation-deterministic packages, directly
-//	              or through a call chain into helpers (printed)
-//	obsvonce      obsv.Observer events emitted only from their designated
-//	              source functions (the PR 2 emission table)
-//	errflow       no dropped, discarded or overwritten errors from persist
-//	              and transport writes (the PR 9 latch discipline)
+//	              or through a call chain into helpers (printed), across
+//	              package boundaries
 //
 // Usage:
 //
 //	go run ./cmd/bbvet ./...
-//	go run ./cmd/bbvet -run determinism,obsvonce ./internal/core
+//	go run ./cmd/bbvet ./internal/core
 //	go run ./cmd/bbvet -json ./...
 //	go run ./cmd/bbvet -sarif bbvet.sarif ./...
 //
@@ -27,19 +24,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"bbcast/internal/analysis"
 	"bbcast/internal/analysis/determinism"
-	"bbcast/internal/analysis/errflow"
-	"bbcast/internal/analysis/obsvonce"
 )
 
-var all = []*analysis.Analyzer{
-	determinism.Analyzer,
-	obsvonce.Analyzer,
-	errflow.Analyzer,
-}
+var analyzers = []*analysis.Analyzer{determinism.Analyzer}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -48,35 +38,15 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bbvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	runList := fs.String("run", "", "comma-separated analyzer subset (default: all)")
 	dir := fs.String("C", ".", "module directory to analyze from")
 	jsonOut := fs.Bool("json", false, "write findings to stdout as JSON instead of text")
 	sarifPath := fs.String("sarif", "", "also write findings to this file as SARIF 2.1.0")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: bbvet [-run names] [-C dir] [-json] [-sarif file] [packages]\n\nanalyzers:\n")
-		for _, a := range all {
-			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
+		fmt.Fprintf(stderr, "usage: bbvet [-C dir] [-json] [-sarif file] [packages]\n\n%s: %s\n\n", determinism.Analyzer.Name, determinism.Analyzer.Doc)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	analyzers := all
-	if *runList != "" {
-		byName := map[string]*analysis.Analyzer{}
-		for _, a := range all {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*runList, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "bbvet: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {

@@ -4,18 +4,22 @@
 // reports position-anchored diagnostics.
 //
 // The repo intentionally has no external module dependencies, so instead of
-// the x/tools driver the loader in this package shells out to `go list
-// -export` and feeds compiler export data to the standard library's gc
-// importer — the same mechanism `go vet`'s unitchecker uses. Analyzers get
-// full syntax (with comments) plus go/types information for the packages
-// under analysis.
+// the x/tools driver the loader in this package shells out to `go list -deps
+// -export`. It type-checks the module's packages from source in dependency
+// order, and feeds the standard library's compiler export data to the gc
+// importer, the mechanism `go vet`'s unitchecker uses. Analyzers get full
+// syntax (with comments) plus go/types information for the packages under
+// analysis.
 //
-// The project-specific analyzers live in the subpackages determinism,
-// obsvonce and errflow; cmd/bbvet is the multichecker binary that runs them
-// over the tree. Two contracts need no pass: the ingress contract (admission
-// and dedup before any signature check) is held at compile time by
-// internal/core's admitted and looked types, and the bound of every core map
-// by a test in that package (TestEveryMapIsBounded).
+// The project's one analyzer lives in the subpackage determinism; cmd/bbvet
+// runs it over the tree. Other contracts need no pass: the ingress contract
+// (admission and dedup before any signature check) is held at compile time by
+// internal/core's admitted and looked types, the bound of every core map by a
+// test in that package (TestEveryMapIsBounded), each observer event's single
+// source by event-count tests (core's TestObserver*, transport's
+// TestUDPMetricsSmoke), and durable-write errors by tests that fail a chosen
+// device write and read the error back (persist's failwrite_test.go,
+// transport's TestUDPCloseReturnsDeviceError).
 package analysis
 
 import (

@@ -25,14 +25,15 @@ import (
 //	                               package constant that bounds it. No pass
 //	                               reads it: core's TestEveryMapIsBounded
 //	                               checks its cap.
-//	//bbvet:errflow <why>          on or above a persist/transport write
-//	                               whose error is deliberately dropped:
-//	                               asserts the loss is by design (latched in
-//	                               Store.Err, or best-effort datagrams).
+//	//bbvet:errflow <why>          on or above a write whose error is
+//	                               deliberately dropped. No pass reads it:
+//	                               it stays known only because
+//	                               benchmark/iso.go still carries one, and
+//	                               ROADMAP item 8 removes both.
 //
-// Every annotation must carry a non-empty justification: each analyzer
-// rejects bare escapes of the kinds it reads (core's test rejects a
-// bounded-by without a cap), and determinism also rejects unknown kinds.
+// Every annotation must carry a non-empty justification: determinism rejects
+// bare escapes of the kinds it reads (core's test rejects a bounded-by
+// without a cap), and also rejects unknown kinds.
 const (
 	annotationPrefix = "//bbvet:"
 
@@ -42,7 +43,9 @@ const (
 	AnnUnordered = "unordered"
 	// AnnBoundedBy names the cap bounding a struct field of internal/core.
 	AnnBoundedBy = "bounded-by"
-	// AnnErrflow justifies a deliberately dropped write error.
+	// AnnErrflow justifies a deliberately dropped write error. No pass reads
+	// it; it stays known for benchmark/iso.go's one annotation, and ROADMAP
+	// item 8 removes both.
 	AnnErrflow = "errflow"
 	// AnnUnknown selects, in CheckAnnotations, every comment whose kind is
 	// none of the above.
@@ -122,8 +125,8 @@ func (fa *FileAnnotations) At(kind string, line int) *Annotation {
 
 // CheckAnnotations reports the malformed //bbvet: comments of the given
 // kinds in the program's non-test files: one without its justification, or,
-// under AnnUnknown, one of no known kind. Each analyzer checks the kinds it
-// reads, so any selection of analyzers still rejects its own bare escapes.
+// under AnnUnknown, one of no known kind. An analyzer checks the kinds it
+// reads.
 func (p *ProgramPass) CheckAnnotations(kinds ...string) {
 	for _, pkg := range p.Prog.Packages {
 		for _, file := range pkg.Files {

@@ -234,14 +234,14 @@ func (prog *Program) Chain(t *Taint, taints map[*types.Func]*Taint) string {
 // "pkg.Recv.Method" with pointer stars stripped.
 func FuncDisplayName(fn *types.Func) string {
 	if fn.Pkg() == nil {
-		return LocalName(fn)
+		return localName(fn)
 	}
-	return pathTail(fn.Pkg().Path()) + "." + LocalName(fn)
+	return pathTail(fn.Pkg().Path()) + "." + localName(fn)
 }
 
-// LocalName renders fn without its package: "Func" or "Recv.Method", with
+// localName renders fn without its package: "Func" or "Recv.Method", with
 // pointer stars and type arguments stripped.
-func LocalName(fn *types.Func) string {
+func localName(fn *types.Func) string {
 	name := fn.Name()
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 		rt := recv.Type()

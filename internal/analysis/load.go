@@ -37,11 +37,12 @@ type listedPkg struct {
 	GoFiles    []string
 	Export     string
 	Standard   bool
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
 func goList(moduleDir string, args ...string) ([]listedPkg, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,Export,Standard,Error"}, args...)...)
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error"}, args...)...)
 	cmd.Dir = moduleDir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -101,11 +102,15 @@ func exportFiles(moduleDir string, patterns []string) (map[string]string, error)
 	return cached, nil
 }
 
-// Load lists patterns (e.g. "./...") in the module rooted at moduleDir,
-// type-checks every matched non-test package from source against compiler
-// export data for its dependencies, and returns them sorted by import path.
+// Load lists patterns (e.g. "./...") in the module rooted at moduleDir with
+// their dependencies, type-checks every non-standard non-test package from
+// source, and returns the matched ones sorted by import path. The go tool
+// lists dependencies first, so each package is checked against the
+// source-checked packages it imports: a call into another loaded package
+// resolves to the function the call graph indexes, and call chains cross
+// package boundaries. Export data serves only the standard library.
 func Load(moduleDir string, patterns ...string) ([]*Package, error) {
-	targets, err := goList(moduleDir, patterns...)
+	listed, err := goList(moduleDir, append([]string{"-deps"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +119,9 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
+	imp := preloadedImporter{loaded: map[string]*types.Package{}, fallback: newExportImporter(fset, exports)}
 	var pkgs []*Package
-	for _, t := range targets {
+	for _, t := range listed {
 		if t.Standard || len(t.GoFiles) == 0 {
 			continue
 		}
@@ -131,7 +136,10 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
+		imp.loaded[t.ImportPath] = pkg.Types
+		if !t.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
@@ -238,9 +246,9 @@ func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, imp
 	return checkPackageParsed(fset, imp, importPath, dir, parsed)
 }
 
-// preloadedImporter resolves fixture-to-fixture imports from the in-memory
-// packages LoadDirs already type-checked, falling back to export data for
-// everything else.
+// preloadedImporter resolves imports from the in-memory packages Load or
+// LoadDirs already type-checked, falling back to export data for everything
+// else.
 type preloadedImporter struct {
 	loaded   map[string]*types.Package
 	fallback types.Importer

@@ -68,6 +68,30 @@ func TestLoadDirsFakePathShadowsRealPackage(t *testing.T) {
 	}
 }
 
+// TestLoadSharesPackagesAcrossImports: when one loaded package imports
+// another, the importer sees the source-checked package itself, not an
+// export-data copy, so the call graph follows calls across the boundary.
+// Only the matched packages come back, though every dependency is checked.
+func TestLoadSharesPackagesAcrossImports(t *testing.T) {
+	pkgs, err := Load("../..", "./internal/runner", "./internal/metrics")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[0].Path != "bbcast/internal/metrics" || pkgs[1].Path != "bbcast/internal/runner" {
+		t.Fatalf("loaded %d packages, want metrics and runner", len(pkgs))
+	}
+	metrics, runner := pkgs[0], pkgs[1]
+	for _, imp := range runner.Types.Imports() {
+		if imp.Path() == metrics.Path {
+			if imp != metrics.Types {
+				t.Fatal("runner imports an export-data copy of metrics, not the loaded package")
+			}
+			return
+		}
+	}
+	t.Fatal("runner does not import metrics")
+}
+
 // TestLoadDirsEmpty: zero directories is a usage error, not a panic.
 func TestLoadDirsEmpty(t *testing.T) {
 	if _, err := LoadDirs(); err == nil {

@@ -162,8 +162,8 @@ func clampDuration(d, min, max time.Duration) time.Duration {
 }
 
 // observeAdaptation commits one adaptive-timer change: the counter and the
-// observer event are emitted here and nowhere else (obsvonce's designated
-// source for OnAdaptation).
+// observer event are emitted here and nowhere else (the source of
+// OnAdaptation in DESIGN's emission table).
 func (p *Protocol) observeAdaptation(timer obsv.AdaptiveTimer, old, new time.Duration) {
 	p.stats.Adaptations++
 	if p.deps.Obs != nil {
@@ -171,8 +171,8 @@ func (p *Protocol) observeAdaptation(timer obsv.AdaptiveTimer, old, new time.Dur
 	}
 }
 
-// observeRetry records one retransmission action (obsvonce's designated
-// source for OnRetry).
+// observeRetry records one retransmission action (the source of OnRetry in
+// DESIGN's emission table).
 func (p *Protocol) observeRetry(id wire.MsgID, attempt int, abandoned bool) {
 	if abandoned {
 		p.stats.RetriesAbandoned++

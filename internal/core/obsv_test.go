@@ -13,6 +13,7 @@ import (
 
 	"bbcast/internal/obsv"
 	"bbcast/internal/overlay"
+	"bbcast/internal/persist"
 	"bbcast/internal/wire"
 )
 
@@ -29,6 +30,7 @@ type recObserver struct {
 	suspRaised  int
 	suspCleared int
 	suppressed  int
+	rejoins     []int // restored count of each OnRejoin
 }
 
 func newRecObserver() *recObserver {
@@ -106,6 +108,7 @@ func (r *recObserver) OnSync(at time.Duration, node, peer wire.NodeID, event obs
 }
 
 func (r *recObserver) OnRejoin(at time.Duration, node wire.NodeID, restored int) {
+	r.rejoins = append(r.rejoins, restored)
 	r.log("rejoin %s %d %d", at, node, restored)
 }
 
@@ -166,6 +169,32 @@ func TestObserverExactlyOncePerProtocolEvent(t *testing.T) {
 		t.Fatalf("delivered %d but observed %d accepts", len(h.delivered), len(rec.accepts))
 	}
 	assertRecordersAgree(t, rec, twin)
+}
+
+// TestObserverRejoinRestoreAtCap: a durable store that remembers more
+// deliveries than MaxStore stops the restore at the cap. That is not an
+// admission event: construction and Rejoin emit no OnAdmission, and Rejoin
+// emits exactly one OnRejoin counting the MaxStore tombstones it restored.
+func TestObserverRejoinRestoreAtCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Persist = true
+	cfg.MaxStore = 4
+	st, err := persist.Open(&persist.MemDevice{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= cfg.MaxStore+3; seq++ {
+		st.RecordDelivered(wire.MsgID{Origin: 3, Seq: wire.Seq(seq)}, 0)
+	}
+	rec := newRecObserver()
+	h := newHarnessWith(t, 0, cfg, func(d *Deps) { d.Store, d.Obs = st, rec })
+	h.p.Rejoin()
+	if len(rec.rejoins) != 1 || rec.rejoins[0] != cfg.MaxStore {
+		t.Fatalf("rejoin events restored %v, want one event restoring %d", rec.rejoins, cfg.MaxStore)
+	}
+	if len(rec.admits) != 0 {
+		t.Fatalf("restore at the store cap emitted admission events %v, want none", rec.admits)
+	}
 }
 
 func TestObserverRoleAndQueueEvents(t *testing.T) {

@@ -78,8 +78,9 @@ func (d *Deps) ObserveRx(pkt *wire.Packet) {
 }
 
 // ObserveSuppressed reports one redundant data frame that was suppressed
-// instead of forwarded — the shared choke point (and obsvonce designated
-// source) for OnForwardSuppressed across the protocol and the baselines.
+// instead of forwarded — the shared choke point, and the one source DESIGN's
+// emission table names, for OnForwardSuppressed across the protocol and the
+// baselines.
 func (d *Deps) ObserveSuppressed(id wire.MsgID, meta wire.Meta) {
 	if d.Obs != nil {
 		d.Obs.OnForwardSuppressed(d.Clock.Now(), d.ID, id, meta)
@@ -420,7 +421,8 @@ const snapshotEvery = 10 * time.Second
 // accumulated record log.
 func (p *Protocol) snapshotTick() {
 	if p.deps.Store != nil {
-		//bbvet:errflow best-effort periodic snapshot: Store latches the failure in Err and the next health check surfaces it
+		// Best-effort periodic snapshot: Store latches the failure in Err,
+		// and the next health check surfaces it.
 		_ = p.deps.Store.Snapshot()
 	}
 }

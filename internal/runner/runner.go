@@ -778,7 +778,8 @@ func adjacency(medium *radio.Medium, n int, maxDist float64) [][]bool {
 // scheduleWorkload injects messages per the scenario's workload description:
 // the load-generator schedule when Scenario.LoadGen is set, the simple
 // fixed-rate workload otherwise. All OnInject emissions live here (and in
-// closures created here) — the obsvonce contract's designated source.
+// closures created here), the simulator's source of OnInject in DESIGN's
+// emission table.
 func scheduleWorkload(sc Scenario, eng *sim.Engine, protos []broadcaster, correct []bool, obs obsv.Observer, loadDriver *loadgen.Driver) {
 	if sc.LoadGen != nil {
 		cfg := *sc.LoadGen

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -70,8 +71,8 @@ type UDPNode struct {
 	conn  *net.UDPConn
 	proto *core.Protocol
 	// dev is the durable-state device when the node was opened with a
-	// persist directory; closed with the node.
-	dev *persist.FileDevice
+	// persist directory, and nil otherwise; closed with the node.
+	dev io.Closer
 
 	registry *obsv.Registry
 	obs      obsv.Observer
@@ -132,20 +133,23 @@ func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, d
 			return nil, fmt.Errorf("transport: persist: %w", err)
 		}
 		if store, err = persist.Open(dev); err != nil {
-			dev.Close() //bbvet:errflow cleanup on a failed constructor path; the open error being returned is the root cause
+			// Cleanup on a failed constructor path: the open error being
+			// returned is the root cause, so Close's error is dropped.
+			dev.Close()
 			return nil, fmt.Errorf("transport: persist: %w", err)
 		}
 	}
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
 		if dev != nil {
-			dev.Close() //bbvet:errflow cleanup on a failed constructor path; the listen error being returned is the root cause
+			// Cleanup on a failed constructor path: the listen error being
+			// returned is the root cause, so Close's error is dropped.
+			dev.Close()
 		}
 		return nil, fmt.Errorf("transport: listen %q: %w", listen, err)
 	}
 	n := &UDPNode{
 		id:       id,
-		dev:      dev,
 		conn:     conn,
 		registry: obsv.NewRegistry(),
 		eng:      sim.New(0),
@@ -156,6 +160,9 @@ func NewUDPNodeDir(cfg core.Config, id wire.NodeID, scheme sig.Scheme, listen, d
 		calls:    make(chan func()),
 		ret:      make(chan struct{}),
 		closed:   make(chan struct{}),
+	}
+	if dev != nil {
+		n.dev = dev // never a typed nil: Close tests n.dev against nil
 	}
 	n.obs = obsv.NewRegistryObserver(n.registry)
 	if deliver == nil {
@@ -354,8 +361,10 @@ func (n *UDPNode) send(pkt *wire.Packet) {
 	n.obs.OnPacketTx(n.eng.Now(), n.id, pkt.Kind, pkt.ID(), pkt.Meta)
 	for _, peer := range n.peers {
 		// Best-effort datagrams: losses are the protocol's problem by
-		// design, so write errors are intentionally dropped.
-		_, _ = n.conn.WriteToUDP(buf, peer) //bbvet:errflow a lost datagram is indistinguishable from a lost packet; gossip/recovery handles both
+		// design, so write errors are intentionally dropped. A lost
+		// datagram is indistinguishable from a lost packet, and gossip and
+		// recovery handle both.
+		_, _ = n.conn.WriteToUDP(buf, peer)
 	}
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -164,6 +166,36 @@ func TestUDPCloseIdempotent(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failingCloser closes the real device, then reports err in place of its
+// result.
+type failingCloser struct {
+	io.Closer
+	err error
+}
+
+func (c failingCloser) Close() error {
+	c.Closer.Close()
+	return c.err
+}
+
+// TestUDPCloseReturnsDeviceError: closing the durable-state log can report a
+// write the OS had deferred, so the node's Close must return the device's
+// error, not drop it.
+func TestUDPCloseReturnsDeviceError(t *testing.T) {
+	n, err := NewUDPNodeDir(fastConfig(), 0, sig.NewHMAC(1, 1), "127.0.0.1:0", t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.dev == nil {
+		t.Fatal("node opened with a persist directory has no device")
+	}
+	errClose := errors.New("device close failed")
+	n.dev = failingCloser{Closer: n.dev, err: errClose}
+	if err := n.Close(); !errors.Is(err, errClose) {
+		t.Fatalf("Close() = %v, want the device's %v", err, errClose)
 	}
 }
 
