@@ -6,6 +6,10 @@
 //	              or through a call chain into helpers (printed), across
 //	              package boundaries
 //
+// The named packages' dependencies are loaded too, so a chain from a named
+// package into one that is not named is still followed and reported; a
+// finding inside an unnamed package is not.
+//
 // Usage:
 //
 //	go run ./cmd/bbvet ./...
@@ -93,7 +97,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "bbvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		matched := 0
+		for _, pkg := range pkgs {
+			if !pkg.DepOnly {
+				matched++
+			}
+		}
+		fmt.Fprintf(stderr, "bbvet: %d finding(s) in %d package(s)\n", len(diags), matched)
 		return 1
 	}
 	return 0

@@ -37,3 +37,24 @@ func TestExitStatus(t *testing.T) {
 		t.Errorf("-run determinism: exit %d, stderr %q; want 2 and an unknown-flag error", code, stderr)
 	}
 }
+
+// TestSubsetFollowsChainsOutOfIt runs bbvet on one package of a fixture
+// module: runner calls metrics.LeakX, an order leak in a package the run did
+// not name, and sim.Keys, whose own leak is a finding inside sim. The chain
+// starts in runner, so it is reported; sim's finding is reported only when
+// sim is named too.
+func TestSubsetFollowsChainsOutOfIt(t *testing.T) {
+	const chain = "runner.go:12:13: determinism: call chain leaks map iteration order: metrics.LeakX → order-dependent map range"
+	for _, tc := range []struct {
+		pattern string
+		want    int // findings
+	}{{"./internal/runner", 1}, {"./...", 2}} {
+		var stdout, stderr strings.Builder
+		code := run([]string{"-C", "testdata/subset", tc.pattern}, &stdout, &stderr)
+		lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+		if code != 1 || len(lines) != tc.want || !strings.Contains(lines[0], chain) {
+			t.Errorf("bbvet %s: exit %d, %d finding(s); want 1, %d, the first the runner chain:\n%s%s",
+				tc.pattern, code, len(lines), tc.want, stdout.String(), stderr.String())
+		}
+	}
+}

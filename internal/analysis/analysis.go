@@ -69,10 +69,11 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run builds the program view of pkgs once, applies each analyzer to it, and
-// returns the combined diagnostics sorted and deduplicated. Analyzer errors
-// (not findings) abort. Graph construction costs milliseconds against the
-// seconds `go list -export` and type-checking take, so every analyzer gets
-// the whole-program view.
+// returns the combined diagnostics sorted and deduplicated, less those inside
+// a DepOnly package: a chain from a reported package into one is reported at
+// its start. Analyzer errors (not findings) abort. Graph construction costs
+// milliseconds against the seconds `go list -export` and type-checking take,
+// so every analyzer gets the whole-program view.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	prog := BuildProgram(pkgs)
@@ -82,7 +83,21 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
-	return dedupeSorted(diags), nil
+	depOnly := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.DepOnly {
+			for _, f := range pkg.Files {
+				depOnly[pkg.Fset.Position(f.Pos()).Filename] = true
+			}
+		}
+	}
+	reported := diags[:0]
+	for _, d := range diags {
+		if !depOnly[d.Pos.Filename] {
+			reported = append(reported, d)
+		}
+	}
+	return dedupeSorted(reported), nil
 }
 
 // dedupeSorted orders diagnostics by (file, line, column, message, analyzer)

@@ -28,6 +28,10 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
+	// DepOnly marks a package Load checked only because a matched package
+	// imports it: it is part of the program view, so call chains run
+	// through it, but Run reports no finding inside it.
+	DepOnly bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -104,11 +108,12 @@ func exportFiles(moduleDir string, patterns []string) (map[string]string, error)
 
 // Load lists patterns (e.g. "./...") in the module rooted at moduleDir with
 // their dependencies, type-checks every non-standard non-test package from
-// source, and returns the matched ones sorted by import path. The go tool
-// lists dependencies first, so each package is checked against the
-// source-checked packages it imports: a call into another loaded package
-// resolves to the function the call graph indexes, and call chains cross
-// package boundaries. Export data serves only the standard library.
+// source, and returns them all sorted by import path, those the patterns
+// did not match marked DepOnly. The go tool lists dependencies first, so
+// each package is checked against the source-checked packages it imports: a
+// call into another loaded package resolves to the function the call graph
+// indexes, and call chains cross package boundaries, into packages outside
+// the patterns too. Export data serves only the standard library.
 func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 	listed, err := goList(moduleDir, append([]string{"-deps"}, patterns...)...)
 	if err != nil {
@@ -137,9 +142,8 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		imp.loaded[t.ImportPath] = pkg.Types
-		if !t.DepOnly {
-			pkgs = append(pkgs, pkg)
-		}
+		pkg.DepOnly = t.DepOnly
+		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil

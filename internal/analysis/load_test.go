@@ -71,16 +71,28 @@ func TestLoadDirsFakePathShadowsRealPackage(t *testing.T) {
 // TestLoadSharesPackagesAcrossImports: when one loaded package imports
 // another, the importer sees the source-checked package itself, not an
 // export-data copy, so the call graph follows calls across the boundary.
-// Only the matched packages come back, though every dependency is checked.
+// Every dependency comes back too, marked DepOnly.
 func TestLoadSharesPackagesAcrossImports(t *testing.T) {
 	pkgs, err := Load("../..", "./internal/runner", "./internal/metrics")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if len(pkgs) != 2 || pkgs[0].Path != "bbcast/internal/metrics" || pkgs[1].Path != "bbcast/internal/runner" {
-		t.Fatalf("loaded %d packages, want metrics and runner", len(pkgs))
+	var matched []*Package
+	deps := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.DepOnly {
+			deps[pkg.Path] = true
+		} else {
+			matched = append(matched, pkg)
+		}
 	}
-	metrics, runner := pkgs[0], pkgs[1]
+	if len(matched) != 2 || matched[0].Path != "bbcast/internal/metrics" || matched[1].Path != "bbcast/internal/runner" {
+		t.Fatalf("matched %d packages, want metrics and runner", len(matched))
+	}
+	if !deps["bbcast/internal/core"] {
+		t.Error("runner's dependency core is not loaded as DepOnly")
+	}
+	metrics, runner := matched[0], matched[1]
 	for _, imp := range runner.Types.Imports() {
 		if imp.Path() == metrics.Path {
 			if imp != metrics.Types {

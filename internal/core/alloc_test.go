@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"bbcast/internal/alloctest"
+	"bbcast/internal/overlay"
 	"bbcast/internal/wire"
 )
 
@@ -49,6 +51,67 @@ func TestGossipTickAllocationCeiling(t *testing.T) {
 	}
 	h.p.gossipTick() // size the scratch
 	alloctest.AtMost(t, 2, h.p.gossipTick)
+}
+
+// TestGossipTickChangedStateAllocationCeiling: a tick that publishes a
+// changed record allocates no more than the entry copy either. The record
+// and its id lists come from the node's chunks and its tag from the keyring's
+// array, a fraction of an allocation each that AllocsPerRun's whole-number
+// average drops. The role flips every tick, so every record is new.
+func TestGossipTickChangedStateAllocationCeiling(t *testing.T) {
+	h, _ := steadyHarness(t)
+	published, ticks := 0, 0
+	tick := func() {
+		if h.p.role == overlay.Dominator {
+			h.p.role = overlay.Passive
+		} else {
+			h.p.role = overlay.Dominator
+		}
+		before := h.p.published
+		h.p.gossipTick()
+		ticks++
+		if h.p.published != before {
+			published++
+		}
+	}
+	tick()
+	alloctest.AtMost(t, 1, tick)
+	if published != ticks {
+		t.Fatalf("%d of %d ticks published a new record", published, ticks)
+	}
+}
+
+// TestPublishStateCopiesAsClone: published records equal
+// wire.OverlayState.Clone's copy, nil and empty lists included, each list
+// capped at its length, and no later record, in the same id array or a new
+// one, writes into an earlier one. The largest record needs more than a whole
+// array.
+func TestPublishStateCopiesAsClone(t *testing.T) {
+	h := newHarness(t, 0, DefaultConfig())
+	big := make([]wire.NodeID, 300)
+	for i := range big {
+		big[i] = wire.NodeID(i)
+	}
+	records := []*wire.OverlayState{
+		{},
+		{Active: true, Neighbors: []wire.NodeID{}, Suspects: []wire.NodeID{4}},
+		{Dominator: true, Neighbors: []wire.NodeID{1, 2, 3}, ActiveNeighbors: []wire.NodeID{2, 3}, DominatorNeighbors: []wire.NodeID{3}},
+		{Neighbors: big, ActiveNeighbors: big[:7]},
+	}
+	var published []*wire.OverlayState
+	for round := 0; round < 40; round++ {
+		published = append(published, h.p.publishState(records[round%len(records)]))
+	}
+	for i, got := range published {
+		if want := records[i%len(records)].Clone(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d = %+v, want %+v", i, got, want)
+		}
+		for _, ids := range [][]wire.NodeID{got.Neighbors, got.ActiveNeighbors, got.DominatorNeighbors, got.Suspects} {
+			if cap(ids) != len(ids) {
+				t.Fatalf("record %d: a list of %d ids has capacity %d", i, len(ids), cap(ids))
+			}
+		}
+	}
 }
 
 func TestMaintenanceTickAllocationCeiling(t *testing.T) {

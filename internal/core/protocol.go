@@ -297,10 +297,14 @@ type Protocol struct {
 	fire     func()
 
 	// Per-node chunks (chunk) for the records created once per message, per
-	// recovered id and per sent frame.
+	// recovered id, per sent frame and per published state record.
 	frames chunk[wire.Packet]
 	misses chunk[pendingMiss]
 	reqs   chunk[reqRecord]
+	states chunk[wire.OverlayState]
+	// stateIDs is the array the published records' id lists are carved from
+	// (publishState); its length is what is already handed out.
+	stateIDs []wire.NodeID
 
 	// Catch-up sync state: syncArmed is set from rejoin (or a restored-state
 	// start) until the node is caught up or gives up; syncAttempts counts
@@ -311,7 +315,8 @@ type Protocol struct {
 	// Scratch reused by the per-packet and periodic paths, so work repeated
 	// every tick does not allocate. None of it ever leaves the protocol:
 	// frames handed to Send take a frames slot, which is never handed out
-	// twice, and published state records get fresh memory.
+	// twice, and published state records get slots of their own (states and
+	// stateIDs).
 	sigBuf []byte // signed-bytes buffer for one Sign/Verify call
 	//bbvet:bounded-by MaxStore holds the store's keys, sorted, for one sync walk
 	msgIDs []wire.MsgID

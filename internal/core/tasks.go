@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"unsafe"
 
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
@@ -331,7 +332,7 @@ func (p *Protocol) level(id wire.NodeID) fd.Level {
 // buildState produces the maintenance record the node publishes and its
 // signature. Published records are immutable — in-flight frames carry them and
 // receivers keep them as nb.state — so the record is assembled in
-// p.stateScratch and a fresh one is allocated, and signed, only when it
+// p.stateScratch and copied into fresh slots, and signed, only when it
 // differs from the last one published; an unchanged neighbourhood republishes
 // the same record under the same signature.
 func (p *Protocol) buildState() (*wire.OverlayState, []byte) {
@@ -359,11 +360,23 @@ func (p *Protocol) buildState() (*wire.OverlayState, []byte) {
 		st.Suspects = p.trust.AppendSuspects(st.Suspects)
 	}
 	if p.published == nil || !sameState(p.published, st) {
-		p.published = st.Clone()
+		p.published = p.publishState(st)
 		p.sigBuf = wire.AppendStateSigBytes(p.sigBuf[:0], p.deps.ID, p.published)
 		p.publishedSig = p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 	}
 	return p.published, p.publishedSig
+}
+
+// publishState copies s, as wire.OverlayState.Clone would, into a slot of
+// p.states with its id lists carved from p.stateIDs. A record larger than
+// what is left of the array starts a new one.
+func (p *Protocol) publishState(s *wire.OverlayState) *wire.OverlayState {
+	if n := s.IDCount(); cap(p.stateIDs)-len(p.stateIDs) < n {
+		p.stateIDs = make([]wire.NodeID, 0, max(n, chunkBytes/int(unsafe.Sizeof(wire.NodeID(0)))))
+	}
+	out := p.states.new()
+	p.stateIDs = s.CopyInto(out, p.stateIDs)
+	return out
 }
 
 func sameState(a, b *wire.OverlayState) bool {

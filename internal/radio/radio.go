@@ -7,6 +7,12 @@
 // abstraction, matching the paper's remark (footnote 2) that the evaluation
 // simulator modelled "real transmission range behavior including
 // distortions, background noise, etc.".
+//
+// The ground-truth neighbour lists (Medium.Neighbors, SolidNeighbors) are
+// cached per node and shared by every caller: read-only, and valid until the
+// next topology change (a node moving, going down or coming up, or a
+// partition installed or healed), after which the next call may rewrite
+// them.
 package radio
 
 import (
@@ -210,9 +216,22 @@ type Medium struct {
 	// the simulation engine, so frame ids are reproducible across runs.
 	frameSeq uint64
 
+	// epoch numbers the topology: it advances whenever a node moves, goes
+	// down or comes up, or the partition changes. near and solid cache each
+	// node's Neighbors and SolidNeighbors for the epoch they were computed in.
+	epoch       uint64
+	near, solid []nbrCache
+
 	scratch     []uint32
 	freeRecs    []*reception
 	freeBatches []*txBatch
+}
+
+// nbrCache is one node's neighbour list as computed in topology epoch
+// epoch; ids is nil until the first computation.
+type nbrCache struct {
+	epoch uint64
+	ids   []wire.NodeID
 }
 
 // Stages of a frame's life reported to frameHook.
@@ -239,6 +258,8 @@ func New(eng *sim.Engine, model mobility.Model, n int, cfg Config) *Medium {
 		rx:      make([]func(*wire.Packet), n),
 		ongoing: make([][]*reception, n),
 		txBusy:  make([][]interval, n),
+		near:    make([]nbrCache, n),
+		solid:   make([]nbrCache, n),
 	}
 	for i := 0; i < n; i++ {
 		m.grid.Insert(uint32(i), model.Pos(uint32(i), 0))
@@ -260,7 +281,11 @@ func (m *Medium) Close() {
 func (m *Medium) refreshPositions() {
 	now := m.eng.Now()
 	for i := 0; i < m.n; i++ {
-		m.grid.Move(uint32(i), m.model.Pos(uint32(i), now))
+		p := m.model.Pos(uint32(i), now)
+		if old, _ := m.grid.Pos(uint32(i)); p != old {
+			m.grid.Move(uint32(i), p)
+			m.epoch++
+		}
 	}
 }
 
@@ -283,6 +308,7 @@ func (m *Medium) SetDown(id wire.NodeID, down bool) {
 	}
 	if int(id) < len(m.down) {
 		m.down[id] = down
+		m.epoch++
 	}
 }
 
@@ -295,6 +321,7 @@ func (m *Medium) IsDown(id wire.NodeID) bool {
 // of the same group. Nodes not named in any group form one implicit extra
 // group of their own. A nil or empty groups argument heals the partition.
 func (m *Medium) SetPartition(groups [][]wire.NodeID) {
+	m.epoch++
 	if len(groups) == 0 {
 		m.group = nil
 		return
@@ -313,7 +340,10 @@ func (m *Medium) SetPartition(groups [][]wire.NodeID) {
 }
 
 // Heal removes any installed partition mask.
-func (m *Medium) Heal() { m.group = nil }
+func (m *Medium) Heal() {
+	m.group = nil
+	m.epoch++
+}
 
 // clampLoss clamps a loss probability to [0, 0.999].
 func clampLoss(p float64) float64 {
@@ -452,38 +482,52 @@ func (m *Medium) Pos(id wire.NodeID) geo.Point {
 	return p
 }
 
-// Neighbors returns the ids within transmission range of id, sorted. This is
-// ground truth used by baselines and tests; the protocol itself discovers
-// neighbours from traffic.
+// Neighbors returns the ids within transmission range of id, sorted, or nil
+// for a down node or an id outside the medium. This is ground truth used by
+// baselines, the invariant checker and tests; the protocol itself discovers
+// neighbours from traffic. The slice is the medium's cache: read-only, and
+// valid until the next topology change.
 func (m *Medium) Neighbors(id wire.NodeID) []wire.NodeID {
-	return m.neighborsWithin(id, m.cfg.Range)
+	return m.neighborsWithin(m.near, id, m.cfg.Range)
 }
 
 // SolidNeighbors is Neighbors restricted to loss-free links: peers inside
 // the fringe-decay boundary (FringeStart*Range). Links beyond it exist but
 // drop receptions probabilistically, so they cannot carry any delivery
-// guarantee. With FringeStart >= 1 this equals Neighbors.
+// guarantee. With FringeStart >= 1 this equals Neighbors. The slice is shared
+// as Neighbors' is.
 func (m *Medium) SolidNeighbors(id wire.NodeID) []wire.NodeID {
 	solid := m.cfg.Range
 	if m.cfg.FringeStart < 1 {
 		solid = m.cfg.FringeStart * m.cfg.Range
 	}
-	return m.neighborsWithin(id, solid)
+	return m.neighborsWithin(m.solid, id, solid)
 }
 
-func (m *Medium) neighborsWithin(id wire.NodeID, radius float64) []wire.NodeID {
-	if m.IsDown(id) {
+// neighborsWithin returns id's up peers within radius, from cache when it
+// is current. A recomputed list reuses the node's old array: a list stays
+// valid only for the epoch it was computed in.
+func (m *Medium) neighborsWithin(cache []nbrCache, id wire.NodeID, radius float64) []wire.NodeID {
+	if m.IsDown(id) || int(id) >= len(cache) {
 		return nil
+	}
+	c := &cache[id]
+	if c.ids != nil && c.epoch == m.epoch {
+		return c.ids
 	}
 	p := m.Pos(id)
 	m.scratch = m.grid.Near(p, radius, m.scratch[:0])
-	out := make([]wire.NodeID, 0, len(m.scratch))
+	out := c.ids[:0]
+	if out == nil {
+		out = make([]wire.NodeID, 0, len(m.scratch))
+	}
 	for _, raw := range m.scratch {
 		if wire.NodeID(raw) != id && m.linkUp(id, wire.NodeID(raw)) {
 			out = append(out, wire.NodeID(raw))
 		}
 	}
 	slices.Sort(out)
+	c.epoch, c.ids = m.epoch, out
 	return out
 }
 

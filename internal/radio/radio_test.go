@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -255,6 +256,94 @@ func TestNeighborsGroundTruth(t *testing.T) {
 	if len(nbrs) != len(want) || nbrs[0] != want[0] || nbrs[1] != want[1] {
 		t.Fatalf("Neighbors(1) = %v, want %v", nbrs, want)
 	}
+}
+
+// TestNeighborListsFollowEveryTopologyChange: the cached lists are
+// recomputed after each mutator that changes the topology. Every list is read
+// before each change, so a mutator that left the epoch alone would hand out
+// the stale cache.
+func TestNeighborListsFollowEveryTopologyChange(t *testing.T) {
+	cfg := idealConfig()
+	cfg.FringeStart = 0.5 // solid links up to 125 m, range 250 m
+	_, m := lineNetwork(t, 100, 3, cfg)
+	type lists struct{ near, solid [3][]wire.NodeID }
+	read := func() (l lists) {
+		for i := range l.near {
+			l.near[i] = slices.Clone(m.Neighbors(wire.NodeID(i)))
+			l.solid[i] = slices.Clone(m.SolidNeighbors(wire.NodeID(i)))
+		}
+		return l
+	}
+	ids := func(v ...wire.NodeID) []wire.NodeID { return v }
+	initial := lists{
+		near:  [3][]wire.NodeID{ids(1, 2), ids(0, 2), ids(0, 1)},
+		solid: [3][]wire.NodeID{ids(1), ids(0, 2), ids(1)},
+	}
+	steps := []struct {
+		name   string
+		change func()
+		want   lists
+	}{
+		{"initial", func() {}, initial},
+		{"SetDown(2, true)", func() { m.SetDown(2, true) }, lists{
+			near:  [3][]wire.NodeID{ids(1), ids(0), nil},
+			solid: [3][]wire.NodeID{ids(1), ids(0), nil},
+		}},
+		{"SetDown(2, false)", func() { m.SetDown(2, false) }, initial},
+		{"SetPartition", func() { m.SetPartition([][]wire.NodeID{{0}}) }, lists{
+			near:  [3][]wire.NodeID{{}, ids(2), ids(1)},
+			solid: [3][]wire.NodeID{{}, ids(2), ids(1)},
+		}},
+		{"Heal", m.Heal, initial},
+	}
+	for _, step := range steps {
+		read()
+		step.change()
+		got := read()
+		for i := range got.near {
+			if !slices.Equal(got.near[i], step.want.near[i]) || !slices.Equal(got.solid[i], step.want.solid[i]) ||
+				(got.near[i] == nil) != (step.want.near[i] == nil) || (got.solid[i] == nil) != (step.want.solid[i] == nil) {
+				t.Errorf("after %s: node %d has %v, solid %v; want %v, solid %v",
+					step.name, i, got.near[i], got.solid[i], step.want.near[i], step.want.solid[i])
+			}
+		}
+	}
+
+	// A position refresh that moves a node: node 1 walks away from node 0 at
+	// 100 m/s from x=100.
+	eng := sim.New(1)
+	cfg.PosUpdate = 100 * time.Millisecond
+	moving := New(eng, &movingModel{area: geo.Rect{W: 2000, H: 10}}, 2, cfg)
+	defer moving.Close()
+	for _, at := range []struct {
+		t           time.Duration
+		near, solid []wire.NodeID
+	}{
+		{0, ids(1), ids(1)},
+		{500 * time.Millisecond, ids(1), ids()}, // x=150
+		{2 * time.Second, ids(), ids()},         // x=300
+	} {
+		moving.Neighbors(0)
+		moving.SolidNeighbors(0)
+		eng.Run(at.t)
+		if got, solid := moving.Neighbors(0), moving.SolidNeighbors(0); !slices.Equal(got, at.near) || !slices.Equal(solid, at.solid) {
+			t.Errorf("at %v: node 0 has %v, solid %v; want %v, solid %v", at.t, got, solid, at.near, at.solid)
+		}
+	}
+}
+
+// TestNeighborsDoesNotAllocate: within one topology epoch the lists come
+// from the cache, so the invariant checker's walk at every injection costs
+// no allocation.
+func TestNeighborsDoesNotAllocate(t *testing.T) {
+	_, m := lineNetwork(t, 100, 8, idealConfig())
+	walk := func() {
+		for i := wire.NodeID(0); i < 8; i++ {
+			m.Neighbors(i)
+			m.SolidNeighbors(i)
+		}
+	}
+	alloctest.AtMost(t, 0, walk)
 }
 
 func TestMobilityUpdatesTopology(t *testing.T) {

@@ -399,7 +399,7 @@ func TestInspectHookIsPerRun(t *testing.T) {
 // TestWholeRunAllocationCeiling bounds what a simulated run allocates per
 // engine event, set-up included: the default scenario for 20 s with traffic
 // from 5 s to 15 s. With a clone per reception this was 18.9 allocations; it
-// is 1.84 and about 318 bytes, and both are a pure function of code and seed.
+// is 1.29 and about 305 bytes, and both are a pure function of code and seed.
 // The ceilings leave about a fifth (allocations) and a tenth (bytes) of
 // headroom for a new Go runtime; a per-reception, per-message, per-tick or
 // per-timer allocation coming back fails them.
@@ -419,7 +419,7 @@ func TestWholeRunAllocationCeiling(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(res.Events)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Events)
 	t.Logf("%d events, %.2f allocs/event, %.0f bytes/event", res.Events, allocs, bytes)
-	const allocCeiling, byteCeiling = 2.2, 350.0
+	const allocCeiling, byteCeiling = 1.55, 350.0
 	if allocs > allocCeiling {
 		t.Errorf("%.2f allocations per engine event, ceiling is %v", allocs, allocCeiling)
 	}

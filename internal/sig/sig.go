@@ -122,12 +122,18 @@ type HMACScheme struct {
 	// call.
 	idb  [4]byte
 	want [hmacTagSize]byte
+	// tags is the rest of the array Sign carves its tags from, guarded by
+	// mu. One live tag keeps its whole array, hmacTagArray tags, alive.
+	tags []byte
 }
 
 var _ Scheme = (*HMACScheme)(nil)
 
 // hmacTagSize is the byte length of HMAC-SHA256 tags.
 const hmacTagSize = sha256.Size
+
+// hmacTagArray is how many tags Sign carves from one allocation.
+const hmacTagArray = 32
 
 // NewHMAC builds a simulation signature scheme for node ids 0..n-1,
 // deterministic in seed.
@@ -163,7 +169,13 @@ func (s *HMACScheme) Sign(id uint32, msg []byte) []byte {
 		panic(fmt.Sprintf("sig: no key registered for node %d", id))
 	}
 	s.mu.Lock()
-	out := s.tag(make([]byte, 0, hmacTagSize), id, msg)
+	if len(s.tags) == 0 {
+		s.tags = make([]byte, hmacTagArray*hmacTagSize)
+	}
+	// The tag is capped at its size, so a caller's append copies it instead
+	// of writing into the next tag.
+	out := s.tag(s.tags[:0:hmacTagSize], id, msg)
+	s.tags = s.tags[hmacTagSize:]
 	s.mu.Unlock()
 	return out
 }

@@ -202,6 +202,34 @@ func TestQuickDistinctMessagesDistinctTags(t *testing.T) {
 	}
 }
 
+// TestHMACSignAllocationCeiling: Sign carves its tags from one array per
+// scheme, so a run of hmacTagArray signatures allocates once, not once per
+// tag.
+func TestHMACSignAllocationCeiling(t *testing.T) {
+	s := NewHMAC(4, 1)
+	msg := []byte("state record")
+	alloctest.AtMost(t, 1, func() {
+		for i := 0; i < hmacTagArray; i++ {
+			s.Sign(uint32(i%4), msg)
+		}
+	})
+}
+
+// TestHMACTagsDoNotShareRoom: a tag carved from the shared array is capped
+// at its size, so appending to one copies it and leaves the next intact.
+func TestHMACTagsDoNotShareRoom(t *testing.T) {
+	s := NewHMAC(2, 1)
+	msg := []byte("header")
+	first, second := s.Sign(0, msg), s.Sign(1, msg)
+	if cap(first) != hmacTagSize {
+		t.Fatalf("tag capacity %d, want %d", cap(first), hmacTagSize)
+	}
+	_ = append(first, bytes.Repeat([]byte{0xFF}, hmacTagSize)...)
+	if !s.Verify(0, msg, first) || !s.Verify(1, msg, second) {
+		t.Fatal("appending to one tag changed a tag")
+	}
+}
+
 // TestHMACVerifyDoesNotAllocate is the scheme's allocation ceiling: the
 // simulator verifies more than a million tags per benchmark run, all against
 // scratch held under the scheme's mutex.

@@ -380,7 +380,7 @@ func (n *UDPNode) readLoop() {
 	// returns.
 	buf := make([]byte, maxDatagram)
 	for {
-		sz, _, err := n.conn.ReadFromUDP(buf)
+		sz, _, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-n.closed:
@@ -415,7 +415,7 @@ func (n *UDPNode) readLoop() {
 
 // Close stops the node and waits for its read and protocol loops to exit. It
 // returns promptly even if the read loop is blocked in a kernel read: closing
-// the socket fails the pending ReadFromUDP at once, without waiting for
+// the socket fails the pending read at once, without waiting for
 // traffic. Whatever is still queued in the inbox is dropped, and the
 // protocol's pending timers are never run: nothing moves its engine again.
 func (n *UDPNode) Close() error {

@@ -158,11 +158,26 @@ type OverlayState struct {
 // Clone returns a deep copy of the record: the struct plus one arena shared
 // by the four id lists.
 func (s *OverlayState) Clone() *OverlayState {
-	n := len(s.Neighbors) + len(s.ActiveNeighbors) + len(s.DominatorNeighbors) + len(s.Suspects)
 	var arena []NodeID
-	if n > 0 {
+	if n := s.IDCount(); n > 0 {
 		arena = make([]NodeID, 0, n)
 	}
+	c := new(OverlayState)
+	s.CopyInto(c, arena)
+	return c
+}
+
+// IDCount is how many ids the record's four lists hold together.
+func (s *OverlayState) IDCount() int {
+	return len(s.Neighbors) + len(s.ActiveNeighbors) + len(s.DominatorNeighbors) + len(s.Suspects)
+}
+
+// CopyInto makes dst a deep copy of s whose id lists are appended to arena,
+// and returns the extended arena; it allocates only when arena has no room
+// for IDCount more ids. Each list is capped at its length, so a holder's
+// append copies it instead of writing into the next list; a nil list stays
+// nil and an empty one empty.
+func (s *OverlayState) CopyInto(dst *OverlayState, arena []NodeID) []NodeID {
 	carve := func(ids []NodeID) []NodeID {
 		if len(ids) == 0 {
 			if ids == nil {
@@ -174,7 +189,7 @@ func (s *OverlayState) Clone() *OverlayState {
 		arena = append(arena, ids...)
 		return arena[start:len(arena):len(arena)]
 	}
-	return &OverlayState{
+	*dst = OverlayState{
 		Active:             s.Active,
 		Dominator:          s.Dominator,
 		Neighbors:          carve(s.Neighbors),
@@ -182,6 +197,7 @@ func (s *OverlayState) Clone() *OverlayState {
 		DominatorNeighbors: carve(s.DominatorNeighbors),
 		Suspects:           carve(s.Suspects),
 	}
+	return arena
 }
 
 // Cause tags why a frame was transmitted, for causal lineage tracing. It is
