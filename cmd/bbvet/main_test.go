@@ -26,35 +26,22 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestExitStatus pins the exit-status contract: 0 clean, 2 usage error.
+// TestExitStatus pins the exit-status contract: 0 clean, 1 findings (one
+// line each, and a count on stderr), 2 usage error.
 func TestExitStatus(t *testing.T) {
-	code, stdout, stderr := bbvet(t, "-json", "./cmd/bbvet/testdata/clean")
-	if code != 0 || strings.TrimSpace(stdout) != "[]" {
-		t.Errorf("clean fixture: exit %d, stdout %q, stderr %q; want 0 and []", code, stdout, stderr)
+	code, stdout, stderr := bbvet(t, "./cmd/bbvet/testdata/clean")
+	if code != 0 || stdout != "" {
+		t.Errorf("clean fixture: exit %d, stdout %q, stderr %q; want 0 and nothing", code, stdout, stderr)
 	}
-	code, _, stderr = bbvet(t, "-run", "determinism", "./cmd/bbvet/testdata/clean")
-	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -run") {
-		t.Errorf("-run determinism: exit %d, stderr %q; want 2 and an unknown-flag error", code, stderr)
+	code, stdout, stderr = bbvet(t, "./cmd/bbvet/testdata/clean", "./cmd/bbvet/testdata/internal/dirty")
+	const finding = "dirty.go:7:33: determinism: time.Now is wall clock"
+	if code != 1 || strings.Count(stdout, "\n") != 1 || !strings.Contains(stdout, finding) || stderr != "bbvet: 1 finding(s) in 2 package(s)\n" {
+		t.Errorf("dirty fixture: exit %d, stdout %q, stderr %q; want 1 and the one finding %q", code, stdout, stderr, finding)
 	}
-}
-
-// TestSubsetFollowsChainsOutOfIt runs bbvet on one package of a fixture
-// module: runner calls metrics.LeakX, an order leak in a package the run did
-// not name, and sim.Keys, whose own leak is a finding inside sim. The chain
-// starts in runner, so it is reported; sim's finding is reported only when
-// sim is named too.
-func TestSubsetFollowsChainsOutOfIt(t *testing.T) {
-	const chain = "runner.go:12:13: determinism: call chain leaks map iteration order: metrics.LeakX → order-dependent map range"
-	for _, tc := range []struct {
-		pattern string
-		want    int // findings
-	}{{"./internal/runner", 1}, {"./...", 2}} {
-		var stdout, stderr strings.Builder
-		code := run([]string{"-C", "testdata/subset", tc.pattern}, &stdout, &stderr)
-		lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-		if code != 1 || len(lines) != tc.want || !strings.Contains(lines[0], chain) {
-			t.Errorf("bbvet %s: exit %d, %d finding(s); want 1, %d, the first the runner chain:\n%s%s",
-				tc.pattern, code, len(lines), tc.want, stdout.String(), stderr.String())
+	for _, flag := range []string{"-run", "-json"} {
+		code, _, stderr = bbvet(t, flag, "./cmd/bbvet/testdata/clean")
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stderr %q; want 2 and an unknown-flag error", flag, code, stderr)
 		}
 	}
 }

@@ -1,43 +1,33 @@
-// Package analysis is a minimal, dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects the
-// type-checked packages of one load, with their static call graph, and
-// reports position-anchored diagnostics.
+// Package analysis is the minimal, dependency-free machinery under cmd/bbvet:
+// a loader that type-checks packages from source, the //bbvet: annotation
+// grammar, position-anchored diagnostics, and a SARIF writer. The one rule
+// that uses it lives in the subpackage determinism.
 //
 // The repo intentionally has no external module dependencies, so instead of
-// the x/tools driver the loader in this package shells out to `go list -deps
-// -export`. It type-checks the module's packages from source in dependency
-// order, and feeds the standard library's compiler export data to the gc
-// importer, the mechanism `go vet`'s unitchecker uses. Analyzers get full
-// syntax (with comments) plus go/types information for the packages under
-// analysis.
+// the golang.org/x/tools driver the loader shells out to `go list -deps
+// -export`. It type-checks the matched packages from source and resolves
+// their imports from the compiler's export data through the gc importer, the
+// mechanism `go vet`'s unitchecker uses. The rule gets full syntax (with
+// comments) plus go/types information for each package, and looks at one
+// package at a time.
 //
-// The project's one analyzer lives in the subpackage determinism; cmd/bbvet
-// runs it over the tree. Other contracts need no pass: the ingress contract
-// (admission and dedup before any signature check) is held at compile time by
-// internal/core's admitted and looked types, the bound of every core map by a
-// test in that package (TestEveryMapIsBounded), each observer event's single
-// source by event-count tests (core's TestObserver*, transport's
-// TestUDPMetricsSmoke), and durable-write errors by tests that fail a chosen
-// device write and read the error back (persist's failwrite_test.go,
-// transport's TestUDPCloseReturnsDeviceError).
+// Other contracts need no pass: the ingress contract (admission and dedup
+// before any signature check) is held at compile time by internal/core's
+// admitted and looked types, the bound of every core map by a test in that
+// package (TestEveryMapIsBounded), each observer event's single source by
+// event-count tests (core's TestObserver*, transport's TestUDPMetricsSmoke),
+// and durable-write errors by tests that fail a chosen device write and read
+// the error back (persist's failwrite_test.go, transport's
+// TestUDPCloseReturnsDeviceError).
 package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
-
-// Analyzer describes one static check.
-type Analyzer struct {
-	// Name identifies the analyzer in diagnostics (a short lowercase word).
-	Name string
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc string
-	// RunProgram inspects all loaded packages at once, with the call graph
-	// and the parsed annotations built; it runs once per Run() invocation.
-	RunProgram func(*ProgramPass) error
-}
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -50,60 +40,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// ProgramPass is the interface between one Analyzer run and the loaded
-// program.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-
-	diags *[]Diagnostic
-}
-
-// Reportf records one finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Prog.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Run builds the program view of pkgs once, applies each analyzer to it, and
-// returns the combined diagnostics sorted and deduplicated, less those inside
-// a DepOnly package: a chain from a reported package into one is reported at
-// its start. Analyzer errors (not findings) abort. Graph construction costs
-// milliseconds against the seconds `go list -export` and type-checking take,
-// so every analyzer gets the whole-program view.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	prog := BuildProgram(pkgs)
-	for _, a := range analyzers {
-		pass := &ProgramPass{Analyzer: a, Prog: prog, diags: &diags}
-		if err := a.RunProgram(pass); err != nil {
-			return diags, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	depOnly := map[string]bool{}
-	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			for _, f := range pkg.Files {
-				depOnly[pkg.Fset.Position(f.Pos()).Filename] = true
-			}
-		}
-	}
-	reported := diags[:0]
-	for _, d := range diags {
-		if !depOnly[d.Pos.Filename] {
-			reported = append(reported, d)
-		}
-	}
-	return dedupeSorted(reported), nil
-}
-
-// dedupeSorted orders diagnostics by (file, line, column, message, analyzer)
+// DedupeSorted orders diagnostics by (file, line, column, message, analyzer)
 // and drops exact duplicates, so bbvet output is byte-stable across runs and
 // usable as a test golden.
-func dedupeSorted(diags []Diagnostic) []Diagnostic {
+func DedupeSorted(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -128,4 +68,30 @@ func dedupeSorted(diags []Diagnostic) []Diagnostic {
 		out = append(out, d)
 	}
 	return out
+}
+
+// CalleeOf resolves a call expression to its static callee: a package-level
+// function, a concrete method, or an interface method. Calls through
+// function values, builtins, and type conversions return nil.
+func (p *Package) CalleeOf(call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := p.TypesInfo.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := p.TypesInfo.Selections[fun]; ok {
+			if sel.Kind() == types.MethodVal {
+				if fn, ok := sel.Obj().(*types.Func); ok {
+					return fn
+				}
+			}
+			return nil
+		}
+		// No selection entry: a package-qualified call like time.Now.
+		if fn, ok := p.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }

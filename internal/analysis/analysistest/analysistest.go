@@ -1,4 +1,4 @@
-// Package analysistest runs analyzers over a testdata package and checks the
+// Package analysistest runs a rule over a testdata package and checks the
 // diagnostics against `// want "regex"` comments in the source — a minimal,
 // dependency-free stand-in for x/tools' analysistest.
 //
@@ -12,8 +12,8 @@
 // Testdata directories are deliberately not Go packages the tool would list
 // (they sit under testdata/), so they are type-checked by analysis.LoadDir
 // under a caller-chosen fake import path. That lets a fixture pose as, say,
-// bbcast/internal/sim to exercise the production DetPackages table without
-// touching the real package.
+// bbcast/internal/sim, a package under internal/, without touching the real
+// package.
 package analysistest
 
 import (
@@ -40,36 +40,16 @@ var wantRe = regexp.MustCompile(`(?://|/\*)\s*want((?:\s+(?:"(?:[^"\\]|\\.)*"|` 
 // strRe matches one Go-quoted string.
 var strRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"|` + "`[^`]*`")
 
-// Run type-checks the package in dir under importPath, applies the analyzers,
-// and diffs their diagnostics against the // want comments in dir's sources.
-func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) {
+// Run type-checks the package in dir under importPath, applies check to it,
+// and diffs the diagnostics against the // want comments in dir's sources.
+func Run(t *testing.T, dir, importPath string, check func([]*analysis.Package) []analysis.Diagnostic) {
 	t.Helper()
-	RunDirs(t, []analysis.DirSpec{{Dir: dir, ImportPath: importPath}}, analyzers...)
-}
-
-// RunDirs is Run over a multi-package fixture: the directories are
-// type-checked in order into one program (later ones may import earlier ones
-// by their fake import paths), the analyzers — whole-program ones included —
-// run over all of them at once, and want comments are collected from every
-// fixture file. This is how the interprocedural passes are tested: a sink
-// package posing as, say, bbcast/internal/obsv plus a caller posing as a
-// DetPackages member.
-func RunDirs(t *testing.T, specs []analysis.DirSpec, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	pkgs, err := analysis.LoadDirs(specs...)
+	pkg, err := analysis.LoadDir(dir, importPath)
 	if err != nil {
-		t.Fatalf("load fixture dirs: %v", err)
+		t.Fatalf("load fixture dir: %v", err)
 	}
-	diags, err := analysis.Run(pkgs, analyzers)
-	if err != nil {
-		t.Fatalf("run analyzers: %v", err)
-	}
-	var wants []*expectation
-	for _, pkg := range pkgs {
-		wants = append(wants, collectWants(t, pkg)...)
-	}
-
-	for _, d := range diags {
+	wants := collectWants(t, pkg)
+	for _, d := range check([]*analysis.Package{pkg}) {
 		if !claim(wants, baseName(d.Pos.Filename), d.Pos.Line, d.Message) {
 			t.Errorf("unexpected diagnostic at %s:%d: %s: %s",
 				baseName(d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message)

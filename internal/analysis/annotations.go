@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"slices"
@@ -72,8 +73,8 @@ type FileAnnotations struct {
 	all    []Annotation
 }
 
-// parseAnnotations extracts every //bbvet: comment of file.
-func parseAnnotations(fset *token.FileSet, file *ast.File) *FileAnnotations {
+// ParseAnnotations extracts every //bbvet: comment of file.
+func ParseAnnotations(fset *token.FileSet, file *ast.File) *FileAnnotations {
 	fa := &FileAnnotations{byLine: map[int][]Annotation{}}
 	pkgLine := fset.Position(file.Package).Line
 	for _, cg := range file.Comments {
@@ -123,30 +124,27 @@ func (fa *FileAnnotations) At(kind string, line int) *Annotation {
 	return nil
 }
 
-// CheckAnnotations reports the malformed //bbvet: comments of the given
-// kinds in the program's non-test files: one without its justification, or,
-// under AnnUnknown, one of no known kind. An analyzer checks the kinds it
-// reads.
-func (p *ProgramPass) CheckAnnotations(kinds ...string) {
-	for _, pkg := range p.Prog.Packages {
-		for _, file := range pkg.Files {
-			if p.Prog.TestFile(file.Pos()) {
-				continue
-			}
-			for _, a := range p.Prog.Annotations(file.Pos()).all {
-				kind := a.Kind
-				if !slices.Contains(knownKinds, kind) {
-					kind = AnnUnknown
-				}
-				switch {
-				case !slices.Contains(kinds, kind):
-				case kind == AnnUnknown:
-					p.Reportf(a.Pos, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by or errflow)", a.Kind)
-				case a.Arg != "":
-				default:
-					p.Reportf(a.Pos, "//bbvet:%s needs a justification: //bbvet:%s <why>", a.Kind, a.Kind)
-				}
-			}
+// Check returns, as diagnostics of the named analyzer, the malformed
+// annotations of the given kinds: one without its justification, or, under
+// AnnUnknown, one of no known kind. An analyzer checks the kinds it reads.
+func (fa *FileAnnotations) Check(fset *token.FileSet, analyzer string, kinds ...string) []Diagnostic {
+	var diags []Diagnostic
+	report := func(a Annotation, format string, args ...any) {
+		diags = append(diags, Diagnostic{Analyzer: analyzer, Pos: fset.Position(a.Pos), Message: fmt.Sprintf(format, args...)})
+	}
+	for _, a := range fa.all {
+		kind := a.Kind
+		if !slices.Contains(knownKinds, kind) {
+			kind = AnnUnknown
+		}
+		switch {
+		case !slices.Contains(kinds, kind):
+		case kind == AnnUnknown:
+			report(a, "unknown annotation //bbvet:%s (want wallclock, unordered, bounded-by or errflow)", a.Kind)
+		case a.Arg != "":
+		default:
+			report(a, "//bbvet:%s needs a justification: //bbvet:%s <why>", a.Kind, a.Kind)
 		}
 	}
+	return diags
 }

@@ -1,31 +1,25 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
 
-// parseSrc builds a one-file program from src (which must declare no
-// functions: the fixture is not type-checked).
-func parseSrc(t *testing.T, src string) (*FileAnnotations, *ProgramPass, *[]Diagnostic) {
+// parseSrc parses a one-file fixture (not type-checked) and its annotations.
+func parseSrc(t *testing.T, src string) (*token.FileSet, *FileAnnotations) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "fixture.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := BuildProgram([]*Package{{Path: "p", Fset: fset, Files: []*ast.File{file}, TypesInfo: &types.Info{}}})
-	var diags []Diagnostic
-	pass := &ProgramPass{Analyzer: &Analyzer{Name: "test"}, Prog: prog, diags: &diags}
-	return prog.Annotations(file.Pos()), pass, &diags
+	return fset, ParseAnnotations(fset, file)
 }
 
 func TestHeaderVersusLineAnnotations(t *testing.T) {
-	fa, _, _ := parseSrc(t, `//bbvet:wallclock whole file measures real time
+	_, fa := parseSrc(t, `//bbvet:wallclock whole file measures real time
 
 package p
 
@@ -53,8 +47,8 @@ func f() {
 }
 
 // TestCheckAnnotations covers the grammar errors: bare escapes without a
-// justification and unknown kinds, each reported only to an analyzer that
-// asks for its kind. A bare bounded-by is a known kind no analyzer reads.
+// justification and unknown kinds, each reported only when its kind is
+// asked for. A bare bounded-by is a known kind no analyzer reads.
 // (The analysistest fixtures can express a bare annotation only after a
 // block-comment want, so this is checked white-box too.)
 func TestCheckAnnotations(t *testing.T) {
@@ -81,14 +75,14 @@ func TestCheckAnnotations(t *testing.T) {
 		{[]string{AnnErrflow}, []string{"//bbvet:errflow needs a justification"}},
 		{[]string{AnnUnknown}, []string{"unknown annotation //bbvet:nonsense"}},
 	} {
-		_, pass, diags := parseSrc(t, src)
-		pass.CheckAnnotations(tc.kinds...)
-		if len(*diags) != len(tc.want) {
-			t.Fatalf("kinds %v: got %d diagnostics, want %d: %v", tc.kinds, len(*diags), len(tc.want), *diags)
+		fset, fa := parseSrc(t, src)
+		diags := fa.Check(fset, "test", tc.kinds...)
+		if len(diags) != len(tc.want) {
+			t.Fatalf("kinds %v: got %d diagnostics, want %d: %v", tc.kinds, len(diags), len(tc.want), diags)
 		}
 		for i, w := range tc.want {
-			if !strings.Contains((*diags)[i].Message, w) {
-				t.Errorf("kinds %v: diagnostic %d = %q, want substring %q", tc.kinds, i, (*diags)[i].Message, w)
+			if !strings.Contains(diags[i].Message, w) {
+				t.Errorf("kinds %v: diagnostic %d = %q, want substring %q", tc.kinds, i, diags[i].Message, w)
 			}
 		}
 	}

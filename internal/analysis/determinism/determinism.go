@@ -3,34 +3,25 @@
 // from the node's seeded *rand.Rand, and must not let Go's randomized map
 // iteration order reach anything observable (a packet, an event, a slice
 // built without sorting). PR 3's bit-identical serial/parallel replay relies
-// on this; the analyzer turns the convention into a build error.
+// on this; the rule turns the convention into a build error.
 //
-// Sources are calls to wall-clock entry points (time.Now, time.Since,
-// timers) or the global math/rand functions, and map ranges whose loop body
-// has order-dependent effects (appends to a slice, sends on a channel, calls
-// anything non-pure) unless every appended slice is sorted later in the same
-// function. A source with //bbvet:wallclock or //bbvet:unordered <why> on
-// or above its line is reviewed and counts for nothing.
+// The rule is per package. In every non-test file of every package under
+// internal/ it reports:
 //
-// A source in code held to its rule is a finding of chain length zero:
+//   - a call to a wall-clock entry point (time.Now, time.Since, timers) or a
+//     global math/rand function, unless the line carries
+//     //bbvet:wallclock <why> (on or above it), or the file is wall-clock by
+//     nature (the UDP transport) and says so with a //bbvet:wallclock <why>
+//     file header;
+//   - a map range whose loop body has order-dependent effects (appends to a
+//     slice, sends on a channel, calls anything non-pure) unless every
+//     appended slice is sorted later in the same function, or the range
+//     carries //bbvet:unordered <why>. Map ranges have no file-level escape.
 //
-//   - a wall-clock or global-rand call anywhere in a package under
-//     internal/, unless the file is wall-clock by nature (the UDP transport,
-//     wall benchmarks) and says so with a //bbvet:wallclock <why> file
-//     header;
-//   - a leaking map range in the simulation-deterministic package set
-//     (DetPackages), which has no file-level escape.
-//
-// Every other source — in an exempt file, outside internal/, or a map range
-// in an internal package outside DetPackages — taints its function, and the
-// taint climbs the call graph until it reaches a function held to the rule
-// (a DetPackages function, in a non-exempt file for the wall-clock rule).
-// The finding lands on that frontier call site with the chain printed
-// ("obsv.Wrapped → obsv.Stamp → time.Now"), so a det-package function cannot
-// launder nondeterminism through a helper; the frontier never taints its own
-// callers, so each boundary crossing yields one finding. Calls through
-// interfaces (env.Clock.Now) or function values do not propagate: injected
-// interfaces are the sanctioned seam for nondeterminism.
+// Packages outside internal/ (commands, examples, the benchmark) are free to
+// read the wall clock; only their //bbvet: comments are checked. Calls
+// through interfaces (env.Clock.Now) or function values are not followed:
+// injected interfaces are the sanctioned seam for nondeterminism.
 package determinism
 
 import (
@@ -38,33 +29,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"bbcast/internal/analysis"
 )
 
-// DetPackages is the simulation-deterministic package set: every package
-// whose code runs inside a discrete-event simulation and therefore must be a
-// pure function of (scenario, seed). Adding a package here subjects it to
-// the map-iteration checks as well as the wall-clock/global-rand ban.
-var DetPackages = map[string]bool{
-	"bbcast/internal/sim":         true,
-	"bbcast/internal/env":         true,
-	"bbcast/internal/core":        true,
-	"bbcast/internal/persist":     true,
-	"bbcast/internal/radio":       true,
-	"bbcast/internal/mac":         true,
-	"bbcast/internal/overlay":     true,
-	"bbcast/internal/fd":          true,
-	"bbcast/internal/geo":         true,
-	"bbcast/internal/mobility":    true,
-	"bbcast/internal/faultplan":   true,
-	"bbcast/internal/byzantine":   true,
-	"bbcast/internal/runner":      true,
-	"bbcast/internal/experiments": true,
-	"bbcast/internal/wire":        true,
-	"bbcast/internal/loadgen":     true,
-}
+// Name and Doc identify the rule in diagnostics and in SARIF.
+const (
+	Name = "determinism"
+	Doc  = "forbid wall-clock time, global math/rand and order-leaking map iteration in every package under internal/"
+)
 
 // forbiddenTime are the wall-clock entry points of package time. Simulation
 // code gets time exclusively from env.Clock.
@@ -106,100 +81,63 @@ var pureBuiltins = map[string]bool{
 	"min": true, "max": true,
 }
 
-// Analyzer is the determinism pass.
-var Analyzer = &analysis.Analyzer{
-	Name:       "determinism",
-	Doc:        "forbid wall-clock time, global math/rand and order-leaking map iteration in simulation-deterministic packages, directly or through a call chain",
-	RunProgram: run,
-}
-
-func run(pass *analysis.ProgramPass) error {
-	prog := pass.Prog
-	pass.CheckAnnotations(analysis.AnnWallclock, analysis.AnnUnordered, analysis.AnnUnknown)
-	exempt := func(pos token.Pos) bool { return prog.Annotations(pos).FileExempt(analysis.AnnWallclock) }
-
-	// Wall-clock sources: a file walk, because code outside any function
-	// (a package-level var initializer) has no call-graph node.
-	wall := map[*types.Func]*analysis.Taint{}
-	for _, pkg := range prog.Packages {
+// Run applies the rule to pkgs and returns its findings sorted and
+// deduplicated.
+func Run(pkgs []*analysis.Package) []analysis.Diagnostic {
+	var diags []analysis.Diagnostic
+	for _, pkg := range pkgs {
 		internal := strings.Contains(pkg.Path, "internal/")
 		for _, file := range pkg.Files {
-			if prog.TestFile(file.Pos()) {
-				continue
-			}
-			held := internal && !exempt(file.Pos())
-			for _, decl := range file.Decls {
-				var fn *types.Func
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					fn, _ = pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					callee := pkg.CalleeOf(call)
-					if callee == nil || wallClock(callee) == "" || prog.AnnotationAt(analysis.AnnWallclock, call.Pos()) != nil {
-						return true
-					}
-					switch {
-					case held:
-						pass.Reportf(call.Pos(), "%s (or annotate //bbvet:wallclock <why>)", wallClock(callee))
-					case fn != nil && wall[fn] == nil:
-						wall[fn] = &analysis.Taint{Desc: analysis.FuncDisplayName(callee), Pos: call.Pos()}
-					}
-					return true
-				})
+			anns := analysis.ParseAnnotations(pkg.Fset, file)
+			diags = append(diags, anns.Check(pkg.Fset, Name, analysis.AnnWallclock, analysis.AnnUnordered, analysis.AnnUnknown)...)
+			if internal {
+				c := &checker{pkg: pkg, anns: anns, diags: &diags}
+				c.file(file)
 			}
 		}
 	}
-
-	// Map-range sources.
-	unordered := map[*types.Func]*analysis.Taint{}
-	prog.EachFunc(func(n *analysis.FuncNode) {
-		if n.TestFile || !strings.Contains(n.Pkg.Path, "internal/") {
-			return
-		}
-		for _, r := range leakyRanges(prog, n.Pkg, n.Decl.Body) {
-			switch {
-			case DetPackages[n.Pkg.Path] && r.badAppend != nil:
-				pass.Reportf(r.pos, "range over map has order-dependent effects (appends to %s, never sorted in this function); sort the keys first, sort the result, or annotate //bbvet:unordered <why>", r.badAppend.Name())
-			case DetPackages[n.Pkg.Path]:
-				pass.Reportf(r.pos, "range over map has order-dependent effects (%s at %s); iterate sorted keys or annotate //bbvet:unordered <why>",
-					r.effect, prog.Fset.Position(r.effectPos))
-			case unordered[n.Fn] == nil:
-				unordered[n.Fn] = &analysis.Taint{Desc: "order-dependent map range (" + r.describe() + ")", Pos: r.pos}
-			}
-		}
-	})
-
-	inDet := func(n *analysis.FuncNode) bool { return DetPackages[n.Pkg.Path] && !n.TestFile }
-	reportChains(pass, wall, analysis.AnnWallclock, func(n *analysis.FuncNode) bool { return inDet(n) && !exempt(n.Decl.Pos()) },
-		func(t *analysis.Taint, chain string) string {
-			return fmt.Sprintf("call chain reaches %s: %s; deterministic code takes time from the injected env.Clock and randomness from the seeded *rand.Rand (or annotate //bbvet:wallclock <why>)", t.Desc, chain)
-		})
-	reportChains(pass, unordered, analysis.AnnUnordered, inDet,
-		func(_ *analysis.Taint, chain string) string {
-			return fmt.Sprintf("call chain leaks map iteration order: %s; sort at the source or annotate //bbvet:unordered <why>", chain)
-		})
-	return nil
+	return analysis.DedupeSorted(diags)
 }
 
-// reportChains propagates direct taints up the call graph and reports every
-// call from a frontier function into tainted code, unless an annotation of
-// kind excuses the call site. Frontier functions never carry taint further.
-func reportChains(pass *analysis.ProgramPass, direct map[*types.Func]*analysis.Taint, kind string, frontier func(*analysis.FuncNode) bool, message func(*analysis.Taint, string) string) {
-	prog := pass.Prog
-	taints := prog.Propagate(direct, func(n *analysis.FuncNode) bool { return !frontier(n) })
-	prog.EachFunc(func(n *analysis.FuncNode) {
-		if !frontier(n) {
-			return
-		}
-		for _, cs := range n.Calls {
-			if t := taints[cs.Callee]; t != nil && prog.AnnotationAt(kind, cs.Call.Pos()) == nil {
-				pass.Reportf(cs.Call.Pos(), "%s", message(t, prog.Chain(&analysis.Taint{Next: cs.Callee}, taints)))
+// checker applies the rule to one file of an internal package.
+type checker struct {
+	pkg   *analysis.Package
+	anns  *analysis.FileAnnotations
+	diags *[]analysis.Diagnostic
+}
+
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	*c.diags = append(*c.diags, analysis.Diagnostic{
+		Analyzer: Name,
+		Pos:      c.pkg.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
+// annotated reports whether an annotation of kind governs the line of pos.
+func (c *checker) annotated(kind string, pos token.Pos) bool {
+	return c.anns.At(kind, c.pkg.Fset.Position(pos).Line) != nil
+}
+
+// file reports the file's wall-clock calls, anywhere (a package-level var
+// initializer included), and the leaking map ranges of every function body.
+func (c *checker) file(file *ast.File) {
+	exempt := c.anns.FileExempt(analysis.AnnWallclock)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if exempt {
+				return true
+			}
+			if callee := c.pkg.CalleeOf(n); callee != nil && wallClock(callee) != "" && !c.annotated(analysis.AnnWallclock, n.Pos()) {
+				c.reportf(n.Pos(), "%s (or annotate //bbvet:wallclock <why>)", wallClock(callee))
+			}
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				c.ranges(n.Body)
 			}
 		}
+		return true
 	})
 }
 
@@ -211,68 +149,53 @@ func wallClock(fn *types.Func) string {
 	}
 	switch path := fn.Pkg().Path(); {
 	case path == "time" && forbiddenTime[fn.Name()]:
-		return analysis.FuncDisplayName(fn) + " is wall clock; deterministic code takes time from the injected env.Clock"
+		return fn.Pkg().Name() + "." + fn.Name() + " is wall clock; deterministic code takes time from the injected env.Clock"
 	case (path == "math/rand" || path == "math/rand/v2") && forbiddenRand[fn.Name()]:
-		return "global " + analysis.FuncDisplayName(fn) + " is process-shared and unseeded; use the node's injected *rand.Rand"
+		return "global " + fn.Pkg().Name() + "." + fn.Name() + " is process-shared and unseeded; use the node's injected *rand.Rand"
 	}
 	return ""
 }
 
-// leakyRanges returns, in source order, the map ranges in body that have an
-// order-dependent effect and no //bbvet:unordered annotation. body is the
-// scope searched for "sorted later"; nested function literals are scanned as
-// their own scopes (a sort in the outer function cannot vouch for an append
-// inside a closure that may run later).
-func leakyRanges(prog *analysis.Program, pkg *analysis.Package, body *ast.BlockStmt) []*rangeEffect {
-	var out []*rangeEffect
+// ranges reports the map ranges in body that have an order-dependent effect
+// and no //bbvet:unordered annotation. body is the scope searched for
+// "sorted later"; nested function literals are scanned as their own scopes (a
+// sort in the outer function cannot vouch for an append inside a closure that
+// may run later).
+func (c *checker) ranges(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			out = append(out, leakyRanges(prog, pkg, n.Body)...)
+			c.ranges(n.Body)
 			return false
 		case *ast.RangeStmt:
-			if tv := pkg.TypesInfo.TypeOf(n.X); tv == nil {
+			if tv := c.pkg.TypesInfo.TypeOf(n.X); tv == nil {
 				return true
 			} else if _, isMap := tv.Underlying().(*types.Map); !isMap {
 				return true
 			}
-			if prog.AnnotationAt(analysis.AnnUnordered, n.For) != nil {
+			if c.annotated(analysis.AnnUnordered, n.For) {
 				return true
 			}
-			if f := findRangeEffect(pkg, n, body); f != nil {
-				out = append(out, f)
+			badAppend, effect, effectPos := findRangeEffect(c.pkg, n, body)
+			switch {
+			case badAppend != nil:
+				c.reportf(n.For, "range over map has order-dependent effects (appends to %s, never sorted in this function); sort the keys first, sort the result, or annotate //bbvet:unordered <why>", badAppend.Name())
+			case effect != "":
+				c.reportf(n.For, "range over map has order-dependent effects (%s at %s); iterate sorted keys or annotate //bbvet:unordered <why>",
+					effect, c.pkg.Fset.Position(effectPos))
 			}
 		}
 		return true
 	})
-	return out
 }
 
-// rangeEffect is the order-dependent effect of the map range at pos: either
-// an append whose target is never sorted (badAppend) or a directly leaking
-// statement (effect + position).
-type rangeEffect struct {
-	pos       token.Pos
-	effect    string
-	effectPos token.Pos
-	badAppend types.Object
-}
-
-// describe names the effect for a call-chain diagnostic.
-func (f *rangeEffect) describe() string {
-	if f.badAppend != nil {
-		return fmt.Sprintf("appends to %s without sorting", f.badAppend.Name())
-	}
-	return f.effect
-}
-
-// findRangeEffect runs the order-leak heuristic over n's body and returns the
-// first effect that leaks iteration order, or nil if the loop is clean.
-func findRangeEffect(pkg *analysis.Package, n *ast.RangeStmt, fnBody *ast.BlockStmt) *rangeEffect {
+// findRangeEffect runs the order-leak heuristic over n's body. It returns
+// the first appended-to variable, by position, that is never sorted later in
+// fnBody; else the first other effect that leaks iteration order and its
+// position; else nothing.
+func findRangeEffect(pkg *analysis.Package, n *ast.RangeStmt, fnBody *ast.BlockStmt) (badAppend types.Object, firstEffect string, effectPos token.Pos) {
 	info := pkg.TypesInfo
-	var firstEffect string
-	var effectPos token.Pos
-	appendTargets := map[types.Object]token.Pos{}
+	var appendTargets []types.Object // in order of first append
 	appendAssigns := map[*ast.CallExpr]bool{}
 
 	ast.Inspect(n.Body, func(b ast.Node) bool {
@@ -294,7 +217,9 @@ func findRangeEffect(pkg *analysis.Package, n *ast.RangeStmt, fnBody *ast.BlockS
 				if i < len(b.Lhs) {
 					if id, ok := b.Lhs[i].(*ast.Ident); ok {
 						if obj := info.ObjectOf(id); obj != nil {
-							appendTargets[obj] = call.Pos()
+							if !slices.Contains(appendTargets, obj) {
+								appendTargets = append(appendTargets, obj)
+							}
 							continue
 						}
 					}
@@ -329,15 +254,12 @@ func findRangeEffect(pkg *analysis.Package, n *ast.RangeStmt, fnBody *ast.BlockS
 
 	// Appends are fine if every target is sorted after the loop in the same
 	// function scope.
-	for obj := range appendTargets {
+	for _, obj := range appendTargets {
 		if !sortedAfter(pkg, fnBody, n.End(), obj) {
-			return &rangeEffect{pos: n.For, badAppend: obj}
+			return obj, "", token.NoPos
 		}
 	}
-	if firstEffect != "" {
-		return &rangeEffect{pos: n.For, effect: firstEffect, effectPos: effectPos}
-	}
-	return nil
+	return nil, firstEffect, effectPos
 }
 
 // sortedAfter reports whether obj is passed to a sort function after pos

@@ -1,6 +1,5 @@
 // Package sim is a determinism fixture: the test type-checks it under the
-// import path bbcast/internal/sim, so both the internal/ wall-clock ban and
-// the DetPackages map-iteration rules apply.
+// import path bbcast/internal/sim, so the whole rule applies.
 package sim
 
 import (
@@ -64,6 +63,15 @@ func neverSorted(m map[int]int) []int {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+func twoTargets(m map[int]int) ([]int, []int) {
+	var keys, vals []int
+	for k, v := range m { // want `appends to keys, never sorted in this function`
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	return keys, vals
 }
 
 func annotatedUnordered(m map[int]int, sink func(int)) {

@@ -2,8 +2,8 @@
 
 // Package transport is a determinism fixture type-checked as
 // bbcast/internal/transport: inside internal/ (so the wall-clock ban would
-// apply) but allowlisted by the file-header annotation, and outside
-// DetPackages (so map iteration is not checked).
+// apply) but allowlisted by the file-header annotation, which has no say
+// over map iteration.
 package transport
 
 import (
@@ -20,7 +20,7 @@ func jitter() time.Duration {
 }
 
 func emits(m map[int]int, sink func(int)) {
-	for k := range m { // not in DetPackages: the map-range rule does not apply
+	for k := range m { // want `range over map has order-dependent effects \(calls sink`
 		sink(k)
 	}
 }

@@ -23,15 +23,10 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path      string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// DepOnly marks a package Load checked only because a matched package
-	// imports it: it is part of the program view, so call chains run
-	// through it, but Run reports no finding inside it.
-	DepOnly bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -69,16 +64,16 @@ func goList(moduleDir string, args ...string) ([]listedPkg, error) {
 }
 
 // exportCache accumulates import-path → compiler-export-data-file mappings per
-// module root, so repeated loads (several analysistest suites in one test
-// binary) invoke the go tool once per distinct package set.
+// module root, so repeated LoadDir calls (several analysistest suites in one
+// test binary) invoke the go tool once per distinct import set.
 var exportCache = struct {
 	sync.Mutex
 	byRoot map[string]map[string]string
 }{byRoot: map[string]map[string]string{}}
 
-// exportFiles ensures export data exists for patterns (and all their deps) and
-// returns the accumulated path→file map for the module root.
-func exportFiles(moduleDir string, patterns []string) (map[string]string, error) {
+// exportFiles ensures export data exists for the import paths (and all their
+// deps) and returns the accumulated path→file map for the module root.
+func exportFiles(moduleDir string, paths []string) (map[string]string, error) {
 	exportCache.Lock()
 	defer exportCache.Unlock()
 	cached := exportCache.byRoot[moduleDir]
@@ -86,9 +81,9 @@ func exportFiles(moduleDir string, patterns []string) (map[string]string, error)
 		cached = map[string]string{}
 		exportCache.byRoot[moduleDir] = cached
 	}
-	missing := patterns[:0:0]
-	for _, p := range patterns {
-		if strings.Contains(p, "...") || cached[p] == "" { // wildcards are re-listed; plain paths hit the cache
+	var missing []string
+	for _, p := range paths {
+		if cached[p] == "" {
 			missing = append(missing, p)
 		}
 	}
@@ -106,28 +101,27 @@ func exportFiles(moduleDir string, patterns []string) (map[string]string, error)
 	return cached, nil
 }
 
-// Load lists patterns (e.g. "./...") in the module rooted at moduleDir with
-// their dependencies, type-checks every non-standard non-test package from
-// source, and returns them all sorted by import path, those the patterns
-// did not match marked DepOnly. The go tool lists dependencies first, so
-// each package is checked against the source-checked packages it imports: a
-// call into another loaded package resolves to the function the call graph
-// indexes, and call chains cross package boundaries, into packages outside
-// the patterns too. Export data serves only the standard library.
+// Load lists patterns (e.g. "./...") in the module rooted at moduleDir and
+// type-checks every non-standard package they match from its non-test
+// source files, sorted by import path. Imports resolve through compiler
+// export data, which the same `go list -deps -export` builds or takes from
+// the build cache.
 func Load(moduleDir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(moduleDir, append([]string{"-deps"}, patterns...)...)
+	listed, err := goList(moduleDir, append([]string{"-deps", "-export"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	exports, err := exportFiles(moduleDir, patterns)
-	if err != nil {
-		return nil, err
+	exports := map[string]string{}
+	for _, t := range listed {
+		if t.Export != "" {
+			exports[t.ImportPath] = t.Export
+		}
 	}
 	fset := token.NewFileSet()
-	imp := preloadedImporter{loaded: map[string]*types.Package{}, fallback: newExportImporter(fset, exports)}
+	imp := newExportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range listed {
-		if t.Standard || len(t.GoFiles) == 0 {
+		if t.DepOnly || t.Standard || len(t.GoFiles) == 0 {
 			continue
 		}
 		if t.Error != nil {
@@ -137,12 +131,14 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 		for i, f := range t.GoFiles {
 			files[i] = filepath.Join(t.Dir, f)
 		}
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, files)
+		parsed, err := parseFiles(fset, files)
 		if err != nil {
 			return nil, err
 		}
-		imp.loaded[t.ImportPath] = pkg.Types
-		pkg.DepOnly = t.DepOnly
+		pkg, err := checkPackage(fset, imp, t.ImportPath, parsed)
+		if err != nil {
+			return nil, err
+		}
 		pkgs = append(pkgs, pkg)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
@@ -153,49 +149,9 @@ func Load(moduleDir string, patterns ...string) ([]*Package, error) {
 // go tool does not list, e.g. an analyzer testdata tree) under the given
 // import path. Imports are resolved through export data built in the
 // enclosing module, so testdata may import both the standard library and this
-// repo's packages.
+// repo's packages. Files excluded by build constraints are skipped, matching
+// the go tool's own file selection.
 func LoadDir(dir, importPath string) (*Package, error) {
-	pkgs, err := LoadDirs(DirSpec{Dir: dir, ImportPath: importPath})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
-// DirSpec names one directory to load as one fake import path.
-type DirSpec struct {
-	Dir        string
-	ImportPath string
-}
-
-// LoadDirs type-checks several non-listed directories into one shared
-// FileSet, in order, so whole-program analyzers can see a multi-package
-// fixture. A later spec may import an earlier one by its fake import path
-// (the in-memory type-checked package shadows export-data resolution);
-// every spec may import the enclosing module's packages and the standard
-// library through export data. Files excluded by build constraints are
-// skipped, matching the go tool's own file selection.
-func LoadDirs(specs ...DirSpec) ([]*Package, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("loaddirs: no directories")
-	}
-	fset := token.NewFileSet()
-	loaded := map[string]*types.Package{}
-	var pkgs []*Package
-	for _, spec := range specs {
-		pkg, err := loadDirInto(fset, loaded, spec.Dir, spec.ImportPath)
-		if err != nil {
-			return nil, err
-		}
-		loaded[spec.ImportPath] = pkg.Types
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// loadDirInto parses, filters (build tags) and type-checks one directory
-// against export data plus the already-loaded fixture packages.
-func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, importPath string) (*Package, error) {
 	moduleDir, err := moduleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -211,9 +167,8 @@ func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, imp
 			continue
 		}
 		// MatchFile applies //go:build constraints and GOOS/GOARCH suffixes
-		// the way `go list` does, so a fixture (or a real package loaded by
-		// path) with tag-excluded files type-checks the same file set the
-		// compiler would.
+		// the way `go list` does, so a fixture with tag-excluded files
+		// type-checks the same file set the compiler would.
 		if ok, matchErr := buildCtx.MatchFile(dir, e.Name()); matchErr != nil || !ok {
 			continue
 		}
@@ -223,6 +178,7 @@ func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, imp
 		return nil, fmt.Errorf("loaddir %s: no Go files (after build-constraint filtering)", dir)
 	}
 	sort.Strings(files)
+	fset := token.NewFileSet()
 	parsed, err := parseFiles(fset, files)
 	if err != nil {
 		return nil, err
@@ -232,7 +188,7 @@ func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, imp
 	for _, f := range parsed {
 		for _, spec := range f.Imports {
 			path, _ := strconv.Unquote(spec.Path.Value)
-			if path != "" && !seen[path] && loaded[path] == nil {
+			if path != "" && !seen[path] {
 				seen[path] = true
 				imports = append(imports, path)
 			}
@@ -246,23 +202,7 @@ func loadDirInto(fset *token.FileSet, loaded map[string]*types.Package, dir, imp
 			return nil, err
 		}
 	}
-	imp := preloadedImporter{loaded: loaded, fallback: newExportImporter(fset, exports)}
-	return checkPackageParsed(fset, imp, importPath, dir, parsed)
-}
-
-// preloadedImporter resolves imports from the in-memory packages Load or
-// LoadDirs already type-checked, falling back to export data for everything
-// else.
-type preloadedImporter struct {
-	loaded   map[string]*types.Package
-	fallback types.Importer
-}
-
-func (p preloadedImporter) Import(path string) (*types.Package, error) {
-	if pkg := p.loaded[path]; pkg != nil {
-		return pkg, nil
-	}
-	return p.fallback.Import(path)
+	return checkPackage(fset, newExportImporter(fset, exports), importPath, parsed)
 }
 
 // moduleRoot walks up from dir to the directory containing go.mod.
@@ -306,24 +246,16 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 		if !ok {
 			// Without this wrapper the gc importer surfaces an opaque
 			// "can't find import" — name the real causes: the path is not a
-			// package the go tool can see (typo, fake/vendored path never
-			// registered with LoadDirs), or `go list -export` did not
-			// compile it (a package with build errors exports nothing).
+			// package the go tool can see (a typo, or a fixture's fake
+			// path), or `go list -export` did not compile it (a package
+			// with build errors exports nothing).
 			return nil, fmt.Errorf("no export data for %q (not a listable package, or it failed to compile under 'go list -export')", path)
 		}
 		return os.Open(file)
 	})
 }
 
-func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
-	parsed, err := parseFiles(fset, files)
-	if err != nil {
-		return nil, err
-	}
-	return checkPackageParsed(fset, imp, path, dir, parsed)
-}
-
-func checkPackageParsed(fset *token.FileSet, imp types.Importer, path, dir string, parsed []*ast.File) (*Package, error) {
+func checkPackage(fset *token.FileSet, imp types.Importer, path string, parsed []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -350,7 +282,6 @@ func checkPackageParsed(fset *token.FileSet, imp types.Importer, path, dir strin
 	}
 	return &Package{
 		Path:      path,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     parsed,
 		Types:     tpkg,

@@ -43,70 +43,21 @@ func TestLoadDirMissingExportData(t *testing.T) {
 	}
 }
 
-// TestLoadDirsFakePathShadowsRealPackage: a fixture loaded under a real
-// import path must shadow the module's own package for later fixtures, and
-// all packages must share one FileSet (the whole-program call graph depends
-// on it).
-func TestLoadDirsFakePathShadowsRealPackage(t *testing.T) {
-	pkgs, err := LoadDirs(
-		DirSpec{Dir: "testdata/tagged", ImportPath: "bbcast/internal/wire"},
-		DirSpec{Dir: "testdata/usestagged", ImportPath: "bbcast/internal/user"},
-	)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if len(pkgs) != 2 {
-		t.Fatalf("got %d packages, want 2", len(pkgs))
-	}
-	if pkgs[0].Fset != pkgs[1].Fset {
-		t.Error("packages do not share a FileSet")
-	}
-	// The user package resolved bbcast/internal/wire to the fixture (which
-	// has Live), not the real wire package (which does not).
-	if pkgs[1].Types.Imports()[0].Scope().Lookup("Live") == nil {
-		t.Error("fixture did not shadow the real bbcast/internal/wire")
-	}
-}
-
-// TestLoadSharesPackagesAcrossImports: when one loaded package imports
-// another, the importer sees the source-checked package itself, not an
-// export-data copy, so the call graph follows calls across the boundary.
-// Every dependency comes back too, marked DepOnly.
-func TestLoadSharesPackagesAcrossImports(t *testing.T) {
+// TestLoadMatchedPackagesOnly: Load type-checks the packages the patterns
+// match, sorted by import path, and none of their dependencies; a matched
+// package's imports come from export data.
+func TestLoadMatchedPackagesOnly(t *testing.T) {
 	pkgs, err := Load("../..", "./internal/runner", "./internal/metrics")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	var matched []*Package
-	deps := map[string]bool{}
-	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			deps[pkg.Path] = true
-		} else {
-			matched = append(matched, pkg)
-		}
+	if len(pkgs) != 2 || pkgs[0].Path != "bbcast/internal/metrics" || pkgs[1].Path != "bbcast/internal/runner" {
+		t.Fatalf("loaded %d packages, want metrics and runner", len(pkgs))
 	}
-	if len(matched) != 2 || matched[0].Path != "bbcast/internal/metrics" || matched[1].Path != "bbcast/internal/runner" {
-		t.Fatalf("matched %d packages, want metrics and runner", len(matched))
-	}
-	if !deps["bbcast/internal/core"] {
-		t.Error("runner's dependency core is not loaded as DepOnly")
-	}
-	metrics, runner := matched[0], matched[1]
-	for _, imp := range runner.Types.Imports() {
-		if imp.Path() == metrics.Path {
-			if imp != metrics.Types {
-				t.Fatal("runner imports an export-data copy of metrics, not the loaded package")
-			}
+	for _, imp := range pkgs[1].Types.Imports() {
+		if imp.Path() == "bbcast/internal/core" {
 			return
 		}
 	}
-	t.Fatal("runner does not import metrics")
-}
-
-// TestLoadDirsEmpty: zero directories is a usage error, not a panic.
-func TestLoadDirsEmpty(t *testing.T) {
-	if _, err := LoadDirs(); err == nil {
-		t.Fatal("want error for empty spec list")
-	}
+	t.Fatal("runner's import of core did not resolve")
 }

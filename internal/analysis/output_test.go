@@ -27,7 +27,7 @@ func TestDedupeSorted(t *testing.T) {
 		diag("a", "a.go", 1, 5, "m"), // exact duplicate
 		diag("b", "a.go", 1, 5, "m"), // same position+message, other analyzer: kept
 	}
-	got := dedupeSorted(in)
+	got := DedupeSorted(in)
 	want := []Diagnostic{
 		diag("a", "a.go", 1, 5, "m"),
 		diag("b", "a.go", 1, 5, "m"),
@@ -94,44 +94,12 @@ const sarifGolden = `{
 // table, and stable field order.
 func TestWriteSARIF(t *testing.T) {
 	var buf strings.Builder
-	analyzers := []*Analyzer{{Name: "demo", Doc: "demo analyzer"}}
 	diags := []Diagnostic{diag("demo", "/repo/internal/core/x.go", 7, 3, "something is off")}
-	if err := WriteSARIF(&buf, "/repo", analyzers, diags); err != nil {
+	if err := WriteSARIF(&buf, "/repo", "demo", "demo analyzer", diags); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != sarifGolden {
 		t.Errorf("SARIF output drifted:\ngot:\n%s\nwant:\n%s", buf.String(), sarifGolden)
-	}
-}
-
-const jsonGolden = `[
-  {
-    "analyzer": "demo",
-    "file": "internal/core/x.go",
-    "line": 7,
-    "column": 3,
-    "message": "something is off"
-  }
-]
-`
-
-// TestWriteJSON pins the -json format, including [] (not null) when clean.
-func TestWriteJSON(t *testing.T) {
-	var buf strings.Builder
-	diags := []Diagnostic{diag("demo", "/repo/internal/core/x.go", 7, 3, "something is off")}
-	if err := WriteJSON(&buf, "/repo", diags); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != jsonGolden {
-		t.Errorf("JSON output drifted:\ngot:\n%s\nwant:\n%s", buf.String(), jsonGolden)
-	}
-
-	buf.Reset()
-	if err := WriteJSON(&buf, "/repo", nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Errorf("empty diagnostics = %q, want []", buf.String())
 	}
 }
 

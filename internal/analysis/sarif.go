@@ -6,11 +6,10 @@ import (
 	"path/filepath"
 )
 
-// This file renders diagnostics in machine formats: SARIF 2.1.0 for GitHub
-// code scanning (findings become PR annotations) and a flat JSON array for
-// ad-hoc tooling. Both are derived from the same sorted, deduplicated
-// diagnostic slice the text output prints, so all three views agree
-// byte-for-byte on what was found.
+// This file renders diagnostics as SARIF 2.1.0 for GitHub code scanning
+// (findings become PR annotations). It is derived from the same sorted,
+// deduplicated diagnostic slice the text output prints, so both views agree
+// on what was found.
 
 // sarifLog is the minimal SARIF 2.1.0 document GitHub code scanning accepts.
 type sarifLog struct {
@@ -68,13 +67,10 @@ type sarifRegion struct {
 }
 
 // WriteSARIF renders diags as one SARIF 2.1.0 run. File paths are made
-// relative to moduleDir (code scanning wants repo-relative URIs); analyzers
-// supplies the rule metadata so every ruleId resolves.
-func WriteSARIF(w io.Writer, moduleDir string, analyzers []*Analyzer, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
+// relative to moduleDir (code scanning wants repo-relative URIs); rule and doc
+// name and describe the one rule every ruleId resolves to.
+func WriteSARIF(w io.Writer, moduleDir, rule, doc string, diags []Diagnostic) error {
+	rules := []sarifRule{{ID: rule, ShortDescription: sarifText{Text: doc}}}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		results = append(results, sarifResult{
@@ -94,33 +90,6 @@ func WriteSARIF(w io.Writer, moduleDir string, analyzers []*Analyzer, diags []Di
 		Version: "2.1.0",
 		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "bbvet", Rules: rules}}, Results: results}},
 	})
-}
-
-// jsonDiagnostic is one finding in -json output.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders diags as a flat JSON array with moduleDir-relative paths.
-// An empty diagnostic list encodes as [], not null.
-func WriteJSON(w io.Writer, moduleDir string, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			Analyzer: d.Analyzer,
-			File:     relPath(moduleDir, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // relPath makes name moduleDir-relative with forward slashes, falling back

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -194,6 +195,49 @@ func TestObserverRejoinRestoreAtCap(t *testing.T) {
 	}
 	if len(rec.admits) != 0 {
 		t.Fatalf("restore at the store cap emitted admission events %v, want none", rec.admits)
+	}
+}
+
+// trustRaises records the subjects of TRUST raise events, in order.
+type trustRaises struct {
+	obsv.Nop
+	subjects []wire.NodeID
+}
+
+func (r *trustRaises) OnSuspicion(_ time.Duration, _, subject wire.NodeID, d obsv.Detector, raised bool) {
+	if d == obsv.DetectorTrust && raised {
+		r.subjects = append(r.subjects, subject)
+	}
+}
+
+// TestRestoreRaisesTrustSuspicionsInIDOrder: restoreDurable re-raises each
+// durable TRUST suspicion, at start-up and at every rejoin, and each raise is
+// an observer event, so the raises must come in ascending subject id however
+// the store holds them.
+func TestRestoreRaisesTrustSuspicionsInIDOrder(t *testing.T) {
+	subjects := []wire.NodeID{21, 3, 55, 8, 34, 5, 13, 89} // recorded out of order
+	want := slices.Clone(subjects)
+	slices.Sort(want)
+	for trial := 0; trial < 5; trial++ {
+		cfg := DefaultConfig()
+		cfg.Persist = true
+		st, err := persist.Open(&persist.MemDevice{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range subjects {
+			st.RecordSuspicion(persist.DetectorTrust, id, true)
+		}
+		rec := &trustRaises{}
+		h := newHarnessWith(t, 0, cfg, func(d *Deps) { d.Store, d.Obs = st, rec })
+		if !slices.Equal(rec.subjects, want) {
+			t.Fatalf("start-up restore raised %v, want %v", rec.subjects, want)
+		}
+		rec.subjects = nil
+		h.p.Rejoin()
+		if !slices.Equal(rec.subjects, want) {
+			t.Fatalf("rejoin restore raised %v, want %v", rec.subjects, want)
+		}
 	}
 }
 

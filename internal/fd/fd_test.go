@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -285,6 +286,42 @@ func TestVerboseSuspicionExpiresAndAges(t *testing.T) {
 
 func trustCfg() TrustConfig {
 	return TrustConfig{DirectTTL: 60 * time.Second, ReportTTL: 30 * time.Second}
+}
+
+// TestAppendSuspectsEmitsInIDOrder: when direct suspicions have expired,
+// AppendSuspects' Level call falls through to MUTE for each of them, and MUTE
+// clears its own expired suspicion there. Those clears are observer events,
+// so they must come in ascending id however the direct suspicions are held.
+func TestAppendSuspectsEmitsInIDOrder(t *testing.T) {
+	ids := []wire.NodeID{21, 3, 55, 8, 34, 5, 13, 89} // suspected out of order
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	for trial := 0; trial < 5; trial++ {
+		c := &fakeClock{}
+		m := NewMute(c.NowFunc(), muteCfg())
+		tr := NewTrust(c.NowFunc(), trustCfg(), m, nil)
+		m.Expect(key(1, 1), ids)
+		c.Advance(150 * time.Millisecond)
+		if got := m.Suspects(); len(got) != len(ids) {
+			t.Fatalf("MUTE suspects %v, want all of %v", got, ids)
+		}
+		for _, id := range ids {
+			tr.Suspect(id, ReasonBadSignature)
+		}
+		var cleared []wire.NodeID
+		m.OnSuspect = func(id wire.NodeID, suspected bool) {
+			if !suspected {
+				cleared = append(cleared, id)
+			}
+		}
+		c.Advance(trustCfg().DirectTTL) // past both the direct and the MUTE TTL
+		if got := tr.AppendSuspects(nil); len(got) != 0 {
+			t.Fatalf("suspects after expiry = %v, want none", got)
+		}
+		if !slices.Equal(cleared, want) {
+			t.Fatalf("MUTE clears came in order %v, want %v", cleared, want)
+		}
+	}
 }
 
 func TestTrustDefaultsTrusted(t *testing.T) {

@@ -191,7 +191,26 @@ type injection struct {
 	// time; nodes outside it (sparse deployments legitimately leave
 	// disconnected clusters) owe no delivery. nil means no topology probe
 	// was available and every node counts.
-	reachable map[wire.NodeID]bool
+	reachable nodeSet
+}
+
+// nodeSet is a set of the run's node ids (below Probes.N), one bit each.
+type nodeSet []uint64
+
+// add inserts id and reports whether it was absent. Ids at or above
+// Probes.N are not nodes of the run and are never added.
+func (s nodeSet) add(id wire.NodeID) bool {
+	w, bit := int(id/64), uint64(1)<<(id%64)
+	if w >= len(s) || s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
+}
+
+func (s nodeSet) has(id wire.NodeID) bool {
+	w := int(id / 64)
+	return w < len(s) && s[w]&(uint64(1)<<(id%64)) != 0
 }
 
 // Checker accumulates run events and evaluates the invariants. It is
@@ -224,6 +243,9 @@ type Checker struct {
 	timerBreached map[boundKey]bool
 
 	violations []Violation
+
+	// queue is component's breadth-first queue, kept between injections.
+	queue []wire.NodeID
 }
 
 // boundKey identifies one node's sampled queue for violation dedup.
@@ -274,8 +296,8 @@ func (c *Checker) OnInject(id wire.MsgID, origin wire.NodeID, at time.Duration) 
 
 // component returns the set of nodes reachable from start over the current
 // ground-truth adjacency (reliable links when that probe is wired up), or
-// nil when no topology probe is available.
-func (c *Checker) component(start wire.NodeID) map[wire.NodeID]bool {
+// nil when no topology probe is available. The set is the one allocation.
+func (c *Checker) component(start wire.NodeID) nodeSet {
 	adj := c.probes.ReliableNeighbors
 	if adj == nil {
 		adj = c.probes.Neighbors
@@ -283,18 +305,17 @@ func (c *Checker) component(start wire.NodeID) map[wire.NodeID]bool {
 	if adj == nil {
 		return nil
 	}
-	reached := map[wire.NodeID]bool{start: true}
-	queue := []wire.NodeID{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range adj(v) {
-			if !reached[w] {
-				reached[w] = true
+	reached := make(nodeSet, (c.probes.N+63)/64)
+	reached.add(start)
+	queue := append(c.queue[:0], start)
+	for i := 0; i < len(queue); i++ {
+		for _, w := range adj(queue[i]) {
+			if reached.add(w) {
 				queue = append(queue, w)
 			}
 		}
 	}
+	c.queue = queue
 	return reached
 }
 
@@ -623,7 +644,7 @@ func (c *Checker) checkValidity(end time.Duration) {
 			if c.downDuring(id, inj.at, end) || !c.coGrouped(id, inj.origin, inj.at, end) {
 				continue // the plan cut it off; validity is modulo those
 			}
-			if inj.reachable != nil && !inj.reachable[id] {
+			if inj.reachable != nil && !inj.reachable.has(id) {
 				continue // physically disconnected from the origin at injection
 			}
 			eligible++

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/alloctest"
 	"bbcast/internal/wire"
 )
 
@@ -466,5 +467,37 @@ func TestValidityExemptsDisconnectedCluster(t *testing.T) {
 	c.Finish(100 * time.Second)
 	if got := countByKind(c.Violations(), "validity"); got != 1 {
 		t.Fatalf("want 1 violation for in-component miss, got %v", c.Violations())
+	}
+}
+
+// TestOnInjectAllocationCeiling: an injection's reachability snapshot on a
+// 75-node grid (15 × 5, four-neighbour links) costs one allocation, its
+// bitset; the breadth-first queue is reused.
+func TestOnInjectAllocationCeiling(t *testing.T) {
+	const cols, rows = 15, 5
+	adj := make([][]wire.NodeID, cols*rows)
+	for i := range adj {
+		x, y := i%cols, i/cols
+		for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+			if nx, ny := x+d[0], y+d[1]; nx >= 0 && nx < cols && ny >= 0 && ny < rows {
+				adj[i] = append(adj[i], wire.NodeID(ny*cols+nx))
+			}
+		}
+	}
+	c := New(Config{}, func() time.Duration { return 0 }, Probes{
+		N:         len(adj),
+		Neighbors: func(id wire.NodeID) []wire.NodeID { return adj[id] },
+	})
+	c.injections = make([]injection, 0, 1024) // keep the log's growth out of the count
+	seq := wire.Seq(0)
+	alloctest.AtMost(t, 1, func() {
+		seq++
+		c.OnInject(wire.MsgID{Origin: 7, Seq: seq}, 7, 0)
+	})
+	last := c.injections[len(c.injections)-1].reachable
+	for i := range adj {
+		if !last.has(wire.NodeID(i)) {
+			t.Fatalf("node %d missing from the connected grid's component", i)
+		}
 	}
 }

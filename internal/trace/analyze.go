@@ -257,7 +257,7 @@ func (d *Digest) message(msg string) *MsgLineage {
 // finish derives everything that needs the whole trace.
 func (d *Digest) finish() {
 	d.Nodes = len(d.nodes)
-	for _, m := range d.byMsg {
+	for _, m := range d.byMsg { //bbvet:unordered finish touches only its own message, and the collected list is sorted below
 		m.finish(d.nodes)
 		d.Messages = append(d.Messages, m)
 	}
