@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -100,15 +101,43 @@ type msgState struct {
 	// prev and next thread the entry into the store's held or tombstone list.
 	prev, next *msgState
 
-	// Causal lineage of the local copy: the frame it arrived on, its
-	// data-path hop count, whether gossip recovery repaired any hop of its
-	// journey (sticky downstream), and the payload digest. All zero for a
-	// locally originated message.
-	viaFrame     uint64
-	digest       uint64
-	viaHops      uint32
-	viaRecovered bool
-	purged       bool // payload dropped; id retained as duplicate-filter tombstone
+	// Causal lineage of the local copy: the frame it arrived on, the payload
+	// digest, its data-path hop count (saturating) and, in flags, whether
+	// gossip recovery repaired any hop of its journey (sticky downstream).
+	// All zero for a locally originated message.
+	viaFrame uint64
+	digest   uint64
+	// proofFrom is the neighbour that supplied headerSig while it is an
+	// unchecked candidate (flags): the one suspected if it fails its check.
+	proofFrom wire.NodeID
+	viaHops   uint16
+	flags     msgFlags
+	purged    bool // payload dropped; id retained as duplicate-filter tombstone
+}
+
+// msgFlags are msgState's one-bit fields, packed to keep it at 128 bytes.
+type msgFlags uint8
+
+const (
+	// viaRecovered marks a local copy that gossip recovery repaired at some
+	// hop of its journey.
+	viaRecovered msgFlags = 1 << iota
+	// proofUnchecked marks a headerSig that a neighbour's gossip supplied and
+	// no one has verified yet; headerProof checks it before it leaves the
+	// node (DESIGN deviation 13).
+	proofUnchecked
+)
+
+// hops16 narrows a frame's hop count to msgState's, saturating.
+func hops16(h uint32) uint16 { return uint16(min(h, math.MaxUint16)) }
+
+// recoveredFlag is the viaRecovered flag of a copy that arrived on a frame
+// whose Meta says recovered.
+func recoveredFlag(recovered bool) msgFlags {
+	if recovered {
+		return viaRecovered
+	}
+	return 0
 }
 
 // Per-entry side-table caps. These small tallies hang off entries of the
@@ -576,8 +605,8 @@ func (p *Protocol) verifyData(_ looked, id wire.MsgID, payload, tag []byte) bool
 }
 
 // verifyHeader checks an originator's signature over a gossip advertisement,
-// once knownHeaderSig has found no byte-equal copy. checkHeader is its only
-// caller.
+// once knownHeaderSig has found no byte-equal copy. checkHeader and
+// handleGossip are its only callers.
 func (p *Protocol) verifyHeader(_ looked, id wire.MsgID, tag []byte) bool {
 	p.sigBuf = wire.AppendHeaderSigBytes(p.sigBuf[:0], id)
 	return p.verify(uint32(id.Origin), p.sigBuf, tag)
@@ -606,15 +635,16 @@ func (p *Protocol) verify(signer uint32, msg, tag []byte) bool {
 }
 
 // knownHeaderSig reports whether tag is byte-equal to a header signature this
-// node already verified for id: the gossip proof of a stored message or of a
-// pending recovery. Those exact bytes verified once, so a replayed
-// advertisement, request or search costs a comparison, not a signature check.
+// node already verified for id: the checked gossip proof of a stored message
+// or the proof of a pending recovery. Those exact bytes verified once, so a
+// replayed advertisement, request or search costs a comparison, not a
+// signature check. An unchecked candidate (proofUnchecked) is no such proof.
 // Only successes are remembered: a tag that matches nothing is verified in
 // full every time it arrives. The store entry (nil when absent) is returned
 // too, so a caller that goes on to use it pays for one lookup.
 func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool, looked) {
 	if st := p.store.byID[id]; st != nil {
-		return st, st.headerSig != nil && bytes.Equal(tag, st.headerSig), looked{}
+		return st, st.headerSig != nil && st.flags&proofUnchecked == 0 && bytes.Equal(tag, st.headerSig), looked{}
 	}
 	miss := p.missing[id]
 	return nil, miss != nil && bytes.Equal(tag, miss.headerSig), looked{}
@@ -622,15 +652,23 @@ func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool, l
 
 // checkHeader checks a header signature for id: a tag byte-equal to one this
 // node already verified costs a comparison (knownHeaderSig), any other tag a
-// verification. It returns the store entry the lookup found (nil when absent)
-// and whether the tag is good; counting a bad one is the caller's business.
+// verification. A good tag byte-equal to the held entry's unchecked candidate
+// checks the candidate too. It returns the store entry the lookup found (nil
+// when absent) and whether the tag is good; counting a bad one is the
+// caller's business.
 func (p *Protocol) checkHeader(id wire.MsgID, tag []byte) (*msgState, bool) {
 	st, known, seen := p.knownHeaderSig(id, tag)
 	if known {
 		p.noteDedupSkip()
 		return st, true
 	}
-	return st, p.verifyHeader(seen, id, tag)
+	if !p.verifyHeader(seen, id, tag) {
+		return st, false
+	}
+	if st != nil && st.flags&proofUnchecked != 0 && bytes.Equal(tag, st.headerSig) {
+		st.flags &^= proofUnchecked
+	}
+	return st, true
 }
 
 // lookupMsg returns the store entry for id, nil when absent: the dedup lookup
@@ -750,8 +788,8 @@ func (p *Protocol) handleData(pkt admitted) {
 		st.payload = pkt.Payload
 		st.dataSig = pkt.Sig
 		st.viaFrame = pkt.Meta.Frame
-		st.viaHops = pkt.Meta.Hops
-		st.viaRecovered = pkt.Meta.Recovered
+		st.viaHops = hops16(pkt.Meta.Hops)
+		st.flags = recoveredFlag(pkt.Meta.Recovered)
 		st.digest = dataDigest(pkt.Packet)
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
@@ -764,13 +802,13 @@ func (p *Protocol) handleData(pkt admitted) {
 
 	st = p.store.entries.new()
 	*st = msgState{
-		id:           id,
-		payload:      pkt.Payload,
-		dataSig:      pkt.Sig,
-		viaFrame:     pkt.Meta.Frame,
-		viaHops:      pkt.Meta.Hops,
-		viaRecovered: pkt.Meta.Recovered,
-		digest:       dataDigest(pkt.Packet),
+		id:       id,
+		payload:  pkt.Payload,
+		dataSig:  pkt.Sig,
+		viaFrame: pkt.Meta.Frame,
+		viaHops:  hops16(pkt.Meta.Hops),
+		flags:    recoveredFlag(pkt.Meta.Recovered),
+		digest:   dataDigest(pkt.Packet),
 	}
 	miss := p.accept(st, pkt.Meta)
 	// The neighbourhood heard this frame, so a search this node deferred for
@@ -834,12 +872,12 @@ func (p *Protocol) forwardData(id wire.MsgID, st *msgState, ttl uint8, target wi
 		Sig:     st.dataSig,
 		Meta: wire.Meta{
 			Parent: st.viaFrame,
-			Hops:   st.viaHops + 1,
+			Hops:   uint32(st.viaHops) + 1,
 			Cause:  cause,
 			Digest: st.digest,
 			// A recovery transmission marks the chain: every delivery
 			// downstream of one repair is attributed to recovery.
-			Recovered: st.viaRecovered || cause == wire.CauseGossipRecovery,
+			Recovered: st.flags&viaRecovered != 0 || cause == wire.CauseGossipRecovery,
 		},
 	})
 }
@@ -854,10 +892,13 @@ func dataDigest(pkt *wire.Packet) uint64 {
 	return wire.Digest(pkt.Payload)
 }
 
-// handleGossip implements §3.2 lines 26–41, batched. Two admission guards
-// bound the work one datagram can buy: the entry count is capped, and an
+// handleGossip implements §3.2 lines 26–41, batched. Three admission guards
+// bound the work one datagram can buy: the entry count is capped; an
 // advertisement whose signature byte-matches one we already verified
-// (checkHeader) skips re-verification entirely.
+// (knownHeaderSig) skips re-verification entirely; and the proof of a message
+// this node holds is not verified here at all, but where it leaves the node
+// (offerProof, DESIGN deviation 13). It is checkHeader with that third guard
+// between the lookup and the verify, so each entry costs one store lookup.
 func (p *Protocol) handleGossip(pkt admitted) {
 	p.noteGossipArrival(pkt.Sender)
 	entries := pkt.Gossip
@@ -867,21 +908,22 @@ func (p *Protocol) handleGossip(pkt admitted) {
 	}
 	for i := range entries {
 		entry := entries[i]
-		st, ok := p.checkHeader(entry.ID, entry.Sig)
-		if !ok {
+		st, known, seen := p.knownHeaderSig(entry.ID, entry.Sig)
+		switch {
+		case known:
+			p.noteDedupSkip()
+		case st != nil && !st.purged && p.offerProof(st, entry.Sig, pkt.Sender):
+			// Lines 35–37: registered with the lazycast, so the periodic
+			// gossip passes it onward once its proof checks out there.
+			continue
+		case !p.verifyHeader(seen, entry.ID, entry.Sig):
 			p.stats.BadSignatures++
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			continue
 		}
-		if st != nil {
-			// Lines 35–37: register it with the lazycast (if not already
-			// advertised) so the periodic gossip passes it onward.
-			if !st.purged {
-				p.registerGossip(st, entry.Sig)
-			}
-			continue
+		if st == nil {
+			p.noteMissing(entry.ID, entry.Sig, pkt.Sender, pkt.Meta.Frame)
 		}
-		p.noteMissing(entry.ID, entry.Sig, pkt.Sender, pkt.Meta.Frame)
 	}
 }
 

@@ -300,25 +300,26 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 		}
 		st := p.store.entries.new()
 		*st = msgState{
-			id:           e.ID,
-			payload:      e.Payload,
-			dataSig:      e.Sig,
-			viaFrame:     pkt.Meta.Frame,
-			viaRecovered: true,
-			digest:       wire.Digest(e.Payload),
-		}
-		// The header signature is the gossip proof; keep it only if it
-		// verifies (or byte-matches the one a gossip round already proved), so
-		// a corrupt one can never be re-advertised under our name. The payload
-		// above already proved itself independently.
-		if len(e.HeaderSig) > 0 {
-			if _, ok := p.checkHeader(e.ID, e.HeaderSig); ok {
-				st.headerSig = e.HeaderSig
-			}
+			id:       e.ID,
+			payload:  e.Payload,
+			dataSig:  e.Sig,
+			viaFrame: pkt.Meta.Frame,
+			flags:    viaRecovered,
+			digest:   wire.Digest(e.Payload),
 		}
 		// Unicast: the neighbourhood did not overhear it, so deferred
 		// replies for the id stay armed.
-		p.accept(st, wire.Meta{Frame: pkt.Meta.Frame, Cause: wire.CauseSyncResp, Recovered: true})
+		miss := p.accept(st, wire.Meta{Frame: pkt.Meta.Frame, Cause: wire.CauseSyncResp, Recovered: true})
+		// The header signature is the gossip proof. A gossip round that
+		// advertised the gap already proved one; otherwise the entry's is
+		// held unchecked and verified where it would leave the node
+		// (headerProof), so a corrupt one is never re-advertised under our
+		// name. The payload above proved itself independently.
+		if miss != nil {
+			p.registerGossip(st, miss.headerSig)
+		} else {
+			p.offerProof(st, e.HeaderSig, pkt.Sender)
+		}
 		applied++
 	}
 	p.observeSync(obsv.SyncApplied, pkt.Sender, applied, 0)

@@ -101,6 +101,7 @@ func compareID(st *msgState, id wire.MsgID) int { return st.id.Compare(id) }
 func (s *msgStore) entomb(st *msgState, now time.Duration) {
 	s.held.unlink(st)
 	st.payload, st.dataSig, st.headerSig = nil, nil, nil
+	st.flags &^= proofUnchecked
 	st.purged, st.at = true, now
 	s.tombs.push(st)
 }

@@ -33,7 +33,7 @@ func TestStoreRemoveClearsEntry(t *testing.T) {
 		*st = msgState{
 			id: wire.MsgID{Origin: 1, Seq: seq}, payload: []byte("payload"),
 			dataSig: []byte("data"), headerSig: []byte("header"),
-			viaFrame: 9, digest: 7, viaHops: 2, viaRecovered: true,
+			viaFrame: 9, digest: 7, viaHops: 2, flags: viaRecovered,
 		}
 		s.hold(st, now)
 		return st

@@ -93,25 +93,56 @@ func (p *Protocol) gossipTick() {
 }
 
 // headerProof returns st's gossip proof, the origin's signature over its
-// header. A node signs the headers of its own messages here, when one is
+// header. It is the only place a held message's proof leaves the node, so it
+// is where an unchecked candidate is verified (DESIGN deviation 13): a good
+// one is marked checked, and a bad one is counted, held against the
+// neighbour that supplied it and dropped, so the next honest copy can take
+// its place. A node signs the headers of its own messages here, when one is
 // first advertised or served, not at Broadcast: that keeps a signature off
 // the origin's latency path, and nobody can hold the proof before this node
-// hands it out. It returns nil for another origin's message held without one.
+// hands it out. It returns nil for another origin's message held without a
+// good proof.
 func (p *Protocol) headerProof(st *msgState) []byte {
+	if st.flags&proofUnchecked != 0 {
+		if _, ok := p.checkHeader(st.id, st.headerSig); !ok {
+			p.stats.BadSignatures++
+			p.suspect(st.proofFrom, fd.ReasonBadSignature)
+			st.headerSig = nil
+			st.flags &^= proofUnchecked
+		}
+	}
 	if st.headerSig == nil && st.id.Origin == p.deps.ID {
 		st.headerSig = p.signHeader(st.id)
 	}
 	return st.headerSig
 }
 
-// registerGossip records the header signature so the periodic lazycast can
-// advertise the message (the paper's lazycast "initiates periodic
-// broadcasting" — registration, not an immediate transmission; §3.2 lines
-// 20 and 36).
+// registerGossip records a verified header signature so the periodic
+// lazycast can advertise the message (the paper's lazycast "initiates
+// periodic broadcasting" — registration, not an immediate transmission; §3.2
+// lines 20 and 36).
 func (p *Protocol) registerGossip(st *msgState, headerSig []byte) {
 	if st.headerSig == nil {
 		st.headerSig = headerSig
 	}
+}
+
+// offerProof is registerGossip for a proof neighbour from supplied and no one
+// has verified: held message st without a proof keeps tag as an unchecked
+// candidate, which headerProof verifies the first time it would leave the
+// node. It reports whether tag needs no check now: it is the candidate, new
+// or the one already held. A tag that differs from a held proof does, as it
+// did before deviation 13; the caller verifies it.
+func (p *Protocol) offerProof(st *msgState, tag []byte, from wire.NodeID) bool {
+	switch {
+	case len(tag) == 0:
+		return false
+	case st.headerSig == nil:
+		st.headerSig, st.proofFrom = tag, from
+		st.flags |= proofUnchecked
+		return true
+	}
+	return st.flags&proofUnchecked != 0 && bytes.Equal(tag, st.headerSig)
 }
 
 // joinDamping is how many consecutive maintenance steps must agree before a

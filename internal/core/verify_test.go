@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bbcast/internal/fd"
 	"bbcast/internal/sig"
 	"bbcast/internal/wire"
 )
@@ -130,19 +131,25 @@ func TestStateReplayVerifyCeiling(t *testing.T) {
 	}
 }
 
+// TestHeaderReplayVerifyCeiling: each distinct header proof costs a node at
+// most one verification, wherever it first has to be checked, and a replay a
+// comparison. A held message's proof from gossip is checked by nothing until
+// it is needed, so a request or search carrying it pays the one verification.
 func TestHeaderReplayVerifyCeiling(t *testing.T) {
 	id := wire.MsgID{Origin: 1, Seq: 1}
 	for _, kind := range []wire.Kind{wire.KindRequest, wire.KindFindMissing} {
 		t.Run(kind.String()+"/held", func(t *testing.T) {
 			r := newVerifyRig(t, 0, admitTestConfig())
 			r.p.HandlePacket(r.dataFrom(1, 1, []byte("m")))
-			r.p.HandlePacket(r.gossipFrom(3, id)) // the stored copy gains its gossip proof
+			r.expect("gossip proof for the held copy", sigCost{}, func() { r.p.HandlePacket(r.gossipFrom(3, id)) })
 			r.sent = nil
 			tag := r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id))
-			r.expect("replayed header", oneSkip, func() { r.p.HandlePacket(headerFrame(kind, 4, id, tag)) })
+			r.expect("first header", oneVerify, func() { r.p.HandlePacket(headerFrame(kind, 4, id, tag)) })
 			if got := r.sentOfKind(wire.KindData); len(got) != 1 || got[0].Target != 4 {
-				t.Fatalf("skipped request not served: %v", got)
+				t.Fatalf("request not served: %v", got)
 			}
+			r.expect("replayed header", oneSkip, func() { r.p.HandlePacket(headerFrame(kind, 5, id, tag)) })
+			r.expect("first advertisement of the checked proof", sigCost{}, r.p.gossipTick)
 		})
 		t.Run(kind.String()+"/missing", func(t *testing.T) {
 			r := newVerifyRig(t, 0, admitTestConfig())
@@ -154,6 +161,86 @@ func TestHeaderReplayVerifyCeiling(t *testing.T) {
 			r := newVerifyRig(t, 0, admitTestConfig())
 			tag := r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id))
 			r.expect("first sight", oneVerify, func() { r.p.HandlePacket(headerFrame(kind, 4, id, tag)) })
+		})
+	}
+}
+
+// TestHeldProofVerifiedAtEgress: the gossip proof of a message the node holds
+// costs nothing when it arrives, however often, one verification the first
+// time the node advertises it, and a comparison on any replay after.
+func TestHeldProofVerifiedAtEgress(t *testing.T) {
+	id := wire.MsgID{Origin: 1, Seq: 1}
+	r := newVerifyRig(t, 0, admitTestConfig())
+	r.p.HandlePacket(r.dataFrom(1, 1, []byte("m")))
+	for _, from := range []wire.NodeID{3, 4, 3} {
+		r.expect("gossip proof on arrival", sigCost{}, func() { r.p.HandlePacket(r.gossipFrom(from, id)) })
+	}
+	r.sent = nil
+	r.expect("first advertisement", oneVerify, r.p.gossipTick)
+	tag := r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id))
+	if got := r.sentOfKind(wire.KindGossip); len(got) != 1 || len(got[0].Gossip) != 1 || !bytes.Equal(got[0].Gossip[0].Sig, tag) {
+		t.Fatalf("the checked proof was not advertised: %+v", got)
+	}
+	r.expect("second advertisement", sigCost{}, r.p.gossipTick)
+	r.expect("replayed gossip", oneSkip, func() { r.p.HandlePacket(r.gossipFrom(5, id)) })
+	r.expect("replayed request", oneSkip, func() { r.p.HandlePacket(headerFrame(wire.KindRequest, 4, id, tag)) })
+}
+
+// TestBadHeldProofNeverSent: a bad proof for a held message costs nothing on
+// arrival and is caught where it would leave the node, in a gossip round or
+// a SYNC-RESP: it is counted, its supplier is suspected, and it is dropped,
+// so the frame goes without it and the next honest copy takes its place.
+func TestBadHeldProofNeverSent(t *testing.T) {
+	id := wire.MsgID{Origin: 1, Seq: 1}
+	syncReq := &wire.Packet{Kind: wire.KindSyncReq, Sender: 5, TTL: 1, Target: 0, Origin: wire.NoNode}
+	egress := map[string]func(*verifyRig) [][]byte{
+		"gossip": func(r *verifyRig) (proofs [][]byte) {
+			r.sent = nil
+			r.p.gossipTick()
+			for _, e := range r.sentOfKind(wire.KindGossip)[0].Gossip {
+				proofs = append(proofs, e.Sig)
+			}
+			return proofs
+		},
+		"sync": func(r *verifyRig) (proofs [][]byte) {
+			r.sent = nil
+			r.p.HandlePacket(syncReq)
+			for _, e := range r.sentOfKind(wire.KindSyncResp)[0].SyncEntries() {
+				proofs = append(proofs, e.HeaderSig)
+			}
+			return proofs
+		},
+	}
+	for name, send := range egress {
+		t.Run(name, func(t *testing.T) {
+			r := newVerifyRig(t, 0, admitTestConfig())
+			r.introduceNeighbors(map[wire.NodeID]*wire.OverlayState{5: {}})
+			r.p.buildState() // published now, so the rounds below sign nothing
+			r.p.HandlePacket(r.dataFrom(1, 1, []byte("m")))
+			good := r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id))
+			bad := append([]byte(nil), good...)
+			bad[0] ^= 1
+			liar := r.gossipFrom(3, id)
+			liar.Gossip[0].Sig = bad
+			r.expect("bad proof on arrival", sigCost{}, func() { r.p.HandlePacket(liar) })
+
+			var proofs [][]byte
+			r.expect("first "+name, oneReject, func() { proofs = send(r) })
+			if len(proofs) != 0 && proofs[0] != nil {
+				t.Fatalf("the %s carries the unverified proof %x", name, proofs[0])
+			}
+			if reason, suspected := r.p.Trust().Reason(3); !suspected || reason != fd.ReasonBadSignature {
+				t.Fatalf("supplier of the bad proof not suspected: %v %v", reason, suspected)
+			}
+
+			r.expect("honest proof on arrival", sigCost{}, func() { r.p.HandlePacket(r.gossipFrom(4, id)) })
+			r.expect("next "+name, oneVerify, func() { proofs = send(r) })
+			if len(proofs) != 1 || !bytes.Equal(proofs[0], good) {
+				t.Fatalf("the %s does not carry the honest proof: %x", name, proofs)
+			}
+			if _, suspected := r.p.Trust().Reason(4); suspected {
+				t.Fatal("the honest supplier is suspected")
+			}
 		})
 	}
 }
@@ -177,14 +264,15 @@ func TestSyncRespHeaderVerifyCeiling(t *testing.T) {
 		Kind: wire.KindSyncResp, Sender: 3, TTL: 1, Target: 0, Origin: wire.NoNode,
 		Sync: &wire.SyncBody{Entries: []wire.SyncEntry{entry(known), entry(fresh)}},
 	}
-	// Two payload signatures and the one header never seen before; the known
-	// header is a comparison.
-	r.expect("sync batch", sigCost{verifies: 3, skips: 1}, func() { r.p.HandlePacket(resp) })
+	// The two payload signatures alone: the known id keeps the proof the
+	// missing table verified, and the fresh one's is checked where it leaves.
+	r.expect("sync batch", sigCost{verifies: 2}, func() { r.p.HandlePacket(resp) })
 	for _, id := range []wire.MsgID{known, fresh} {
 		if st := r.p.store.byID[id]; st == nil || st.headerSig == nil {
 			t.Fatalf("%v applied without its gossip proof", id)
 		}
 	}
+	r.expect("first advertisement", oneVerify, r.p.gossipTick)
 }
 
 func TestStateNearMissesAlwaysVerify(t *testing.T) {

@@ -106,6 +106,23 @@ const (
 	AdvForgeSpammer
 )
 
+// sentFrameHook, when set, sees every frame a node hands its MAC, after its
+// behaviour's filter: the one place a frame leaves a node. Tests set it
+// around a serial Run; a run with it nil pays one comparison per frame.
+var sentFrameHook func(pkt *wire.Packet)
+
+// withFrameHook returns send, or, while sentFrameHook is set, send preceded
+// by the hook.
+func withFrameHook(send func(*wire.Packet)) func(*wire.Packet) {
+	if sentFrameHook == nil {
+		return send
+	}
+	return func(pkt *wire.Packet) {
+		sentFrameHook(pkt)
+		send(pkt)
+	}
+}
+
 var adversaryNames = [...]string{
 	AdvMute: "mute", AdvMuteSilent: "mute-silent", AdvVerbose: "verbose", AdvTamper: "tamper",
 	AdvSelective: "selective-drop", AdvEquivocate: "equivocate", AdvFlooder: "flooder",
@@ -437,6 +454,9 @@ func run(sc Scenario, h hooks) (Result, error) {
 		m := macs[i]
 		send := func(pkt *wire.Packet) {
 			if out := behavior.FilterSend(pkt); out != nil {
+				if sentFrameHook != nil {
+					sentFrameHook(out)
+				}
 				m.Send(out)
 			}
 		}
@@ -486,7 +506,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 		})
 		if needsTick[id] {
 			b := behavior
-			eng.Every(byzantine.TickInterval, func() { b.Tick(m.Send) })
+			eng.Every(byzantine.TickInterval, func() { b.Tick(withFrameHook(m.Send)) })
 		}
 	}
 

@@ -63,8 +63,8 @@ func secureSeed() int64 {
 // UDPNode hosts one protocol instance over a UDP socket.
 //
 // core.Protocol is not safe for concurrent use, so one goroutine, loop, owns
-// it: loop is the only code that touches proto, eng, peers and txFrames once
-// the constructor has returned. The socket reader and the API methods hand
+// it: loop is the only code that touches proto, eng, peers, txFrames and
+// txBuf once the constructor has returned. The socket reader and the API methods hand
 // their work to loop over channels.
 type UDPNode struct {
 	id    wire.NodeID
@@ -86,6 +86,9 @@ type UDPNode struct {
 	// events a local frame id. Meta does not cross the wire, so received
 	// frames carry a zero Meta on a live transport.
 	txFrames uint64
+	// txBuf is the buffer send encodes every frame into. WriteToUDP copies
+	// the datagram into the kernel, so the buffer is free again at once.
+	txBuf []byte
 
 	debugMu  sync.Mutex
 	debugSrv *http.Server
@@ -353,7 +356,7 @@ func (n *UDPNode) ServeDebug(addr string) (net.Addr, error) {
 // send transmits one frame to every peer (the one-hop broadcast). The
 // protocol calls it, so it runs on the protocol goroutine.
 func (n *UDPNode) send(pkt *wire.Packet) {
-	buf := pkt.Marshal()
+	n.txBuf = pkt.AppendMarshal(n.txBuf[:0])
 	// One tx event per frame put on the air, not per peer: the peer loop
 	// emulates a single radio broadcast.
 	n.txFrames++
@@ -364,7 +367,7 @@ func (n *UDPNode) send(pkt *wire.Packet) {
 		// design, so write errors are intentionally dropped. A lost
 		// datagram is indistinguishable from a lost packet, and gossip and
 		// recovery handle both.
-		_, _ = n.conn.WriteToUDP(buf, peer)
+		_, _ = n.conn.WriteToUDP(n.txBuf, peer)
 	}
 }
 
@@ -375,10 +378,11 @@ func (n *UDPNode) send(pkt *wire.Packet) {
 // wedge the kernel receive path.
 func (n *UDPNode) readLoop() {
 	defer n.wg.Done()
-	// One buffer serves every datagram: wire.Unmarshal copies every byte
-	// slice out of its input, so the buffer is free again once decoding
+	// One buffer serves every datagram: the decoded packet aliases none of
+	// it (wire.UnmarshalInto), so the buffer is free again once decoding
 	// returns.
 	buf := make([]byte, maxDatagram)
+	var pkts packetChunk
 	for {
 		sz, _, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -395,7 +399,7 @@ func (n *UDPNode) readLoop() {
 			// Transient read errors: keep serving until closed.
 			continue
 		}
-		pkt, err := wire.Unmarshal(buf[:sz])
+		pkt, err := pkts.decode(buf[:sz])
 		if err != nil {
 			continue // garbage datagram
 		}
@@ -411,6 +415,35 @@ func (n *UDPNode) readLoop() {
 			n.obs.OnAdmission(n.now(), n.id, obsv.AdmitIngressDrop)
 		}
 	}
+}
+
+// packetsPerChunk is how many packets one readLoop chunk holds: about 1 KiB
+// of them, as core's chunks hold.
+const packetsPerChunk = 6
+
+// packetChunk hands readLoop the packets it decodes into, carved from arrays
+// of packetsPerChunk, so a packet costs a fraction of an allocation. Like
+// core's chunk, it never hands a slot out twice: a packet given to loop is
+// never written again. The garbage collector frees an array once none of its
+// packets is referenced, so a packet the protocol keeps (a deferred reply's
+// asking frame) keeps its whole array alive, and with it the fields of the
+// array's other packets.
+type packetChunk struct {
+	free []wire.Packet
+}
+
+// decode decodes datagram b into the next free slot and returns it. A
+// datagram that does not decode uses up no slot.
+func (c *packetChunk) decode(b []byte) (*wire.Packet, error) {
+	if len(c.free) == 0 {
+		c.free = make([]wire.Packet, packetsPerChunk)
+	}
+	pkt := &c.free[0]
+	if err := wire.UnmarshalInto(pkt, b); err != nil {
+		return nil, err
+	}
+	c.free = c.free[1:]
+	return pkt, nil
 }
 
 // Close stops the node and waits for its read and protocol loops to exit. It

@@ -385,7 +385,12 @@ const maxSliceLen = 1 << 16
 
 // Marshal encodes the packet. The result is self-contained and versioned.
 func (p *Packet) Marshal() []byte {
-	b := make([]byte, 0, p.sizeHint())
+	return p.AppendMarshal(make([]byte, 0, p.sizeHint()))
+}
+
+// AppendMarshal appends the packet's encoding to dst and returns the extended
+// slice, so a sender can encode every frame into one reused buffer.
+func (p *Packet) AppendMarshal(b []byte) []byte {
 	b = append(b, wireVersion, byte(p.Kind), p.TTL)
 	b = binary.LittleEndian.AppendUint32(b, uint32(p.Sender))
 	b = binary.LittleEndian.AppendUint32(b, uint32(p.Target))
@@ -457,25 +462,45 @@ func (p *Packet) sizeHint() int {
 // radio layer to compute airtime.
 func (p *Packet) AirSize() int { return p.sizeHint() }
 
-// Unmarshal decodes a packet from b.
+// Unmarshal decodes a packet from b into a new Packet (see UnmarshalInto).
 func Unmarshal(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := UnmarshalInto(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalInto decodes a packet from b into dst, overwriting all of it (Meta
+// reads zero). Nothing decoded aliases b, so the caller may reuse b at once,
+// and every byte field is its own copy, capped at its length, so a receiver
+// that keeps one field keeps only that field's bytes, never the datagram:
+//   - Payload and Sig share one exact-size allocation, as does each sync
+//     entry's Payload and Sig; a node keeps or drops such a pair together;
+//   - every gossip entry's signature, the state signature and each sync
+//     entry's HeaderSig has an allocation of its own, since each may outlive
+//     everything else in the frame;
+//   - the state record's four id lists share one array.
+//
+// A zero-length field decodes as nil. On error dst holds a partial decode.
+func UnmarshalInto(dst *Packet, b []byte) error {
+	*dst = Packet{}
+	p := dst
 	d := decoder{b: b}
 	ver := d.u8()
 	if d.err == nil && ver != wireVersion {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
-	p := &Packet{}
 	p.Kind = Kind(d.u8())
 	p.TTL = d.u8()
 	p.Sender = NodeID(d.u32())
 	p.Target = NodeID(d.u32())
 	p.Origin = NodeID(d.u32())
 	p.Seq = Seq(d.u32())
-	p.Payload = d.bytes()
-	p.Sig = d.bytes()
+	p.Payload, p.Sig = ownPair(d.span(), d.span())
 	ng := d.u32()
 	if d.err == nil && ng > maxSliceLen {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
 	if d.err == nil && ng > 0 {
 		p.Gossip = make([]GossipEntry, 0, ng)
@@ -483,7 +508,7 @@ func Unmarshal(b []byte) (*Packet, error) {
 			var g GossipEntry
 			g.ID.Origin = NodeID(d.u32())
 			g.ID.Seq = Seq(d.u32())
-			g.Sig = d.bytes()
+			g.Sig = own(d.span())
 			p.Gossip = append(p.Gossip, g)
 		}
 	}
@@ -491,12 +516,32 @@ func Unmarshal(b []byte) (*Packet, error) {
 		st := &OverlayState{}
 		st.Active = d.u8() == 1
 		st.Dominator = d.u8() == 1
-		st.Neighbors = d.ids()
-		st.ActiveNeighbors = d.ids()
-		st.DominatorNeighbors = d.ids()
-		st.Suspects = d.ids()
+		var lists [4][]byte
+		n := 0
+		for i := range lists {
+			lists[i] = d.idSpan()
+			n += len(lists[i]) / 4
+		}
+		var arena []NodeID
+		if n > 0 && d.err == nil {
+			arena = make([]NodeID, 0, n)
+		}
+		carve := func(raw []byte) []NodeID {
+			if len(raw) == 0 || d.err != nil {
+				return nil
+			}
+			start := len(arena)
+			for i := 0; i < len(raw); i += 4 {
+				arena = append(arena, NodeID(binary.LittleEndian.Uint32(raw[i:])))
+			}
+			return arena[start:len(arena):len(arena)]
+		}
+		st.Neighbors = carve(lists[0])
+		st.ActiveNeighbors = carve(lists[1])
+		st.DominatorNeighbors = carve(lists[2])
+		st.Suspects = carve(lists[3])
 		p.State = st
-		p.StateSig = d.bytes()
+		p.StateSig = own(d.span())
 	}
 	switch p.Kind {
 	case KindSyncReq:
@@ -506,7 +551,7 @@ func Unmarshal(b []byte) (*Packet, error) {
 	case KindSyncResp:
 		ne := d.u32()
 		if d.err == nil && ne > maxSliceLen {
-			return nil, ErrShortPacket
+			return ErrShortPacket
 		}
 		if d.err == nil && ne > 0 {
 			entries := make([]SyncEntry, 0, ne)
@@ -514,21 +559,45 @@ func Unmarshal(b []byte) (*Packet, error) {
 				var e SyncEntry
 				e.ID.Origin = NodeID(d.u32())
 				e.ID.Seq = Seq(d.u32())
-				e.Payload = d.bytes()
-				e.Sig = d.bytes()
-				e.HeaderSig = d.bytes()
+				e.Payload, e.Sig = ownPair(d.span(), d.span())
+				e.HeaderSig = own(d.span())
 				entries = append(entries, e)
 			}
 			p.Sync = &SyncBody{Entries: entries}
 		}
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if p.Kind < KindData || p.Kind > KindSyncResp {
-		return nil, ErrBadKind
+		return ErrBadKind
 	}
-	return p, nil
+	return nil
+}
+
+// own returns a copy of b in an allocation of its own, or nil when b is
+// empty.
+func own(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// ownPair returns copies of a and b carved from one exact-size allocation,
+// each capped at its length so an append to one cannot write into the other;
+// an empty one is nil.
+func ownPair(a, b []byte) ([]byte, []byte) {
+	switch {
+	case len(a) == 0:
+		return nil, own(b)
+	case len(b) == 0:
+		return own(a), nil
+	}
+	buf := make([]byte, len(a)+len(b))
+	copy(buf, a)
+	copy(buf[len(a):], b)
+	return buf[:len(a):len(a)], buf[len(a):]
 }
 
 // Clone returns a deep copy of the packet. A packet is immutable once it has
@@ -643,7 +712,9 @@ func (d *decoder) u32() uint32 {
 	return v
 }
 
-func (d *decoder) bytes() []byte {
+// span returns the next length-prefixed byte field as a view of the input,
+// not a copy.
+func (d *decoder) span() []byte {
 	n := d.u32()
 	if d.err != nil {
 		return nil
@@ -652,11 +723,7 @@ func (d *decoder) bytes() []byte {
 		d.err = ErrShortPacket
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	v := make([]byte, n)
-	copy(v, d.b[:n])
+	v := d.b[:n:n]
 	d.b = d.b[n:]
 	return v
 }
@@ -682,7 +749,9 @@ func (d *decoder) msgIDs() []MsgID {
 	return out
 }
 
-func (d *decoder) ids() []NodeID {
+// idSpan returns the next count-prefixed id list as a view of its 4*count
+// encoded bytes.
+func (d *decoder) idSpan() []byte {
 	n := d.u32()
 	if d.err != nil {
 		return nil
@@ -691,13 +760,7 @@ func (d *decoder) ids() []NodeID {
 		d.err = ErrShortPacket
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]NodeID, n)
-	for i := range out {
-		out[i] = NodeID(binary.LittleEndian.Uint32(d.b[i*4:]))
-	}
+	v := d.b[: n*4 : n*4]
 	d.b = d.b[n*4:]
-	return out
+	return v
 }
