@@ -127,12 +127,12 @@ func (p *Protocol) registerGossip(st *msgState, headerSig []byte) {
 	}
 }
 
-// offerProof is registerGossip for a proof neighbour from supplied and no one
-// has verified: held message st without a proof keeps tag as an unchecked
-// candidate, which headerProof verifies the first time it would leave the
-// node. It reports whether tag needs no check now: it is the candidate, new
-// or the one already held. A tag that differs from a held proof does, as it
-// did before deviation 13; the caller verifies it.
+// offerProof is registerGossip for a proof that neighbour from supplied and
+// no one has verified. A held message st without a proof keeps tag as an
+// unchecked candidate, which headerProof verifies the first time it would
+// leave the node. It reports whether tag needs no check now: it is the
+// candidate, new or already held. A tag that differs from a held proof needs
+// one, and the caller verifies it.
 func (p *Protocol) offerProof(st *msgState, tag []byte, from wire.NodeID) bool {
 	switch {
 	case len(tag) == 0:

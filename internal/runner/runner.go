@@ -111,16 +111,13 @@ const (
 // around a serial Run; a run with it nil pays one comparison per frame.
 var sentFrameHook func(pkt *wire.Packet)
 
-// withFrameHook returns send, or, while sentFrameHook is set, send preceded
-// by the hook.
-func withFrameHook(send func(*wire.Packet)) func(*wire.Packet) {
-	if sentFrameHook == nil {
-		return send
-	}
-	return func(pkt *wire.Packet) {
+// sendFrame hands pkt to m, showing it to sentFrameHook first while one is
+// set.
+func sendFrame(m *mac.MAC, pkt *wire.Packet) {
+	if sentFrameHook != nil {
 		sentFrameHook(pkt)
-		send(pkt)
 	}
+	m.Send(pkt)
 }
 
 var adversaryNames = [...]string{
@@ -454,10 +451,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 		m := macs[i]
 		send := func(pkt *wire.Packet) {
 			if out := behavior.FilterSend(pkt); out != nil {
-				if sentFrameHook != nil {
-					sentFrameHook(out)
-				}
-				m.Send(out)
+				sendFrame(m, out)
 			}
 		}
 		deps := core.Deps{
@@ -506,7 +500,7 @@ func run(sc Scenario, h hooks) (Result, error) {
 		})
 		if needsTick[id] {
 			b := behavior
-			eng.Every(byzantine.TickInterval, func() { b.Tick(withFrameHook(m.Send)) })
+			eng.Every(byzantine.TickInterval, func() { b.Tick(func(pkt *wire.Packet) { sendFrame(m, pkt) }) })
 		}
 	}
 
