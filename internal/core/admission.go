@@ -129,7 +129,7 @@ func (p *Protocol) bumpRequestCount(id wire.MsgID, from wire.NodeID) int {
 		if max := p.cfg.MaxReqSeen; max > 0 && len(p.reqSeen) >= max {
 			p.evictOldestReqSeen()
 		}
-		rec = p.reqs.new()
+		rec = p.reqs.New()
 		rec.counts = rec.inline[:0]
 		p.reqSeen[id] = rec
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"bbcast/internal/chunk"
 	"bbcast/internal/env"
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
@@ -325,12 +326,12 @@ type Protocol struct {
 	timerSeq uint64
 	fire     func()
 
-	// Per-node chunks (chunk) for the records created once per message, per
+	// Per-node chunks (chunk.Of) for the records created once per message, per
 	// recovered id, per sent frame and per published state record.
-	frames chunk[wire.Packet]
-	misses chunk[pendingMiss]
-	reqs   chunk[reqRecord]
-	states chunk[wire.OverlayState]
+	frames chunk.Of[wire.Packet]
+	misses chunk.Of[pendingMiss]
+	reqs   chunk.Of[reqRecord]
+	states chunk.Of[wire.OverlayState]
 	// stateIDs is the array the published records' id lists are carved from
 	// (publishState); its length is what is already handed out.
 	stateIDs []wire.NodeID
@@ -571,7 +572,7 @@ func (p *Protocol) Broadcast(payload []byte) wire.MsgID {
 	dataSig := p.deps.Scheme.Sign(uint32(p.deps.ID), p.sigBuf)
 	digest := wire.Digest(body)
 	p.enforceStoreCap()
-	st := p.store.entries.new()
+	st := p.store.entries.New()
 	*st = msgState{id: id, payload: body, dataSig: dataSig, digest: digest}
 	p.store.hold(st, p.deps.Clock.Now())
 	p.send(wire.Packet{
@@ -652,10 +653,10 @@ func (p *Protocol) knownHeaderSig(id wire.MsgID, tag []byte) (*msgState, bool, l
 
 // checkHeader checks a header signature for id: a tag byte-equal to one this
 // node already verified costs a comparison (knownHeaderSig), any other tag a
-// verification. A good tag byte-equal to the held entry's unchecked candidate
-// checks the candidate too. It returns the store entry the lookup found (nil
-// when absent) and whether the tag is good; counting a bad one is the
-// caller's business.
+// verification. A good tag settles the held entry's unchecked candidate
+// (settleProof). It returns the store entry the lookup found (nil when
+// absent) and whether the tag is good; counting a bad one is the caller's
+// business.
 func (p *Protocol) checkHeader(id wire.MsgID, tag []byte) (*msgState, bool) {
 	st, known, seen := p.knownHeaderSig(id, tag)
 	if known {
@@ -665,9 +666,7 @@ func (p *Protocol) checkHeader(id wire.MsgID, tag []byte) (*msgState, bool) {
 	if !p.verifyHeader(seen, id, tag) {
 		return st, false
 	}
-	if st != nil && st.flags&proofUnchecked != 0 && bytes.Equal(tag, st.headerSig) {
-		st.flags &^= proofUnchecked
-	}
+	p.settleProof(st, tag)
 	return st, true
 }
 
@@ -695,7 +694,7 @@ func (p *Protocol) noteDedupSkip() {
 // frame to the host. Frames come from the node's frame chunk, four to an
 // array.
 func (p *Protocol) send(pkt wire.Packet) {
-	frame := p.frames.new()
+	frame := p.frames.New()
 	*frame = pkt
 	frame.Sender = p.deps.ID
 	p.deps.Send(frame)
@@ -789,7 +788,7 @@ func (p *Protocol) handleData(pkt admitted) {
 		st.dataSig = pkt.Sig
 		st.viaFrame = pkt.Meta.Frame
 		st.viaHops = hops16(pkt.Meta.Hops)
-		st.flags = recoveredFlag(pkt.Meta.Recovered)
+		st.flags = st.flags&^viaRecovered | recoveredFlag(pkt.Meta.Recovered)
 		st.digest = dataDigest(pkt.Packet)
 		p.stats.Duplicates++
 		p.deps.ObserveSuppressed(id, pkt.Meta)
@@ -800,7 +799,7 @@ func (p *Protocol) handleData(pkt admitted) {
 		return
 	}
 
-	st = p.store.entries.new()
+	st = p.store.entries.New()
 	*st = msgState{
 		id:       id,
 		payload:  pkt.Payload,
@@ -898,7 +897,8 @@ func dataDigest(pkt *wire.Packet) uint64 {
 // (knownHeaderSig) skips re-verification entirely; and the proof of a message
 // this node holds is not verified here at all, but where it leaves the node
 // (offerProof, DESIGN deviation 13). It is checkHeader with that third guard
-// between the lookup and the verify, so each entry costs one store lookup.
+// between the lookup and the verify, so each entry costs one store lookup; a
+// tag that verifies settles a held entry's unchecked candidate as there.
 func (p *Protocol) handleGossip(pkt admitted) {
 	p.noteGossipArrival(pkt.Sender)
 	entries := pkt.Gossip
@@ -923,6 +923,8 @@ func (p *Protocol) handleGossip(pkt admitted) {
 		}
 		if st == nil {
 			p.noteMissing(entry.ID, entry.Sig, pkt.Sender, pkt.Meta.Frame)
+		} else {
+			p.settleProof(st, entry.Sig)
 		}
 	}
 }
@@ -944,7 +946,7 @@ func (p *Protocol) noteMissing(id wire.MsgID, headerSig []byte, gossiper wire.No
 			p.observeAdmission(obsv.AdmitMissingReject)
 			return
 		}
-		miss = p.misses.new()
+		miss = p.misses.New()
 		*miss = pendingMiss{
 			headerSig:  headerSig,
 			firstHeard: p.deps.Clock.Now(),

@@ -298,7 +298,7 @@ func (p *Protocol) handleSyncResp(pkt admitted) {
 			p.suspect(pkt.Sender, fd.ReasonBadSignature)
 			break // poisoned batch: discard the rest
 		}
-		st := p.store.entries.new()
+		st := p.store.entries.New()
 		*st = msgState{
 			id:       e.ID,
 			payload:  e.Payload,

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"bbcast/internal/chunk"
 	"bbcast/internal/wire"
 )
 
@@ -17,7 +18,7 @@ type msgStore struct {
 	byID        map[wire.MsgID]*msgState
 	held, tombs msgList
 	// entries hands out every entry, eight to an array.
-	entries chunk[msgState]
+	entries chunk.Of[msgState]
 	// window is the held entries received within GossipRetention of the last
 	// gossip tick, ascending by id, one slot per id. An entry that leaves the
 	// held list leaves its slot behind, dead (purged is set), until a gossip
@@ -110,7 +111,7 @@ func (s *msgStore) entomb(st *msgState, now time.Duration) {
 // Its digest stays zero: nothing reads a tombstone's digest, and a tombstone
 // revived by a data frame takes the frame's.
 func (s *msgStore) restore(id wire.MsgID, now time.Duration) {
-	st := s.entries.new()
+	st := s.entries.New()
 	st.id, st.purged, st.at = id, true, now
 	s.byID[id] = st
 	s.tombs.push(st)

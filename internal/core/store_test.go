@@ -29,7 +29,7 @@ func TestMsgStateSize(t *testing.T) {
 func TestStoreRemoveClearsEntry(t *testing.T) {
 	s := msgStore{byID: make(map[wire.MsgID]*msgState)}
 	add := func(seq wire.Seq, now time.Duration) *msgState {
-		st := s.entries.new()
+		st := s.entries.New()
 		*st = msgState{
 			id: wire.MsgID{Origin: 1, Seq: seq}, payload: []byte("payload"),
 			dataSig: []byte("data"), headerSig: []byte("header"),

@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"slices"
-	"unsafe"
 
+	"bbcast/internal/chunk"
 	"bbcast/internal/fd"
 	"bbcast/internal/obsv"
 	"bbcast/internal/overlay"
@@ -143,6 +143,28 @@ func (p *Protocol) offerProof(st *msgState, tag []byte, from wire.NodeID) bool {
 		return true
 	}
 	return st.flags&proofUnchecked != 0 && bytes.Equal(tag, st.headerSig)
+}
+
+// settleProof makes tag, a header signature for st's id that has just
+// verified, st's checked proof when st holds an unchecked candidate (DESIGN
+// deviation 13). A candidate that differs from tag is verified first, the one
+// verification it is due as a distinct proof, so a bad one is still counted
+// and held against the neighbour that supplied it. Without this, a liar whose
+// candidate came first would make every honest copy cost a verification until
+// the message left the node. Nothing happens for st nil or already checked.
+func (p *Protocol) settleProof(st *msgState, tag []byte) {
+	if st == nil || st.flags&proofUnchecked == 0 {
+		return
+	}
+	if !bytes.Equal(tag, st.headerSig) {
+		_, _, seen := p.knownHeaderSig(st.id, st.headerSig)
+		if !p.verifyHeader(seen, st.id, st.headerSig) {
+			p.stats.BadSignatures++
+			p.suspect(st.proofFrom, fd.ReasonBadSignature)
+		}
+	}
+	st.headerSig = tag
+	st.flags &^= proofUnchecked
 }
 
 // joinDamping is how many consecutive maintenance steps must agree before a
@@ -403,9 +425,9 @@ func (p *Protocol) buildState() (*wire.OverlayState, []byte) {
 // what is left of the array starts a new one.
 func (p *Protocol) publishState(s *wire.OverlayState) *wire.OverlayState {
 	if n := s.IDCount(); cap(p.stateIDs)-len(p.stateIDs) < n {
-		p.stateIDs = make([]wire.NodeID, 0, max(n, chunkBytes/int(unsafe.Sizeof(wire.NodeID(0)))))
+		p.stateIDs = make([]wire.NodeID, 0, max(n, chunk.Len[wire.NodeID]()))
 	}
-	out := p.states.new()
+	out := p.states.New()
 	p.stateIDs = s.CopyInto(out, p.stateIDs)
 	return out
 }

@@ -245,6 +245,53 @@ func TestBadHeldProofNeverSent(t *testing.T) {
 	}
 }
 
+// TestHonestProofDisplacesBadCandidate: a liar's proof that arrives first is
+// only a candidate. The first honest copy, by gossip or on a request, costs
+// its own verification and the candidate's, which fails and is held against
+// the liar; the honest proof takes the candidate's place, so later copies
+// cost a comparison and the next round advertises it without a check.
+func TestHonestProofDisplacesBadCandidate(t *testing.T) {
+	id := wire.MsgID{Origin: 1, Seq: 1}
+	honest := map[string]func(r *verifyRig, from wire.NodeID) *wire.Packet{
+		"gossip": func(r *verifyRig, from wire.NodeID) *wire.Packet { return r.gossipFrom(from, id) },
+		"request": func(r *verifyRig, from wire.NodeID) *wire.Packet {
+			return headerFrame(wire.KindRequest, from, id, r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id)))
+		},
+	}
+	for name, copyFrom := range honest {
+		t.Run(name, func(t *testing.T) {
+			r := newVerifyRig(t, 0, admitTestConfig())
+			r.p.HandlePacket(r.dataFrom(1, 1, []byte("m")))
+			good := r.scheme.Scheme.Sign(1, wire.HeaderSigBytes(id))
+			bad := append([]byte(nil), good...)
+			bad[0] ^= 1
+			liar := r.gossipFrom(3, id)
+			liar.Gossip[0].Sig = bad
+			r.expect("bad proof on arrival", sigCost{}, func() { r.p.HandlePacket(liar) })
+
+			r.expect("first honest copy", sigCost{verifies: 2, bad: 1, raised: 1}, func() { r.p.HandlePacket(copyFrom(r, 4)) })
+			if reason, suspected := r.p.Trust().Reason(3); !suspected || reason != fd.ReasonBadSignature {
+				t.Fatalf("supplier of the displaced proof not suspected: %v %v", reason, suspected)
+			}
+			r.expect("second honest copy", oneSkip, func() { r.p.HandlePacket(copyFrom(r, 5)) })
+			r.expect("the liar again", oneSkip, func() { r.p.HandlePacket(r.gossipFrom(3, id)) })
+			r.expect("the lie again", oneReject, func() { r.p.HandlePacket(liar) })
+
+			r.sent = nil
+			r.expect("first advertisement", sigCost{}, r.p.gossipTick)
+			got := r.sentOfKind(wire.KindGossip)
+			if len(got) != 1 || len(got[0].Gossip) != 1 || !bytes.Equal(got[0].Gossip[0].Sig, good) {
+				t.Fatalf("the honest proof was not advertised: %+v", got)
+			}
+			for _, from := range []wire.NodeID{4, 5} {
+				if _, suspected := r.p.Trust().Reason(from); suspected {
+					t.Fatalf("honest supplier %d is suspected", from)
+				}
+			}
+		})
+	}
+}
+
 func TestSyncRespHeaderVerifyCeiling(t *testing.T) {
 	cfg := admitTestConfig()
 	cfg.CatchUpSync = true

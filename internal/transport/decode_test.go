@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bbcast/internal/alloctest"
+	"bbcast/internal/chunk"
 	"bbcast/internal/sig"
 	"bbcast/internal/wire"
 )
@@ -20,22 +21,22 @@ func dataFrame(seq wire.Seq) *wire.Packet {
 }
 
 // TestReadLoopPacketsAreNeverOverwritten decodes datagrams the way readLoop
-// does, through one reused buffer and one packetChunk, with garbage between
+// does, through one reused buffer into one packet chunk, with garbage between
 // them, across several chunks: every packet handed out still reads as its own
 // datagram after all the later reads.
 func TestReadLoopPacketsAreNeverOverwritten(t *testing.T) {
 	buf := make([]byte, maxDatagram)
-	var pkts packetChunk
+	var pkts chunk.Of[wire.Packet]
 	var want, got []*wire.Packet
-	for seq := wire.Seq(1); seq <= 3*packetsPerChunk+1; seq++ {
+	for seq := wire.Seq(1); seq <= wire.Seq(3*chunk.Len[wire.Packet]()+1); seq++ {
 		garbage := copy(buf, []byte{1, byte(wire.KindData)}) // truncated header
-		if _, err := pkts.decode(buf[:garbage]); err == nil {
+		if err := wire.UnmarshalInto(pkts.New(), buf[:garbage]); err == nil {
 			t.Fatal("a truncated datagram decoded")
 		}
 		pkt := dataFrame(seq)
 		n := copy(buf, pkt.Marshal())
-		dec, err := pkts.decode(buf[:n])
-		if err != nil {
+		dec := pkts.New()
+		if err := wire.UnmarshalInto(dec, buf[:n]); err != nil {
 			t.Fatal(err)
 		}
 		want, got = append(want, pkt), append(got, dec)
@@ -58,9 +59,9 @@ func TestReadLoopPacketsAreNeverOverwritten(t *testing.T) {
 // packet of its own would make two.
 func TestDecodeDataFrameAllocationCeiling(t *testing.T) {
 	b := dataFrame(1).Marshal()
-	var pkts packetChunk
+	var pkts chunk.Of[wire.Packet]
 	alloctest.AtMost(t, 1, func() {
-		if _, err := pkts.decode(b); err != nil {
+		if err := wire.UnmarshalInto(pkts.New(), b); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"bbcast/internal/chunk"
 	"bbcast/internal/core"
 	"bbcast/internal/env"
 	"bbcast/internal/obsv"
@@ -382,7 +383,11 @@ func (n *UDPNode) readLoop() {
 	// it (wire.UnmarshalInto), so the buffer is free again once decoding
 	// returns.
 	buf := make([]byte, maxDatagram)
-	var pkts packetChunk
+	// Packets are carved from chunks of about 1 KiB, and a slot is never
+	// handed out twice, so a packet given to loop is never written again. One
+	// the protocol keeps (a deferred reply's asking frame) keeps its whole
+	// array alive, and with it the fields of the array's other packets.
+	var pkts chunk.Of[wire.Packet]
 	for {
 		sz, _, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -399,9 +404,9 @@ func (n *UDPNode) readLoop() {
 			// Transient read errors: keep serving until closed.
 			continue
 		}
-		pkt, err := pkts.decode(buf[:sz])
-		if err != nil {
-			continue // garbage datagram
+		pkt := pkts.New()
+		if err := wire.UnmarshalInto(pkt, buf[:sz]); err != nil {
+			continue // garbage datagram: its slot stays unused
 		}
 		select {
 		case n.inbox <- pkt:
@@ -415,35 +420,6 @@ func (n *UDPNode) readLoop() {
 			n.obs.OnAdmission(n.now(), n.id, obsv.AdmitIngressDrop)
 		}
 	}
-}
-
-// packetsPerChunk is how many packets one readLoop chunk holds: about 1 KiB
-// of them, as core's chunks hold.
-const packetsPerChunk = 6
-
-// packetChunk hands readLoop the packets it decodes into, carved from arrays
-// of packetsPerChunk, so a packet costs a fraction of an allocation. Like
-// core's chunk, it never hands a slot out twice: a packet given to loop is
-// never written again. The garbage collector frees an array once none of its
-// packets is referenced, so a packet the protocol keeps (a deferred reply's
-// asking frame) keeps its whole array alive, and with it the fields of the
-// array's other packets.
-type packetChunk struct {
-	free []wire.Packet
-}
-
-// decode decodes datagram b into the next free slot and returns it. A
-// datagram that does not decode uses up no slot.
-func (c *packetChunk) decode(b []byte) (*wire.Packet, error) {
-	if len(c.free) == 0 {
-		c.free = make([]wire.Packet, packetsPerChunk)
-	}
-	pkt := &c.free[0]
-	if err := wire.UnmarshalInto(pkt, b); err != nil {
-		return nil, err
-	}
-	c.free = c.free[1:]
-	return pkt, nil
 }
 
 // Close stops the node and waits for its read and protocol loops to exit. It
